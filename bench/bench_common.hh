@@ -8,6 +8,8 @@
  * override the batch size (e.g. 1000 for a quick pass), and
  * BUSARB_BENCH_JOBS to pin the scenario-level parallelism (default:
  * one job per hardware thread; results are identical at any setting).
+ * A malformed value of either (`abc`, `12x`, `-3`) exits 2 naming the
+ * variable rather than silently falling back to the default.
  */
 
 #ifndef BUSARB_BENCH_BENCH_COMMON_HH
@@ -18,21 +20,38 @@
 #include <string>
 #include <vector>
 
+#include "experiment/cli.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
 
 namespace busarb::bench {
 
+/**
+ * @return The integer in environment variable `name`, or `fallback`
+ *         when it is unset or empty; anything else below `min` or not
+ *         an integer exits 2 naming the variable.
+ */
+inline long
+envIntOrExit(const char *name, long min, long fallback)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr || *env == '\0')
+        return fallback;
+    long v = 0;
+    if (!parseLong(env, v) || v < min) {
+        std::cerr << name << ": expected an integer >= " << min
+                  << ", got '" << env << "'\n";
+        std::exit(2);
+    }
+    return v;
+}
+
 /** @return Batch size: 8000 (paper) or the BUSARB_BENCH_BATCH override. */
 inline std::uint64_t
 batchSize()
 {
-    if (const char *env = std::getenv("BUSARB_BENCH_BATCH")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
-    }
-    return 8000;
+    return static_cast<std::uint64_t>(
+        envIntOrExit("BUSARB_BENCH_BATCH", 1, 8000));
 }
 
 /** Apply the paper's measurement plan to a scenario. */
@@ -60,12 +79,8 @@ paperLoads()
 inline int
 benchJobs()
 {
-    if (const char *env = std::getenv("BUSARB_BENCH_JOBS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<int>(v);
-    }
-    return 0; // runScenarioGrid resolves 0 to hardware_concurrency
+    // 0 (the default) makes runScenarioGrid use hardware_concurrency.
+    return static_cast<int>(envIntOrExit("BUSARB_BENCH_JOBS", 0, 0));
 }
 
 /**

@@ -3,9 +3,11 @@
 #
 #   exit 0  --help and --list-protocols (informational output)
 #   exit 2  usage errors: unknown flags, malformed protocol specs,
-#           malformed scenario files, and flag/scenario conflicts —
+#           malformed scenario files, flag/scenario conflicts, and
+#           observer values outside their range —
 #           always naming the offending token, with a did-you-mean
 #           hint where one is close
+#   exit 1  an unwritable sweep results file, before any cell runs
 #
 # Usage: check_cli.sh sim sweep trace report
 set -eu
@@ -158,9 +160,38 @@ expect 2 "does not exist" "report out parent dir" \
 expect 2 "perfetto" "trace perfetto parent dir" \
     "$trace" "$tmp/whatever.trace" --perfetto "$missing/t.json"
 
+# A results file that cannot be opened (here a directory) fails with
+# exit 1 before any cell runs or any shard worker spawns.
+expect 1 "cannot write" "sweep csv unwritable" \
+    "$sweep" --protocols rr1 --loads 0.5 --agents 4 --batches 1 \
+    --batch-size 100 --shards 2 --shard-dir "$tmp/csv-shards" --csv "$tmp"
+if grep -q "jobs=" "$tmp/out" || [ -e "$tmp/csv-shards" ]; then
+    echo "FAIL: sweep ran before finding --csv unwritable" >&2
+    fails=$((fails + 1))
+fi
+
+# Observer values outside their range exit 2 naming the flag, on every
+# tool that takes them; a sharded sweep refuses before any worker runs.
+expect 2 "health-lag1" "sim observer range" \
+    "$sim" --protocol rr1 --health --health-lag1 0
+expect 2 "fairness-window" "sweep observer range" \
+    "$sweep" --protocols rr1 --loads 0.5 --fairness-window 1e-300
+expect 2 "health-rel-hw" "sharded sweep observer range" \
+    "$sweep" --protocols rr1 --loads 0.5 --health --health-rel-hw 0 \
+    --shards 2 --shard-dir "$tmp/observer-shards"
+if [ -e "$tmp/observer-shards" ]; then
+    echo "FAIL: sharded sweep wrote shards before rejecting a value" >&2
+    fails=$((fails + 1))
+fi
+expect 2 "snapshot-every" "report observer range" \
+    "$report" --protocol rr1 --snapshot-every -1 --out "$tmp/report.md"
+expect 2 "bypass-bound" "trace audit observer range" \
+    "$trace" audit "$tmp/whatever.trace" --bypass-bound -3
+
 if [ "$fails" -ne 0 ]; then
     echo "FAIL: $fails CLI contract check(s) failed" >&2
     exit 1
 fi
 echo "ok: help/list exit 0; unknown flags, bad specs, bad scenario" \
-     "files and flag conflicts exit 2 naming the token"
+     "files, flag conflicts and bad observer values exit 2 naming the" \
+     "token"

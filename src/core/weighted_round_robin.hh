@@ -25,7 +25,8 @@
  * Note the weighted schedule intentionally trades the paper's N-1
  * bypass bound for throughput proportionality: an agent with weight w
  * may bypass each waiting agent w times per turn. Audit such runs with
- * --bypass-bound sized to the weight sum, not the RR default.
+ * the auditor's bypass bound sized to the weight sum, not the RR
+ * default.
  */
 
 #ifndef BUSARB_CORE_WEIGHTED_ROUND_ROBIN_HH

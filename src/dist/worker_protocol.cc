@@ -11,6 +11,7 @@
 #include "dist/shard_plan.hh"
 #include "experiment/cli.hh"
 #include "experiment/job_pool.hh"
+#include "experiment/observer_flags.hh"
 #include "experiment/runner.hh"
 
 namespace busarb {
@@ -91,79 +92,6 @@ renderShardFile(std::uint64_t fingerprint, std::size_t shard,
 }
 
 bool
-parseTuningKey(const std::string &text, SweepTuning &out,
-               std::string &error)
-{
-    SweepTuning tuning;
-    tuning.queuePolicy = out.queuePolicy; // not part of the key
-    bool seen[9] = {};
-    std::istringstream is(text);
-    std::string field;
-    while (std::getline(is, field, ';')) {
-        const std::size_t eq = field.find('=');
-        if (eq == std::string::npos) {
-            error = "tuning field '" + field + "' has no value";
-            return false;
-        }
-        const std::string key = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-        const auto boolValue = [&](bool &target, std::size_t slot) {
-            if (value != "0" && value != "1")
-                return false;
-            target = value == "1";
-            seen[slot] = true;
-            return true;
-        };
-        const auto doubleValue = [&](double &target, std::size_t slot) {
-            if (!parseDouble(value, target))
-                return false;
-            seen[slot] = true;
-            return true;
-        };
-        bool ok = false;
-        if (key == "trace") {
-            ok = boolValue(tuning.captureTrace, 0);
-        } else if (key == "fairness") {
-            ok = boolValue(tuning.fairness, 1);
-        } else if (key == "fairness-window") {
-            ok = doubleValue(tuning.fairnessWindow, 2);
-        } else if (key == "bypass-bound") {
-            long bound = 0;
-            ok = parseLong(value, bound);
-            if (ok) {
-                tuning.bypassBound = static_cast<int>(bound);
-                seen[3] = true;
-            }
-        } else if (key == "health") {
-            ok = boolValue(tuning.health, 4);
-        } else if (key == "health-rel-hw") {
-            ok = doubleValue(tuning.healthRelHw, 5);
-        } else if (key == "health-lag1") {
-            ok = doubleValue(tuning.healthLag1, 6);
-        } else if (key == "snapshot-every") {
-            ok = doubleValue(tuning.snapshotEvery, 7);
-        } else if (key == "health-snapshots") {
-            ok = boolValue(tuning.healthSnapshots, 8);
-        } else {
-            error = "unknown tuning field '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            error = "malformed tuning value in '" + field + "'";
-            return false;
-        }
-    }
-    for (const bool s : seen) {
-        if (!s) {
-            error = "incomplete tuning key '" + text + "'";
-            return false;
-        }
-    }
-    out = tuning;
-    return true;
-}
-
-bool
 parseShardFile(const std::string &text, ShardTask &out, std::string &error)
 {
     std::istringstream is(text);
@@ -205,7 +133,7 @@ parseShardFile(const std::string &text, ShardTask &out, std::string &error)
         return false;
     }
     if (!std::getline(is, line) || !takeKeyword(line, "tuning", value) ||
-        !parseTuningKey(value, task.tuning, error)) {
+        !parseObserverKey(value, task.tuning, error)) {
         if (error.empty())
             error = "bad tuning line";
         return false;

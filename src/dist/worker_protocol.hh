@@ -19,7 +19,7 @@
  *     begin <cell>
  *     end <cell>
  *     queue <calendar|heap>
- *     tuning <SweepTuning::canonicalKey() text>
+ *     tuning <SweepTuning::canonicalKey() text, see observer_flags.hh>
  *     scenario
  *     <ScenarioSpec::format() text ...>
  *
@@ -93,20 +93,6 @@ std::string renderShardFile(std::uint64_t fingerprint, std::size_t shard,
  * @retval false The text did not validate.
  */
 bool parseShardFile(const std::string &text, ShardTask &out,
-                    std::string &error);
-
-/**
- * Parse a SweepTuning::canonicalKey() rendering back into a tuning.
- * Round-trip property: parse(render(t)).canonicalKey() ==
- * t.canonicalKey().
- *
- * @param text The canonical key text.
- * @param out Receives the tuning on success (queue policy untouched —
- *        it is not part of the key).
- * @param error Receives a diagnostic on failure.
- * @retval false Unknown field, missing field, or malformed value.
- */
-bool parseTuningKey(const std::string &text, SweepTuning &out,
                     std::string &error);
 
 /**

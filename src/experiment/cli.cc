@@ -1,6 +1,7 @@
 #include "experiment/cli.hh"
 
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <utility>
@@ -82,6 +83,28 @@ requireParentDirOrExit(const std::string &program,
                   << "')\n";
         std::exit(2);
     }
+}
+
+bool
+writeArtifact(const std::string &program, const std::string &path,
+              const std::string &what,
+              const std::function<void(std::ostream &)> &write)
+{
+    if (path.empty())
+        return true;
+    std::ofstream out(path, std::ios::binary);
+    if (!out) {
+        std::cerr << program << ": cannot write " << path << "\n";
+        return false;
+    }
+    write(out);
+    out.flush();
+    if (!out) {
+        std::cerr << program << ": error writing " << path << "\n";
+        return false;
+    }
+    std::cout << "wrote " << what << " to " << path << "\n";
+    return true;
 }
 
 ArgParser::ArgParser(std::string program, std::string summary)

@@ -10,7 +10,9 @@
 #ifndef BUSARB_EXPERIMENT_CLI_HH
 #define BUSARB_EXPERIMENT_CLI_HH
 
+#include <functional>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -88,6 +90,18 @@ void requireParentDirOrExit(const std::string &program,
                             const std::string &path);
 
 /**
+ * Write an artifact file through `write` and print `wrote <what> to
+ * <path>`; an empty path (flag unset) writes nothing. Failures print
+ * `program: cannot write path` or `program: error writing path` on
+ * stderr.
+ *
+ * @retval false The file could not be opened or written.
+ */
+bool writeArtifact(const std::string &program, const std::string &path,
+                   const std::string &what,
+                   const std::function<void(std::ostream &)> &write);
+
+/**
  * Declarative command-line parser.
  *
  * Declare flags with add*Flag, then parse(). Unknown flags and type
@@ -144,6 +158,12 @@ class ArgParser
      *         (even if set to its default value).
      */
     bool wasSet(const std::string &name) const;
+
+    /** @retval true A flag of this name was declared. */
+    bool declares(const std::string &name) const
+    {
+        return flags_.count(name) != 0;
+    }
 
     /** Positional arguments left after flag parsing. */
     const std::vector<std::string> &positional() const

@@ -143,6 +143,121 @@ populateMetrics(MetricsRegistry &m, const ScenarioConfig &config,
     }
 }
 
+/**
+ * The observer sinks of one run, built from ScenarioConfig::observe
+ * plus the caller's tracer. Each run owns its sinks, so captures are
+ * hermetic (JobPool-safe and byte-identical at any --jobs count).
+ */
+class RunSinks
+{
+  public:
+    RunSinks(const ScenarioConfig &config, const std::string &label)
+    {
+        const ObserverConfig &o = config.observe;
+        if (o.captureTrace) {
+            trace_ = std::make_unique<BinaryTraceWriter>(config.numAgents,
+                                                         label);
+            fanout_.add(trace_.get());
+        }
+        if (o.flightRecorder > 0) {
+            recorder_ = std::make_unique<FlightRecorder>(
+                static_cast<std::size_t>(o.flightRecorder));
+            panicDump_ =
+                std::make_unique<ScopedFlightRecorderDump>(*recorder_);
+            fanout_.add(recorder_.get());
+        }
+        if (o.auditsFairness()) {
+            auditor_ = std::make_unique<FairnessAuditor>(
+                FairnessAuditorConfig::from(o, config.numAgents, label));
+            fanout_.add(auditor_.get());
+        }
+        fanout_.add(config.tracer);
+        if (o.monitorsHealth()) {
+            RunHealthConfig hc;
+            hc.convergence.confidence = config.confidence;
+            hc.convergence.relHalfWidthTarget = o.healthRelHw;
+            hc.convergence.lag1Threshold = o.healthLag1;
+            hc.label = label;
+            hc.snapshots = o.healthSnapshots;
+            health_ = std::make_unique<RunHealthMonitor>(hc);
+        }
+    }
+
+    // The bus holds the address of a sink, and the fan-out holds the
+    // addresses of the owned sinks.
+    RunSinks(const RunSinks &) = delete;
+    RunSinks &operator=(const RunSinks &) = delete;
+
+    /** @return Null without sinks; one sink directly, else the fan-out. */
+    BusTracer *
+    tracer()
+    {
+        if (fanout_.size() <= 1)
+            return fanout_.size() == 1 ? fanout_.sink(0) : nullptr;
+        return &fanout_;
+    }
+
+    /**
+     * Measurement starts (`batch` null) or a batch ended: stream
+     * cumulative counters into the trace as Perfetto progress tracks,
+     * and feed the batch to the health monitor.
+     */
+    void
+    onBatchBoundary(const Bus &bus, Tick now, const BatchStats *batch)
+    {
+        if (health_ != nullptr && batch != nullptr)
+            health_->onBatch(ticksToUnits(now), batch->waitMean,
+                             batch->utilization);
+        if (trace_ == nullptr)
+            return;
+        static const char *const kNames[] = {
+            "bus.completions", "bus.passes", "bus.retry_passes"};
+        if (batch == nullptr)
+            for (int i = 0; i < 3; ++i)
+                counterIds_[i] = trace_->defineCounter(kNames[i]);
+        const std::uint64_t values[] = {bus.completedTransactions(),
+                                        bus.arbitrationPasses(),
+                                        bus.retryPasses()};
+        for (int i = 0; i < 3; ++i)
+            trace_->counterUpdate(counterIds_[i], now, values[i]);
+    }
+
+    /** The open-loop source outran the bus. */
+    void
+    noteSaturated()
+    {
+        if (health_ != nullptr)
+            health_->noteSaturated();
+    }
+
+    /** Close every sink and move its output into `result`. */
+    void
+    finish(Tick now, ScenarioResult &result)
+    {
+        if (trace_ != nullptr)
+            result.binaryTrace = trace_->finish();
+        if (auditor_ != nullptr) {
+            auditor_->finish(now);
+            auditor_->exportMetrics(result.metrics);
+            result.fairnessSnapshots = auditor_->snapshots();
+        }
+        if (health_ != nullptr) {
+            health_->exportMetrics(result.metrics);
+            result.health = health_->report();
+            result.healthSnapshots = health_->snapshots();
+        }
+    }
+
+  private:
+    FanoutTracer fanout_;
+    std::unique_ptr<BinaryTraceWriter> trace_;
+    std::unique_ptr<FlightRecorder> recorder_;
+    std::unique_ptr<ScopedFlightRecorderDump> panicDump_;
+    std::unique_ptr<FairnessAuditor> auditor_;
+    std::unique_ptr<RunHealthMonitor> health_;
+    std::uint64_t counterIds_[3] = {};
+};
+
 } // namespace
 
 ScenarioResult
@@ -166,54 +281,11 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
     const std::string protocol_name = protocol->name();
     Bus bus(queue, std::move(protocol), config.numAgents, config.bus);
 
-    // Observability sinks share the bus's single tracer slot through a
-    // fanout. Each run owns its writer/recorder, so captures are
-    // hermetic (JobPool-safe and byte-identical at any --jobs count).
-    FanoutTracer fanout;
-    std::unique_ptr<BinaryTraceWriter> trace_writer;
-    std::unique_ptr<FlightRecorder> recorder;
-    std::unique_ptr<ScopedFlightRecorderDump> panic_dump;
-    if (config.captureBinaryTrace) {
-        trace_writer = std::make_unique<BinaryTraceWriter>(
-            config.numAgents, protocol_name);
-        fanout.add(trace_writer.get());
-    }
-    if (config.flightRecorderEvents > 0) {
-        recorder =
-            std::make_unique<FlightRecorder>(config.flightRecorderEvents);
-        panic_dump = std::make_unique<ScopedFlightRecorderDump>(*recorder);
-        fanout.add(recorder.get());
-    }
-    std::unique_ptr<FairnessAuditor> auditor;
-    if (config.auditFairness || config.snapshotEveryUnits > 0.0) {
-        FairnessAuditorConfig fc;
-        fc.numAgents = config.numAgents;
-        fc.windowTicks = unitsToTicks(config.fairnessWindowUnits);
-        fc.bypassBound = config.bypassBound;
-        fc.snapshotEveryTicks = unitsToTicks(config.snapshotEveryUnits);
-        fc.label = protocol_name;
-        auditor = std::make_unique<FairnessAuditor>(fc);
-        fanout.add(auditor.get());
-    }
-    fanout.add(config.tracer);
-    if (fanout.size() == 1 && config.tracer != nullptr)
-        bus.setTracer(config.tracer);
-    else if (fanout.size() > 0)
-        bus.setTracer(&fanout);
+    RunSinks sinks(config, protocol_name);
+    bus.setTracer(sinks.tracer());
 
     MetricsCollector collector(config.numAgents, config.histBinWidth,
                                config.histBins);
-
-    std::unique_ptr<RunHealthMonitor> health;
-    if (config.monitorHealth || config.healthSnapshots) {
-        RunHealthConfig hc;
-        hc.convergence.confidence = config.confidence;
-        hc.convergence.relHalfWidthTarget = config.healthRelHwTarget;
-        hc.convergence.lag1Threshold = config.healthLag1Threshold;
-        hc.label = protocol_name;
-        hc.snapshots = config.healthSnapshots;
-        health = std::make_unique<RunHealthMonitor>(hc);
-    }
 
     // Self-profiler: one per run, owned here, so no hot-path locks. Its
     // wall-clock phases are host-only; the simulation never reads them.
@@ -304,31 +376,10 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
     const std::uint64_t measure_start_issued = source->issued();
     const Tick measure_start_tick = queue.now();
 
-    // Stream cumulative counters into the trace at batch boundaries so
-    // Perfetto shows progress tracks alongside the event timeline.
-    std::uint64_t completions_cid = 0;
-    std::uint64_t passes_cid = 0;
-    std::uint64_t retries_cid = 0;
-    if (trace_writer != nullptr) {
-        completions_cid = trace_writer->defineCounter("bus.completions");
-        passes_cid = trace_writer->defineCounter("bus.passes");
-        retries_cid = trace_writer->defineCounter("bus.retry_passes");
-    }
-    const auto emit_counters = [&] {
-        if (trace_writer == nullptr)
-            return;
-        trace_writer->counterUpdate(completions_cid, queue.now(),
-                                    bus.completedTransactions());
-        trace_writer->counterUpdate(passes_cid, queue.now(),
-                                    bus.arbitrationPasses());
-        trace_writer->counterUpdate(retries_cid, queue.now(),
-                                    bus.retryPasses());
-    };
-
     collector.beginBatch();
     Snapshot prev =
         takeSnapshot(queue, bus, collector, config.numAgents);
-    emit_counters();
+    sinks.onBatchBoundary(bus, queue.now(), nullptr);
     {
         ProfilePhaseTimer t(profile ? &profiler : nullptr,
                             RunPhase::kMeasure);
@@ -340,14 +391,10 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
                 takeSnapshot(queue, bus, collector, config.numAgents);
             result.batches.push_back(
                 batchFromDelta(prev, cur, collector.batchWaitStats()));
-            if (health != nullptr) {
-                const BatchStats &batch = result.batches.back();
-                health->onBatch(ticksToUnits(cur.now), batch.waitMean,
-                                batch.utilization);
-            }
             collector.beginBatch();
             prev = cur;
-            emit_counters();
+            sinks.onBatchBoundary(bus, queue.now(),
+                                  &result.batches.back());
         }
     }
     if (open_loop) {
@@ -381,8 +428,8 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
             measured_completions / 20 > 64 ? measured_completions / 20
                                            : 64;
         w.saturated = growth > noise_floor;
-        if (w.saturated && health != nullptr)
-            health->noteSaturated();
+        if (w.saturated)
+            sinks.noteSaturated();
     }
     ProfilePhaseTimer drain_timer(profile ? &profiler : nullptr,
                                   RunPhase::kDrain);
@@ -392,8 +439,6 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
             result.agentWaitHistograms.push_back(
                 collector.agentHistogram(a));
     }
-    if (trace_writer != nullptr)
-        result.binaryTrace = trace_writer->finish();
     populateMetrics(result.metrics, config, queue, bus, collector);
     // workload.* observables exist only for open-loop sources: closed
     // loops cannot build backlog, and the closed path's artifacts must
@@ -416,16 +461,7 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
     if (config.workloadSpec != "closed")
         result.metrics.setAnnotation("workload.spec",
                                      config.workloadSpec);
-    if (auditor != nullptr) {
-        auditor->finish(queue.now());
-        auditor->exportMetrics(result.metrics);
-        result.fairnessSnapshots = auditor->snapshots();
-    }
-    if (health != nullptr) {
-        health->exportMetrics(result.metrics);
-        result.health = health->report();
-        result.healthSnapshots = health->snapshots();
-    }
+    sinks.finish(queue.now(), result);
     if (profile) {
         profiler.finish(queue, bus.arbitrationPasses(),
                         bus.retryPasses(), bus.completedTransactions());

@@ -2,34 +2,18 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 
 #include "experiment/cli.hh"
+#include "experiment/observer_flags.hh"
 #include "experiment/protocol_registry.hh"
 #include "experiment/workload_registry.hh"
-#include "obs/export_format.hh"
 
 namespace busarb {
 
 std::string
 SweepTuning::canonicalKey() const
 {
-    // Every knob with an observable effect on a cell's artifacts, in a
-    // fixed order with locale-independent formatting. The queue policy
-    // is excluded on purpose: it is pinned unobservable (see
-    // docs/KERNEL.md), so resuming a sweep under the other policy must
-    // not invalidate its checkpoints.
-    std::ostringstream os;
-    os << "trace=" << (captureTrace ? 1 : 0)
-       << ";fairness=" << (fairness ? 1 : 0)
-       << ";fairness-window=" << formatDouble(fairnessWindow)
-       << ";bypass-bound=" << bypassBound
-       << ";health=" << (health ? 1 : 0)
-       << ";health-rel-hw=" << formatDouble(healthRelHw)
-       << ";health-lag1=" << formatDouble(healthLag1)
-       << ";snapshot-every=" << formatDouble(snapshotEvery)
-       << ";health-snapshots=" << (healthSnapshots ? 1 : 0);
-    return os.str();
+    return observerKey(*this);
 }
 
 ScenarioConfig
@@ -47,15 +31,7 @@ sweepCellConfig(const ScenarioSpec &spec, const SweepTuning &tuning,
         std::cerr << program << ": " << workload_error << "\n";
         std::exit(2);
     }
-    config.captureBinaryTrace = tuning.captureTrace;
-    config.auditFairness = tuning.fairness;
-    config.fairnessWindowUnits = tuning.fairnessWindow;
-    config.bypassBound = tuning.bypassBound;
-    config.monitorHealth = tuning.health;
-    config.healthRelHwTarget = tuning.healthRelHw;
-    config.healthLag1Threshold = tuning.healthLag1;
-    config.snapshotEveryUnits = tuning.snapshotEvery;
-    config.healthSnapshots = tuning.healthSnapshots;
+    config.observe = static_cast<const ObserverConfig &>(tuning);
     config.eventQueuePolicy = tuning.queuePolicy;
     return config;
 }

@@ -4,6 +4,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "obs/export_format.hh"
 #include "sim/logging.hh"
@@ -20,6 +21,15 @@ toUnits(Tick ticks)
 }
 
 } // namespace
+
+FairnessAuditorConfig
+FairnessAuditorConfig::from(const ObserverConfig &observe, int num_agents,
+                            std::string label)
+{
+    return {num_agents, unitsToTicks(observe.fairnessWindow),
+            observe.bypassBound, unitsToTicks(observe.snapshotEvery),
+            std::move(label)};
+}
 
 FairnessAuditor::FairnessAuditor(const FairnessAuditorConfig &config)
     : numAgents_(config.numAgents),

@@ -44,6 +44,7 @@
 
 #include "bus/trace.hh"
 #include "obs/metrics_registry.hh"
+#include "obs/observer_config.hh"
 #include "obs/trace_event.hh"
 #include "stats/fairness.hh"
 
@@ -75,6 +76,13 @@ struct FairnessAuditorConfig
 
     /** Label stamped into each snapshot line (e.g. protocol name). */
     std::string label;
+
+    /**
+     * @return The auditor a run's observer knobs describe (window,
+     *         bound and snapshot interval converted to ticks).
+     */
+    static FairnessAuditorConfig from(const ObserverConfig &observe,
+                                      int num_agents, std::string label);
 };
 
 /**

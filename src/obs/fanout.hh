@@ -33,6 +33,9 @@ class FanoutTracer : public BusTracer
     /** @return Number of attached sinks. */
     std::size_t size() const { return sinks_.size(); }
 
+    /** @return The i-th attached sink. */
+    BusTracer *sink(std::size_t i) const { return sinks_[i]; }
+
     void
     onRequestPosted(const Request &req) override
     {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bus/bus.hh"
+#include "obs/observer_config.hh"
 #include "workload/agent_traits.hh"
 
 namespace busarb {
@@ -76,66 +77,12 @@ struct ScenarioConfig
     BusTracer *tracer = nullptr;
 
     /**
-     * Capture the whole run as a compact binary event trace
-     * (obs/binary_trace.hh); the bytes land in
-     * ScenarioResult::binaryTrace. Each run owns its buffer, so a
-     * parallel grid captures byte-identical traces to a serial one.
+     * Observer sinks attached for the run (trace capture, flight
+     * recorder, fairness auditor, health monitor) and their tuning.
+     * Each run owns its sinks, so a parallel grid records byte-identical
+     * artifacts to a serial one.
      */
-    bool captureBinaryTrace = false;
-
-    /**
-     * Retain the last M bus events in a flight recorder
-     * (obs/flight_recorder.hh) and dump them to stderr if the run
-     * panics — most usefully on a ProtocolChecker contract violation.
-     * 0 disables.
-     */
-    std::size_t flightRecorderEvents = 0;
-
-    /**
-     * Attach a fairness auditor (obs/fairness_auditor.hh) for the run:
-     * per-agent bypass counts with bound checking, a starvation
-     * watchdog, and windowed Jain indices, exported as fairness.*
-     * metrics in ScenarioResult::metrics.
-     */
-    bool auditFairness = false;
-
-    /** Fairness window width in transaction units. */
-    double fairnessWindowUnits = 50.0;
-
-    /**
-     * Bypass bound audited at each grant; <= 0 selects the paper's RR
-     * guarantee of numAgents - 1.
-     */
-    int bypassBound = 0;
-
-    /**
-     * Emit a deterministic fairness snapshot (JSONL) every this many
-     * transaction units of simulated time into
-     * ScenarioResult::fairnessSnapshots; 0 disables. Implies
-     * auditFairness.
-     */
-    double snapshotEveryUnits = 0.0;
-
-    /**
-     * Attach the run-health monitor (obs/run_health.hh): streaming
-     * batch-means convergence diagnostics (relative CI half-width,
-     * lag-1 autocorrelation, MSER warm-up detection) with a per-run
-     * verdict in ScenarioResult::health and health.* metrics.
-     */
-    bool monitorHealth = false;
-
-    /**
-     * Additionally emit one deterministic health snapshot line (JSONL,
-     * keyed to simulated time) per completed batch into
-     * ScenarioResult::healthSnapshots. Implies monitorHealth.
-     */
-    bool healthSnapshots = false;
-
-    /** Relative CI half-width target (the paper's "within 5%"). */
-    double healthRelHwTarget = 0.05;
-
-    /** |lag-1| threshold for batch-mean independence. */
-    double healthLag1Threshold = 0.3;
+    ObserverConfig observe;
 
     /**
      * Collect a per-run self-profile (obs/profiler.hh): per-phase

@@ -9,8 +9,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include <sys/stat.h>
 
@@ -20,8 +25,10 @@
 #include "dist/result_codec.hh"
 #include "dist/shard_plan.hh"
 #include "dist/worker_protocol.hh"
+#include "experiment/observer_flags.hh"
 #include "experiment/runner.hh"
 #include "experiment/sweep_cells.hh"
+#include "obs/export_format.hh"
 
 namespace busarb {
 namespace {
@@ -123,28 +130,121 @@ TEST(ShardFile, RejectsBadCellRange)
         error));
 }
 
+/** @return `config` with one knob reset to its default. */
+ObserverConfig
+withDefault(ObserverConfig config, const ObserverKnob &knob)
+{
+    const ObserverConfig defaults;
+    std::visit([&](auto member) { config.*member = defaults.*member; },
+               knob.field);
+    return config;
+}
+
+std::uint64_t
+fingerprintOf(const ObserverConfig &config)
+{
+    return sweepFingerprint(tinySpec().format(),
+                            SweepTuning{config}.canonicalKey());
+}
+
+/**
+ * Every row of the observer table: a non-default value set from the
+ * flags survives flags -> ObserverConfig -> canonical key -> parse ->
+ * config, and moves the sweep fingerprint. A knob added without a key
+ * (or without a way to set it from the flags) fails here until it is
+ * covered or named as unobservable below.
+ */
 TEST(TuningKey, ParseRoundTripProperty)
 {
-    for (const SweepTuning &t : {SweepTuning{}, richTuning()}) {
-        SweepTuning parsed;
+    // How the flagless knobs are set by their implication rules, and
+    // the partner flag a snapshot interval needs.
+    const std::map<std::string, std::vector<std::string>> partners = {
+        {"trace", {"--trace-out", "t.trace"}},
+        {"health-snapshots", {"--health", "--snapshot-out", "s.jsonl"}},
+        {"snapshot-every", {"--snapshot-out", "s.jsonl"}},
+    };
+    // Knobs no artifact can observe, so a resume may change them.
+    const std::set<std::string> unobservable = {"flight-recorder"};
+
+    const ObserverConfig defaults;
+    for (const ObserverKnob &knob : observerKnobs()) {
+        const std::string name = *knob.key ? knob.key : knob.flag;
+        SCOPED_TRACE(name);
+        ASSERT_NE(knob.tools & kSimTool, 0u);
+
+        std::vector<std::string> args = {"busarb_sim"};
+        if (partners.count(name))
+            for (const std::string &arg : partners.at(name))
+                args.push_back(arg);
+        if (*knob.flag != '\0') {
+            args.push_back(std::string("--") + knob.flag);
+            std::visit(
+                [&](auto member) {
+                    using T = std::remove_cvref_t<decltype(defaults.*member)>;
+                    if constexpr (std::is_same_v<T, int>)
+                        args.push_back(std::to_string(defaults.*member + 1));
+                    else if constexpr (std::is_same_v<T, double>)
+                        args.push_back(formatDouble(defaults.*member + 1.5));
+                },
+                knob.field);
+        } else {
+            ASSERT_TRUE(partners.count(name))
+                << "no flags set flagless knob " << name;
+        }
+        std::vector<const char *> argv;
+        for (const std::string &arg : args)
+            argv.push_back(arg.c_str());
+        ArgParser parser("busarb_sim", "observer table test");
+        addObserverFlags(parser, kSimTool);
+        ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()),
+                                 argv.data()));
+        const ObserverConfig config =
+            observerConfigFromFlagsOrExit("busarb_sim", parser);
+        std::visit(
+            [&](auto member) {
+                EXPECT_NE(config.*member, defaults.*member);
+            },
+            knob.field);
+
+        const ObserverConfig reset = withDefault(config, knob);
+        if (*knob.key == '\0') {
+            EXPECT_TRUE(unobservable.count(name))
+                << name << " has no canonical key";
+            EXPECT_EQ(observerKey(config), observerKey(reset));
+            continue;
+        }
+        ObserverConfig parsed;
         std::string error;
-        ASSERT_TRUE(parseTuningKey(t.canonicalKey(), parsed, error))
+        ASSERT_TRUE(parseObserverKey(observerKey(config), parsed, error))
             << error;
-        EXPECT_EQ(parsed.canonicalKey(), t.canonicalKey());
+        EXPECT_EQ(observerKey(parsed), observerKey(config));
+        std::visit(
+            [&](auto member) {
+                EXPECT_EQ(parsed.*member, config.*member);
+            },
+            knob.field);
+        EXPECT_NE(fingerprintOf(config), fingerprintOf(reset));
     }
 }
 
 TEST(TuningKey, RejectsMalformedKeys)
 {
-    SweepTuning parsed;
+    ObserverConfig parsed;
     std::string error;
-    EXPECT_FALSE(parseTuningKey("", parsed, error));
-    EXPECT_FALSE(parseTuningKey("trace=1", parsed, error)); // missing
+    EXPECT_FALSE(parseObserverKey("", parsed, error));
+    EXPECT_FALSE(parseObserverKey("trace=1", parsed, error)); // missing
     const std::string key = SweepTuning{}.canonicalKey();
-    EXPECT_FALSE(parseTuningKey(key + ";mystery=1", parsed, error));
-    std::string bad = key;
-    bad.replace(bad.find("trace=0"), 7, "trace=2");
-    EXPECT_FALSE(parseTuningKey(bad, parsed, error));
+    EXPECT_FALSE(parseObserverKey(key + ";mystery=1", parsed, error));
+    EXPECT_FALSE(parseObserverKey(key + ";trace=0", parsed, error));
+    for (const auto &[good, bad] :
+         {std::pair{"trace=0", "trace=2"},
+          std::pair{"health-lag1=0.3", "health-lag1=0"},
+          std::pair{"bypass-bound=0", "bypass-bound=-1"},
+          std::pair{"fairness-window=50", "fairness-window=1e-300"}}) {
+        std::string text = key;
+        text.replace(text.find(good), std::string(good).size(), bad);
+        EXPECT_FALSE(parseObserverKey(text, parsed, error)) << bad;
+    }
 }
 
 class WorkerShardTest : public ::testing::Test

@@ -1,13 +1,21 @@
 /**
  * @file
- * Unit tests for the command-line flag parser.
+ * Unit tests for the command-line flag parser, the artifact writer,
+ * and the observer flags built on them.
  */
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "experiment/cli.hh"
+#include "experiment/observer_flags.hh"
+#include "support/temp_path.hh"
 
 namespace busarb {
 namespace {
@@ -200,6 +208,114 @@ TEST(ArgParserDeathTest, MisuseIsCaught)
     ArgParser dup("prog", "x");
     dup.addIntFlag("a", 1, "h");
     EXPECT_DEATH(dup.addIntFlag("a", 2, "h"), "twice");
+}
+
+TEST(ArgParserTest, DeclaresReportsDeclaredFlags)
+{
+    const auto parser = makeParser();
+    EXPECT_TRUE(parser.declares("count"));
+    EXPECT_FALSE(parser.declares("undeclared"));
+}
+
+TEST(WriteArtifactTest, WritesReportsAndSkipsAnUnsetPath)
+{
+    const auto write = [](std::ostream &out) { out << "x,y\n"; };
+    EXPECT_TRUE(writeArtifact("prog", "", "nothing", write));
+
+    const std::string path = testTempPath("artifact.csv");
+    testing::internal::CaptureStdout();
+    EXPECT_TRUE(writeArtifact("prog", path, "rows", write));
+    EXPECT_EQ(testing::internal::GetCapturedStdout(),
+              "wrote rows to " + path + "\n");
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), "x,y\n");
+    std::remove(path.c_str());
+
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(writeArtifact("prog", path + ".d/no/file", "rows", write));
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "prog: cannot write"),
+              std::string::npos);
+}
+
+TEST(ObserverFlagsTest, EachToolDeclaresOnlyItsKnobs)
+{
+    ArgParser sim("sim", "x");
+    ArgParser sweep("sweep", "x");
+    ArgParser report("report", "x");
+    ArgParser audit("audit", "x");
+    addObserverFlags(sim, kSimTool);
+    addObserverFlags(sweep, kSweepTool);
+    addObserverFlags(report, kReportTool);
+    addObserverFlags(audit, kAuditTool);
+    EXPECT_TRUE(sim.declares("flight-recorder"));
+    EXPECT_FALSE(sweep.declares("flight-recorder"));
+    EXPECT_TRUE(sweep.declares("health-strict"));
+    EXPECT_TRUE(report.declares("snapshot-every"));
+    EXPECT_FALSE(report.declares("snapshot-out"));
+    EXPECT_FALSE(report.declares("fairness"));
+    EXPECT_TRUE(audit.declares("bypass-bound"));
+    EXPECT_TRUE(audit.declares("snapshot-out"));
+    EXPECT_FALSE(audit.declares("health"));
+    EXPECT_FALSE(audit.declares("trace-out"));
+}
+
+TEST(ObserverFlagsTest, ImplicationRulesTurnOnTheSinksTheyNeed)
+{
+    ArgParser parser("sim", "x");
+    addObserverFlags(parser, kSimTool);
+    ASSERT_TRUE(parse(parser, {"--health-strict", "--snapshot-out",
+                               "s.jsonl", "--snapshot-every", "5",
+                               "--trace-out", "t.trace"}));
+    const ObserverConfig o = observerConfigFromFlagsOrExit("sim", parser);
+    EXPECT_TRUE(o.captureTrace);
+    EXPECT_TRUE(o.health);
+    EXPECT_TRUE(o.healthSnapshots);
+    EXPECT_TRUE(o.fairness);
+    EXPECT_EQ(o.snapshotEvery, 5.0);
+}
+
+TEST(ObserverFlagsDeathTest, BadValuesExitWithCode2NamingTheFlag)
+{
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"health-lag1", "0"},        {"health-rel-hw", "inf"},
+        {"fairness-window", "1e-300"}, {"bypass-bound", "-1"},
+        {"flight-recorder", "-5"},   {"snapshot-every", "nan"},
+    };
+    for (const auto &[flag, value] : bad) {
+        ArgParser parser("sim", "x");
+        addObserverFlags(parser, kSimTool);
+        const std::string arg = "--" + flag;
+        ASSERT_TRUE(parse(parser, {arg.c_str(), value.c_str()}));
+        EXPECT_EXIT(observerConfigFromFlagsOrExit("sim", parser),
+                    ::testing::ExitedWithCode(2), arg + " must be ")
+            << flag;
+    }
+    ArgParser parser("sim", "x");
+    addObserverFlags(parser, kSimTool);
+    ASSERT_TRUE(parse(parser, {"--snapshot-every", "5"}));
+    EXPECT_EXIT(observerConfigFromFlagsOrExit(
+                    "sim", parser, SnapshotSources::kIntervalOrHealth),
+                ::testing::ExitedWithCode(2), "requires --snapshot-out");
+    ArgParser audit("audit", "x");
+    addObserverFlags(audit, kAuditTool);
+    ASSERT_TRUE(parse(audit, {"--snapshot-out", "s.jsonl"}));
+    EXPECT_EXIT(observerConfigFromFlagsOrExit("audit", audit,
+                                              SnapshotSources::kInterval),
+                ::testing::ExitedWithCode(2),
+                "--snapshot-out requires --snapshot-every\n");
+}
+
+TEST(ObserverFlagsTest, ReportEmbedsSnapshotsWithoutAnArtifact)
+{
+    ArgParser report("report", "x");
+    addObserverFlags(report, kReportTool);
+    ASSERT_TRUE(parse(report, {"--snapshot-every", "5"}));
+    const ObserverConfig o = observerConfigFromFlagsOrExit("report", report);
+    EXPECT_EQ(o.snapshotEvery, 5.0);
+    EXPECT_TRUE(o.fairness);
 }
 
 } // namespace

@@ -30,7 +30,7 @@ metricsJson(const ScenarioResult &result)
 void
 expectIdenticalRuns(ScenarioConfig config, const std::string &protocol)
 {
-    config.captureBinaryTrace = true;
+    config.observe.captureTrace = true;
     config.eventQueuePolicy = EventQueuePolicy::kCalendar;
     const auto calendar = runScenario(config, protocolByKey(protocol));
     config.eventQueuePolicy = EventQueuePolicy::kHeap;

@@ -6,6 +6,7 @@
  * numbers and did-you-mean hints.
  */
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "experiment/cli.hh"
 #include "experiment/scenario_spec.hh"
 #include "workload/scenario.hh"
+#include "support/temp_path.hh"
 
 namespace busarb {
 namespace {
@@ -398,8 +400,7 @@ TEST(ScenarioSpecDeathTest, OrExitDistinguishesIoFromParseErrors)
     EXPECT_EXIT(scenarioSpecOrExit("prog", "/nonexistent/x.scenario"),
                 ::testing::ExitedWithCode(1), "prog: cannot read");
 
-    const std::string path =
-        ::testing::TempDir() + "/bad_spec_test.scenario";
+    const std::string path = testTempPath("bad.scenario");
     {
         std::ofstream out(path);
         out << "[workload]\nagents = none\n";
@@ -407,6 +408,7 @@ TEST(ScenarioSpecDeathTest, OrExitDistinguishesIoFromParseErrors)
     EXPECT_EXIT(scenarioSpecOrExit("prog", path),
                 ::testing::ExitedWithCode(2),
                 "line 2: key 'agents' expects an integer");
+    std::remove(path.c_str());
 }
 
 } // namespace

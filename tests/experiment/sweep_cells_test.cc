@@ -70,15 +70,16 @@ TEST(SweepCells, TuningKnobsReachTheCellConfig)
 
     const ScenarioConfig config =
         sweepCellConfig(spec, tuning, "sweep_cells_test", 2);
-    EXPECT_TRUE(config.captureBinaryTrace);
-    EXPECT_TRUE(config.auditFairness);
-    EXPECT_EQ(config.fairnessWindowUnits, 12.5);
-    EXPECT_EQ(config.bypassBound, 4);
-    EXPECT_TRUE(config.monitorHealth);
-    EXPECT_EQ(config.healthRelHwTarget, 0.02);
-    EXPECT_EQ(config.healthLag1Threshold, 0.4);
-    EXPECT_EQ(config.snapshotEveryUnits, 7.0);
-    EXPECT_TRUE(config.healthSnapshots);
+    const ObserverConfig &o = config.observe;
+    EXPECT_TRUE(o.captureTrace);
+    EXPECT_TRUE(o.fairness);
+    EXPECT_EQ(o.fairnessWindow, 12.5);
+    EXPECT_EQ(o.bypassBound, 4);
+    EXPECT_TRUE(o.health);
+    EXPECT_EQ(o.healthRelHw, 0.02);
+    EXPECT_EQ(o.healthLag1, 0.4);
+    EXPECT_EQ(o.snapshotEvery, 7.0);
+    EXPECT_TRUE(o.healthSnapshots);
     EXPECT_EQ(config.eventQueuePolicy, EventQueuePolicy::kHeap);
 }
 

@@ -17,6 +17,7 @@
 #include "experiment/runner.hh"
 #include "experiment/workload_registry.hh"
 #include "workload/scenario.hh"
+#include "support/temp_path.hh"
 
 namespace busarb {
 namespace {
@@ -59,7 +60,7 @@ class TempTraceFile
   public:
     explicit TempTraceFile(int requests)
     {
-        path_ = testing::TempDir() + "workload_registry_trace.txt";
+        path_ = testTempPath("trace.txt");
         std::ofstream out(path_);
         double t = 0.0;
         for (int i = 0; i < requests; ++i) {

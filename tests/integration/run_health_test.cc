@@ -30,7 +30,7 @@ TEST(RunHealthIntegrationTest, PaperSpecRunConverges)
     config.numBatches = 10;
     config.batchSize = 8000;
     config.warmup = 8000;
-    config.monitorHealth = true;
+    config.observe.health = true;
     const ScenarioResult r = runScenario(config, protocolFromSpec("rr1"));
     ASSERT_TRUE(r.health.enabled);
     EXPECT_EQ(r.health.batches, 10u);
@@ -51,7 +51,7 @@ TEST(RunHealthIntegrationTest, StarvedRunIsFlagged)
     config.numBatches = 5;
     config.batchSize = 50;
     config.warmup = 1000;
-    config.monitorHealth = true;
+    config.observe.health = true;
     const ScenarioResult r = runScenario(config, protocolFromSpec("rr1"));
     ASSERT_TRUE(r.health.enabled);
     EXPECT_NE(r.health.verdict, ConvergenceVerdict::kConverged)
@@ -83,8 +83,8 @@ TEST(RunHealthIntegrationTest, SnapshotsAndMetricsAreDeterministic)
     config.numBatches = 4;
     config.batchSize = 300;
     config.warmup = 300;
-    config.healthSnapshots = true;
-    config.monitorHealth = true;
+    config.observe.healthSnapshots = true;
+    config.observe.health = true;
     const ScenarioResult a = runScenario(config, protocolFromSpec("rr1"));
     const ScenarioResult b = runScenario(config, protocolFromSpec("rr1"));
     ASSERT_FALSE(a.healthSnapshots.empty());

@@ -270,7 +270,7 @@ contrastScenario()
     config.numBatches = 2;
     config.batchSize = 1000;
     config.warmup = 500;
-    config.auditFairness = true;
+    config.observe.fairness = true;
     return config;
 }
 
@@ -295,7 +295,7 @@ TEST(FairnessAuditorIntegration, RrHonorsItsBoundWhileAapViolatesIt)
 TEST(FairnessAuditorIntegration, SnapshotsIdenticalAcrossJobCounts)
 {
     ScenarioConfig config = contrastScenario();
-    config.snapshotEveryUnits = 250.0;
+    config.observe.snapshotEvery = 250.0;
     std::vector<GridJob> grid;
     grid.push_back({config, protocolFromSpec("rr1")});
     grid.push_back({config, protocolFromSpec("aap1")});

@@ -4,6 +4,7 @@
  * merges, and deterministic CSV/JSON export.
  */
 
+#include <cstdio>
 #include <fstream>
 #include <locale>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics_registry.hh"
+#include "support/temp_path.hh"
 
 namespace busarb {
 namespace {
@@ -157,8 +159,8 @@ TEST(MetricsRegistry, WriteFilePicksFormatByExtension)
     reg.counter("x").add(1);
 
     const std::string dir = ::testing::TempDir();
-    const std::string csv_path = dir + "/busarb_metrics_test.csv";
-    const std::string json_path = dir + "/busarb_metrics_test.json";
+    const std::string csv_path = testTempPath("metrics.csv");
+    const std::string json_path = testTempPath("metrics.json");
     ASSERT_TRUE(reg.writeFile(csv_path));
     ASSERT_TRUE(reg.writeFile(json_path));
 
@@ -174,6 +176,8 @@ TEST(MetricsRegistry, WriteFilePicksFormatByExtension)
     EXPECT_EQ(ch, '{');
 
     EXPECT_FALSE(reg.writeFile(dir + "/no/such/dir/out.csv"));
+    std::remove(csv_path.c_str());
+    std::remove(json_path.c_str());
 }
 
 TEST(MetricsRegistry, GaugeMergeSummaryFoldsPreAggregatedSamples)

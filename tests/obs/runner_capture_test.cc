@@ -28,7 +28,7 @@ smallConfig(double load)
     config.numBatches = 2;
     config.batchSize = 300;
     config.warmup = 300;
-    config.captureBinaryTrace = true;
+    config.observe.captureTrace = true;
     return config;
 }
 
@@ -69,7 +69,7 @@ TEST(RunnerCapture, TraceDecodesAndCoversTheRun)
 TEST(RunnerCapture, DisabledCaptureLeavesTraceEmpty)
 {
     ScenarioConfig config = smallConfig(1.0);
-    config.captureBinaryTrace = false;
+    config.observe.captureTrace = false;
     const auto result = runScenario(config, protocolByKey("rr1"));
     EXPECT_TRUE(result.binaryTrace.empty());
     // Metrics are always populated; they cost one pass at run end.

@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -61,7 +62,10 @@ TEST(ExponentialTest, SamplesAreNonNegative)
 
 struct ErlangCase
 {
-    int stages;
+    // 64-bit so the struct has no padding: gtest names each case by the
+    // object's raw bytes, and uninitialised padding would make those
+    // names differ from run to run.
+    std::int64_t stages;
     double mean;
 };
 
@@ -72,7 +76,7 @@ class ErlangParamTest : public ::testing::TestWithParam<ErlangCase>
 TEST_P(ErlangParamTest, MeanAndCvMatchTheory)
 {
     const auto param = GetParam();
-    ErlangDistribution d(param.stages, param.mean);
+    ErlangDistribution d(static_cast<int>(param.stages), param.mean);
     const auto rs = sampleStats(d, 300000);
     EXPECT_NEAR(rs.mean(), param.mean, 0.02 * param.mean);
     const double expected_cv = 1.0 / std::sqrt(param.stages);

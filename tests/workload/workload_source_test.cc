@@ -21,6 +21,7 @@
 #include "stats/convergence.hh"
 #include "stats/open_queue.hh"
 #include "workload/scenario.hh"
+#include "support/temp_path.hh"
 
 namespace busarb {
 namespace {
@@ -74,7 +75,7 @@ TEST(OpenWorkloadTest, OverloadRaisesTheSaturationVerdict)
     // bound, and the run must say so instead of reporting a converged
     // estimate of a divergent quantity.
     ScenarioConfig config = openScenario("open:rate=1.3");
-    config.monitorHealth = true;
+    config.observe.health = true;
     const ScenarioResult result =
         runScenario(config, makeRoundRobinFactory());
     EXPECT_TRUE(result.workload.saturated);
@@ -89,7 +90,7 @@ TEST(OpenWorkloadTest, OverloadRaisesTheSaturationVerdict)
 TEST(OpenWorkloadTest, StableRunsKeepTheMeasuredVerdict)
 {
     ScenarioConfig config = openScenario("open:rate=0.5");
-    config.monitorHealth = true;
+    config.observe.health = true;
     const ScenarioResult result =
         runScenario(config, makeRoundRobinFactory());
     EXPECT_FALSE(result.workload.saturated);
@@ -102,7 +103,7 @@ class TempTraceFile
   public:
     explicit TempTraceFile(int requests)
     {
-        path_ = testing::TempDir() + "workload_source_trace.txt";
+        path_ = testTempPath("trace.txt");
         std::ofstream out(path_);
         double t = 0.0;
         for (int i = 0; i < requests; ++i) {
@@ -127,7 +128,7 @@ traceScenario(const TempTraceFile &trace)
     config.numBatches = 4;
     config.batchSize = 500;
     config.warmup = 500;
-    config.captureBinaryTrace = true;
+    config.observe.captureTrace = true;
     return config;
 }
 

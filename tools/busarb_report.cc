@@ -20,12 +20,12 @@
  * embedded in the report, so any report can be replayed.
  */
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "experiment/cli.hh"
+#include "experiment/observer_flags.hh"
 #include "experiment/protocol_registry.hh"
 #include "experiment/run_report.hh"
 #include "experiment/runner.hh"
@@ -44,9 +44,7 @@ main(int argc, char **argv)
     parser.addStringFlag("protocol", "rr1",
                          "protocol spec (same grammar as busarb_sim)");
     addScenarioFlags(parser);
-    parser.addDoubleFlag("snapshot-every", 0.0,
-                         "also embed fairness snapshots at this "
-                         "simulated-time interval (0 disables)");
+    addObserverFlags(parser, kReportTool);
     parser.addBoolFlag("no-trace", false,
                        "skip the binary trace capture (drops the "
                        "latency-breakdown section; faster for large "
@@ -117,11 +115,11 @@ main(int argc, char **argv)
     // A report is the run's full observability surface: health verdict,
     // snapshots, fairness audit, and (unless suppressed) the trace the
     // latency breakdown is computed from.
-    config.monitorHealth = true;
-    config.healthSnapshots = true;
-    config.auditFairness = true;
-    config.snapshotEveryUnits = parser.getDouble("snapshot-every");
-    config.captureBinaryTrace = !parser.getBool("no-trace");
+    config.observe = observerConfigFromFlagsOrExit("busarb_report", parser);
+    config.observe.health = true;
+    config.observe.healthSnapshots = true;
+    config.observe.fairness = true;
+    config.observe.captureTrace = !parser.getBool("no-trace");
 
     const ScenarioResult result = runScenario(
         config,
@@ -132,20 +130,15 @@ main(int argc, char **argv)
                        spec.format());
         return 0;
     }
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-        std::cerr << "cannot write " << out_path << "\n";
-        return 1;
-    }
-    writeRunReport(config, result, format, out, spec.format());
-    if (!out) {
-        std::cerr << "error writing " << out_path << "\n";
-        return 1;
-    }
-    std::cout << "wrote "
-              << (format == RunReportFormat::kHtml ? "HTML" : "markdown")
-              << " report (" << result.protocolName << ", verdict "
-              << result.health.verdictLabel() << ") to " << out_path
-              << "\n";
-    return 0;
+    const std::string what =
+        std::string(format == RunReportFormat::kHtml ? "HTML" : "markdown") +
+        " report (" + result.protocolName + ", verdict " +
+        result.health.verdictLabel() + ")";
+    return writeArtifact("busarb_report", out_path, what,
+                         [&](std::ostream &out) {
+                             writeRunReport(config, result, format, out,
+                                            spec.format());
+                         })
+               ? 0
+               : 1;
 }

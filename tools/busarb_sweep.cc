@@ -41,13 +41,13 @@
 #include "experiment/cli.hh"
 #include "experiment/csv.hh"
 #include "experiment/job_pool.hh"
+#include "experiment/observer_flags.hh"
 #include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/scenario_spec.hh"
 #include "experiment/sweep_cells.hh"
 #include "experiment/table.hh"
 #include "experiment/workload_registry.hh"
-#include "obs/metrics_registry.hh"
 #include "obs/sweep_progress.hh"
 #include "workload/scenario.hh"
 
@@ -114,45 +114,11 @@ main(int argc, char **argv)
                       "identical output. In fleet mode this is the "
                       "per-worker thread count (default 1)");
     parser.addStringFlag("csv", "", "write CSV here instead of a table");
-    parser.addStringFlag("trace-out", "",
-                         "capture a binary event trace of every cell to "
-                         "this file (decode with busarb_trace)");
-    parser.addStringFlag("metrics-out", "",
-                         "write merged per-cell metrics to this file "
-                         "(.json for JSON, anything else for CSV)");
     parser.addStringFlag("timing-csv", "",
                          "write per-cell wall-clock timing here (host "
                          "timing; varies run to run, so it is kept out "
                          "of the deterministic --csv file)");
-    parser.addStringFlag("snapshot-out", "",
-                         "write deterministic per-cell fairness/health "
-                         "snapshots (JSONL, byte-identical at any "
-                         "--jobs or --shards) to this file; requires "
-                         "--snapshot-every and/or --health");
-    parser.addDoubleFlag("snapshot-every", 0.0,
-                         "snapshot interval in simulated transaction "
-                         "units; requires --snapshot-out");
-    parser.addBoolFlag("fairness", false,
-                       "attach the fairness auditor to every cell; the "
-                       "fairness.* measures land in --metrics-out");
-    parser.addDoubleFlag("fairness-window", 50.0,
-                         "fairness window width, transaction units");
-    parser.addIntFlag("bypass-bound", 0,
-                      "audited bypass bound per grant (0 = the paper's "
-                      "RR guarantee, N-1)");
-    parser.addBoolFlag("health", false,
-                       "attach the run-health monitor to every cell and "
-                       "print per-cell convergence verdicts; health.* "
-                       "measures land in --metrics-out");
-    parser.addBoolFlag("health-strict", false,
-                       "like --health, but exit with status 3 if any "
-                       "cell's verdict is not 'converged'");
-    parser.addDoubleFlag("health-rel-hw", 0.05,
-                         "relative CI half-width target (the paper's "
-                         "\"within 5%\")");
-    parser.addDoubleFlag("health-lag1", 0.3,
-                         "|lag-1| autocorrelation threshold for "
-                         "batch-mean independence");
+    addObserverFlags(parser, kSweepTool);
     parser.addBoolFlag("progress", false,
                        "print a live progress/ETA line to stderr as grid "
                        "cells complete (stderr only, so stdout and every "
@@ -196,41 +162,21 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (parser.getBool("fairness") &&
-        parser.getDouble("fairness-window") <= 0.0) {
-        std::cerr << "busarb_sweep: --fairness-window must be > 0\n";
-        return 2;
-    }
-
-    const bool health_strict = parser.getBool("health-strict");
-    const bool monitor_health =
-        parser.getBool("health") || health_strict;
-    const std::string snapshot_path = parser.getString("snapshot-out");
-    const double snapshot_every = parser.getDouble("snapshot-every");
-    if (snapshot_path.empty() && snapshot_every > 0.0) {
-        std::cerr << "busarb_sweep: --snapshot-every requires "
-                     "--snapshot-out\n";
-        return 2;
-    }
-    if (!snapshot_path.empty() && snapshot_every <= 0.0 &&
-        !monitor_health) {
-        std::cerr << "busarb_sweep: --snapshot-out requires "
-                     "--snapshot-every and/or --health\n";
-        return 2;
-    }
+    // Every knob that shapes a cell lives in one SweepTuning: the
+    // in-process path, the coordinator, and every worker derive their
+    // cells from it through the same sweep_cells.hh assembly, which is
+    // what keeps sharded artifacts byte-identical to this process's.
+    // Bad values exit 2 here, before any cell runs or worker spawns.
+    const SweepTuning tuning{
+        observerConfigFromFlagsOrExit("busarb_sweep", parser,
+                                      SnapshotSources::kIntervalOrHealth),
+        queuePolicyOrExit("busarb_sweep", parser)};
 
     // Artifact destinations are validated before any cell runs: a
     // missing parent directory fails in seconds, not after the sweep.
-    requireParentDirOrExit("busarb_sweep", "csv",
-                           parser.getString("csv"));
-    requireParentDirOrExit("busarb_sweep", "trace-out",
-                           parser.getString("trace-out"));
-    requireParentDirOrExit("busarb_sweep", "metrics-out",
-                           parser.getString("metrics-out"));
-    requireParentDirOrExit("busarb_sweep", "timing-csv",
-                           parser.getString("timing-csv"));
-    requireParentDirOrExit("busarb_sweep", "snapshot-out",
-                           snapshot_path);
+    for (const char *flag : {"csv", "timing-csv"})
+        requireParentDirOrExit("busarb_sweep", flag,
+                               parser.getString(flag));
 
     const long shards_flag = parser.getInt("shards");
     if (shards_flag < 0) {
@@ -330,39 +276,19 @@ main(int argc, char **argv)
         return 2;
     }
 
+    // The results file opens before any cell runs, so an unwritable
+    // path fails in seconds rather than after the sweep.
     std::ofstream file;
     std::ostream *csv = nullptr;
     if (!parser.getString("csv").empty()) {
         file.open(parser.getString("csv"));
         if (!file) {
-            std::cerr << "cannot write " << parser.getString("csv")
-                      << "\n";
+            std::cerr << "busarb_sweep: cannot write "
+                      << parser.getString("csv") << "\n";
             return 1;
         }
         csv = &file;
         writeSummaryCsvHeader(*csv);
-    }
-
-    // Every knob that shapes a cell lives in one SweepTuning: the
-    // in-process path, the coordinator, and every worker derive their
-    // cells from it through the same sweep_cells.hh assembly, which is
-    // what keeps sharded artifacts byte-identical to this process's.
-    SweepTuning tuning;
-    tuning.captureTrace = !parser.getString("trace-out").empty();
-    tuning.fairness =
-        parser.getBool("fairness") || snapshot_every > 0.0;
-    tuning.fairnessWindow = parser.getDouble("fairness-window");
-    tuning.bypassBound =
-        static_cast<int>(parser.getInt("bypass-bound"));
-    tuning.health = monitor_health;
-    tuning.healthRelHw = parser.getDouble("health-rel-hw");
-    tuning.healthLag1 = parser.getDouble("health-lag1");
-    tuning.snapshotEvery = snapshot_every;
-    tuning.healthSnapshots = monitor_health && !snapshot_path.empty();
-    tuning.queuePolicy = queuePolicyOrExit("busarb_sweep", parser);
-    if (tuning.fairness && tuning.fairnessWindow <= 0.0) {
-        std::cerr << "busarb_sweep: --fairness-window must be > 0\n";
-        return 2;
     }
 
     const auto start = std::chrono::steady_clock::now();
@@ -429,25 +355,28 @@ main(int argc, char **argv)
             std::chrono::steady_clock::now() - start)
             .count();
 
+    // Cells run loads-outer, protocols-inner; each is labelled
+    // load=<token>.<protocol> in metrics and verdicts.
     TextTable table({"load", "protocol", "util", "W", "sigma W",
                      "t_N/t_1", "ms"});
-    std::size_t cell = 0;
-    for (const auto &token : load_tokens) {
-        for (const auto &key : protocol_keys) {
-            const ScenarioResult &result = results[cell++];
-            if (csv != nullptr) {
-                writeSummaryCsvRow(result, "load=" + token, *csv);
-            } else {
-                table.addRow({
-                    token,
-                    key,
-                    formatFixed(result.utilization().value, 2),
-                    formatEstimate(result.meanWait()),
-                    formatEstimate(result.waitStddev()),
-                    formatEstimate(result.throughputRatio(n, 1)),
-                    formatFixed(result.elapsedMs, 0),
-                });
-            }
+    std::vector<std::string> labels;
+    for (std::size_t cell = 0; cell < results.size(); ++cell) {
+        const ScenarioResult &result = results[cell];
+        const std::string &token = spec.cellLoadToken(cell);
+        const std::string &key = spec.cellProtocolSpec(cell);
+        labels.push_back("load=" + token + "." + key);
+        if (csv != nullptr) {
+            writeSummaryCsvRow(result, "load=" + token, *csv);
+        } else {
+            table.addRow({
+                token,
+                key,
+                formatFixed(result.utilization().value, 2),
+                formatEstimate(result.meanWait()),
+                formatEstimate(result.waitStddev()),
+                formatEstimate(result.throughputRatio(n, 1)),
+                formatFixed(result.elapsedMs, 0),
+            });
         }
     }
     if (csv != nullptr) {
@@ -456,136 +385,30 @@ main(int argc, char **argv)
     } else {
         table.print(std::cout);
     }
-    if (monitor_health) {
-        std::size_t idx = 0;
-        for (const auto &token : load_tokens) {
-            for (const auto &key : protocol_keys) {
-                const ScenarioResult &r = results[idx++];
-                std::cout << "health[load=" << token << "." << key
-                          << "]: ";
-                r.health.print(std::cout);
-                std::cout << "\n";
-            }
-        }
-    }
-    if (!parser.getString("trace-out").empty()) {
-        std::ofstream out(parser.getString("trace-out"),
-                          std::ios::binary);
-        if (!out) {
-            std::cerr << "cannot write "
-                      << parser.getString("trace-out") << "\n";
-            return 1;
-        }
-        for (const auto &result : results) {
-            out.write(
-                reinterpret_cast<const char *>(result.binaryTrace.data()),
-                static_cast<std::streamsize>(result.binaryTrace.size()));
-        }
-        if (!out) {
-            std::cerr << "error writing "
-                      << parser.getString("trace-out") << "\n";
-            return 1;
-        }
-        std::cout << "wrote binary trace (" << results.size()
-                  << " chunks) to " << parser.getString("trace-out")
-                  << "\n";
-    }
-    if (!snapshot_path.empty()) {
-        // Per-cell snapshot streams (fairness first, then health)
-        // concatenated in cell order — byte-identical at any job or
-        // shard count.
-        std::ofstream out(snapshot_path, std::ios::binary);
-        if (!out) {
-            std::cerr << "cannot write " << snapshot_path << "\n";
-            return 1;
-        }
-        std::size_t lines = 0;
-        const auto count_lines = [](const std::string &s) {
-            std::size_t n_lines = 0;
-            for (const char c : s)
-                if (c == '\n')
-                    ++n_lines;
-            return n_lines;
-        };
-        for (const auto &r : results) {
-            out << r.fairnessSnapshots << r.healthSnapshots;
-            lines += count_lines(r.fairnessSnapshots) +
-                     count_lines(r.healthSnapshots);
-        }
-        if (!out) {
-            std::cerr << "error writing " << snapshot_path << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << lines << " snapshot line(s) to "
-                  << snapshot_path << "\n";
-    }
-    if (!parser.getString("metrics-out").empty()) {
-        // One prefix per grid cell, in row-emission order.
-        MetricsRegistry merged;
-        std::size_t idx = 0;
-        for (const auto &token : load_tokens) {
-            for (const auto &key : protocol_keys) {
-                merged.mergeFrom(results[idx++].metrics,
-                                 "load=" + token + "." + key + ".");
-            }
-        }
-        // Canonical provenance: identical text for --grid and for the
-        // equivalent flag invocation.
-        merged.setAnnotation("scenario.spec", spec.format());
-        if (!merged.writeFile(parser.getString("metrics-out"))) {
-            std::cerr << "cannot write "
-                      << parser.getString("metrics-out") << "\n";
-            return 1;
-        }
-        std::cout << "wrote metrics to "
-                  << parser.getString("metrics-out") << "\n";
-    }
-    if (!parser.getString("timing-csv").empty()) {
-        // Host wall-clock per cell. Deliberately a separate file from
-        // --csv: timing varies run to run while the results CSV must
-        // stay byte-identical across job counts.
-        std::ofstream out(parser.getString("timing-csv"));
-        if (!out) {
-            std::cerr << "cannot write "
-                      << parser.getString("timing-csv") << "\n";
-            return 1;
-        }
-        out << "label,protocol,elapsed_ms\n";
-        std::size_t idx = 0;
-        for (const auto &token : load_tokens) {
-            for (const auto &key : protocol_keys) {
-                out << "load=" << token << "," << key << ","
-                    << formatFixed(results[idx++].elapsedMs, 3) << "\n";
-            }
-        }
-        if (!out) {
-            std::cerr << "error writing "
-                      << parser.getString("timing-csv") << "\n";
-            return 1;
-        }
-        std::cout << "wrote per-cell timing to "
-                  << parser.getString("timing-csv") << "\n";
-    }
+    if (tuning.health)
+        printHealthLines(results, labels);
+    // Canonical provenance: identical scenario.spec text for --grid and
+    // for the equivalent flag invocation.
+    if (!writeTraceOut("busarb_sweep", parser, results) ||
+        !writeSnapshotOut("busarb_sweep", parser, results) ||
+        !writeMetricsOut("busarb_sweep", parser, results, labels,
+                         spec.format()) ||
+        // Host wall-clock per cell, kept out of the results CSV, which
+        // must stay byte-identical across job counts.
+        !writeArtifact("busarb_sweep", parser.getString("timing-csv"),
+                       "per-cell timing", [&](std::ostream &out) {
+                           out << "label,protocol,elapsed_ms\n";
+                           for (std::size_t i = 0; i < results.size(); ++i)
+                               out << "load=" << spec.cellLoadToken(i)
+                                   << "," << spec.cellProtocolSpec(i) << ","
+                                   << formatFixed(results[i].elapsedMs, 3)
+                                   << "\n";
+                       }))
+        return 1;
     // Timing goes to stdout, never into the results CSV: that file must
     // stay byte-identical across job counts.
     std::cout << "jobs=" << jobs << " elapsed_ms="
               << formatFixed(elapsed_ms, 0) << "\n";
-    if (health_strict) {
-        // Exit 3 is reserved for verdict failures, distinct from I/O
-        // errors (1) and usage errors (2), so scripts can gate on it.
-        std::size_t idx = 0;
-        for (const auto &token : load_tokens) {
-            for (const auto &key : protocol_keys) {
-                const ScenarioResult &r = results[idx++];
-                if (r.health.verdict != ConvergenceVerdict::kConverged) {
-                    std::cerr << "busarb_sweep: cell load=" << token
-                              << "." << key << " is "
-                              << r.health.verdictLabel()
-                              << " (--health-strict)\n";
-                    return 3;
-                }
-            }
-        }
-    }
-    return 0;
+    return healthStrictStatus("busarb_sweep", parser, results, labels,
+                              "cell");
 }

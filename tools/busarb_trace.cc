@@ -15,13 +15,14 @@
  *
  * The `audit` subcommand replays every run in the trace through the
  * fairness auditor (obs/fairness_auditor.hh) — the identical code path
- * a live --fairness run uses — and prints per-run bypass-bound,
+ * a live --fairness run uses — and prints per-run bypass bound,
  * starvation, and Jain's-index summaries:
  *
  *   busarb_trace audit run.trace
- *   busarb_trace audit run.trace --bypass-bound 3 --metrics-out f.json
- *   busarb_trace audit run.trace --snapshot-out run.jsonl \
- *                --snapshot-every 100
+ *   busarb_trace audit run.trace --metrics-out f.json
+ *
+ * The audit takes the live run's auditor flags (window, bypass bound,
+ * snapshot interval with --snapshot-out); see docs/OBSERVABILITY.md.
  *
  * A truncated or otherwise corrupt trace exits with status 2 and a
  * message naming the offending chunk.
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "experiment/cli.hh"
+#include "experiment/observer_flags.hh"
 #include "obs/binary_trace.hh"
 #include "obs/fairness_auditor.hh"
 #include "obs/latency.hh"
@@ -58,24 +60,6 @@ readFile(const std::string &path, std::vector<std::uint8_t> &out)
     return !in.bad();
 }
 
-/** Open `path` and run `write(file)`; false on I/O failure. */
-template <typename WriteFn>
-bool
-writeTextFile(const std::string &path, WriteFn write)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "busarb_trace: cannot write " << path << "\n";
-        return false;
-    }
-    write(out);
-    if (!out) {
-        std::cerr << "busarb_trace: error writing " << path << "\n";
-        return false;
-    }
-    return true;
-}
-
 /**
  * Replay every chunk through a fresh FairnessAuditor and print its
  * summary; optionally write merged fairness.* metrics and concatenated
@@ -84,33 +68,15 @@ writeTextFile(const std::string &path, WriteFn write)
  * @return Process exit code.
  */
 int
-runAudit(const std::vector<TraceChunk> &chunks, const ArgParser &parser)
+runAudit(const std::vector<TraceChunk> &chunks, const ArgParser &parser,
+         const ObserverConfig &observe)
 {
-    const double window = parser.getDouble("fairness-window");
-    if (window <= 0.0) {
-        std::cerr << "busarb_trace: --fairness-window must be > 0\n";
-        return 2;
-    }
-    const std::string snapshot_path = parser.getString("snapshot-out");
-    const double snapshot_every = parser.getDouble("snapshot-every");
-    if (snapshot_path.empty() != (snapshot_every <= 0.0)) {
-        std::cerr << "busarb_trace: --snapshot-out and --snapshot-every "
-                     "must be given together\n";
-        return 2;
-    }
-
     MetricsRegistry merged;
     std::string snapshots;
     for (std::size_t i = 0; i < chunks.size(); ++i) {
         const TraceChunk &chunk = chunks[i];
-        FairnessAuditorConfig fc;
-        fc.numAgents = chunk.numAgents;
-        fc.windowTicks = unitsToTicks(window);
-        fc.bypassBound =
-            static_cast<int>(parser.getInt("bypass-bound"));
-        fc.snapshotEveryTicks = unitsToTicks(snapshot_every);
-        fc.label = chunk.protocol;
-        FairnessAuditor auditor(fc);
+        FairnessAuditor auditor(FairnessAuditorConfig::from(
+            observe, chunk.numAgents, chunk.protocol));
         Tick end = 0;
         for (const TraceEvent &ev : chunk.events) {
             auditor.consume(ev);
@@ -138,23 +104,11 @@ runAudit(const std::vector<TraceChunk> &chunks, const ArgParser &parser)
         std::cout << "\nwrote fairness metrics to "
                   << parser.getString("metrics-out") << "\n";
     }
-    if (!snapshot_path.empty()) {
-        std::ofstream out(snapshot_path, std::ios::binary);
-        if (!out) {
-            std::cerr << "busarb_trace: cannot write " << snapshot_path
-                      << "\n";
-            return 1;
-        }
-        out << snapshots;
-        if (!out) {
-            std::cerr << "busarb_trace: error writing " << snapshot_path
-                      << "\n";
-            return 1;
-        }
-        std::cout << "wrote fairness snapshots to " << snapshot_path
-                  << "\n";
-    }
-    return 0;
+    return writeArtifact("busarb_trace", parser.getString("snapshot-out"),
+                         "fairness snapshots",
+                         [&](std::ostream &out) { out << snapshots; })
+               ? 0
+               : 1;
 }
 
 } // namespace
@@ -177,18 +131,7 @@ main(int argc, char **argv)
     parser.addBoolFlag("summary", false,
                        "print the latency breakdown table even when an "
                        "output flag is given");
-    parser.addDoubleFlag("fairness-window", 50.0,
-                         "audit: fairness window width, transaction "
-                         "units");
-    parser.addIntFlag("bypass-bound", 0,
-                      "audit: audited bypass bound per grant (0 = the "
-                      "paper's RR guarantee, N-1)");
-    parser.addStringFlag("snapshot-out", "",
-                         "audit: write deterministic fairness snapshots "
-                         "(JSONL) here; requires --snapshot-every");
-    parser.addDoubleFlag("snapshot-every", 0.0,
-                         "audit: snapshot interval in simulated "
-                         "transaction units; requires --snapshot-out");
+    addObserverFlags(parser, kAuditTool);
     parser.addStringFlag("metrics-out", "",
                          "audit: write merged fairness.* metrics here "
                          "(.json for JSON, anything else for CSV)");
@@ -210,7 +153,7 @@ main(int argc, char **argv)
     }
     // Artifact destinations are validated before any decoding work.
     for (const char *flag : {"perfetto", "events-csv", "latency-csv",
-                             "snapshot-out", "metrics-out"})
+                             "metrics-out"})
         requireParentDirOrExit("busarb_trace", flag,
                                parser.getString(flag));
     // Audit-only flags are meaningless (and silently misleading) on the
@@ -225,6 +168,8 @@ main(int argc, char **argv)
             }
         }
     }
+    const ObserverConfig observe = observerConfigFromFlagsOrExit(
+        "busarb_trace", parser, SnapshotSources::kInterval);
 
     std::vector<std::uint8_t> bytes;
     if (!readFile(input, bytes)) {
@@ -245,7 +190,7 @@ main(int argc, char **argv)
     }
 
     if (audit)
-        return runAudit(chunks, parser);
+        return runAudit(chunks, parser, observe);
 
     const std::string perfetto_path = parser.getString("perfetto");
     const std::string events_path = parser.getString("events-csv");
@@ -253,27 +198,16 @@ main(int argc, char **argv)
     const bool any_output = !perfetto_path.empty() ||
                             !events_path.empty() || !latency_path.empty();
 
-    if (!perfetto_path.empty()) {
-        if (!writeTextFile(perfetto_path, [&](std::ostream &os) {
-                writePerfettoJson(chunks, os);
-            }))
-            return 1;
-        std::cout << "wrote Perfetto JSON to " << perfetto_path << "\n";
-    }
-    if (!events_path.empty()) {
-        if (!writeTextFile(events_path, [&](std::ostream &os) {
-                writeEventsCsv(chunks, os);
-            }))
-            return 1;
-        std::cout << "wrote events CSV to " << events_path << "\n";
-    }
-    if (!latency_path.empty()) {
-        if (!writeTextFile(latency_path, [&](std::ostream &os) {
-                writeLatencyCsv(chunks, os);
-            }))
-            return 1;
-        std::cout << "wrote latency CSV to " << latency_path << "\n";
-    }
+    if (!writeArtifact(
+            "busarb_trace", perfetto_path, "Perfetto JSON",
+            [&](std::ostream &os) { writePerfettoJson(chunks, os); }) ||
+        !writeArtifact(
+            "busarb_trace", events_path, "events CSV",
+            [&](std::ostream &os) { writeEventsCsv(chunks, os); }) ||
+        !writeArtifact(
+            "busarb_trace", latency_path, "latency CSV",
+            [&](std::ostream &os) { writeLatencyCsv(chunks, os); }))
+        return 1;
 
     if (!any_output || parser.getBool("summary")) {
         std::size_t total_events = 0;
