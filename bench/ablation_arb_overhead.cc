@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -24,6 +24,7 @@ main()
 {
     using namespace busarb;
     using namespace busarb::bench;
+    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
 
     std::cout << "Ablation: arbitration overhead (10 agents; batch size "
               << batchSize() << ")\n";
@@ -36,8 +37,8 @@ main()
             ScenarioConfig config =
                 withPaperMeasurement(equalLoadScenario(10, load));
             config.bus.arbitrationOverhead = overhead;
-            const auto rr = runScenario(config, protocolByKey("rr1"));
-            const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+            const auto rr = runScenario(config, protocols.fromSpec("rr1"));
+            const auto fcfs = runScenario(config, protocols.fromSpec("fcfs1"));
             table.addRow({
                 formatFixed(overhead, 2),
                 formatEstimate(rr.meanWait()),

@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -22,6 +22,7 @@ main()
 {
     using namespace busarb;
     using namespace busarb::bench;
+    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
 
     const int n = 10;
     std::cout << "Ablation: inter-request burstiness (CV sweep past the "
@@ -35,8 +36,8 @@ main()
         for (double cv : {0.0, 0.5, 1.0, 2.0, 4.0}) {
             const ScenarioConfig config =
                 withPaperMeasurement(equalLoadScenario(n, load, cv));
-            const auto rr = runScenario(config, protocolByKey("rr1"));
-            const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+            const auto rr = runScenario(config, protocols.fromSpec("rr1"));
+            const auto fcfs = runScenario(config, protocols.fromSpec("fcfs1"));
             table.addRow({
                 formatFixed(cv, 1),
                 formatFixed(rr.meanWait().value, 2),

@@ -11,10 +11,10 @@
  */
 
 #include <iostream>
+#include <string>
 
 #include "bench_common.hh"
-#include "core/fcfs.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -23,6 +23,7 @@ main()
 {
     using namespace busarb;
     using namespace busarb::bench;
+    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
 
     const int n = 30;
     std::cout << "Ablation: FCFS counter width / overflow policy ("
@@ -34,18 +35,15 @@ main()
         const ScenarioConfig config =
             withPaperMeasurement(equalLoadScenario(n, load));
         for (int bits : {1, 2, 3, 5, 0}) {
-            for (auto policy :
-                 {OverflowPolicy::kSaturate, OverflowPolicy::kWrap}) {
-                FcfsConfig fcfs;
-                fcfs.strategy = FcfsStrategy::kIncrementOnLose;
-                fcfs.counterBits = bits;
-                fcfs.overflow = policy;
+            for (const char *policy : {"saturate", "wrap"}) {
+                const std::string spec = "fcfs1:bits=" +
+                                         std::to_string(bits) +
+                                         ",overflow=" + policy;
                 const auto result =
-                    runScenario(config, makeFcfsFactory(fcfs));
+                    runScenario(config, protocols.fromSpec(spec));
                 table.addRow({
                     bits == 0 ? "default(5)" : formatFixed(bits, 0),
-                    policy == OverflowPolicy::kSaturate ? "saturate"
-                                                        : "wrap",
+                    policy,
                     formatEstimate(result.throughputRatio(n, 1)),
                     formatFixed(result.meanWait().value, 2),
                     formatFixed(result.waitStddev().value, 2),

@@ -11,19 +11,20 @@
  */
 
 #include <iostream>
-#include <memory>
+#include <string>
 
 #include "bench_common.hh"
-#include "core/fcfs.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
+#include "obs/export_format.hh"
 
 int
 main()
 {
     using namespace busarb;
     using namespace busarb::bench;
+    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
 
     const int n = 10;
     const double load = 2.0;
@@ -36,10 +37,8 @@ main()
     for (double window : {1e-6, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0}) {
         ScenarioConfig config =
             withPaperMeasurement(equalLoadScenario(n, load));
-        FcfsConfig fcfs;
-        fcfs.strategy = FcfsStrategy::kIncrLine;
-        fcfs.incrWindow = window;
-        const auto result = runScenario(config, makeFcfsFactory(fcfs));
+        const std::string spec = "fcfs2:window=" + formatDouble(window);
+        const auto result = runScenario(config, protocols.fromSpec(spec));
         table.addRow({
             formatFixed(window, 6),
             formatEstimate(result.throughputRatio(n, 1)),
@@ -51,7 +50,7 @@ main()
     {
         ScenarioConfig config =
             withPaperMeasurement(equalLoadScenario(n, load));
-        const auto result = runScenario(config, protocolByKey("fcfs1"));
+        const auto result = runScenario(config, protocols.fromSpec("fcfs1"));
         table.addRow({
             "impl1 (per-arb)",
             formatEstimate(result.throughputRatio(n, 1)),

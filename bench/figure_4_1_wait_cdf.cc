@@ -13,7 +13,7 @@
 #include <string>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -22,6 +22,7 @@ main()
 {
     using namespace busarb;
     using namespace busarb::bench;
+    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
 
     const int n = 30;
     const double load = 1.5;
@@ -35,8 +36,8 @@ main()
     config.histBinWidth = 0.25;
     config.histBins = 400;
 
-    const auto rr = runScenario(config, protocolByKey("rr1"));
-    const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+    const auto rr = runScenario(config, protocols.fromSpec("rr1"));
+    const auto fcfs = runScenario(config, protocols.fromSpec("fcfs1"));
 
     heading("CDF series (W in transaction times)");
     TextTable table({"t", "CDF RR", "CDF FCFS"});

@@ -17,7 +17,7 @@
 #include "bus/async_contention.hh"
 #include "bus/contention.hh"
 #include "bus/wired_or.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "random/rng.hh"
 #include "sim/event_queue.hh"
@@ -230,6 +230,35 @@ BM_SelectMax(benchmark::State &state)
 }
 BENCHMARK(BM_SelectMax)->Arg(10)->Arg(64);
 
+/** The saturated bus every BM_FullSimulation* family runs. */
+ScenarioConfig
+saturatedScenario(int agents)
+{
+    ScenarioConfig config = equalLoadScenario(agents, 2.0);
+    config.numBatches = 2;
+    config.batchSize = 5000;
+    config.warmup = 1000;
+    return config;
+}
+
+/** @return CPU time consumed by the calling thread, in seconds. */
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+}
+
+/** @return The median of `values` (reorders them). */
+double
+median(std::vector<double> &values)
+{
+    const auto mid = values.begin() + values.size() / 2;
+    std::nth_element(values.begin(), mid, values.end());
+    return *mid;
+}
+
 void
 BM_FullSimulation(benchmark::State &state)
 {
@@ -237,13 +266,11 @@ BM_FullSimulation(benchmark::State &state)
     // through either event-queue kernel.
     const char *keys[] = {"rr1", "fcfs1", "aap1"};
     const char *key = keys[state.range(0)];
-    ScenarioConfig config = equalLoadScenario(10, 2.0);
-    config.numBatches = 2;
-    config.batchSize = 5000;
-    config.warmup = 1000;
+    ScenarioConfig config = saturatedScenario(10);
     config.eventQueuePolicy = policyArg(state.range(1));
+    const ProtocolFactory factory = ProtocolRegistry::builtin().fromSpec(key);
     for (auto _ : state) {
-        auto result = runScenario(config, protocolByKey(key));
+        auto result = runScenario(config, factory);
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -264,30 +291,46 @@ void
 BM_FullSimulationAgents20(benchmark::State &state)
 {
     // The acceptance-gate workload: the paper's saturated 20-agent bus
-    // under rr1, calendar vs reference-heap kernel. events_per_second
-    // reports true simulator events (the queue's executed count), which
-    // is what the calendar-over-heap gate in check_bench.sh (1.10x by
-    // default, BUSARB_BENCH_MIN_CAL_VS_HEAP) and BENCH_6.json measure.
-    ScenarioConfig config = equalLoadScenario(20, 2.0);
-    config.numBatches = 2;
-    config.batchSize = 5000;
-    config.warmup = 1000;
-    config.eventQueuePolicy = policyArg(state.range(0));
-    config.profile = true; // exposes the executed-event count
-    std::uint64_t events = 0;
+    // under rr1 on the calendar kernel and the reference heap, timed
+    // like BM_FullSimulationProfiled (back-to-back pairs in thread CPU
+    // time, alternating order), so host drift cancels within a pair.
+    // check_bench.sh gates the median per-pair calendar/heap ratio of
+    // events per second (true simulator events: the queue's executed
+    // count) at 1.10x by default (BUSARB_BENCH_MIN_CAL_VS_HEAP).
+    struct Kernel
+    {
+        ScenarioConfig config;
+        double events = 0.0;
+        double seconds = 0.0;
+    };
+    Kernel calendar{saturatedScenario(20)};
+    calendar.config.profile = true; // exposes the executed-event count
+    Kernel heap{calendar.config};
+    heap.config.eventQueuePolicy = EventQueuePolicy::kHeap;
+    const ProtocolFactory rr1 = ProtocolRegistry::builtin().fromSpec("rr1");
+    const auto eventsPerSecond = [&rr1](Kernel &kernel) {
+        const double start = threadCpuSeconds();
+        const auto result = runScenario(kernel.config, rr1);
+        const double seconds = threadCpuSeconds() - start;
+        const double events =
+            static_cast<double>(result.profile.eventsExecuted);
+        kernel.events += events;
+        kernel.seconds += seconds;
+        return events / seconds;
+    };
+    std::vector<double> ratios;
     for (auto _ : state) {
-        auto result = runScenario(config, protocolByKey("rr1"));
-        events += result.profile.eventsExecuted;
-        benchmark::DoNotOptimize(result);
+        const bool heapFirst = ratios.size() % 2 == 1;
+        const double first = eventsPerSecond(heapFirst ? heap : calendar);
+        const double second = eventsPerSecond(heapFirst ? calendar : heap);
+        ratios.push_back(heapFirst ? second / first : first / second);
     }
-    state.SetItemsProcessed(state.iterations() *
-                            (config.numBatches * config.batchSize +
-                             config.warmup));
-    state.counters["events_per_second"] = benchmark::Counter(
-        static_cast<double>(events), benchmark::Counter::kIsRate);
-    state.SetLabel(policyLabel(state.range(0)));
+    state.counters["calendar_vs_heap"] = median(ratios);
+    state.counters["calendar_events_per_second"] =
+        calendar.events / calendar.seconds;
+    state.counters["heap_events_per_second"] = heap.events / heap.seconds;
 }
-BENCHMARK(BM_FullSimulationAgents20)->Arg(0)->Arg(1);
+BENCHMARK(BM_FullSimulationAgents20)->Iterations(30);
 
 void
 BM_FullSimulationObserved(benchmark::State &state)
@@ -298,10 +341,7 @@ BM_FullSimulationObserved(benchmark::State &state)
     // capture, 2 = capture plus a flight recorder, 3 = the fairness
     // auditor alone (so its streaming bookkeeping can be priced
     // against the untraced baseline).
-    ScenarioConfig config = equalLoadScenario(10, 2.0);
-    config.numBatches = 2;
-    config.batchSize = 5000;
-    config.warmup = 1000;
+    ScenarioConfig config = saturatedScenario(10);
     switch (state.range(0)) {
       case 3:
         config.observe.fairness = true;
@@ -315,8 +355,9 @@ BM_FullSimulationObserved(benchmark::State &state)
       default:
         break;
     }
+    const ProtocolFactory rr1 = ProtocolRegistry::builtin().fromSpec("rr1");
     for (auto _ : state) {
-        auto result = runScenario(config, protocolByKey("rr1"));
+        auto result = runScenario(config, rr1);
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -329,15 +370,6 @@ BM_FullSimulationObserved(benchmark::State &state)
 }
 BENCHMARK(BM_FullSimulationObserved)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
-/** @return CPU time consumed by the calling thread, in seconds. */
-double
-threadCpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
-}
-
 void
 BM_FullSimulationProfiled(benchmark::State &state)
 {
@@ -349,15 +381,13 @@ BM_FullSimulationProfiled(benchmark::State &state)
     // charged, so the median per-pair overhead is steady on a shared
     // machine. Compare against a -DBUSARB_PROFILING=OFF build to price
     // the compiled-in-but-idle probes as well.
-    ScenarioConfig plain = equalLoadScenario(10, 2.0);
-    plain.numBatches = 2;
-    plain.batchSize = 5000;
-    plain.warmup = 1000;
+    const ScenarioConfig plain = saturatedScenario(10);
     ScenarioConfig profiled = plain;
     profiled.profile = true;
-    const auto cpuSeconds = [](const ScenarioConfig &config) {
+    const ProtocolFactory rr1 = ProtocolRegistry::builtin().fromSpec("rr1");
+    const auto cpuSeconds = [&rr1](const ScenarioConfig &config) {
         const double start = threadCpuSeconds();
-        auto result = runScenario(config, protocolByKey("rr1"));
+        auto result = runScenario(config, rr1);
         benchmark::DoNotOptimize(result);
         return threadCpuSeconds() - start;
     };
@@ -370,9 +400,7 @@ BM_FullSimulationProfiled(benchmark::State &state)
         const double on = profiledFirst ? first : second;
         overheadPct.push_back((on - off) / off * 100.0);
     }
-    const auto mid = overheadPct.begin() + overheadPct.size() / 2;
-    std::nth_element(overheadPct.begin(), mid, overheadPct.end());
-    state.counters["overhead_pct"] = *mid;
+    state.counters["overhead_pct"] = median(overheadPct);
 }
 BENCHMARK(BM_FullSimulationProfiled)->Iterations(30);
 
@@ -382,14 +410,12 @@ BM_RunHealthMonitored(benchmark::State &state)
     // The convergence monitor's cost is one addBatch per batch — it
     // must be invisible next to the simulation itself (0 = off, 1 =
     // --health, 2 = --health with the snapshot stream).
-    ScenarioConfig config = equalLoadScenario(10, 2.0);
-    config.numBatches = 2;
-    config.batchSize = 5000;
-    config.warmup = 1000;
+    ScenarioConfig config = saturatedScenario(10);
     config.observe.health = state.range(0) >= 1;
     config.observe.healthSnapshots = state.range(0) >= 2;
+    const ProtocolFactory rr1 = ProtocolRegistry::builtin().fromSpec("rr1");
     for (auto _ : state) {
-        auto result = runScenario(config, protocolByKey("rr1"));
+        auto result = runScenario(config, rr1);
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations() *

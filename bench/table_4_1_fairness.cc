@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -24,6 +24,7 @@ main()
 {
     using namespace busarb;
     using namespace busarb::bench;
+    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
 
     std::cout << "Table 4.1: Allocation of Bus Bandwidth Among Agents "
                  "with Equal Request Rates\n";
@@ -45,10 +46,10 @@ main()
         for (double load : paperLoads()) {
             const ScenarioConfig config =
                 withPaperMeasurement(equalLoadScenario(n, load));
-            grid.push_back({config, protocolByKey("rr1")});
-            grid.push_back({config, protocolByKey("fcfs1")});
+            grid.push_back({config, protocols.fromSpec("rr1")});
+            grid.push_back({config, protocols.fromSpec("fcfs1")});
             if (with_aap)
-                grid.push_back({config, protocolByKey("aap1")});
+                grid.push_back({config, protocols.fromSpec("aap1")});
         }
         const auto results = runGrid(grid);
         std::size_t cell = 0;

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -21,6 +21,7 @@ main()
 {
     using namespace busarb;
     using namespace busarb::bench;
+    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
 
     std::cout << "Table 4.2: Standard Deviation of the Waiting Time for "
                  "FCFS and RR\n(batch size " << batchSize() << ")\n";
@@ -35,8 +36,8 @@ main()
         for (double load : paperLoads()) {
             const ScenarioConfig config =
                 withPaperMeasurement(equalLoadScenario(n, load));
-            grid.push_back({config, protocolByKey("rr1")});
-            grid.push_back({config, protocolByKey("fcfs1")});
+            grid.push_back({config, protocols.fromSpec("rr1")});
+            grid.push_back({config, protocols.fromSpec("fcfs1")});
         }
         const auto results = runGrid(grid);
         std::size_t cell = 0;

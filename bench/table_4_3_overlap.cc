@@ -21,7 +21,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -56,6 +56,7 @@ main()
 {
     using namespace busarb;
     using namespace busarb::bench;
+    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
 
     std::cout << "Table 4.3: Performance Comparison for Execution "
                  "Overlapped with Bus Waiting Times\n(batch size "
@@ -72,8 +73,8 @@ main()
             config.collectHistogram = true;
             config.histBinWidth = 0.25;
             config.histBins = 800;
-            const auto rr = runScenario(config, protocolByKey("rr1"));
-            const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+            const auto rr = runScenario(config, protocols.fromSpec("rr1"));
+            const auto fcfs = runScenario(config, protocols.fromSpec("fcfs1"));
             const double v =
                 overlapValue(rr.waitHistogram, fcfs.waitHistogram);
             const double think =

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -21,6 +21,7 @@ main()
 {
     using namespace busarb;
     using namespace busarb::bench;
+    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
 
     std::cout << "Table 4.4: Allocation of Bus Bandwidth Among Agents "
                  "with Unequal Request Rates\n(batch size "
@@ -46,8 +47,8 @@ main()
             const ScenarioConfig config = withPaperMeasurement(
                 unequalLoadScenario(n, base_load, factor));
             configs.push_back(config);
-            grid.push_back({config, protocolByKey("rr1")});
-            grid.push_back({config, protocolByKey("fcfs1")});
+            grid.push_back({config, protocols.fromSpec("rr1")});
+            grid.push_back({config, protocols.fromSpec("fcfs1")});
         }
         const auto results = runGrid(grid);
         for (std::size_t i = 0; i < configs.size(); ++i) {

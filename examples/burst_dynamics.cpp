@@ -17,7 +17,7 @@
 #include <memory>
 #include <string>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/table.hh"
 #include "experiment/timeline.hh"
 #include "sim/event_queue.hh"
@@ -37,7 +37,7 @@ DrainResult
 drain(const char *key, int n, int burst)
 {
     EventQueue queue;
-    Bus bus(queue, protocolByKey(key)(), n, {});
+    Bus bus(queue, ProtocolRegistry::builtin().fromSpec(key)(), n, {});
     struct LastSeen : BusObserver
     {
         double time = 0.0;

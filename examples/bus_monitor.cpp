@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "bus/trace.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "random/rng.hh"
 #include "sim/event_queue.hh"
 #include "workload/closed_agent.hh"
@@ -38,7 +38,7 @@ main(int argc, char **argv)
               << "~2 units of mean think time)\n\n";
 
     EventQueue queue;
-    Bus bus(queue, protocolByKey(key)(), n, {});
+    Bus bus(queue, ProtocolRegistry::builtin().fromSpec(key)(), n, {});
     TextTracer tracer(std::cout, /*max_events=*/60);
     bus.setTracer(&tracer);
 

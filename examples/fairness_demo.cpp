@@ -16,7 +16,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 #include "workload/scenario.hh"
@@ -42,10 +42,11 @@ main(int argc, char **argv)
 
     TextTable table({"agent", "AAP-1 share", "AAP-2 share", "RR share",
                      "FCFS share"});
-    const auto aap1 = runScenario(config, protocolByKey("aap1"));
-    const auto aap2 = runScenario(config, protocolByKey("aap2"));
-    const auto rr = runScenario(config, protocolByKey("rr1"));
-    const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
+    const auto aap1 = runScenario(config, protocols.fromSpec("aap1"));
+    const auto aap2 = runScenario(config, protocols.fromSpec("aap2"));
+    const auto rr = runScenario(config, protocols.fromSpec("rr1"));
+    const auto fcfs = runScenario(config, protocols.fromSpec("fcfs1"));
     const double fair = 1.0 / n;
     for (AgentId a = 1; a <= n; ++a) {
         table.addRow({

@@ -18,9 +18,9 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 
 #include "core/fcfs.hh"
-#include "experiment/protocols.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 #include "workload/scenario.hh"
@@ -58,7 +58,9 @@ main(int argc, char **argv)
         probe.reset(n);
         const int bits = probe.counterBits();
 
-        const auto result = runScenario(config, makeFcfsFactory(fcfs));
+        const auto result = runScenario(config, [fcfs] {
+            return std::make_unique<FcfsProtocol>(fcfs);
+        });
         table.addRow({
             std::to_string(r),
             std::to_string(bits),

@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 #include "workload/scenario.hh"
@@ -35,7 +35,7 @@ main(int argc, char **argv)
                      "stddev of W", "thr(hi)/thr(lo)"});
     for (const char *key : {"rr1", "fcfs1", "aap1", "fixed"}) {
         const ScenarioResult result =
-            runScenario(config, protocolByKey(key));
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
         table.addRow({
             result.protocolName,
             formatEstimate(result.throughput()),

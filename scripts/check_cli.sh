@@ -4,7 +4,7 @@
 #   exit 0  --help and --list-protocols (informational output)
 #   exit 2  usage errors: unknown flags, malformed protocol specs,
 #           malformed scenario files, flag/scenario conflicts, and
-#           observer values outside their range —
+#           observer or scenario values outside their range —
 #           always naming the offending token, with a did-you-mean
 #           hint where one is close
 #   exit 1  an unwritable sweep results file, before any cell runs
@@ -188,10 +188,53 @@ expect 2 "snapshot-every" "report observer range" \
 expect 2 "bypass-bound" "trace audit observer range" \
     "$trace" audit "$tmp/whatever.trace" --bypass-bound -3
 
+# Scenario values the workload builders cannot realize exit 2 naming
+# the key before any cell runs, on the flag and the file path alike; a
+# sharded sweep refuses before it creates a shard dir.
+expect 2 "load 7.5 over 5 agents" "sim per-agent load range" \
+    "$sim" --protocol aap1 --agents 5 --load 7.5
+expect 2 "unequal-factor 3" "sim unequal-factor range" \
+    "$sim" --protocol rr1 --unequal-factor 3 --agents 5 --load 2.5
+expect 2 "agents >= 5" "sim worst-case agents" \
+    "$sim" --protocol rr1 --worst-case --agents 3
+expect 2 "warmup" "sim negative warmup" \
+    "$sim" --protocol rr1 --warmup -1
+expect 2 "load 7.5 over 5 agents" "sweep per-agent load range" \
+    "$sweep" --protocols rr1 --agents 5 --loads 7.5
+expect 2 "'agents'" "sweep zero agents" \
+    "$sweep" --protocols rr1 --agents 0
+expect 2 "'batches'" "sweep zero batches" \
+    "$sweep" --protocols rr1 --batches 0
+expect 2 "'cv'" "sweep negative cv" \
+    "$sweep" --protocols rr1 --cv -1
+cat > "$tmp/overload.grid" <<'EOF'
+[workload]
+agents = 5
+[run]
+batches = 2
+batch-size = 100
+[sweep]
+loads = 1 7.5
+protocols = rr1
+EOF
+expect 2 "load 7.5 over 5 agents" "sweep grid load range" \
+    "$sweep" --grid "$tmp/overload.grid"
+expect 2 "load 7.5 over 5 agents" "sharded sweep grid load range" \
+    "$sweep" --grid "$tmp/overload.grid" --shards 2 \
+    --shard-dir "$tmp/load-shards"
+if [ -e "$tmp/load-shards" ]; then
+    echo "FAIL: sharded sweep wrote shards before rejecting a load" >&2
+    fails=$((fails + 1))
+fi
+expect 2 "load 7.5 over 5 agents" "report per-agent load range" \
+    "$report" --protocol rr1 --agents 5 --load 7.5 --out "$tmp/report.md"
+expect 2 "warmup" "report negative warmup" \
+    "$report" --protocol rr1 --warmup -1 --out "$tmp/report.md"
+
 if [ "$fails" -ne 0 ]; then
     echo "FAIL: $fails CLI contract check(s) failed" >&2
     exit 1
 fi
 echo "ok: help/list exit 0; unknown flags, bad specs, bad scenario" \
-     "files, flag conflicts and bad observer values exit 2 naming the" \
-     "token"
+     "files, flag conflicts and bad observer or scenario values exit 2" \
+     "naming the token"

@@ -6,9 +6,10 @@
  * structs and the registry: each register* function declares a
  * descriptor (key, paper section, parameter schema) and a build
  * function mapping validated parameter values onto the corresponding
- * config struct. The tools, the runner and the scenario files consume
- * protocols exclusively through the registry, so adding a protocol
- * means adding a registration unit here — nothing else.
+ * config struct. The tools, the runner, the scenario files, and the
+ * harnesses, examples and tests consume protocols exclusively through
+ * the registry, so adding a protocol means adding a registration unit
+ * here — nothing else.
  */
 
 #include <memory>
@@ -28,59 +29,20 @@ namespace busarb {
 
 namespace {
 
-ParamSpec
-intParam(const std::string &name, long default_value, long min, long max,
-         const std::string &help)
+/** @return A factory building a fresh `Protocol` from `config`. */
+template <typename Protocol, typename Config>
+ProtocolFactory
+factoryFor(const Config &config)
 {
-    ParamSpec param;
-    param.name = name;
-    param.type = ParamType::kInt;
-    param.defaultValue = std::to_string(default_value);
-    param.help = help;
-    param.hasRange = true;
-    param.minValue = static_cast<double>(min);
-    param.maxValue = static_cast<double>(max);
-    return param;
+    return [config] { return std::make_unique<Protocol>(config); };
 }
 
-ParamSpec
-doubleParam(const std::string &name, const std::string &default_value,
-            double min, double max, const std::string &help)
+/** Build function of a protocol whose only option is `priority`. */
+template <typename Protocol>
+ProtocolFactory
+buildWithPriority(const ParamValues &values)
 {
-    ParamSpec param;
-    param.name = name;
-    param.type = ParamType::kDouble;
-    param.defaultValue = default_value;
-    param.help = help;
-    param.hasRange = true;
-    param.minValue = min;
-    param.maxValue = max;
-    return param;
-}
-
-ParamSpec
-boolParam(const std::string &name, bool default_value,
-          const std::string &help)
-{
-    ParamSpec param;
-    param.name = name;
-    param.type = ParamType::kBool;
-    param.defaultValue = default_value ? "true" : "false";
-    param.help = help;
-    return param;
-}
-
-ParamSpec
-enumParam(const std::string &name, const std::string &default_value,
-          std::vector<std::string> values, const std::string &help)
-{
-    ParamSpec param;
-    param.name = name;
-    param.type = ParamType::kEnum;
-    param.defaultValue = default_value;
-    param.enumValues = std::move(values);
-    param.help = help;
-    return param;
+    return factoryFor<Protocol>(values.getBool("priority"));
 }
 
 /** The priority-class parameters shared by RR implementation 1. */
@@ -112,38 +74,31 @@ registerRoundRobin(ProtocolRegistry &registry)
     ProtocolDescriptor rr1;
     rr1.key = "rr1";
     rr1.summary = "distributed round-robin, rr-priority-bit line";
-    rr1.paperSection = "§3.1";
+    rr1.reference = "§3.1";
     rr1.params = {priorityParam(), rr_within};
-    rr1.build = [](const ParamValues &values) -> ProtocolFactory {
-        const RrConfig config =
-            rrConfigFrom(RrImplementation::kPriorityBit, values);
-        return [config] {
-            return std::make_unique<RoundRobinProtocol>(config);
-        };
+    rr1.build = [](const ParamValues &values) {
+        return factoryFor<RoundRobinProtocol>(
+            rrConfigFrom(RrImplementation::kPriorityBit, values));
     };
     registry.add(rr1);
 
     const auto plain_rr = [](RrImplementation impl) {
-        return [impl](const ParamValues &) -> ProtocolFactory {
-            RrConfig config;
-            config.impl = impl;
-            return [config] {
-                return std::make_unique<RoundRobinProtocol>(config);
-            };
+        return [impl](const ParamValues &) {
+            return factoryFor<RoundRobinProtocol>(RrConfig{.impl = impl});
         };
     };
 
     ProtocolDescriptor rr2;
     rr2.key = "rr2";
     rr2.summary = "distributed round-robin, low-request gating line";
-    rr2.paperSection = "§3.1";
+    rr2.reference = "§3.1";
     rr2.build = plain_rr(RrImplementation::kLowRequestLine);
     registry.add(rr2);
 
     ProtocolDescriptor rr3;
     rr3.key = "rr3";
     rr3.summary = "distributed round-robin, no extra line (retry pass)";
-    rr3.paperSection = "§3.1";
+    rr3.reference = "§3.1";
     rr3.build = plain_rr(RrImplementation::kNoExtraLine);
     registry.add(rr3);
 
@@ -151,7 +106,7 @@ registerRoundRobin(ProtocolRegistry &registry)
     ProtocolDescriptor rr;
     rr.key = "rr";
     rr.summary = "distributed round-robin";
-    rr.paperSection = "§3.1";
+    rr.reference = "§3.1";
     rr.isAlias = true;
     rr.params = {intParam("impl", 1, 1, 3,
                           "published implementation: 1 = rr-priority "
@@ -165,24 +120,13 @@ registerRoundRobin(ProtocolRegistry &registry)
         }
         return "";
     };
-    rr.build = [](const ParamValues &values) -> ProtocolFactory {
-        RrConfig config;
-        switch (values.getInt("impl")) {
-          case 1:
-            config.impl = RrImplementation::kPriorityBit;
-            break;
-          case 2:
-            config.impl = RrImplementation::kLowRequestLine;
-            break;
-          default:
-            config.impl = RrImplementation::kNoExtraLine;
-            break;
-        }
-        config.enablePriority = values.getBool("priority");
-        config.rrWithinPriorityClass = values.getBool("rr-within-class");
-        return [config] {
-            return std::make_unique<RoundRobinProtocol>(config);
-        };
+    rr.build = [](const ParamValues &values) {
+        static constexpr RrImplementation kImpls[] = {
+            RrImplementation::kPriorityBit,
+            RrImplementation::kLowRequestLine,
+            RrImplementation::kNoExtraLine};
+        return factoryFor<RoundRobinProtocol>(
+            rrConfigFrom(kImpls[values.getInt("impl") - 1], values));
     };
     registry.add(rr);
 }
@@ -239,18 +183,16 @@ void
 registerFcfs(ProtocolRegistry &registry)
 {
     const auto strategy_build = [](FcfsStrategy strategy) {
-        return [strategy](const ParamValues &values) -> ProtocolFactory {
-            const FcfsConfig config = fcfsConfigFrom(strategy, values);
-            return [config] {
-                return std::make_unique<FcfsProtocol>(config);
-            };
+        return [strategy](const ParamValues &values) {
+            return factoryFor<FcfsProtocol>(
+                fcfsConfigFrom(strategy, values));
         };
     };
 
     ProtocolDescriptor fcfs1;
     fcfs1.key = "fcfs1";
     fcfs1.summary = "distributed FCFS, increment-on-lose counters";
-    fcfs1.paperSection = "§3.2";
+    fcfs1.reference = "§3.2";
     fcfs1.params = fcfsParams();
     fcfs1.sugar = fcfsSugar();
     fcfs1.build = strategy_build(FcfsStrategy::kIncrementOnLose);
@@ -259,7 +201,7 @@ registerFcfs(ProtocolRegistry &registry)
     ProtocolDescriptor fcfs2;
     fcfs2.key = "fcfs2";
     fcfs2.summary = "distributed FCFS, increment lines (a-incr)";
-    fcfs2.paperSection = "§3.2";
+    fcfs2.reference = "§3.2";
     fcfs2.params = fcfsParams();
     fcfs2.sugar = fcfsSugar();
     fcfs2.build = strategy_build(FcfsStrategy::kIncrLine);
@@ -269,7 +211,7 @@ registerFcfs(ProtocolRegistry &registry)
     ProtocolDescriptor fcfs;
     fcfs.key = "fcfs";
     fcfs.summary = "distributed first-come first-serve";
-    fcfs.paperSection = "§3.2";
+    fcfs.reference = "§3.2";
     fcfs.isAlias = true;
     fcfs.params = fcfsParams();
     fcfs.params.insert(
@@ -278,13 +220,12 @@ registerFcfs(ProtocolRegistry &registry)
                   {"increment_on_lose", "incr_line"},
                   "how waiting counts are maintained"));
     fcfs.sugar = fcfsSugar();
-    fcfs.build = [](const ParamValues &values) -> ProtocolFactory {
+    fcfs.build = [](const ParamValues &values) {
         const FcfsStrategy strategy =
             values.getEnum("strategy") == "incr_line"
                 ? FcfsStrategy::kIncrLine
                 : FcfsStrategy::kIncrementOnLose;
-        const FcfsConfig config = fcfsConfigFrom(strategy, values);
-        return [config] { return std::make_unique<FcfsProtocol>(config); };
+        return factoryFor<FcfsProtocol>(fcfsConfigFrom(strategy, values));
     };
     registry.add(fcfs);
 }
@@ -295,62 +236,45 @@ registerHybridAndBaselines(ProtocolRegistry &registry)
     ProtocolDescriptor hybrid;
     hybrid.key = "hybrid";
     hybrid.summary = "hybrid RR/FCFS (bounded counters + RR tiebreak)";
-    hybrid.paperSection = "§5";
+    hybrid.reference = "§5";
     hybrid.params = {intParam("bits", 0, 0, 32,
                               "bounded-counter width; 0 sizes it from "
                               "the agent count")};
-    hybrid.build = [](const ParamValues &values) -> ProtocolFactory {
+    hybrid.build = [](const ParamValues &values) {
         HybridConfig config;
         config.counterBits = static_cast<int>(values.getInt("bits"));
-        return [config] {
-            return std::make_unique<HybridProtocol>(config);
-        };
+        return factoryFor<HybridProtocol>(config);
     };
     registry.add(hybrid);
 
     ProtocolDescriptor fixed;
     fixed.key = "fixed";
     fixed.summary = "fixed priority (plain contention arbiter)";
-    fixed.paperSection = "§2.1";
+    fixed.reference = "§2.1";
     fixed.params = {priorityParam()};
-    fixed.build = [](const ParamValues &values) -> ProtocolFactory {
-        const bool priority = values.getBool("priority");
-        return [priority] {
-            return std::make_unique<FixedPriorityProtocol>(priority);
-        };
-    };
+    fixed.build = buildWithPriority<FixedPriorityProtocol>;
     registry.add(fixed);
 
     ProtocolDescriptor aap1;
     aap1.key = "aap1";
     aap1.summary = "assured access, batching (Fastbus/Multibus II)";
-    aap1.paperSection = "§2.2";
+    aap1.reference = "§2.2";
     aap1.params = {priorityParam()};
-    aap1.build = [](const ParamValues &values) -> ProtocolFactory {
-        const bool priority = values.getBool("priority");
-        return [priority] {
-            return std::make_unique<BatchAapProtocol>(priority);
-        };
-    };
+    aap1.build = buildWithPriority<BatchAapProtocol>;
     registry.add(aap1);
 
     ProtocolDescriptor aap2;
     aap2.key = "aap2";
     aap2.summary = "assured access, inhibit/release (Futurebus)";
-    aap2.paperSection = "§2.2";
+    aap2.reference = "§2.2";
     aap2.params = {priorityParam()};
-    aap2.build = [](const ParamValues &values) -> ProtocolFactory {
-        const bool priority = values.getBool("priority");
-        return [priority] {
-            return std::make_unique<FuturebusAapProtocol>(priority);
-        };
-    };
+    aap2.build = buildWithPriority<FuturebusAapProtocol>;
     registry.add(aap2);
 
     ProtocolDescriptor central_rr;
     central_rr.key = "central-rr";
     central_rr.summary = "centralized round-robin reference";
-    central_rr.paperSection = "ref";
+    central_rr.reference = "ref";
     central_rr.build = [](const ParamValues &) -> ProtocolFactory {
         return [] { return std::make_unique<CentralRoundRobinProtocol>(); };
     };
@@ -359,7 +283,7 @@ registerHybridAndBaselines(ProtocolRegistry &registry)
     ProtocolDescriptor central_fcfs;
     central_fcfs.key = "central-fcfs";
     central_fcfs.summary = "centralized FCFS reference";
-    central_fcfs.paperSection = "ref";
+    central_fcfs.reference = "ref";
     central_fcfs.build = [](const ParamValues &) -> ProtocolFactory {
         return [] { return std::make_unique<CentralFcfsProtocol>(); };
     };
@@ -368,16 +292,14 @@ registerHybridAndBaselines(ProtocolRegistry &registry)
     ProtocolDescriptor ticket;
     ticket.key = "ticket";
     ticket.summary = "Sharma-Ahuja ticket FCFS baseline";
-    ticket.paperSection = "ref";
+    ticket.reference = "ref";
     ticket.params = {intParam("bits", 0, 0, 32,
                               "ticket-counter width; 0 sizes it from "
                               "the agent count")};
-    ticket.build = [](const ParamValues &values) -> ProtocolFactory {
+    ticket.build = [](const ParamValues &values) {
         TicketFcfsConfig config;
         config.ticketBits = static_cast<int>(values.getInt("bits"));
-        return [config] {
-            return std::make_unique<TicketFcfsProtocol>(config);
-        };
+        return factoryFor<TicketFcfsProtocol>(config);
     };
     registry.add(ticket);
 }
@@ -390,24 +312,18 @@ registerWeightedRoundRobin(ProtocolRegistry &registry)
     ProtocolDescriptor wrr;
     wrr.key = "wrr";
     wrr.summary = "weighted round-robin (claim line, burst credits)";
-    wrr.paperSection = "WRR";
-    ParamSpec weights;
-    weights.name = "weights";
+    wrr.reference = "WRR";
+    ParamSpec weights =
+        intParam("weights", 1, 1, 4096,
+                 "per-agent burst weights ('/'-separated); one value "
+                 "broadcasts to all agents");
     weights.type = ParamType::kIntList;
-    weights.defaultValue = "1";
-    weights.help = "per-agent burst weights ('/'-separated); one value "
-                   "broadcasts to all agents";
-    weights.hasRange = true;
-    weights.minValue = 1;
-    weights.maxValue = 4096;
     wrr.params = {weights};
-    wrr.build = [](const ParamValues &values) -> ProtocolFactory {
+    wrr.build = [](const ParamValues &values) {
         WrrConfig config;
         for (long w : values.getIntList("weights"))
             config.weights.push_back(static_cast<int>(w));
-        return [config] {
-            return std::make_unique<WeightedRoundRobinProtocol>(config);
-        };
+        return factoryFor<WeightedRoundRobinProtocol>(config);
     };
     registry.add(wrr);
 }
@@ -415,8 +331,8 @@ registerWeightedRoundRobin(ProtocolRegistry &registry)
 void
 registerBuiltinProtocols(ProtocolRegistry &registry)
 {
-    // Legacy key order first (rr1..ticket) so allProtocols() keeps its
-    // historical ordering, then the registration-only additions.
+    // The paper's protocols and baselines first (rr1..ticket), then the
+    // registration-only additions; --list-protocols prints this order.
     registerRoundRobin(registry);
     registerFcfs(registry);
     registerHybridAndBaselines(registry);

@@ -30,45 +30,6 @@ namespace busarb {
 
 namespace {
 
-ParamSpec
-doubleParam(const std::string &name, const std::string &default_value,
-            double min, double max, const std::string &help)
-{
-    ParamSpec param;
-    param.name = name;
-    param.type = ParamType::kDouble;
-    param.defaultValue = default_value;
-    param.help = help;
-    param.hasRange = true;
-    param.minValue = min;
-    param.maxValue = max;
-    return param;
-}
-
-ParamSpec
-enumParam(const std::string &name, const std::string &default_value,
-          std::vector<std::string> values, const std::string &help)
-{
-    ParamSpec param;
-    param.name = name;
-    param.type = ParamType::kEnum;
-    param.defaultValue = default_value;
-    param.enumValues = std::move(values);
-    param.help = help;
-    return param;
-}
-
-ParamSpec
-stringParam(const std::string &name, const std::string &help)
-{
-    ParamSpec param;
-    param.name = name;
-    param.type = ParamType::kString;
-    param.defaultValue = "";
-    param.help = help;
-    return param;
-}
-
 /**
  * Per-agent offered load of one agent, from its traits — the single
  * mapping that gives "load" a per-family meaning. Closed sources use
@@ -333,19 +294,10 @@ registerTrace(WorkloadRegistry &registry)
                     "--trace-out binary capture; required"),
         enumParam("format", "text", {"text", "binary"},
                   "trace file format"),
+        intParam("chunk", 0, 0, 1000000000,
+                 "chunk index within a binary capture (one chunk per "
+                 "recorded run)"),
     };
-    trace.params.push_back([] {
-        ParamSpec param;
-        param.name = "chunk";
-        param.type = ParamType::kInt;
-        param.defaultValue = "0";
-        param.help = "chunk index within a binary capture (one chunk "
-                     "per recorded run)";
-        param.hasRange = true;
-        param.minValue = 0;
-        param.maxValue = 1e9;
-        return param;
-    }());
     trace.validate = [](const ParamValues &values) -> std::string {
         if (values.getString("file").empty())
             return "workload source 'trace' requires file=<path>";

@@ -1,157 +1,12 @@
 #include "experiment/protocol_registry.hh"
 
-#include <cstdlib>
-#include <iostream>
-#include <ostream>
-
-#include "sim/logging.hh"
-
 namespace busarb {
-
-void
-ProtocolRegistry::add(ProtocolDescriptor desc)
-{
-    BUSARB_ASSERT(!desc.key.empty(), "protocol descriptor without a key");
-    BUSARB_ASSERT(static_cast<bool>(desc.build), "protocol '", desc.key,
-                  "' registered without a build function");
-    BUSARB_ASSERT(find(desc.key) == nullptr, "protocol key '", desc.key,
-                  "' registered twice");
-    spec_schema::validateDefaults("protocol '" + desc.key + "'",
-                                  desc.params);
-    protocols_.push_back(std::move(desc));
-}
-
-const ProtocolDescriptor *
-ProtocolRegistry::find(const std::string &key) const
-{
-    for (const auto &desc : protocols_) {
-        if (desc.key == key)
-            return &desc;
-    }
-    return nullptr;
-}
-
-bool
-ProtocolRegistry::parseSpec(const std::string &text, ProtocolSpec &out,
-                            std::string &error) const
-{
-    const auto colon = text.find(':');
-    const std::string key = text.substr(0, colon);
-    const ProtocolDescriptor *desc = find(key);
-    if (desc == nullptr) {
-        std::vector<std::string> keys;
-        keys.reserve(protocols_.size());
-        for (const auto &d : protocols_)
-            keys.push_back(d.key);
-        error = "unknown protocol key '" + key + "'" +
-                didYouMeanHint(key, keys);
-        return false;
-    }
-
-    ProtocolSpec spec;
-    spec.key = key;
-    const bool had_colon = colon != std::string::npos;
-    const std::string options =
-        had_colon ? text.substr(colon + 1) : std::string();
-    if (!spec_schema::parseOptions("protocol", key, desc->params,
-                                   desc->sugar, options, had_colon,
-                                   spec.params, error))
-        return false;
-
-    if (desc->validate) {
-        const std::string message =
-            desc->validate(resolveValues(*desc, spec));
-        if (!message.empty()) {
-            error = message;
-            return false;
-        }
-    }
-    out = std::move(spec);
-    return true;
-}
-
-ParamValues
-ProtocolRegistry::resolveValues(const ProtocolDescriptor &desc,
-                                const ProtocolSpec &spec) const
-{
-    return ParamValues::resolve("protocol '" + desc.key + "'",
-                                desc.params, spec);
-}
-
-ProtocolFactory
-ProtocolRegistry::instantiate(const ProtocolSpec &spec) const
-{
-    const ProtocolDescriptor *desc = find(spec.key);
-    if (desc == nullptr)
-        BUSARB_FATAL("unknown protocol key '", spec.key, "'");
-    // Re-validate so hand-built specs cannot smuggle bad values past
-    // the schema.
-    spec_schema::revalidateOrDie("protocol", spec.key, desc->params,
-                                 spec);
-    const ParamValues values = resolveValues(*desc, spec);
-    if (desc->validate) {
-        const std::string message = desc->validate(values);
-        if (!message.empty())
-            BUSARB_FATAL(message, " in protocol spec '", spec.format(),
-                         "'");
-    }
-    return desc->build(values);
-}
-
-ProtocolFactory
-ProtocolRegistry::fromSpec(const std::string &text) const
-{
-    ProtocolSpec spec;
-    std::string error;
-    if (!parseSpec(text, spec, error))
-        BUSARB_FATAL(error, " in protocol spec '", text, "'");
-    return instantiate(spec);
-}
-
-void
-ProtocolRegistry::printTable(std::ostream &os) const
-{
-    os << "protocols (spec grammar: key[:option=value,...]):\n";
-    for (const auto &desc : protocols_) {
-        os << "\n  " << desc.key;
-        for (std::size_t i = desc.key.size(); i < 14; ++i)
-            os << " ";
-        os << desc.paperSection;
-        for (std::size_t i = desc.paperSection.size(); i < 8; ++i)
-            os << " ";
-        os << desc.summary;
-        if (desc.isAlias)
-            os << " (parameterized form)";
-        os << "\n";
-        spec_schema::printParamRows(os, desc.params, desc.sugar);
-    }
-}
-
-const ProtocolRegistry &
-ProtocolRegistry::builtin()
-{
-    // Built on first use; static-initializer self-registration would be
-    // dropped by the static-library linker, so registration is an
-    // explicit call chain instead.
-    static const ProtocolRegistry *registry = [] {
-        auto *r = new ProtocolRegistry();
-        registerBuiltinProtocols(*r);
-        return r;
-    }();
-    return *registry;
-}
 
 ProtocolFactory
 protocolFactoryOrExit(const std::string &program, const std::string &text)
 {
-    ProtocolSpec spec;
-    std::string error;
-    if (!ProtocolRegistry::builtin().parseSpec(text, spec, error)) {
-        std::cerr << program << ": bad protocol spec '" << text
-                  << "': " << error << "\n";
-        std::exit(2);
-    }
-    return ProtocolRegistry::builtin().instantiate(spec);
+    const ProtocolRegistry &registry = ProtocolRegistry::builtin();
+    return registry.instantiate(registry.parseSpecOrExit(program, text));
 }
 
 } // namespace busarb

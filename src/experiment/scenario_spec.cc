@@ -482,20 +482,48 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
             error = "hot-agents exceeds agents";
             return false;
         }
-        for (const auto &token : spec.loadTokens) {
-            double load = 0.0;
-            if (!parseDouble(token, load))
-                continue; // expandLoadToken already validated
-            if (spec.hotFactor * load / spec.agents >= 1.0) {
-                error = "hot-factor " + formatDouble(spec.hotFactor) +
-                        " at load " + token +
-                        " pushes a hot agent's offered load to >= 1";
-                return false;
-            }
-        }
     } else if (spec.hotFactor > 0.0) {
         error = "hot-factor requires hot-agents";
         return false;
+    }
+    // The scenario builders assert what follows; checking it here makes
+    // a bad file or flag exit 2 naming the key instead of aborting.
+    if (spec.family == "worst-case" && spec.agents < 5) {
+        error = "family 'worst-case' requires agents >= 5, got " +
+                std::to_string(spec.agents);
+        return false;
+    }
+    if (spec.family == "unequal" && spec.agents < 2) {
+        error = "family 'unequal' requires agents >= 2, got " +
+                std::to_string(spec.agents);
+        return false;
+    }
+    for (const auto &token : spec.loadTokens) {
+        double load = 0.0;
+        if (!parseDouble(token, load))
+            continue; // expandLoadToken already validated
+        const double per_agent = load / spec.agents;
+        if (per_agent <= 0.0 || per_agent >= 1.0) {
+            error = "load " + token + " over " +
+                    std::to_string(spec.agents) + " agents is " +
+                    formatDouble(per_agent) +
+                    " per agent; the per-agent load must be in (0, 1)";
+            return false;
+        }
+        if (spec.family == "unequal" &&
+            per_agent * spec.unequalFactor >= 1.0) {
+            error = "unequal-factor " + formatDouble(spec.unequalFactor) +
+                    " at load " + token +
+                    " pushes agent 1's offered load to >= 1";
+            return false;
+        }
+        if (spec.hotAgents > 0 &&
+            spec.hotFactor * load / spec.agents >= 1.0) {
+            error = "hot-factor " + formatDouble(spec.hotFactor) +
+                    " at load " + token +
+                    " pushes a hot agent's offered load to >= 1";
+            return false;
+        }
     }
     out = spec;
     return true;
@@ -626,6 +654,13 @@ scenarioSpecFromFlags(const std::string &program,
     spec.batchSize = parser.getInt("batch-size");
     spec.warmupSet = true;
     spec.warmup = parser.getInt("warmup");
+    if (spec.warmup < 0) {
+        // format() prints the resolved warm-up unsigned, so a negative
+        // one must not reach the re-validation below.
+        std::cerr << program << ": --warmup must be >= 0, got "
+                  << spec.warmup << "\n";
+        std::exit(2);
+    }
     spec.seed = static_cast<std::uint64_t>(parser.getInt("seed"));
 
     spec.source = parser.getString("source");
@@ -646,6 +681,13 @@ scenarioSpecFromFlags(const std::string &program,
             formatDouble(parser.getDouble("load")));
     }
 
+    validateFlagSpecOrExit(program, spec);
+    return spec;
+}
+
+void
+validateFlagSpecOrExit(const std::string &program, const ScenarioSpec &spec)
+{
     // Re-run the file-level validation on the flag-built spec so both
     // construction paths reject the same contradictions identically.
     ScenarioSpec validated;
@@ -654,7 +696,6 @@ scenarioSpecFromFlags(const std::string &program,
         std::cerr << program << ": " << error << "\n";
         std::exit(2);
     }
-    return spec;
 }
 
 } // namespace busarb

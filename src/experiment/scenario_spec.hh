@@ -196,6 +196,14 @@ ScenarioSpec scenarioSpecFromFlags(const std::string &program,
                                    const ArgParser &parser);
 
 /**
+ * Run a flag-built spec through the same file-level validation a
+ * scenario file gets, by re-parsing its format(); on failure print
+ * `program: <error>` and exit 2.
+ */
+void validateFlagSpecOrExit(const std::string &program,
+                            const ScenarioSpec &spec);
+
+/**
  * Declare --queue (event-queue storage policy: "calendar" or "heap").
  *
  * Deliberately not part of the ScenarioSpec: the policy is an

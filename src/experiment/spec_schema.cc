@@ -253,6 +253,71 @@ ParamValues::resolve(const std::string &owner,
     return values;
 }
 
+ParamSpec
+intParam(const std::string &name, long default_value, long min, long max,
+         const std::string &help)
+{
+    ParamSpec param;
+    param.name = name;
+    param.type = ParamType::kInt;
+    param.defaultValue = std::to_string(default_value);
+    param.help = help;
+    param.hasRange = true;
+    param.minValue = static_cast<double>(min);
+    param.maxValue = static_cast<double>(max);
+    return param;
+}
+
+ParamSpec
+doubleParam(const std::string &name, const std::string &default_value,
+            double min, double max, const std::string &help)
+{
+    ParamSpec param;
+    param.name = name;
+    param.type = ParamType::kDouble;
+    param.defaultValue = default_value;
+    param.help = help;
+    param.hasRange = true;
+    param.minValue = min;
+    param.maxValue = max;
+    return param;
+}
+
+ParamSpec
+boolParam(const std::string &name, bool default_value,
+          const std::string &help)
+{
+    ParamSpec param;
+    param.name = name;
+    param.type = ParamType::kBool;
+    param.defaultValue = default_value ? "true" : "false";
+    param.help = help;
+    return param;
+}
+
+ParamSpec
+enumParam(const std::string &name, const std::string &default_value,
+          std::vector<std::string> values, const std::string &help)
+{
+    ParamSpec param;
+    param.name = name;
+    param.type = ParamType::kEnum;
+    param.defaultValue = default_value;
+    param.enumValues = std::move(values);
+    param.help = help;
+    return param;
+}
+
+ParamSpec
+stringParam(const std::string &name, const std::string &help)
+{
+    ParamSpec param;
+    param.name = name;
+    param.type = ParamType::kString;
+    param.help = help;
+    return param;
+}
+
 namespace spec_schema {
 
 const ParamSpec *

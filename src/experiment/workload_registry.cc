@@ -1,171 +1,36 @@
 #include "experiment/workload_registry.hh"
 
-#include <cstdlib>
-#include <iostream>
-#include <ostream>
-#include <utility>
-
 #include "sim/logging.hh"
 
 namespace busarb {
 
-void
-WorkloadRegistry::add(WorkloadDescriptor desc)
-{
-    BUSARB_ASSERT(!desc.key.empty(),
-                  "workload descriptor without a key");
-    BUSARB_ASSERT(static_cast<bool>(desc.build), "workload source '",
-                  desc.key, "' registered without a build function");
-    BUSARB_ASSERT(find(desc.key) == nullptr, "workload source key '",
-                  desc.key, "' registered twice");
-    spec_schema::validateDefaults("workload source '" + desc.key + "'",
-                                  desc.params);
-    sources_.push_back(std::move(desc));
-}
+namespace {
 
-const WorkloadDescriptor *
-WorkloadRegistry::find(const std::string &key) const
-{
-    for (const auto &desc : sources_) {
-        if (desc.key == key)
-            return &desc;
-    }
-    return nullptr;
-}
-
-bool
-WorkloadRegistry::parseSpec(const std::string &text, WorkloadSpec &out,
-                            std::string &error) const
-{
-    const auto colon = text.find(':');
-    const std::string key = text.substr(0, colon);
-    const WorkloadDescriptor *desc = find(key);
-    if (desc == nullptr) {
-        std::vector<std::string> keys;
-        keys.reserve(sources_.size());
-        for (const auto &d : sources_)
-            keys.push_back(d.key);
-        error = "unknown workload source key '" + key + "'" +
-                didYouMeanHint(key, keys);
-        return false;
-    }
-
-    WorkloadSpec spec;
-    spec.key = key;
-    const bool had_colon = colon != std::string::npos;
-    const std::string options =
-        had_colon ? text.substr(colon + 1) : std::string();
-    if (!spec_schema::parseOptions("workload source", key, desc->params,
-                                   desc->sugar, options, had_colon,
-                                   spec.params, error))
-        return false;
-
-    if (desc->validate) {
-        const std::string message =
-            desc->validate(resolveValues(*desc, spec));
-        if (!message.empty()) {
-            error = message;
-            return false;
-        }
-    }
-    out = std::move(spec);
-    return true;
-}
-
-ParamValues
-WorkloadRegistry::resolveValues(const WorkloadDescriptor &desc,
-                                const WorkloadSpec &spec) const
-{
-    return ParamValues::resolve("workload source '" + desc.key + "'",
-                                desc.params, spec);
-}
-
-WorkloadSourceFactory
-WorkloadRegistry::instantiate(const WorkloadSpec &spec) const
-{
-    const WorkloadDescriptor *desc = find(spec.key);
-    if (desc == nullptr)
-        BUSARB_FATAL("unknown workload source key '", spec.key, "'");
-    spec_schema::revalidateOrDie("workload source", spec.key,
-                                 desc->params, spec);
-    const ParamValues values = resolveValues(*desc, spec);
-    if (desc->validate) {
-        const std::string message = desc->validate(values);
-        if (!message.empty())
-            BUSARB_FATAL(message, " in workload spec '", spec.format(),
-                         "'");
-    }
-    return desc->build(values);
-}
-
-WorkloadSourceFactory
-WorkloadRegistry::fromSpec(const std::string &text) const
-{
-    WorkloadSpec spec;
-    std::string error;
-    if (!parseSpec(text, spec, error))
-        BUSARB_FATAL(error, " in workload spec '", text, "'");
-    return instantiate(spec);
-}
-
+/**
+ * Run the pre-run validation hook of a spec the builtin registry has
+ * parsed against a concrete scenario.
+ *
+ * @return An error message, or "" when the run can proceed.
+ */
 std::string
-WorkloadRegistry::validateRun(const WorkloadSpec &spec,
-                              const ScenarioConfig &config) const
+validateRun(const WorkloadSpec &spec, const ScenarioConfig &config)
 {
-    const WorkloadDescriptor *desc = find(spec.key);
-    if (desc == nullptr)
-        return "unknown workload source key '" + spec.key + "'";
-    if (!desc->validateRun)
+    const WorkloadDescriptor &desc =
+        *WorkloadRegistry::builtin().find(spec.key);
+    if (!desc.validateRun)
         return "";
-    return desc->validateRun(resolveValues(*desc, spec), config);
+    return desc.validateRun(WorkloadRegistry::resolve(desc, spec),
+                            config);
 }
 
-void
-WorkloadRegistry::printTable(std::ostream &os) const
-{
-    os << "workload sources (spec grammar: key[:option=value,...]):\n";
-    for (const auto &desc : sources_) {
-        os << "\n  " << desc.key;
-        for (std::size_t i = desc.key.size(); i < 14; ++i)
-            os << " ";
-        os << desc.reference << ' ';
-        for (std::size_t i = desc.reference.size() + 1; i < 8; ++i)
-            os << " ";
-        os << desc.summary;
-        if (desc.openLoop)
-            os << " (open loop)";
-        if (!desc.takesLoads)
-            os << " (no load axis)";
-        os << "\n";
-        spec_schema::printParamRows(os, desc.params, desc.sugar);
-    }
-}
-
-const WorkloadRegistry &
-WorkloadRegistry::builtin()
-{
-    // Built on first use; static-initializer self-registration would be
-    // dropped by the static-library linker, so registration is an
-    // explicit call chain instead.
-    static const WorkloadRegistry *registry = [] {
-        auto *r = new WorkloadRegistry();
-        registerBuiltinWorkloads(*r);
-        return r;
-    }();
-    return *registry;
-}
+} // namespace
 
 std::string
 workloadSpecOrExit(const std::string &program, const std::string &text)
 {
-    WorkloadSpec spec;
-    std::string error;
-    if (!WorkloadRegistry::builtin().parseSpec(text, spec, error)) {
-        std::cerr << program << ": bad workload spec '" << text
-                  << "': " << error << "\n";
-        std::exit(2);
-    }
-    return spec.format();
+    return WorkloadRegistry::builtin()
+        .parseSpecOrExit(program, text)
+        .format();
 }
 
 const WorkloadDescriptor *
@@ -185,7 +50,7 @@ buildWorkloadSource(const ScenarioConfig &config, EventQueue &queue,
     if (!registry.parseSpec(config.workloadSpec, spec, error))
         BUSARB_FATAL(error, " in workload spec '", config.workloadSpec,
                      "'");
-    const std::string run_error = registry.validateRun(spec, config);
+    const std::string run_error = validateRun(spec, config);
     if (!run_error.empty())
         BUSARB_FATAL(run_error);
     std::unique_ptr<WorkloadSource> source =
@@ -197,12 +62,12 @@ buildWorkloadSource(const ScenarioConfig &config, EventQueue &queue,
 std::string
 validateWorkloadRun(const ScenarioConfig &config)
 {
-    const WorkloadRegistry &registry = WorkloadRegistry::builtin();
     WorkloadSpec spec;
     std::string error;
-    if (!registry.parseSpec(config.workloadSpec, spec, error))
+    if (!WorkloadRegistry::builtin().parseSpec(config.workloadSpec, spec,
+                                               error))
         return error;
-    return registry.validateRun(spec, config);
+    return validateRun(spec, config);
 }
 
 } // namespace busarb

@@ -1,33 +1,30 @@
 /**
  * @file
- * The workload registry: the construction seam from the workload layer
- * (src/workload) to the scenario files and tools — the traffic-side
- * twin of the protocol registry.
+ * The workload-source catalogue: the one way to build the traffic a
+ * run sees from the workload layer (src/workload).
  *
- * Every workload source registers a descriptor — key, one-line
- * summary, reference, and a typed parameter schema — plus a build
- * function that turns validated values into a WorkloadSourceFactory.
- * Spec strings like
+ * Every source registers a WorkloadDescriptor (key, one-line summary,
+ * reference, typed parameter schema, build function) with the same
+ * SpecRegistry engine (experiment/spec_schema.hh) that serves the
+ * protocol catalogue, so spec strings like
  *
  *   closed
  *   open:dist=pareto,alpha=1.6
  *   onoff:on=0.2,off=10,burst=8,gap=2
  *   trace:file=run.trace,format=binary
  *
- * are parsed against the schema with canonical round-trip formatting
- * and did-you-mean hints, exactly like protocol specs. Scenario files
- * select a source with `source =` in `[workload]`; the runner builds
- * it per cell, and --list-workloads prints the catalogue.
+ * parse, canonicalize and fail exactly like protocol specs. Scenario
+ * files select a source with `source =` in `[workload]`; the runner
+ * builds it per cell through buildWorkloadSource, and --list-workloads
+ * prints the catalogue.
  */
 
 #ifndef BUSARB_EXPERIMENT_WORKLOAD_REGISTRY_HH
 #define BUSARB_EXPERIMENT_WORKLOAD_REGISTRY_HH
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "experiment/spec_schema.hh"
 #include "workload/scenario.hh"
@@ -44,29 +41,31 @@ using WorkloadSourceFactory =
     std::function<std::unique_ptr<WorkloadSource>(
         EventQueue &, Bus &, const ScenarioConfig &)>;
 
+struct WorkloadDescriptor;
+
+/** The workload-source catalogue (see SpecRegistry). */
+using WorkloadRegistry = SpecRegistry<WorkloadDescriptor>;
+
 /**
  * A parsed, validated workload-source spec — the shared canonical
  * key-plus-params shape from the schema engine.
  */
 using WorkloadSpec = SpecInstance;
 
+/**
+ * Register every workload source in src/workload: the paper's closed
+ * loop, the open-loop renewal/heavy-tail/MMPP family, the ON/OFF
+ * modulated closed loop, and trace replay. Called once by builtin();
+ * exposed so tests can build registries of their own.
+ */
+void registerBuiltinWorkloads(WorkloadRegistry &registry);
+
 /** Everything the registry knows about one workload source. */
-struct WorkloadDescriptor
+struct WorkloadDescriptor : SpecDescriptor<WorkloadSourceFactory>
 {
-    /** Spec-string key ("closed", "open", "onoff", "trace"). */
-    std::string key;
-
-    /** One-line summary for --list-workloads. */
-    std::string summary;
-
-    /** Paper section ("§4.1"), or a citation for extensions. */
-    std::string reference;
-
-    /** Declared parameters, in canonical (display and format) order. */
-    std::vector<ParamSpec> params;
-
-    /** Bare-token sugar accepted in spec strings. */
-    std::vector<SpecSugar> sugar;
+    static constexpr const char *kNoun = "workload source";
+    static constexpr const char *kSpecNoun = "workload";
+    static constexpr auto registerBuiltins = registerBuiltinWorkloads;
 
     /**
      * True when arrivals are independent of service: the load axis
@@ -81,105 +80,25 @@ struct WorkloadDescriptor
      */
     bool takesLoads = true;
 
-    /** Turn validated values into a factory. */
-    std::function<WorkloadSourceFactory(const ParamValues &)> build;
-
-    /**
-     * Optional cross-parameter validation; returns an error message,
-     * or "" when the combination is legal.
-     */
-    std::function<std::string(const ParamValues &)> validate;
-
     /**
      * Optional pre-run validation against a concrete scenario (file
      * existence, trace capacity vs run length); returns an error
-     * message, or "" when the run can proceed. Tools call this before
-     * running so a doomed cell exits 2 instead of dying mid-fleet.
+     * message, or "" when the run can proceed. Tools call this through
+     * validateWorkloadRun so a doomed cell exits 2 instead of dying
+     * mid-fleet.
      */
     std::function<std::string(const ParamValues &,
                               const ScenarioConfig &)>
         validateRun;
-};
 
-/**
- * The registry itself: descriptors in registration order, looked up by
- * key. builtin() holds every workload source in the library.
- */
-class WorkloadRegistry
-{
-  public:
-    WorkloadRegistry() = default;
-
-    /** Register a descriptor; fatal if the key is already taken. */
-    void add(WorkloadDescriptor desc);
-
-    /** @return The descriptor for `key`, or nullptr. */
-    const WorkloadDescriptor *find(const std::string &key) const;
-
-    /** @return All descriptors, in registration order. */
-    const std::vector<WorkloadDescriptor> &all() const
+    /** @return The catalogue-line suffix. */
+    std::string
+    suffix() const
     {
-        return sources_;
+        return std::string(openLoop ? " (open loop)" : "") +
+               (takesLoads ? "" : " (no load axis)");
     }
-
-    /**
-     * Parse and validate a spec string against the registered schemas.
-     *
-     * @param text The spec string ("open:dist=mmpp,burst=8").
-     * @param out Receives the canonicalized spec on success.
-     * @param error Receives a message naming the offending token (with
-     *        a did-you-mean hint where one is close) on failure.
-     * @retval false The spec did not validate.
-     */
-    bool parseSpec(const std::string &text, WorkloadSpec &out,
-                   std::string &error) const;
-
-    /**
-     * Build the factory a validated spec describes.
-     *
-     * @param spec A spec from parseSpec (a hand-built spec that does
-     *        not validate is a fatal error).
-     * @return The workload-source factory.
-     */
-    WorkloadSourceFactory instantiate(const WorkloadSpec &spec) const;
-
-    /** Parse + instantiate, fatal on error (library convenience). */
-    WorkloadSourceFactory fromSpec(const std::string &text) const;
-
-    /**
-     * Run the spec's pre-run validation hook against a concrete
-     * scenario.
-     *
-     * @return An error message, or "" when the run can proceed.
-     */
-    std::string validateRun(const WorkloadSpec &spec,
-                            const ScenarioConfig &config) const;
-
-    /**
-     * Print the registry as a table — key, reference, summary, and
-     * every parameter with type, default and range — generated
-     * entirely from the descriptors (--list-workloads).
-     */
-    void printTable(std::ostream &os) const;
-
-    /** @return The registry holding every built-in workload source. */
-    static const WorkloadRegistry &builtin();
-
-  private:
-    std::vector<WorkloadDescriptor> sources_;
-
-    /** Resolve defaults + spec params into build-ready values. */
-    ParamValues resolveValues(const WorkloadDescriptor &desc,
-                              const WorkloadSpec &spec) const;
 };
-
-/**
- * Register every workload source in src/workload: the paper's closed
- * loop, the open-loop renewal/heavy-tail/MMPP family, the ON/OFF
- * modulated closed loop, and trace replay. Called once by builtin();
- * exposed so tests can build registries of their own.
- */
-void registerBuiltinWorkloads(WorkloadRegistry &registry);
 
 /**
  * Tool-facing spec parser: canonicalize `text` against the builtin

@@ -6,14 +6,15 @@
  * the spec-string error paths with their did-you-mean hints.
  */
 
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/fcfs.hh"
+#include "core/round_robin.hh"
 #include "experiment/protocol_registry.hh"
-#include "experiment/protocols.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
 
@@ -126,6 +127,23 @@ TEST(RegistryCatalogTest, PrintTableListsEveryKeyAndParameter)
     EXPECT_NE(table.find("(parameterized form)"), std::string::npos);
 }
 
+TEST(RegistryCatalogTest, PrintTablePinsHeaderAndEntryLayout)
+{
+    std::ostringstream os;
+    ProtocolRegistry::builtin().printTable(os);
+    const std::string table = os.str();
+    EXPECT_EQ(table.rfind("protocols (spec grammar: "
+                          "key[:option=value,...]):\n\n",
+                          0),
+              0u);
+    EXPECT_NE(table.find("\n  rr1           §3.1   distributed "
+                         "round-robin, rr-priority-bit line\n"),
+              std::string::npos);
+    EXPECT_NE(table.find("\n  rr            §3.1   distributed "
+                         "round-robin (parameterized form)\n"),
+              std::string::npos);
+}
+
 TEST(RegistrySpecCanonicalTest, OptionsCanonicalizeToDeclarationOrder)
 {
     EXPECT_EQ(parseOk("fcfs2:wrap,window=0.05,bits=3").format(),
@@ -160,8 +178,9 @@ TEST(RegistrySpecCanonicalTest, FamilyAliasesExposeSameProtocols)
 
 TEST(RegistryGoldenDiffTest, RrMatchesLegacyFactoryMetrics)
 {
-    const auto legacy = runScenario(tinyScenario(),
-                                    makeRoundRobinFactory());
+    const auto legacy = runScenario(tinyScenario(), [] {
+        return std::make_unique<RoundRobinProtocol>(RrConfig{});
+    });
     const auto registry = runScenario(
         tinyScenario(), ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_EQ(registry.protocolName, legacy.protocolName);
@@ -175,8 +194,9 @@ TEST(RegistryGoldenDiffTest, FcfsMatchesLegacyFactoryMetrics)
     config.counterBits = 3;
     config.overflow = OverflowPolicy::kWrap;
     config.incrWindow = 0.05;
-    const auto legacy = runScenario(tinyScenario(),
-                                    makeFcfsFactory(config));
+    const auto legacy = runScenario(tinyScenario(), [config] {
+        return std::make_unique<FcfsProtocol>(config);
+    });
     const auto registry = runScenario(
         tinyScenario(), ProtocolRegistry::builtin().fromSpec(
                             "fcfs2:window=0.05,bits=3,wrap"));

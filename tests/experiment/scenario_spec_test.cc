@@ -280,6 +280,38 @@ TEST(ScenarioSpecErrorTest, FileLevelValidationHasNoLinePrefix)
               "workload fixes its own rates)");
 }
 
+TEST(ScenarioSpecErrorTest, ScenarioBuilderRangesAreCheckedUpFront)
+{
+    // Each of these would otherwise reach an assert in
+    // workload/scenario.cc.
+    EXPECT_EQ(parseError("[workload]\nagents = 5\nload = 7.5\n"),
+              "load 7.5 over 5 agents is 1.5 per agent; the per-agent "
+              "load must be in (0, 1)");
+    EXPECT_EQ(parseError("[workload]\nload = 0\n"),
+              "load 0 over 10 agents is 0 per agent; the per-agent "
+              "load must be in (0, 1)");
+    EXPECT_EQ(parseError("[sweep]\nloads = 1 -1\n"),
+              "load -1 over 10 agents is -0.1 per agent; the per-agent "
+              "load must be in (0, 1)");
+    EXPECT_EQ(parseError("[workload]\nfamily = unequal\n"
+                         "unequal-factor = 3\nagents = 5\nload = 2.5\n"),
+              "unequal-factor 3 at load 2.5 pushes agent 1's offered "
+              "load to >= 1");
+    EXPECT_EQ(parseError("[workload]\nfamily = unequal\n"
+                         "unequal-factor = 2\nagents = 1\nload = 0.5\n"),
+              "family 'unequal' requires agents >= 2, got 1");
+    EXPECT_EQ(parseError("[workload]\nfamily = worst-case\nagents = 3\n"),
+              "family 'worst-case' requires agents >= 5, got 3");
+
+    // The edges of each range still build.
+    parseOk("[workload]\nfamily = worst-case\nagents = 5\n")
+        .configForLoad("");
+    parseOk("[workload]\nagents = 5\nload = 4.99\n").configForLoad("4.99");
+    parseOk("[workload]\nfamily = unequal\nunequal-factor = 2\n"
+            "agents = 2\nload = 0.99\n")
+        .configForLoad("0.99");
+}
+
 TEST(ScenarioSpecFlagsTest, WasSetTracksExplicitFlagsOnly)
 {
     ArgParser parser("prog", "test");
@@ -409,6 +441,43 @@ TEST(ScenarioSpecDeathTest, OrExitDistinguishesIoFromParseErrors)
                 ::testing::ExitedWithCode(2),
                 "line 2: key 'agents' expects an integer");
     std::remove(path.c_str());
+}
+
+/** @return The spec scenarioSpecFromFlags builds from `args`. */
+ScenarioSpec
+specFromFlags(std::vector<const char *> args)
+{
+    ArgParser parser("prog", "test");
+    addScenarioFlags(parser);
+    args.insert(args.begin(), "prog");
+    EXPECT_TRUE(
+        parser.parse(static_cast<int>(args.size()), args.data()));
+    return scenarioSpecFromFlags("prog", parser);
+}
+
+TEST(ScenarioSpecDeathTest, FlagPathExitsTwoOnOutOfRangeScenarios)
+{
+    EXPECT_EXIT(specFromFlags({"--warmup", "-1"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --warmup must be >= 0, got -1");
+    EXPECT_EXIT(specFromFlags({"--agents", "5", "--load", "7.5"}),
+                ::testing::ExitedWithCode(2),
+                "prog: load 7.5 over 5 agents");
+    EXPECT_EXIT(specFromFlags({"--unequal-factor", "3", "--agents", "5",
+                               "--load", "2.5"}),
+                ::testing::ExitedWithCode(2), "prog: unequal-factor 3");
+    EXPECT_EXIT(specFromFlags({"--worst-case", "--agents", "3"}),
+                ::testing::ExitedWithCode(2),
+                "prog: family 'worst-case' requires agents >= 5");
+}
+
+TEST(ScenarioSpecDeathTest, ValidateFlagSpecOrExitUsesExitCodeTwo)
+{
+    ScenarioSpec spec;
+    spec.agents = 0;
+    EXPECT_EXIT(validateFlagSpecOrExit("prog", spec),
+                ::testing::ExitedWithCode(2),
+                "prog: line 3: key 'agents' must be >= 1");
 }
 
 } // namespace

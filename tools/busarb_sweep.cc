@@ -241,6 +241,14 @@ main(int argc, char **argv)
             return 2;
         }
         spec.protocolSpecs = splitCsvList(parser.getString("protocols"));
+        // Axis tokens first, so they keep their flag-named messages;
+        // then the checks a --grid file gets.
+        for (const auto &token : spec.loadTokens)
+            parseDoubleTokenOrExit("busarb_sweep", "loads", token);
+        for (const auto &proto : spec.protocolSpecs)
+            ProtocolRegistry::builtin().parseSpecOrExit("busarb_sweep",
+                                                        proto);
+        validateFlagSpecOrExit("busarb_sweep", spec);
     }
     if (spec.family == "worst-case") {
         std::cerr << "busarb_sweep: family 'worst-case' has no load "
