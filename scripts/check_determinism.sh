@@ -31,6 +31,10 @@
 #      thread interleaving, may never be observable in any artifact.
 #      (check_shard.sh drills the orchestration layer itself — crash
 #      recovery, refusal paths, corrupt manifests.)
+#   8. Settle timing: every signal-level protocol at 70 agents (two
+#      64-agent mask words), with pass durations taken from the
+#      wired-OR settle model, is byte-identical at --jobs 1, --jobs 8
+#      and --shards 2.
 #
 # Usage: check_determinism.sh /path/to/busarb_sweep /path/to/busarb_sim
 set -eu
@@ -384,7 +388,53 @@ if [ "$code" -ne 2 ]; then
     exit 1
 fi
 
+# 8. Settle timing over all ten signal-level protocols at 70 agents.
+cat > "$tmp/settle.grid" <<'EOF'
+[workload]
+family = equal
+agents = 70
+cv = 1
+
+[bus]
+settle-timing = true
+
+[run]
+batches = 3
+batch-size = 300
+warmup = 300
+
+[sweep]
+loads = 2 7.5
+protocols = rr1 rr2 rr3 fcfs1 fcfs2 hybrid wrr fixed aap1 aap2
+EOF
+
+run_settle() {
+    "$sweep" --grid "$tmp/settle.grid" "$@" > /dev/null
+}
+run_settle --jobs 1 --csv "$tmp/settle1.csv" \
+    --trace-out "$tmp/settle1.trace" \
+    --metrics-out "$tmp/settle1-metrics.csv"
+run_settle --jobs 8 --csv "$tmp/settle8.csv" \
+    --trace-out "$tmp/settle8.trace" \
+    --metrics-out "$tmp/settle8-metrics.csv"
+run_settle --shards 2 --shard-dir "$tmp/settle-shards" \
+    --csv "$tmp/settlesh.csv" --trace-out "$tmp/settlesh.trace" \
+    --metrics-out "$tmp/settlesh-metrics.csv"
+for variant in settle8 settlesh; do
+    for kind in .csv .trace -metrics.csv; do
+        if ! cmp -s "$tmp/settle1$kind" "$tmp/$variant$kind"; then
+            echo "FAIL: settle-timing $variant$kind differs from" \
+                 "--jobs 1" >&2
+            exit 1
+        fi
+    done
+done
+if ! grep -q "settle-timing = true" "$tmp/settle1-metrics.csv"; then
+    echo "FAIL: settle-timing sweep did not run with settle timing" >&2
+    exit 1
+fi
+
 echo "ok: parallel and sharded sweep CSV, trace, metrics, and" \
      "fairness/health snapshots byte-identical to serial and across" \
-     "--queue policies (closed, open-loop, and trace-replay sources);" \
-     "bad tokens rejected with exit 2"
+     "--queue policies (closed, open-loop, trace-replay and" \
+     "settle-timing runs); bad tokens rejected with exit 2"

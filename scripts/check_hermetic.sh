@@ -12,6 +12,7 @@ build="${1:-build}"
 suites='TraceWorkloadTest|OpenWorkloadTest|WorkloadRegistryTest'
 suites="$suites|ScenarioSpec|MetricsRegistry|ManifestTest|WorkerShardTest"
 suites="$suites|ShardFile|TracePlayer|RequestTrace|WriteArtifactTest"
+suites="$suites|SettleDigestTest"
 
 exec ctest --test-dir "$build" -R "$suites" \
     --repeat until-fail:5 -j 8 --output-on-failure

@@ -1,7 +1,5 @@
 #include "baseline/aap_batch.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace busarb {
@@ -18,29 +16,31 @@ BatchAapProtocol::reset(int num_agents)
     numAgents_ = num_agents;
     idBits_ = linesForAgents(num_agents);
     pending_.reset(num_agents);
-    batch_.clear();
-    frozen_.clear();
+    batchCount_.assign(static_cast<std::size_t>(num_agents) + 1, 0);
+    batchSize_ = 0;
+    pass_.reset(num_agents, arbitrationLineCount(), idBits_);
     passOpen_ = false;
     batchesFormed_ = 0;
     priorityPending_ = 0;
 }
 
-bool
-BatchAapProtocol::inBatch(std::uint64_t seq) const
+void
+BatchAapProtocol::joinBatch(const Request &req)
 {
-    return std::find(batch_.begin(), batch_.end(), seq) != batch_.end();
+    ++batchCount_[static_cast<std::size_t>(req.agent)];
+    ++batchSize_;
 }
 
 void
 BatchAapProtocol::formNewBatch(Tick now)
 {
-    BUSARB_ASSERT(batch_.empty(), "forming a batch while one is active");
+    BUSARB_ASSERT(batchSize_ == 0, "forming a batch while one is active");
     pending_.forEach([&](PendingEntry &e) {
         // Priority requests ignore the batching protocol entirely.
         if (!e.req.priority)
-            batch_.push_back(e.req.seq);
+            joinBatch(e.req);
     });
-    if (!batch_.empty()) {
+    if (batchSize_ > 0) {
         ++batchesFormed_;
         batchFormedAt_ = now;
     }
@@ -59,14 +59,14 @@ BatchAapProtocol::requestPosted(const Request &req)
         ++priorityPending_;
         return;
     }
-    if (batch_.empty()) {
+    if (batchSize_ == 0) {
         // Request line reads 0: the request asserts it and forms a new
         // batch.
         formNewBatch(req.issued);
     } else if (req.issued == batchFormedAt_) {
         // The batch formed at this very instant; the line assertion has
         // not propagated yet, so this request joins it too.
-        batch_.push_back(req.seq);
+        joinBatch(req);
     }
     // Otherwise: a batch is in progress; the request waits for its end.
 }
@@ -78,7 +78,7 @@ BatchAapProtocol::wantsPass() const
     // whenever a non-priority request is pending, since a new batch
     // forms the moment the old one drains); priority requests assert it
     // unconditionally.
-    return !batch_.empty() || priorityPending_ > 0;
+    return batchSize_ > 0 || priorityPending_ > 0;
 }
 
 void
@@ -87,24 +87,16 @@ BatchAapProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    std::vector<bool> prio_added(
-        static_cast<std::size_t>(numAgents_) + 1, false);
-    pending_.forEach([&](PendingEntry &e) {
-        if (e.req.priority) {
-            if (prio_added[static_cast<std::size_t>(e.req.agent)])
-                return; // an agent presents its oldest priority request
-            prio_added[static_cast<std::size_t>(e.req.agent)] = true;
-            // Priority line asserted: most significant bit.
-            frozen_.push_back(FrozenCompetitor{
-                e.req.agent,
-                (1ULL << idBits_) |
-                    static_cast<std::uint64_t>(e.req.agent),
-                e.req.seq});
-        } else if (inBatch(e.req.seq)) {
-            frozen_.push_back(FrozenCompetitor{
-                e.req.agent, static_cast<std::uint64_t>(e.req.agent),
-                e.req.seq});
+    pass_.clear();
+    // An agent drives one word: its oldest priority request if it has
+    // one (priority line asserted, most significant bit), otherwise its
+    // oldest in-batch request.
+    pending_.forEachAgentWithRequests([&](AgentId a) {
+        if (enablePriority_ && pending_.oldestPriority(a) != nullptr) {
+            pass_.addCompetitor(a);
+            pass_.drive(idBits_, a);
+        } else if (batchCount_[static_cast<std::size_t>(a)] > 0) {
+            pass_.addCompetitor(a);
         }
     });
 }
@@ -115,19 +107,24 @@ BatchAapProtocol::completePass(Tick now)
     (void)now;
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
-    if (frozen_.empty()) {
-        BUSARB_ASSERT(batch_.empty(),
+    if (pass_.empty()) {
+        BUSARB_ASSERT(batchSize_ == 0,
                       "batch members vanished without service");
         return PassResult::makeIdle();
     }
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        if (c.word > best->word)
-            best = &c;
+    const AgentId winner = pass_.winner();
+    const PendingEntry *entry = nullptr;
+    if (enablePriority_ && pass_.drives(idBits_, winner)) {
+        entry = pending_.oldestPriority(winner);
+    } else {
+        // The oldest in-batch request is the oldest non-priority one.
+        pending_.forEachOfAgent(winner, [&](PendingEntry &e) {
+            if (entry == nullptr && !e.req.priority)
+                entry = &e;
+        });
     }
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(winner != nullptr, "winning request vanished");
-    return PassResult::makeWinner(winner->req);
+    BUSARB_ASSERT(entry != nullptr, "winning request vanished");
+    return PassResult::makeWinner(entry->req);
 }
 
 void
@@ -141,11 +138,12 @@ BatchAapProtocol::tenureStarted(const Request &req, Tick now)
         return;
     }
     // The agent releases the request line at the start of its tenure.
-    auto it = std::find(batch_.begin(), batch_.end(), req.seq);
-    BUSARB_ASSERT(it != batch_.end(), "served request was not in batch");
-    batch_.erase(it);
+    std::uint32_t &count = batchCount_[static_cast<std::size_t>(req.agent)];
+    BUSARB_ASSERT(count > 0, "served request was not in batch");
+    --count;
+    --batchSize_;
     pending_.popBySeq(req.agent, req.seq);
-    if (batch_.empty()) {
+    if (batchSize_ == 0) {
         // The request line drops to 0: every waiting request asserts it
         // and the next batch forms.
         formNewBatch(now);
@@ -155,11 +153,7 @@ BatchAapProtocol::tenureStarted(const Request &req, Tick now)
 int
 BatchAapProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
-    for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(linesForAgents(numAgents_), competitors);
+    return pass_.settle().rounds;
 }
 
 std::string

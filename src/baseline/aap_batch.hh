@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
 
@@ -54,7 +54,7 @@ class BatchAapProtocol : public ArbitrationProtocol
     int
     arbitrationLineCount() const override
     {
-        return linesForAgents(numAgents_);
+        return idBits_ + (enablePriority_ ? 1 : 0);
     }
 
     /** @return Number of batches formed so far. */
@@ -69,8 +69,15 @@ class BatchAapProtocol : public ArbitrationProtocol
     bool passOpen_ = false;
     std::uint64_t batchesFormed_ = 0;
 
-    /** seq numbers of the requests in the current batch. */
-    std::vector<std::uint64_t> batch_;
+    /**
+     * In-batch requests per agent (index by agent id). They are always
+     * the agent's oldest non-priority requests: a batch takes every
+     * waiting non-priority request, and later ones queue behind them.
+     */
+    std::vector<std::uint32_t> batchCount_;
+
+    /** Requests in the current batch, over all agents. */
+    std::size_t batchSize_ = 0;
 
     /**
      * Tick at which the current batch formed. Requests issued at the
@@ -79,16 +86,11 @@ class BatchAapProtocol : public ArbitrationProtocol
      */
     Tick batchFormedAt_ = -1;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** The frozen competitors; line idBits carries the priority bit. */
+    ArbitrationPass pass_;
 
-    /** @return True if `seq` is a member of the current batch. */
-    bool inBatch(std::uint64_t seq) const;
+    /** Add `req` to the current batch. */
+    void joinBatch(const Request &req);
 
     /** Move every deferred pending request into a fresh batch. */
     void formNewBatch(Tick now);

@@ -1,5 +1,7 @@
 #include "baseline/aap_futurebus.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace busarb {
@@ -16,8 +18,8 @@ FuturebusAapProtocol::reset(int num_agents)
     numAgents_ = num_agents;
     idBits_ = linesForAgents(num_agents);
     pending_.reset(num_agents);
-    inhibited_.assign(static_cast<std::size_t>(num_agents) + 1, false);
-    frozen_.clear();
+    pass_.reset(num_agents, arbitrationLineCount(), idBits_);
+    inhibited_.assign(pass_.numWords(), 0);
     passOpen_ = false;
     releases_ = 0;
 }
@@ -27,7 +29,8 @@ FuturebusAapProtocol::isInhibited(AgentId agent) const
 {
     BUSARB_ASSERT(agent >= 1 && agent <= numAgents_,
                   "agent id out of range: ", agent);
-    return inhibited_[static_cast<std::size_t>(agent)];
+    const auto bit = static_cast<std::size_t>(agent);
+    return ((inhibited_[bit >> 6] >> (bit & 63)) & 1ULL) != 0;
 }
 
 void
@@ -54,32 +57,23 @@ FuturebusAapProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    std::vector<bool> prio_added(
-        static_cast<std::size_t>(numAgents_) + 1, false);
-    pending_.forEach([&](PendingEntry &e) {
-        if (e.req.priority &&
-            !prio_added[static_cast<std::size_t>(e.req.agent)]) {
-            // Priority requests ignore the inhibit protocol and assert
-            // the priority line (most significant bit); an agent
-            // presents its oldest priority request.
-            prio_added[static_cast<std::size_t>(e.req.agent)] = true;
-            frozen_.push_back(FrozenCompetitor{
-                e.req.agent,
-                (1ULL << idBits_) |
-                    static_cast<std::uint64_t>(e.req.agent),
-                e.req.seq});
-        }
-    });
-    pending_.forEachAgentOldest([&](PendingEntry &e) {
-        if (e.req.priority)
-            return; // already competing above
-        if (inhibited_[static_cast<std::size_t>(e.req.agent)])
-            return; // does not assert the request line
-        frozen_.push_back(FrozenCompetitor{
-            e.req.agent, static_cast<std::uint64_t>(e.req.agent),
-            e.req.seq});
-    });
+    pass_.clear();
+    // Uninhibited requesters assert the request line and compete.
+    for (std::size_t w = 0; w < pass_.numWords(); ++w) {
+        pass_.competitorWord(w) =
+            pending_.requestMaskWord(w) & ~inhibited_[w];
+    }
+    if (enablePriority_) {
+        // An agent drives one word: its oldest priority request ignores
+        // the inhibit protocol and asserts the priority line (most
+        // significant bit).
+        pending_.forEachAgentWithRequests([&](AgentId a) {
+            if (pending_.oldestPriority(a) == nullptr)
+                return;
+            pass_.addCompetitor(a);
+            pass_.drive(idBits_, a);
+        });
+    }
 }
 
 PassResult
@@ -88,25 +82,23 @@ FuturebusAapProtocol::completePass(Tick now)
     (void)now;
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
-    if (frozen_.empty()) {
+    if (pass_.empty()) {
         if (pending_.empty())
             return PassResult::makeIdle();
         // "The fairness release operation is an arbitration cycle in
         // which no agents assert the request line": all inhibit marks
         // clear and the next arbitration starts a new batch.
-        for (std::size_t i = 0; i < inhibited_.size(); ++i)
-            inhibited_[i] = false;
+        std::fill(inhibited_.begin(), inhibited_.end(), 0);
         ++releases_;
         return PassResult::makeRetry();
     }
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        if (c.word > best->word)
-            best = &c;
-    }
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(winner != nullptr, "winning request vanished");
-    return PassResult::makeWinner(winner->req);
+    const AgentId winner = pass_.winner();
+    const PendingEntry *entry =
+        enablePriority_ && pass_.drives(idBits_, winner)
+            ? pending_.oldestPriority(winner)
+            : &pending_.oldest(winner);
+    BUSARB_ASSERT(entry != nullptr, "winning request vanished");
+    return PassResult::makeWinner(entry->req);
 }
 
 void
@@ -123,18 +115,16 @@ FuturebusAapProtocol::tenureEnded(const Request &req, Tick now)
     // "At the completion of its bus tenure, the agent marks itself as
     // inhibited." Priority service bypasses the fairness protocol and
     // leaves the inhibit state untouched.
-    if (!req.priority)
-        inhibited_[static_cast<std::size_t>(req.agent)] = true;
+    if (!req.priority) {
+        const auto bit = static_cast<std::size_t>(req.agent);
+        inhibited_[bit >> 6] |= 1ULL << (bit & 63);
+    }
 }
 
 int
 FuturebusAapProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
-    for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(linesForAgents(numAgents_), competitors);
+    return pass_.settle().rounds;
 }
 
 std::string

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
 
@@ -52,7 +52,7 @@ class FuturebusAapProtocol : public ArbitrationProtocol
     int
     arbitrationLineCount() const override
     {
-        return linesForAgents(numAgents_);
+        return idBits_ + (enablePriority_ ? 1 : 0);
     }
 
     /** @return Fairness-release cycles that have occurred. */
@@ -66,17 +66,14 @@ class FuturebusAapProtocol : public ArbitrationProtocol
     int numAgents_ = 0;
     int idBits_ = 0;
     PendingRequests pending_;
-    std::vector<bool> inhibited_; // indexed by agent id
     bool passOpen_ = false;
     std::uint64_t releases_ = 0;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** Inhibited agents, packed like the request mask. */
+    std::vector<std::uint64_t> inhibited_;
+
+    /** The frozen competitors; line idBits carries the priority bit. */
+    ArbitrationPass pass_;
 };
 
 } // namespace busarb

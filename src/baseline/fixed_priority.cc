@@ -16,7 +16,7 @@ FixedPriorityProtocol::reset(int num_agents)
     numAgents_ = num_agents;
     idBits_ = linesForAgents(num_agents);
     pending_.reset(num_agents);
-    frozen_.clear();
+    pass_.reset(num_agents, arbitrationLineCount(), idBits_);
     passOpen_ = false;
 }
 
@@ -42,31 +42,16 @@ FixedPriorityProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    pending_.forEachAgentOldest([&](PendingEntry &e) {
-        std::uint64_t word = static_cast<std::uint64_t>(e.req.agent);
-        if (enablePriority_ && e.req.priority)
-            word |= 1ULL << idBits_;
-        frozen_.push_back(FrozenCompetitor{e.req.agent, word, e.req.seq});
-    });
+    pass_.clear();
+    for (std::size_t w = 0; w < pass_.numWords(); ++w)
+        pass_.competitorWord(w) = pending_.requestMaskWord(w);
     if (enablePriority_) {
         // An agent with both classes pending presents its priority
-        // request; rebuild per-agent words accordingly.
-        for (auto &c : frozen_) {
-            PendingEntry *best = nullptr;
-            std::uint64_t best_word = 0;
-            pending_.forEachOfAgent(c.agent, [&](PendingEntry &e) {
-                std::uint64_t w = static_cast<std::uint64_t>(e.req.agent);
-                if (e.req.priority)
-                    w |= 1ULL << idBits_;
-                if (best == nullptr || w > best_word) {
-                    best = &e;
-                    best_word = w;
-                }
-            });
-            c.word = best_word;
-            c.seq = best->req.seq;
-        }
+        // request, with the priority bit set.
+        pending_.forEachAgentWithRequests([&](AgentId a) {
+            if (pending_.oldestPriority(a) != nullptr)
+                pass_.drive(idBits_, a);
+        });
     }
 }
 
@@ -76,19 +61,18 @@ FixedPriorityProtocol::completePass(Tick now)
     (void)now;
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
-    if (frozen_.empty()) {
+    if (pass_.empty()) {
         BUSARB_ASSERT(pending_.empty(),
                       "pass frozen empty with requests pending");
         return PassResult::makeIdle();
     }
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        if (c.word > best->word)
-            best = &c;
-    }
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(winner != nullptr, "winning request vanished");
-    return PassResult::makeWinner(winner->req);
+    const AgentId winner = pass_.winner();
+    const PendingEntry *entry =
+        enablePriority_ && pass_.drives(idBits_, winner)
+            ? pending_.oldestPriority(winner)
+            : &pending_.oldest(winner);
+    BUSARB_ASSERT(entry != nullptr, "winning request vanished");
+    return PassResult::makeWinner(entry->req);
 }
 
 void
@@ -101,11 +85,7 @@ FixedPriorityProtocol::tenureStarted(const Request &req, Tick now)
 int
 FixedPriorityProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
-    for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(idBits_ + (enablePriority_ ? 1 : 0), competitors);
+    return pass_.settle().rounds;
 }
 
 std::string

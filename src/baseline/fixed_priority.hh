@@ -11,11 +11,9 @@
 #ifndef BUSARB_BASELINE_FIXED_PRIORITY_HH
 #define BUSARB_BASELINE_FIXED_PRIORITY_HH
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
 
@@ -54,13 +52,8 @@ class FixedPriorityProtocol : public ArbitrationProtocol
     PendingRequests pending_;
     bool passOpen_ = false;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** The frozen competitors; line idBits carries the priority bit. */
+    ArbitrationPass pass_;
 };
 
 } // namespace busarb

@@ -9,15 +9,14 @@
  * number. Taub proved the settle time is at most k/2 end-to-end bus
  * propagation delays [Taub84].
  *
- * Two views are provided:
- *  - settle(): an explicit round-by-round simulation of the remove/re-apply
- *    process over WiredOrLine instances, reporting how many propagation
- *    rounds were needed. Used to validate the mechanism and the timing
- *    model, and by the micro-benchmarks.
+ * Two views of a list of competitor words are provided:
+ *  - settle(): the round-by-round remove/re-apply process, reporting how
+ *    many propagation rounds were needed. It loads the words into an
+ *    ArbitrationPass (bus/arbitration_pass.hh), the same word-parallel
+ *    settle the protocols run on their frozen passes. Used to validate
+ *    the mechanism and the timing model, and by the micro-benchmarks.
  *  - selectMax(): the logical outcome (maximum word, ties impossible since
- *    words embed unique static identities), used by the protocol layer in
- *    the performance simulations where only the result and a fixed
- *    overhead matter.
+ *    words embed unique static identities).
  */
 
 #ifndef BUSARB_BUS_CONTENTION_HH
@@ -26,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "bus/arbitration_pass.hh"
 #include "sim/types.hh"
 
 namespace busarb {
@@ -41,23 +41,6 @@ struct Competitor
      * protocols prepend dynamic high-order fields (Section 3).
      */
     std::uint64_t word = 0;
-};
-
-/** Outcome of the bit-level settle process. */
-struct SettleResult
-{
-    /** The value the lines carry at steady state (0 if nobody competed). */
-    std::uint64_t settledWord = 0;
-
-    /** The winning agent (kNoAgent if nobody competed). */
-    AgentId winner = kNoAgent;
-
-    /**
-     * Number of propagation rounds until no agent changed its applied
-     * word. One round models one end-to-end bus propagation delay in
-     * which every agent re-evaluates the lines simultaneously.
-     */
-    int rounds = 0;
 };
 
 /**
@@ -76,9 +59,11 @@ class ContentionArbiter
     int numLines() const { return numLines_; }
 
     /**
-     * Run the remove/re-apply settle process to a fixed point.
+     * Run the remove/re-apply settle process to a fixed point, with the
+     * word-parallel ArbitrationPass that the protocols use.
      *
-     * @param competitors The agents applying words this arbitration.
+     * @param competitors The agents applying words this arbitration;
+     *        each agent competes at most once.
      * @return Settled word, winner, and propagation-round count.
      */
     SettleResult settle(const std::vector<Competitor> &competitors) const;
@@ -86,13 +71,10 @@ class ContentionArbiter
   private:
     int numLines_;
 
-    // Per-competitor applied words, reused across settle() calls so the
-    // hot arbitration path performs no per-pass allocation.
-    mutable std::vector<std::uint64_t> appliedScratch_;
-
-    /** @return The word agent applies when the lines carry `lines`. */
-    std::uint64_t appliedWord(std::uint64_t identity,
-                              std::uint64_t lines) const;
+    // Reused across settle() calls; resized only when a call names a
+    // higher agent id than any before.
+    mutable ArbitrationPass pass_;
+    mutable int passAgents_ = 0;
 };
 
 /**
@@ -105,24 +87,6 @@ class ContentionArbiter
  * @return The winning agent, or kNoAgent when the set is empty.
  */
 AgentId selectMax(const std::vector<Competitor> &competitors);
-
-/**
- * Number of arbitration lines needed for N agents: ceil(log2(N + 1)),
- * since identity 0 is reserved (Section 2.1).
- *
- * @param num_agents Number of agents N >= 1.
- * @return Line count k.
- */
-int linesForAgents(int num_agents);
-
-/**
- * Convenience: the settle-round count for one contest.
- *
- * @param num_lines Arbitration line count k.
- * @param competitors Competing words (may be empty: 0 rounds).
- * @return Propagation rounds the wired-OR lines need to settle.
- */
-int settleRounds(int num_lines, const std::vector<Competitor> &competitors);
 
 } // namespace busarb
 

@@ -140,7 +140,8 @@ class ArbitrationProtocol
      * contention arbiter.
      *
      * Distributed protocols compute this by running the bit-level
-     * settle model over their frozen arbitration words; the bus engine
+     * settle model over their frozen pass (ArbitrationPass::settle,
+     * bus/arbitration_pass.hh); the bus engine
      * uses it when BusParams::settleTiming is enabled to derive each
      * pass's duration instead of charging a fixed overhead.
      *

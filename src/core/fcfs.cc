@@ -1,6 +1,6 @@
 #include "core/fcfs.hh"
 
-#include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -50,7 +50,9 @@ FcfsProtocol::reset(int num_agents)
                                        : ((1ULL << counterBits_) - 1ULL);
     windowTicks_ = unitsToTicks(config_.incrWindow);
     pending_.reset(num_agents);
-    frozen_.clear();
+    pass_.reset(num_agents, numLines(), idBits_);
+    pass_.defineField(idBits_, counterBits_);
+    presentedSeq_.assign(static_cast<std::size_t>(num_agents) + 1, 0);
     passOpen_ = false;
     streams_ = {};
     overflowEvents_ = 0;
@@ -154,16 +156,15 @@ FcfsProtocol::wordFor(const PendingEntry &e) const
 }
 
 PendingEntry &
-FcfsProtocol::competingEntry(AgentId agent, std::uint64_t &word)
+FcfsProtocol::competingEntry(AgentId agent)
 {
     // Closed workloads keep one outstanding request per agent, so the
     // single-entry case is the hot path.
     PendingEntry &front = pending_.oldest(agent);
-    word = wordFor(front);
     if (pending_.numOfAgent(agent) == 1)
         return front;
     PendingEntry *best = &front;
-    std::uint64_t best_word = word;
+    std::uint64_t best_word = wordFor(front);
     pending_.forEachOfAgent(agent, [&](PendingEntry &e) {
         const std::uint64_t w = wordFor(e);
         if (w > best_word) {
@@ -171,8 +172,26 @@ FcfsProtocol::competingEntry(AgentId agent, std::uint64_t &word)
             best_word = w;
         }
     });
-    word = best_word;
     return *best;
+}
+
+void
+FcfsProtocol::loadCounters()
+{
+    const std::size_t words = pass_.numWords();
+    for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = pass_.competitorWord(w); bits != 0;
+             bits &= bits - 1) {
+            const auto a =
+                static_cast<AgentId>(w * 64 + std::countr_zero(bits));
+            const PendingEntry *e = pending_.findBySeq(
+                a, presentedSeq_[static_cast<std::size_t>(a)]);
+            BUSARB_ASSERT(e != nullptr, "frozen request vanished");
+            pass_.setField(a, static_cast<std::uint32_t>(
+                                  effectiveCounter(*e)));
+        }
+    }
+    pass_.fieldToLines();
 }
 
 void
@@ -181,15 +200,27 @@ FcfsProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
+    pass_.clear();
     // Requests present now participate (or at least observe) this
-    // arbitration; requests posted later do not.
-    pending_.forEach([](PendingEntry &e) { e.inPass = true; });
+    // arbitration; requests posted later do not. Only the
+    // increment-on-lose counters need to know which.
+    const bool counts_losses =
+        config_.strategy == FcfsStrategy::kIncrementOnLose;
+    for (std::size_t w = 0; w < pass_.numWords(); ++w)
+        pass_.competitorWord(w) = pending_.requestMaskWord(w);
     pending_.forEachAgentWithRequests([&](AgentId a) {
-        std::uint64_t word = 0;
-        PendingEntry &e = competingEntry(a, word);
-        frozen_.push_back(FrozenCompetitor{a, word, e.req.seq});
+        if (counts_losses) {
+            pending_.forEachOfAgent(
+                a, [](PendingEntry &e) { e.inPass = true; });
+        }
+        const PendingEntry &e = competingEntry(a);
+        presentedSeq_[static_cast<std::size_t>(a)] = e.req.seq;
+        pass_.setField(a, static_cast<std::uint32_t>(effectiveCounter(e)));
+        if (config_.enablePriority && e.req.priority)
+            pass_.drive(counterBits_ + idBits_, a);
     });
+    pass_.fieldToLines();
+    passPulseCounts_ = {streams_[0].count, streams_[1].count};
 }
 
 PassResult
@@ -199,52 +230,44 @@ FcfsProtocol::completePass(Tick now)
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
 
-    if (frozen_.empty()) {
+    if (pass_.empty()) {
         BUSARB_ASSERT(pending_.empty(),
                       "FCFS pass frozen empty with requests pending");
         return PassResult::makeIdle();
     }
 
-    // Re-evaluate the frozen competitors' words at resolution time: for
-    // the a-incr strategy, pulses that occurred during the pass have
-    // already advanced the waiting-time counters the agents are applying.
-    const FrozenCompetitor *best = nullptr;
-    std::uint64_t best_word = 0;
-    for (auto &c : frozen_) {
-        PendingEntry *e = pending_.findBySeq(c.agent, c.seq);
-        BUSARB_ASSERT(e != nullptr, "frozen request vanished");
-        const std::uint64_t w = wordFor(*e);
-        BUSARB_ASSERT(best == nullptr || w != best_word,
-                      "duplicate arbitration word");
-        if (best == nullptr || w > best_word) {
-            best = &c;
-            best_word = w;
-        }
+    // The winner comes from the words at resolution time: for the
+    // a-incr strategy, pulses that occurred during the pass have already
+    // advanced the waiting-time counters the agents are applying.
+    if (passPulseCounts_[0] != streams_[0].count ||
+        passPulseCounts_[1] != streams_[1].count) {
+        loadCounters();
     }
-
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
+    const AgentId agent = pass_.winner();
+    PendingEntry *winner = pending_.findBySeq(
+        agent, presentedSeq_[static_cast<std::size_t>(agent)]);
+    BUSARB_ASSERT(winner != nullptr, "frozen request vanished");
     const Request won = winner->req;
 
     if (config_.strategy == FcfsStrategy::kIncrementOnLose) {
         // Every request that observed this arbitration and was not served
         // increments its waiting-time counter (subject to the priority
         // counting rule).
+        const bool matched =
+            config_.enablePriority &&
+            config_.priorityCounting == PriorityCounting::kMatchedIncrement;
         pending_.forEach([&](PendingEntry &e) {
-            if (!e.inPass || e.req.seq == won.seq)
+            const bool lost = e.inPass && e.req.seq != won.seq &&
+                              (!matched || e.req.priority == won.priority);
+            e.inPass = false;
+            if (!lost)
                 return;
-            if (config_.enablePriority &&
-                config_.priorityCounting ==
-                    PriorityCounting::kMatchedIncrement &&
-                e.req.priority != won.priority) {
-                return;
-            }
             ++e.counter;
             if (e.counter == counterMax_ + 1)
                 ++overflowEvents_;
         });
         arrivalsSinceLastArb_ = 0;
     }
-    pending_.forEach([](PendingEntry &e) { e.inPass = false; });
 
     return PassResult::makeWinner(won);
 }
@@ -262,11 +285,7 @@ FcfsProtocol::settleRoundsForPass() const
     // The FCFS identities are wider (counter + static id), so the same
     // contest costs more settle rounds than under RR — the efficiency
     // difference Section 3.2 discusses.
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
-    for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(numLines(), competitors);
+    return pass_.settle().rounds;
 }
 
 std::string

@@ -39,7 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
 
@@ -174,13 +174,17 @@ class FcfsProtocol : public ArbitrationProtocol
     };
     std::array<PulseStream, 2> streams_;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /**
+     * The frozen competitors and their lines: identity, the counter on
+     * lines [idBits, idBits + counterBits), the priority class above.
+     */
+    ArbitrationPass pass_;
+
+    /** Request each competitor presents (index by agent id). */
+    std::vector<std::uint64_t> presentedSeq_;
+
+    /** Pulse counts when the pass began (strategy 2). */
+    std::array<std::uint64_t, 2> passPulseCounts_{};
 
     /** @return Index of the pulse stream a request of `priority` uses. */
     int streamIndex(bool priority) const;
@@ -191,12 +195,11 @@ class FcfsProtocol : public ArbitrationProtocol
     /** @return The full arbitration word for entry `e`. */
     std::uint64_t wordFor(const PendingEntry &e) const;
 
-    /**
-     * Entry an agent presents: its maximum-word pending request.
-     * Returns the word through `word` so the begin-pass loop computes
-     * it exactly once per competitor.
-     */
-    PendingEntry &competingEntry(AgentId agent, std::uint64_t &word);
+    /** @return The entry `agent` presents: its maximum-word request. */
+    PendingEntry &competingEntry(AgentId agent);
+
+    /** Load the presented requests' counters onto the counter lines. */
+    void loadCounters();
 };
 
 } // namespace busarb

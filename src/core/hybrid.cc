@@ -1,5 +1,7 @@
 #include "core/hybrid.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace busarb {
@@ -21,7 +23,8 @@ HybridProtocol::reset(int num_agents)
     counterMax_ = (1ULL << counterBits_) - 1ULL;
     recordedWinner_ = num_agents + 1;
     pending_.reset(num_agents);
-    frozen_.clear();
+    pass_.reset(num_agents, arbitrationLineCount(), idBits_);
+    pass_.defineField(idBits_ + 1, counterBits_);
     passOpen_ = false;
 }
 
@@ -41,31 +44,27 @@ HybridProtocol::wantsPass() const
     return !pending_.empty();
 }
 
-std::uint64_t
-HybridProtocol::wordFor(const PendingEntry &e) const
-{
-    const auto id = static_cast<std::uint64_t>(e.req.agent);
-    const std::uint64_t counter =
-        (e.counter <= counterMax_) ? e.counter : counterMax_;
-    const std::uint64_t rr_bit =
-        (e.req.agent < recordedWinner_) ? 1ULL : 0ULL;
-    return (counter << (idBits_ + 1)) | (rr_bit << idBits_) | id;
-}
-
 void
 HybridProtocol::beginPass(Tick now)
 {
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    pending_.forEach([](PendingEntry &e) { e.inPass = true; });
+    pass_.clear();
+    for (std::size_t w = 0; w < pass_.numWords(); ++w) {
+        const std::uint64_t requesting = pending_.requestMaskWord(w);
+        pass_.competitorWord(w) = requesting;
+        pass_.lineWord(idBits_, w) =
+            requesting & agentsBelowWord(recordedWinner_, w);
+    }
     pending_.forEachAgentOldest([&](PendingEntry &e) {
         // One outstanding word per agent; the oldest request has the
         // largest counter, so it is the one the agent presents.
-        frozen_.push_back(
-            FrozenCompetitor{e.req.agent, wordFor(e), e.req.seq});
+        pass_.setField(e.req.agent, static_cast<std::uint32_t>(
+                                        std::min(e.counter, counterMax_)));
     });
+    pass_.fieldToLines();
+    pending_.forEach([](PendingEntry &e) { e.inPass = true; });
 }
 
 PassResult
@@ -75,22 +74,13 @@ HybridProtocol::completePass(Tick now)
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
 
-    if (frozen_.empty()) {
+    if (pass_.empty()) {
         BUSARB_ASSERT(pending_.empty(),
                       "hybrid pass frozen empty with requests pending");
         return PassResult::makeIdle();
     }
 
-    const FrozenCompetitor *best = nullptr;
-    for (const auto &c : frozen_) {
-        if (best == nullptr || c.word > best->word)
-            best = &c;
-    }
-
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(winner != nullptr, "winning request vanished");
-    const Request won = winner->req;
-
+    const Request won = pending_.oldest(pass_.winner()).req;
     recordedWinner_ = won.agent;
     pending_.forEach([&](PendingEntry &e) {
         if (e.inPass && e.req.seq != won.seq)
@@ -111,11 +101,7 @@ HybridProtocol::tenureStarted(const Request &req, Tick now)
 int
 HybridProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
-    for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(counterBits_ + 1 + idBits_, competitors);
+    return pass_.settle().rounds;
 }
 
 std::string

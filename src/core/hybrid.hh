@@ -21,9 +21,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
 
@@ -72,15 +71,11 @@ class HybridProtocol : public ArbitrationProtocol
     PendingRequests pending_;
     bool passOpen_ = false;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
-
-    std::uint64_t wordFor(const PendingEntry &e) const;
+    /**
+     * The frozen competitors and their lines: identity, the RR bit on
+     * line idBits, the counter on the lines above it.
+     */
+    ArbitrationPass pass_;
 };
 
 } // namespace busarb

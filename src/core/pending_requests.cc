@@ -62,6 +62,17 @@ PendingRequests::oldest(AgentId agent) const
     return slot_[static_cast<std::size_t>(agent)];
 }
 
+PendingEntry *
+PendingRequests::oldestPriority(AgentId agent)
+{
+    PendingEntry *found = nullptr;
+    forEachOfAgent(agent, [&](PendingEntry &e) {
+        if (found == nullptr && e.req.priority)
+            found = &e;
+    });
+    return found;
+}
+
 std::vector<AgentId>
 PendingRequests::agentsWithRequests() const
 {

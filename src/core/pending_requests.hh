@@ -91,6 +91,12 @@ class PendingRequests
     const PendingEntry &oldest(AgentId agent) const;
 
     /**
+     * @return The oldest pending priority request of `agent`, or
+     *         nullptr when it has none.
+     */
+    PendingEntry *oldestPriority(AgentId agent);
+
+    /**
      * Remove and return the oldest pending request of `agent`.
      *
      * @param agent Agent whose request was served.

@@ -25,7 +25,7 @@ RoundRobinProtocol::reset(int num_agents)
     // the highest requesting identity wins.
     recordedWinner_ = num_agents + 1;
     pending_.reset(num_agents);
-    frozen_.clear();
+    pass_.reset(num_agents, numLines(), idBits_);
     passOpen_ = false;
 }
 
@@ -61,89 +61,52 @@ RoundRobinProtocol::wantsPass() const
     return !pending_.empty();
 }
 
-std::uint64_t
-RoundRobinProtocol::wordFor(const PendingEntry &e) const
-{
-    const auto id = static_cast<std::uint64_t>(e.req.agent);
-    switch (config_.impl) {
-      case RrImplementation::kPriorityBit: {
-        std::uint64_t rr_bit;
-        if (e.req.priority && !config_.rrWithinPriorityClass) {
-            // "Agents may ignore the round-robin protocol for priority
-            // requests by always setting the round-robin priority bit."
-            rr_bit = 1;
-        } else {
-            rr_bit = (e.req.agent < recordedWinner_) ? 1 : 0;
-        }
-        std::uint64_t word = (rr_bit << idBits_) | id;
-        if (config_.enablePriority && e.req.priority)
-            word |= 1ULL << (idBits_ + 1);
-        return word;
-      }
-      case RrImplementation::kLowRequestLine:
-      case RrImplementation::kNoExtraLine:
-        // Gating decides who competes; the word is the static identity.
-        return id;
-    }
-    BUSARB_PANIC("unreachable");
-}
-
-PendingEntry &
-RoundRobinProtocol::competingEntry(AgentId agent, std::uint64_t &word)
-{
-    // The request an agent presents is the one with the largest
-    // arbitration word (priority requests dominate; otherwise requests of
-    // one agent share the same word, so the oldest is presented). Closed
-    // workloads keep one outstanding request per agent, so the
-    // single-entry case is the hot path.
-    PendingEntry &front = pending_.oldest(agent);
-    word = wordFor(front);
-    if (pending_.numOfAgent(agent) == 1)
-        return front;
-    PendingEntry *best = &front;
-    std::uint64_t best_word = word;
-    pending_.forEachOfAgent(agent, [&](PendingEntry &e) {
-        const std::uint64_t w = wordFor(e);
-        if (w > best_word) {
-            best = &e;
-            best_word = w;
-        }
-    });
-    word = best_word;
-    return *best;
-}
-
 void
 RoundRobinProtocol::beginPass(Tick now)
 {
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
+    pass_.clear();
 
-    // Which agents enter this arbitration?
-    const bool gate_low = config_.impl != RrImplementation::kPriorityBit;
-    const bool any_low =
-        gate_low && pending_.hasAgentBelow(recordedWinner_);
-
-    pending_.forEachAgentWithRequests([&](AgentId a) {
-        if (gate_low) {
-            const bool is_low = a < recordedWinner_;
-            if (config_.impl == RrImplementation::kLowRequestLine) {
-                // Low-request line asserted: only low agents compete.
-                if (any_low && !is_low)
-                    return;
-            } else { // kNoExtraLine
-                // Only low agents ever compete; an empty arbitration
-                // resets the recorded winner (handled in completePass).
-                if (!is_low)
-                    return;
-            }
+    // Which agents enter this arbitration? An agent is "low" when its
+    // identity is below the recorded winner.
+    const bool any_low = config_.impl == RrImplementation::kLowRequestLine &&
+                         pending_.hasAgentBelow(recordedWinner_);
+    for (std::size_t w = 0; w < pass_.numWords(); ++w) {
+        const std::uint64_t requesting = pending_.requestMaskWord(w);
+        const std::uint64_t low =
+            requesting & agentsBelowWord(recordedWinner_, w);
+        switch (config_.impl) {
+          case RrImplementation::kPriorityBit:
+            // Everyone competes; low agents assert the RR priority
+            // bit, the most significant bit of their number.
+            pass_.competitorWord(w) = requesting;
+            pass_.lineWord(rrLine(), w) = low;
+            break;
+          case RrImplementation::kLowRequestLine:
+            // Low-request line asserted: only low agents compete.
+            pass_.competitorWord(w) = any_low ? low : requesting;
+            break;
+          case RrImplementation::kNoExtraLine:
+            // Only low agents ever compete; an empty arbitration resets
+            // the recorded winner (handled in completePass).
+            pass_.competitorWord(w) = low;
+            break;
         }
-        std::uint64_t word = 0;
-        const PendingEntry &e = competingEntry(a, word);
-        frozen_.push_back(FrozenCompetitor{a, word, e.req.seq});
-    });
+    }
+    if (config_.enablePriority) {
+        // An agent with a priority request presents it (the priority
+        // line dominates its other words), optionally ignoring the RR
+        // rule by always setting the RR bit.
+        pending_.forEachAgentWithRequests([&](AgentId a) {
+            if (pending_.oldestPriority(a) == nullptr)
+                return;
+            pass_.drive(priorityLine(), a);
+            if (!config_.rrWithinPriorityClass)
+                pass_.drive(rrLine(), a);
+        });
+    }
 }
 
 PassResult
@@ -153,7 +116,7 @@ RoundRobinProtocol::completePass(Tick now)
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
 
-    if (frozen_.empty()) {
+    if (pass_.empty()) {
         if (pending_.empty())
             return PassResult::makeIdle();
         BUSARB_ASSERT(config_.impl == RrImplementation::kNoExtraLine,
@@ -166,19 +129,18 @@ RoundRobinProtocol::completePass(Tick now)
         return PassResult::makeRetry();
     }
 
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        BUSARB_ASSERT(c.word != best->word || c.agent == best->agent,
-                      "duplicate arbitration word");
-        if (c.word > best->word)
-            best = &c;
-    }
-
     // Every agent records the winner's static identity (excluding the
     // round-robin priority bit) at the end of every arbitration.
-    recordedWinner_ = best->agent;
+    const AgentId winner = pass_.winner();
+    recordedWinner_ = winner;
 
-    PendingEntry *entry = pending_.findBySeq(best->agent, best->seq);
+    // The winner presented its oldest priority request if it drove the
+    // priority line, otherwise its oldest request; requests posted
+    // during the pass are newer than either.
+    const PendingEntry *entry =
+        config_.enablePriority && pass_.drives(priorityLine(), winner)
+            ? pending_.oldestPriority(winner)
+            : &pending_.oldest(winner);
     BUSARB_ASSERT(entry != nullptr, "winning request vanished");
     return PassResult::makeWinner(entry->req);
 }
@@ -193,11 +155,7 @@ RoundRobinProtocol::tenureStarted(const Request &req, Tick now)
 int
 RoundRobinProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
-    for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(numLines(), competitors);
+    return pass_.settle().rounds;
 }
 
 std::string

@@ -35,11 +35,9 @@
 #ifndef BUSARB_CORE_ROUND_ROBIN_HH
 #define BUSARB_CORE_ROUND_ROBIN_HH
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
 
@@ -105,23 +103,14 @@ class RoundRobinProtocol : public ArbitrationProtocol
     PendingRequests pending_;
     bool passOpen_ = false;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** The frozen competitors and their lines. */
+    ArbitrationPass pass_;
 
-    /** Build the arbitration word entry `e` of `agent` applies. */
-    std::uint64_t wordFor(const PendingEntry &e) const;
+    /** @return The line the RR priority bit occupies (impl 1). */
+    int rrLine() const { return idBits_; }
 
-    /**
-     * Entry an agent presents: its maximum-word pending request.
-     * Returns the word through `word` so the begin-pass loop computes
-     * it exactly once per competitor.
-     */
-    PendingEntry &competingEntry(AgentId agent, std::uint64_t &word);
+    /** @return The priority-class line (impl 1 with priority). */
+    int priorityLine() const { return idBits_ + 1; }
 };
 
 } // namespace busarb

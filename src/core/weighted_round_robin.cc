@@ -31,7 +31,7 @@ WeightedRoundRobinProtocol::reset(int num_agents)
     recordedWinner_ = num_agents + 1;
     credits_ = 0;
     pending_.reset(num_agents);
-    frozen_.clear();
+    pass_.reset(num_agents, arbitrationLineCount(), idBits_);
     passOpen_ = false;
 }
 
@@ -61,29 +61,24 @@ WeightedRoundRobinProtocol::wantsPass() const
     return !pending_.empty();
 }
 
-std::uint64_t
-WeightedRoundRobinProtocol::wordFor(AgentId agent) const
-{
-    const auto id = static_cast<std::uint64_t>(agent);
-    const std::uint64_t rr_bit = (agent < recordedWinner_) ? 1 : 0;
-    const std::uint64_t claim =
-        (agent == recordedWinner_ && credits_ > 0) ? 1 : 0;
-    return (claim << (idBits_ + 1)) | (rr_bit << idBits_) | id;
-}
-
 void
 WeightedRoundRobinProtocol::beginPass(Tick now)
 {
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    pending_.forEachAgentWithRequests([&](AgentId a) {
-        // All of one agent's requests share a word, so the oldest is
-        // presented (PendingRequests keeps arrival order).
-        frozen_.push_back(
-            FrozenCompetitor{a, wordFor(a), pending_.oldest(a).req.seq});
-    });
+    pass_.clear();
+    // Every requester competes, with the RR bit set below the recorded
+    // winner; the winner keeps asserting the claim line while it holds
+    // burst credits.
+    for (std::size_t w = 0; w < pass_.numWords(); ++w) {
+        const std::uint64_t requesting = pending_.requestMaskWord(w);
+        pass_.competitorWord(w) = requesting;
+        pass_.lineWord(idBits_, w) =
+            requesting & agentsBelowWord(recordedWinner_, w);
+    }
+    if (credits_ > 0)
+        pass_.drive(idBits_ + 1, recordedWinner_);
 }
 
 PassResult
@@ -93,30 +88,23 @@ WeightedRoundRobinProtocol::completePass(Tick now)
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
 
-    if (frozen_.empty())
+    if (pass_.empty())
         return PassResult::makeIdle();
-
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        BUSARB_ASSERT(c.word != best->word || c.agent == best->agent,
-                      "duplicate arbitration word");
-        if (c.word > best->word)
-            best = &c;
-    }
 
     // Every agent updates the winner identity and the burst credit
     // count; both are functions of broadcast information, so the state
     // stays consistent across agents without extra lines.
-    if (best->agent == recordedWinner_ && credits_ > 0) {
+    const AgentId winner = pass_.winner();
+    if (winner == recordedWinner_ && credits_ > 0) {
         --credits_;
     } else {
-        recordedWinner_ = best->agent;
-        credits_ = weightOf(best->agent) - 1;
+        recordedWinner_ = winner;
+        credits_ = weightOf(winner) - 1;
     }
 
-    PendingEntry *entry = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(entry != nullptr, "winning request vanished");
-    return PassResult::makeWinner(entry->req);
+    // All of one agent's requests share a word, so it presents its
+    // oldest (PendingRequests keeps arrival order).
+    return PassResult::makeWinner(pending_.oldest(winner).req);
 }
 
 void
@@ -129,11 +117,7 @@ WeightedRoundRobinProtocol::tenureStarted(const Request &req, Tick now)
 int
 WeightedRoundRobinProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
-    for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(arbitrationLineCount(), competitors);
+    return pass_.settle().rounds;
 }
 
 std::string

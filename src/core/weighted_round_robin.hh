@@ -32,11 +32,10 @@
 #ifndef BUSARB_CORE_WEIGHTED_ROUND_ROBIN_HH
 #define BUSARB_CORE_WEIGHTED_ROUND_ROBIN_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
 
@@ -97,16 +96,11 @@ class WeightedRoundRobinProtocol : public ArbitrationProtocol
     PendingRequests pending_;
     bool passOpen_ = false;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
-
-    /** Build the arbitration word agent `agent` applies. */
-    std::uint64_t wordFor(AgentId agent) const;
+    /**
+     * The frozen competitors and their lines: identity, the RR bit on
+     * line idBits, the claim on line idBits + 1.
+     */
+    ArbitrationPass pass_;
 };
 
 } // namespace busarb

@@ -235,5 +235,63 @@ TEST(FuturebusAapPriorityTest, PriorityBeatsEveryBatchMember)
     EXPECT_EQ(driver.arbitrateAndServe(2), 8);
 }
 
+// ------------------------------------------- signal-level settle timing
+
+TEST(AapSettleTest, PriorityLineIsCountedWhenEnabled)
+{
+    // 10 agents need 4 identity lines; the priority line is a fifth.
+    BatchAapProtocol batch(false), batch_prio(true);
+    FuturebusAapProtocol futurebus(false), futurebus_prio(true);
+    for (ArbitrationProtocol *p : std::vector<ArbitrationProtocol *>{
+             &batch, &batch_prio, &futurebus, &futurebus_prio}) {
+        p->reset(10);
+    }
+    EXPECT_EQ(batch.arbitrationLineCount(), 4);
+    EXPECT_EQ(batch_prio.arbitrationLineCount(), 5);
+    EXPECT_EQ(futurebus.arbitrationLineCount(), 4);
+    EXPECT_EQ(futurebus_prio.arbitrationLineCount(), 5);
+}
+
+TEST(AapSettleTest, PriorityWordsSettle)
+{
+    BatchAapProtocol batch(true);
+    FuturebusAapProtocol futurebus(true);
+    for (ArbitrationProtocol *p :
+         std::vector<ArbitrationProtocol *>{&batch, &futurebus}) {
+        ProtocolDriver driver(*p, 5);
+        driver.post(5, 0, false);
+        const Request urgent = driver.post(2, 0, true);
+        p->beginPass(0);
+        EXPECT_GE(p->settleRoundsForPass(), 0); // word 0b1010 fits
+        const PassResult result = p->completePass(0);
+        EXPECT_EQ(result.winner.seq, urgent.seq);
+    }
+}
+
+TEST(AapSettleTest, AnAgentDrivesOneWord)
+{
+    // Agent 3 has two batch members (AAP-1), and agent 4 a priority
+    // and a normal request (AAP-2); each presents one word, its oldest
+    // priority request or else its oldest eligible one, and agent 1
+    // withdraws in one settle round.
+    BatchAapProtocol batch;
+    ProtocolDriver d1(batch, 4);
+    const Request first = d1.post(3, 0);
+    d1.post(3, 0);
+    d1.post(1, 0);
+    batch.beginPass(0);
+    EXPECT_EQ(batch.settleRoundsForPass(), 1);
+    EXPECT_EQ(batch.completePass(0).winner.seq, first.seq);
+
+    FuturebusAapProtocol futurebus(true);
+    ProtocolDriver d2(futurebus, 4);
+    d2.post(4, 0);
+    const Request urgent = d2.post(4, 0, true);
+    d2.post(1, 0);
+    futurebus.beginPass(0);
+    EXPECT_EQ(futurebus.settleRoundsForPass(), 1);
+    EXPECT_EQ(futurebus.completePass(0).winner.seq, urgent.seq);
+}
+
 } // namespace
 } // namespace busarb
