@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulation substrate: event
- * queue throughput, wired-OR settle, composite-identity max finding,
- * and full end-to-end simulation speed.
+ * queue throughput, the arbitration pass's wired-OR settle and
+ * maximum finding, and full end-to-end simulation speed.
  */
 
 #include <algorithm>
@@ -14,13 +14,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bus/arbitration_pass.hh"
 #include "bus/async_contention.hh"
-#include "bus/contention.hh"
-#include "bus/wired_or.hh"
 #include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "random/rng.hh"
 #include "sim/event_queue.hh"
+#include "support/settle_oracle.hh"
 
 namespace {
 
@@ -137,35 +137,12 @@ BM_EventQueuePopAllocations(benchmark::State &state)
 BENCHMARK(BM_EventQueuePopAllocations);
 
 void
-BM_WiredOrPulse(benchmark::State &state)
-{
-    // A full assert/read/release sweep over every agent: with packed
-    // driver words this is bit sets plus word tests, not a bit-vector
-    // walk.
-    const int n = static_cast<int>(state.range(0));
-    WiredOrLine line(n);
-    for (auto _ : state) {
-        for (int a = 1; a <= n; ++a)
-            line.assertLine(a);
-        benchmark::DoNotOptimize(line.read());
-        int sum = 0;
-        line.forEachAsserting([&sum](AgentId a) { sum += a; });
-        benchmark::DoNotOptimize(sum);
-        for (int a = 1; a <= n; ++a)
-            line.releaseLine(a);
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_WiredOrPulse)->Arg(10)->Arg(64);
-
-void
-BM_ContentionSettle(benchmark::State &state)
+BM_ArbitrationPassSettle(benchmark::State &state)
 {
     const int k = static_cast<int>(state.range(0));
     const int n = static_cast<int>(state.range(1));
-    ContentionArbiter arb(k);
     Rng rng(42);
-    std::vector<Competitor> competitors;
+    std::vector<test::Competitor> competitors;
     std::vector<std::uint64_t> used;
     for (int i = 0; i < n; ++i) {
         std::uint64_t w;
@@ -173,15 +150,16 @@ BM_ContentionSettle(benchmark::State &state)
             w = 1 + rng.below((1ULL << k) - 1);
         } while (std::find(used.begin(), used.end(), w) != used.end());
         used.push_back(w);
-        competitors.push_back(Competitor{i + 1, w});
+        competitors.push_back(test::Competitor{i + 1, w});
     }
+    const ArbitrationPass pass = test::loadPass(k, competitors);
     for (auto _ : state) {
-        auto result = arb.settle(competitors);
+        auto result = pass.settle();
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ContentionSettle)
+BENCHMARK(BM_ArbitrationPassSettle)
     ->Args({6, 8})
     ->Args({10, 16})
     ->Args({16, 32});
@@ -191,7 +169,7 @@ BM_AsyncContentionSettle(benchmark::State &state)
 {
     const int k = static_cast<int>(state.range(0));
     const int n = static_cast<int>(state.range(1));
-    AsyncContentionArbiter arb(k);
+    AsyncSettleModel arb(k);
     Rng rng(43);
     std::vector<PlacedCompetitor> competitors;
     std::vector<std::uint64_t> used;
@@ -213,22 +191,23 @@ BM_AsyncContentionSettle(benchmark::State &state)
 BENCHMARK(BM_AsyncContentionSettle)->Args({6, 8})->Args({10, 16});
 
 void
-BM_SelectMax(benchmark::State &state)
+BM_ArbitrationPassWinner(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
-    std::vector<Competitor> competitors;
-    for (int i = 0; i < n; ++i)
-        competitors.push_back(Competitor{i + 1,
-                                         static_cast<std::uint64_t>(
-                                             (i * 2654435761U) % 100000 +
-                                             i + 1)});
+    std::vector<test::Competitor> competitors;
+    for (int i = 0; i < n; ++i) {
+        const auto word = static_cast<std::uint64_t>(
+            (i * 2654435761U) % 100000 + i + 1);
+        competitors.push_back(test::Competitor{i + 1, word});
+    }
+    const ArbitrationPass pass = test::loadPass(17, competitors);
     for (auto _ : state) {
-        auto winner = selectMax(competitors);
+        auto winner = pass.winner();
         benchmark::DoNotOptimize(winner);
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SelectMax)->Arg(10)->Arg(64);
+BENCHMARK(BM_ArbitrationPassWinner)->Arg(10)->Arg(64);
 
 /** The saturated bus every BM_FullSimulation* family runs. */
 ScenarioConfig

@@ -11,18 +11,19 @@
  *
  * It demonstrates everything a protocol author needs:
  *   - deriving from ArbitrationProtocol,
- *   - building composite arbitration words (here: queue depth over
- *     static identity) resolved by wired-OR maximum finding,
- *   - freezing competitors at beginPass / resolving at completePass,
+ *   - holding each pass in an ArbitrationPass: identity lines built
+ *     once, a queue-depth field above them filled at beginPass, and
+ *     the wired-OR maximum (winner()) taken at completePass,
  *   - running scenarios through the experiment harness, where a
  *     built-in protocol comes from a spec string and a custom class
  *     from a ProtocolFactory lambda.
  */
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
 #include "experiment/protocol_registry.hh"
@@ -44,10 +45,10 @@ class LongestQueueFirstProtocol : public ArbitrationProtocol
     void
     reset(int num_agents) override
     {
-        numAgents_ = num_agents;
         idBits_ = linesForAgents(num_agents);
         pending_.reset(num_agents);
-        frozen_.clear();
+        pass_.reset(num_agents, idBits_ + kDepthBits, idBits_);
+        pass_.defineField(idBits_, kDepthBits);
     }
 
     void
@@ -65,35 +66,43 @@ class LongestQueueFirstProtocol : public ArbitrationProtocol
     void
     beginPass(Tick) override
     {
-        frozen_.clear();
-        std::vector<int> depth(static_cast<std::size_t>(numAgents_) + 1,
-                               0);
-        pending_.forEach([&](PendingEntry &e) {
-            ++depth[static_cast<std::size_t>(e.req.agent)];
+        // Every agent with a request competes, driving its queue depth
+        // (saturated at the field width) above its identity.
+        pass_.clear();
+        for (std::size_t w = 0; w < pass_.numWords(); ++w)
+            pass_.competitorWord(w) = pending_.requestMaskWord(w);
+        pending_.forEachAgentWithRequests([&](AgentId a) {
+            const std::size_t depth =
+                std::min(pending_.numOfAgent(a), kMaxDepth);
+            pass_.setField(a, static_cast<std::uint32_t>(depth));
         });
-        pending_.forEachAgentOldest([&](PendingEntry &e) {
-            const auto d = static_cast<std::uint64_t>(
-                depth[static_cast<std::size_t>(e.req.agent)]);
-            frozen_.push_back(Competitor{
-                e.req.agent,
-                (d << idBits_) |
-                    static_cast<std::uint64_t>(e.req.agent)});
-        });
+        pass_.fieldToLines();
     }
 
     PassResult
     completePass(Tick) override
     {
-        if (frozen_.empty())
+        if (pass_.empty())
             return PassResult::makeIdle();
-        const AgentId winner = selectMax(frozen_);
-        return PassResult::makeWinner(pending_.oldest(winner).req);
+        return PassResult::makeWinner(pending_.oldest(pass_.winner()).req);
     }
 
     void
     tenureStarted(const Request &req, Tick) override
     {
         pending_.popOldest(req.agent);
+    }
+
+    int
+    settleRoundsForPass() const override
+    {
+        return pass_.settle().rounds;
+    }
+
+    int
+    arbitrationLineCount() const override
+    {
+        return idBits_ + kDepthBits;
     }
 
     std::string
@@ -103,10 +112,12 @@ class LongestQueueFirstProtocol : public ArbitrationProtocol
     }
 
   private:
-    int numAgents_ = 0;
+    static constexpr int kDepthBits = 8;
+    static constexpr std::size_t kMaxDepth = (1U << kDepthBits) - 1;
+
     int idBits_ = 0;
     PendingRequests pending_;
-    std::vector<Competitor> frozen_;
+    ArbitrationPass pass_;
 };
 
 } // namespace

@@ -4,7 +4,7 @@
 #   exit 0  --help and --list-protocols (informational output)
 #   exit 2  usage errors: unknown flags, malformed protocol specs,
 #           malformed scenario files, flag/scenario conflicts, and
-#           observer or scenario values outside their range —
+#           observer, scenario or integer values outside their range —
 #           always naming the offending token, with a did-you-mean
 #           hint where one is close
 #   exit 1  an unwritable sweep results file, before any cell runs
@@ -231,10 +231,57 @@ expect 2 "load 7.5 over 5 agents" "report per-agent load range" \
 expect 2 "warmup" "report negative warmup" \
     "$report" --protocol rr1 --warmup -1 --out "$tmp/report.md"
 
+# Integers a field cannot hold exit 2 naming the flag or key before any
+# cell runs, instead of wrapping (agents 4294967306 ran 10 agents) or
+# clamping; seeds are decimal or 0x hex, never octal.
+expect 2 "agents must be <= 2147483647" "sim agents overflow" \
+    "$sim" --agents 4294967306 --load 2 --batches 1 --batch-size 100 \
+    --warmup 10
+expect 2 "batches must be <= 2147483647" "sim batches overflow" \
+    "$sim" --batches 4294967297 --batch-size 100 --warmup 10
+expect 2 "seed" "sim seed past the long range" \
+    "$sim" --seed 99999999999999999999 --batches 1 --batch-size 100
+expect 2 "seed must be >= 0" "sim negative seed" \
+    "$sim" --seed -5 --batches 1 --batch-size 100
+expect 2 "jobs must be >= 0" "sim negative jobs" \
+    "$sim" --jobs -1 --batches 1 --batch-size 100
+expect 2 "agents must be <= 2147483647" "sweep agents overflow" \
+    "$sweep" --protocols rr1 --loads 2 --agents 4294967306
+expect 2 "jobs must be <= 2147483647" "sweep jobs overflow" \
+    "$sweep" --protocols rr1 --loads 2 --jobs 4294967297
+expect 2 "retries must be <= 2147483647" "sweep retries overflow" \
+    "$sweep" --protocols rr1 --loads 2 --retries 4294967296 --shards 2 \
+    --shard-dir "$tmp/retries-shards"
+if [ -e "$tmp/retries-shards" ]; then
+    echo "FAIL: sharded sweep wrote shards before rejecting --retries" >&2
+    fails=$((fails + 1))
+fi
+cat > "$tmp/agents.grid" <<'EOF'
+[workload]
+agents = 4294967306
+[sweep]
+loads = 2
+protocols = rr1
+EOF
+expect 2 "'agents' must be <= 2147483647" "sweep grid agents overflow" \
+    "$sweep" --grid "$tmp/agents.grid"
+cat > "$tmp/octal.grid" <<'EOF'
+[run]
+seed = 0100
+[sweep]
+loads = 2
+protocols = rr1
+EOF
+expect 2 "'seed'" "sweep grid octal seed" "$sweep" --grid "$tmp/octal.grid"
+expect 2 "agents must be <= 2147483647" "report agents overflow" \
+    "$report" --protocol rr1 --agents 4294967306 --out "$tmp/report.md"
+expect 2 "seed must be >= 0" "report negative seed" \
+    "$report" --protocol rr1 --seed -5 --out "$tmp/report.md"
+
 if [ "$fails" -ne 0 ]; then
     echo "FAIL: $fails CLI contract check(s) failed" >&2
     exit 1
 fi
 echo "ok: help/list exit 0; unknown flags, bad specs, bad scenario" \
-     "files, flag conflicts and bad observer or scenario values exit 2" \
-     "naming the token"
+     "files, flag conflicts and bad observer, scenario or integer" \
+     "values exit 2 naming the token"

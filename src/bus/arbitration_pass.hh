@@ -6,8 +6,8 @@
  * line at a time, with every agent acting at once. ArbitrationPass keeps
  * a pass in that shape: a competitor mask plus, for every arbitration
  * line, the mask of agents that drive a 1 on it, packed 64 agents to a
- * word in the layout PendingRequests and WiredOrLine use (bit a of word
- * w is agent w*64 + a). Lines [0, identityLines) carry the static
+ * word in the layout PendingRequests uses (bit a of word w is agent
+ * w*64 + a). Lines [0, identityLines) carry the static
  * identities and are built once by reset(); the lines above hold the
  * protocol's dynamic fields (RR bit, waiting-time counter, priority
  * class, ...), which the protocol fills at the start of each pass.

@@ -29,7 +29,7 @@ reactionWord(std::uint64_t identity, std::uint64_t others)
 
 } // namespace
 
-AsyncContentionArbiter::AsyncContentionArbiter(int num_lines)
+AsyncSettleModel::AsyncSettleModel(int num_lines)
     : numLines_(num_lines)
 {
     BUSARB_ASSERT(num_lines >= 1 && num_lines <= 63,
@@ -37,7 +37,7 @@ AsyncContentionArbiter::AsyncContentionArbiter(int num_lines)
 }
 
 AsyncSettleResult
-AsyncContentionArbiter::settle(
+AsyncSettleModel::settle(
     const std::vector<PlacedCompetitor> &competitors) const
 {
     AsyncSettleResult result;
@@ -140,7 +140,7 @@ AsyncContentionArbiter::settle(
 }
 
 std::vector<PlacedCompetitor>
-AsyncContentionArbiter::worstCasePlacement(int k)
+AsyncSettleModel::worstCasePlacement(int k)
 {
     BUSARB_ASSERT(k >= 2 && k % 2 == 0, "need an even k >= 2, got ", k);
     // Alternating-bit identities at opposite ends of the bus: the

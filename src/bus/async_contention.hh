@@ -3,8 +3,8 @@
  * Asynchronous, placement-aware model of the parallel contention
  * arbiter.
  *
- * The ContentionArbiter in contention.hh settles in synchronous rounds
- * (every agent re-evaluates once per end-to-end propagation). Real
+ * ArbitrationPass::settle() (arbitration_pass.hh) settles in synchronous
+ * rounds (every agent re-evaluates once per end-to-end propagation). Real
  * wired-OR arbitration is asynchronous: each agent sits at a physical
  * position along the bus, sees every other driver's transitions after a
  * distance-proportional delay, and reacts immediately. Taub's theorem
@@ -25,7 +25,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 
 namespace busarb {
 
@@ -62,13 +62,13 @@ struct AsyncSettleResult
 /**
  * Asynchronous settle simulation.
  */
-class AsyncContentionArbiter
+class AsyncSettleModel
 {
   public:
     /**
      * @param num_lines Arbitration line count k, in [1, 63].
      */
-    explicit AsyncContentionArbiter(int num_lines);
+    explicit AsyncSettleModel(int num_lines);
 
     /** @return The line count k. */
     int numLines() const { return numLines_; }

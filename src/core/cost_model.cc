@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "sim/logging.hh"
 
 namespace busarb {

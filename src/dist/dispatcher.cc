@@ -23,6 +23,7 @@
 #include "dist/worker_protocol.hh"
 #include "experiment/cli.hh"
 #include "experiment/job_pool.hh"
+#include "experiment/observer_flags.hh"
 #include "experiment/table.hh"
 #include "obs/sweep_progress.hh"
 
@@ -35,9 +36,8 @@ namespace {
  * comparison against the expected rendering is the whole resume
  * validation: the text embeds the fingerprint, the canonical scenario,
  * and the canonical tuning key, so any observable difference — and
- * only an observable difference — makes it mismatch. (The queue
- * policy and job counts are absent on purpose: a resume may change
- * them.)
+ * only an observable difference — makes it mismatch. (Job and fleet
+ * counts are absent on purpose: a resume may change them.)
  */
 std::string
 renderGridSpec(std::uint64_t fingerprint, std::size_t cells,
@@ -160,7 +160,7 @@ runShardedSweep(const ScenarioSpec &spec, const SweepTuning &tuning,
     const std::size_t cells = spec.cellCount();
     const std::vector<ShardRange> plan = planShards(cells, opts.shards);
     const std::string scenario_text = spec.format();
-    const std::string tuning_key = tuning.canonicalKey();
+    const std::string tuning_key = observerKey(tuning);
     const std::uint64_t fingerprint =
         sweepFingerprint(scenario_text, tuning_key);
 
@@ -204,8 +204,9 @@ runShardedSweep(const ScenarioSpec &spec, const SweepTuning &tuning,
     if (!had_grid_spec && !writeFileText(grid_path, grid_text))
         ioExit(program, "cannot write '" + grid_path + "'");
 
-    // Task files are derived state; (re)write them every run so a
-    // resume picks up runtime-only changes (e.g. --queue).
+    // Task files are derived state; (re)write them every run, so a
+    // resume picks up runtime-only changes and the current task file
+    // version.
     for (const ShardRange &shard : plan) {
         const std::string path =
             shardFilePath(opts.shardDir, shard.index);

@@ -61,7 +61,7 @@ std::vector<ShardRange> planShards(std::size_t cells,
  * 64-bit FNV-1a fingerprint of a sweep's observable identity.
  *
  * @param scenario_text Canonical scenario text (ScenarioSpec::format).
- * @param tuning_key Canonical tuning key (SweepTuning::canonicalKey).
+ * @param tuning_key Canonical tuning key (observerKey).
  * @return The fingerprint.
  */
 std::uint64_t sweepFingerprint(const std::string &scenario_text,

@@ -18,26 +18,6 @@ namespace busarb {
 
 namespace {
 
-const char *
-queueToken(EventQueuePolicy policy)
-{
-    return policy == EventQueuePolicy::kHeap ? "heap" : "calendar";
-}
-
-bool
-parseQueueToken(const std::string &token, EventQueuePolicy &out)
-{
-    if (token == "calendar") {
-        out = EventQueuePolicy::kCalendar;
-        return true;
-    }
-    if (token == "heap") {
-        out = EventQueuePolicy::kHeap;
-        return true;
-    }
-    return false;
-}
-
 /** Consume "<key> " at the start of `line`, leaving the value. */
 bool
 takeKeyword(const std::string &line, const std::string &key,
@@ -84,8 +64,7 @@ renderShardFile(std::uint64_t fingerprint, std::size_t shard,
        << "shard " << shard << "\n"
        << "begin " << begin << "\n"
        << "end " << end << "\n"
-       << "queue " << queueToken(tuning.queuePolicy) << "\n"
-       << "tuning " << tuning.canonicalKey() << "\n"
+       << "tuning " << observerKey(tuning) << "\n"
        << "scenario\n"
        << scenario_text;
     return os.str();
@@ -127,11 +106,6 @@ parseShardFile(const std::string &text, ShardTask &out, std::string &error)
         error = "bad end line";
         return false;
     }
-    if (!std::getline(is, line) || !takeKeyword(line, "queue", value) ||
-        !parseQueueToken(value, task.tuning.queuePolicy)) {
-        error = "bad queue line";
-        return false;
-    }
     if (!std::getline(is, line) || !takeKeyword(line, "tuning", value) ||
         !parseObserverKey(value, task.tuning, error)) {
         if (error.empty())
@@ -160,7 +134,7 @@ parseShardFile(const std::string &text, ShardTask &out, std::string &error)
     // means the file was edited or written by a diverging build, and
     // running it would checkpoint unmergeable results.
     const std::uint64_t derived = sweepFingerprint(
-        task.spec.format(), task.tuning.canonicalKey());
+        task.spec.format(), observerKey(task.tuning));
     if (derived != task.fingerprint) {
         error = "fingerprint " + fingerprintHex(task.fingerprint) +
                 " does not match the task content (derived " +

@@ -4,24 +4,27 @@
  * run loop behind `busarb_sweep --worker-shard`.
  *
  * A shard task file is the complete, self-contained description of one
- * shard's work — sweep fingerprint, cell range, canonical tuning key,
- * queue policy, and the canonical scenario text. A worker needs nothing
- * else: it re-parses the scenario, re-derives the fingerprint, and
+ * shard's work — sweep fingerprint, cell range, canonical tuning key
+ * and the canonical scenario text. A worker needs nothing else: it
+ * re-parses the scenario, re-derives the fingerprint, and
  * refuses (exit 2) if its derivation disagrees with the file, so a
  * coordinator and worker built from diverging sources can never
  * silently mix results.
  *
  * Format (line-oriented; the scenario section runs to EOF):
  *
- *     busarb-shard v1
+ *     busarb-shard v2
  *     fingerprint <16 hex digits>
  *     shard <index>
  *     begin <cell>
  *     end <cell>
- *     queue <calendar|heap>
- *     tuning <SweepTuning::canonicalKey() text, see observer_flags.hh>
+ *     tuning <observerKey() text, see observer_flags.hh>
  *     scenario
  *     <ScenarioSpec::format() text ...>
+ *
+ * Task files are derived state: the coordinator rewrites every one on
+ * each run, so a new task file version never strands a shard directory
+ * as long as neither grid.spec nor the fingerprint depends on it.
  *
  * The worker checkpoints into the shard's manifest (manifest.hh) next
  * to the task file, resuming from whatever the manifest already holds;
@@ -41,7 +44,7 @@
 namespace busarb {
 
 /** Shard task file format version. */
-inline constexpr std::uint32_t kShardFileVersion = 1;
+inline constexpr std::uint32_t kShardFileVersion = 2;
 
 /** One worker's parsed task: everything a shard run needs. */
 struct ShardTask
@@ -61,7 +64,7 @@ struct ShardTask
     /** Parsed scenario spec. */
     ScenarioSpec spec;
 
-    /** Parsed per-cell tuning (including the queue policy). */
+    /** Parsed per-cell tuning. */
     SweepTuning tuning;
 };
 
@@ -73,8 +76,7 @@ struct ShardTask
  * @param begin First cell of the shard.
  * @param end One past the last cell of the shard.
  * @param scenario_text Canonical scenario text (ScenarioSpec::format).
- * @param tuning Per-cell tuning; its canonicalKey and queue policy are
- *        embedded.
+ * @param tuning Per-cell tuning; its observerKey is embedded.
  * @return The file text.
  */
 std::string renderShardFile(std::uint64_t fingerprint, std::size_t shard,

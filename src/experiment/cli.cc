@@ -1,5 +1,6 @@
 #include "experiment/cli.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -18,8 +19,9 @@ parseLong(const std::string &text, long &out)
     if (text.empty())
         return false;
     char *end = nullptr;
+    errno = 0;
     const long value = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
         return false;
     out = value;
     return true;
@@ -105,6 +107,22 @@ writeArtifact(const std::string &program, const std::string &path,
     }
     std::cout << "wrote " << what << " to " << path << "\n";
     return true;
+}
+
+long
+intFlagOrExit(const std::string &program, const ArgParser &parser,
+              const std::string &flag, long min_value, long max_value)
+{
+    const long value = parser.getInt(flag);
+    if (value < min_value || value > max_value) {
+        std::cerr << program << ": --" << flag << " must be "
+                  << (value < min_value
+                          ? ">= " + std::to_string(min_value)
+                          : "<= " + std::to_string(max_value))
+                  << ", got " << value << "\n";
+        std::exit(2);
+    }
+    return value;
 }
 
 ArgParser::ArgParser(std::string program, std::string summary)

@@ -11,6 +11,7 @@
 #define BUSARB_EXPERIMENT_CLI_HH
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
@@ -23,7 +24,8 @@ namespace busarb {
  *
  * @param text The candidate text.
  * @param out Receives the value on success.
- * @retval false Empty input, trailing garbage, or no digits.
+ * @retval false Empty input, trailing garbage, no digits, or a value
+ *         outside the range of long.
  */
 bool parseLong(const std::string &text, long &out);
 
@@ -203,6 +205,27 @@ class ArgParser
     bool validate(const std::string &name, Flag &flag,
                   const std::string &value);
 };
+
+/**
+ * Read an integer flag, exiting on a value outside [min_value,
+ * max_value].
+ *
+ * Integer flags parse as long; this is where a value meets the range
+ * of the field it sets, so a value the field cannot hold is rejected
+ * instead of wrapped or clamped: `program: --flag must be >= min, got
+ * V` (or `<= max`) on stderr, exit status 2.
+ *
+ * @param program Program name for the error message.
+ * @param parser Parsed arguments declaring `flag` as an integer flag.
+ * @param flag Flag name (without dashes).
+ * @param min_value Smallest accepted value (default: the int minimum).
+ * @param max_value Largest accepted value (default: the int maximum).
+ * @return The value.
+ */
+long intFlagOrExit(const std::string &program, const ArgParser &parser,
+                   const std::string &flag,
+                   long min_value = std::numeric_limits<int>::min(),
+                   long max_value = std::numeric_limits<int>::max());
 
 } // namespace busarb
 

@@ -5,7 +5,6 @@
 
 #include "experiment/table.hh"
 #include "obs/export_format.hh"
-#include "sim/logging.hh"
 
 namespace busarb {
 
@@ -76,31 +75,6 @@ printSummary(const ScenarioResult &result, std::ostream &os)
     if (result.elapsedMs > 0.0)
         table.addRow({"sim wall time",
                       formatFixed(result.elapsedMs, 0) + " ms"});
-    table.print(os);
-}
-
-void
-printComparison(const std::vector<ScenarioResult> &results,
-                std::ostream &os)
-{
-    BUSARB_ASSERT(!results.empty(), "nothing to compare");
-    const int n = results.front().numAgents;
-    for (const auto &r : results) {
-        BUSARB_ASSERT(r.numAgents == n,
-                      "comparison across different agent counts");
-    }
-    TextTable table(
-        {"protocol", "util", "W", "sigma W", "t_N/t_1", "retries"});
-    for (const auto &r : results) {
-        table.addRow({
-            r.protocolName,
-            formatFixed(r.utilization().value, 3),
-            formatEstimate(r.meanWait()),
-            formatEstimate(r.waitStddev()),
-            formatEstimate(r.throughputRatio(n, 1)),
-            formatFixed(100.0 * r.retryPassFraction().value, 1) + "%",
-        });
-    }
     table.print(os);
 }
 

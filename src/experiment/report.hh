@@ -35,16 +35,6 @@ std::string describeScenario(const ScenarioConfig &config);
  */
 void printSummary(const ScenarioResult &result, std::ostream &os);
 
-/**
- * Print a compact side-by-side comparison of several results (same
- * scenario, different protocols).
- *
- * @param results The results; all must share numAgents.
- * @param os Destination stream.
- */
-void printComparison(const std::vector<ScenarioResult> &results,
-                     std::ostream &os);
-
 } // namespace busarb
 
 #endif // BUSARB_EXPERIMENT_REPORT_HH

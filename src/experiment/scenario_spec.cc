@@ -1,10 +1,13 @@
 #include "experiment/scenario_spec.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "experiment/cli.hh"
 #include "experiment/protocol_registry.hh"
@@ -37,16 +40,22 @@ splitWhitespace(const std::string &s)
     return tokens;
 }
 
+/**
+ * Parse a seed: decimal, or hex after "0x" (how seeds are usually
+ * quoted), within the uint64 range. A leading zero on a decimal seed
+ * is refused, since "0100" could be meant as octal.
+ */
 bool
-parseUint64(const std::string &text, std::uint64_t &out)
+parseSeed(const std::string &text, std::uint64_t &out)
 {
-    if (text.empty() || text[0] == '-')
+    const bool hex = text.rfind("0x", 0) == 0;
+    const char *first = text.data() + (hex ? 2 : 0);
+    const char *last = text.data() + text.size();
+    if (!hex && text.size() > 1 && text[0] == '0')
         return false;
-    char *end = nullptr;
-    // Base 0 accepts 0x... seeds, matching how they are usually quoted.
-    const unsigned long long value =
-        std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0')
+    std::uint64_t value = 0;
+    const auto [end, ec] = std::from_chars(first, last, value, hex ? 16 : 10);
+    if (first == last || end != last || ec != std::errc())
         return false;
     out = value;
     return true;
@@ -327,16 +336,21 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
             return fail("duplicate key '" + key + "' in [" + section +
                         "]");
 
-        const auto want_int = [&](long min_value, long &slot) {
+        // Integer keys take the range of the field they set.
+        const auto want_int = [&](long min_value, auto &slot) {
+            using Field = std::remove_reference_t<decltype(slot)>;
+            const long max_value = std::numeric_limits<Field>::max();
             long parsed = 0;
             if (!parseLong(value, parsed))
                 return fail("key '" + key +
                             "' expects an integer, got '" + value + "'");
-            if (parsed < min_value)
-                return fail("key '" + key + "' must be >= " +
-                            std::to_string(min_value) + ", got '" +
-                            value + "'");
-            slot = parsed;
+            if (parsed < min_value || parsed > max_value)
+                return fail("key '" + key + "' must be " +
+                            (parsed < min_value
+                                 ? ">= " + std::to_string(min_value)
+                                 : "<= " + std::to_string(max_value)) +
+                            ", got '" + value + "'");
+            slot = static_cast<Field>(parsed);
             return true;
         };
         const auto want_double = [&](double min_value, bool exclusive,
@@ -374,17 +388,13 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
             }
             spec.family = value;
         } else if (key == "agents") {
-            long v = 0;
-            if (want_int(1, v))
-                spec.agents = static_cast<int>(v);
+            want_int(1, spec.agents);
         } else if (key == "cv") {
             want_double(0.0, false, spec.cv);
         } else if (key == "unequal-factor") {
             want_double(0.0, true, spec.unequalFactor);
         } else if (key == "max-outstanding") {
-            long v = 0;
-            if (want_int(1, v))
-                spec.maxOutstanding = static_cast<int>(v);
+            want_int(1, spec.maxOutstanding);
         } else if (key == "source") {
             WorkloadSpec parsed;
             std::string spec_error;
@@ -395,9 +405,7 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
             }
             spec.source = value;
         } else if (key == "hot-agents") {
-            long v = 0;
-            if (want_int(0, v))
-                spec.hotAgents = static_cast<int>(v);
+            want_int(0, spec.hotAgents);
         } else if (key == "hot-factor") {
             want_double(0.0, true, spec.hotFactor);
         } else if (key == "arb-overhead") {
@@ -407,16 +415,14 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
         } else if (key == "worst-case-settle") {
             want_bool(spec.worstCaseSettle);
         } else if (key == "batches") {
-            long v = 0;
-            if (want_int(1, v))
-                spec.batches = static_cast<int>(v);
+            want_int(1, spec.batches);
         } else if (key == "batch-size") {
             want_int(1, spec.batchSize);
         } else if (key == "warmup") {
             if (want_int(0, spec.warmup))
                 spec.warmupSet = true;
         } else if (key == "seed") {
-            if (!parseUint64(value, spec.seed))
+            if (!parseSeed(value, spec.seed))
                 return fail("key 'seed' expects an unsigned integer, "
                             "got '" + value + "'");
         } else if (key == "confidence") {
@@ -589,29 +595,6 @@ addScenarioFlags(ArgParser &parser)
                        "(synchronous bus)");
 }
 
-void
-addQueueFlag(ArgParser &parser)
-{
-    parser.addStringFlag("queue", "calendar",
-                         "event-queue storage policy: calendar (the "
-                         "fast default) or heap (the reference "
-                         "implementation); results are bit-identical "
-                         "either way");
-}
-
-EventQueuePolicy
-queuePolicyOrExit(const std::string &program, const ArgParser &parser)
-{
-    const std::string token = parser.getString("queue");
-    if (token == "calendar")
-        return EventQueuePolicy::kCalendar;
-    if (token == "heap")
-        return EventQueuePolicy::kHeap;
-    std::cerr << program << ": --queue must be 'calendar' or 'heap', "
-              << "got '" << token << "'\n";
-    std::exit(2);
-}
-
 ScenarioSpec
 scenarioSpecFromFlags(const std::string &program,
                       const ArgParser &parser)
@@ -642,30 +625,31 @@ scenarioSpecFromFlags(const std::string &program,
         spec.family = "unequal";
     else
         spec.family = "equal";
-    spec.agents = static_cast<int>(parser.getInt("agents"));
+    // The int fields take the int range here; the re-validation below
+    // applies each key's own lower bound.
+    spec.agents = static_cast<int>(intFlagOrExit(program, parser, "agents"));
     spec.cv = parser.getDouble("cv");
     spec.unequalFactor = factor;
-    spec.maxOutstanding =
-        static_cast<int>(parser.getInt("max-outstanding"));
+    spec.maxOutstanding = static_cast<int>(
+        intFlagOrExit(program, parser, "max-outstanding"));
     spec.arbOverhead = parser.getDouble("arb-overhead");
     spec.settleTiming = parser.getBool("settle-timing");
     spec.worstCaseSettle = parser.getBool("worst-case-settle");
-    spec.batches = static_cast<int>(parser.getInt("batches"));
+    spec.batches =
+        static_cast<int>(intFlagOrExit(program, parser, "batches"));
     spec.batchSize = parser.getInt("batch-size");
+    // format() prints the resolved warm-up and the seed unsigned, so a
+    // negative one must not reach the re-validation below.
+    constexpr long kLongMax = std::numeric_limits<long>::max();
     spec.warmupSet = true;
-    spec.warmup = parser.getInt("warmup");
-    if (spec.warmup < 0) {
-        // format() prints the resolved warm-up unsigned, so a negative
-        // one must not reach the re-validation below.
-        std::cerr << program << ": --warmup must be >= 0, got "
-                  << spec.warmup << "\n";
-        std::exit(2);
-    }
-    spec.seed = static_cast<std::uint64_t>(parser.getInt("seed"));
+    spec.warmup = intFlagOrExit(program, parser, "warmup", 0, kLongMax);
+    spec.seed = static_cast<std::uint64_t>(
+        intFlagOrExit(program, parser, "seed", 0, kLongMax));
 
     spec.source = parser.getString("source");
     workloadSpecOrExit(program, spec.source); // validate; keep verbatim
-    spec.hotAgents = static_cast<int>(parser.getInt("hot-agents"));
+    spec.hotAgents =
+        static_cast<int>(intFlagOrExit(program, parser, "hot-agents"));
     spec.hotFactor = parser.getDouble("hot-factor");
 
     if (!spec.sourceTakesLoads()) {

@@ -203,28 +203,6 @@ ScenarioSpec scenarioSpecFromFlags(const std::string &program,
 void validateFlagSpecOrExit(const std::string &program,
                             const ScenarioSpec &spec);
 
-/**
- * Declare --queue (event-queue storage policy: "calendar" or "heap").
- *
- * Deliberately not part of the ScenarioSpec: the policy is an
- * execution detail with no observable effect on results — both
- * policies are pinned to bit-identical event order — so it must not
- * appear in the `scenario.spec` provenance annotation, which stays
- * byte-identical across policies (check_determinism.sh relies on
- * this).
- */
-void addQueueFlag(ArgParser &parser);
-
-/**
- * Parse --queue into a policy; exits 2 naming the bad token.
- *
- * @param program Tool name for the error message.
- * @param parser Parsed arguments.
- * @return The selected storage policy.
- */
-EventQueuePolicy queuePolicyOrExit(const std::string &program,
-                                   const ArgParser &parser);
-
 } // namespace busarb
 
 #endif // BUSARB_EXPERIMENT_SCENARIO_SPEC_HH

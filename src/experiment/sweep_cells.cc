@@ -4,17 +4,10 @@
 #include <iostream>
 
 #include "experiment/cli.hh"
-#include "experiment/observer_flags.hh"
 #include "experiment/protocol_registry.hh"
 #include "experiment/workload_registry.hh"
 
 namespace busarb {
-
-std::string
-SweepTuning::canonicalKey() const
-{
-    return observerKey(*this);
-}
 
 ScenarioConfig
 sweepCellConfig(const ScenarioSpec &spec, const SweepTuning &tuning,
@@ -31,8 +24,7 @@ sweepCellConfig(const ScenarioSpec &spec, const SweepTuning &tuning,
         std::cerr << program << ": " << workload_error << "\n";
         std::exit(2);
     }
-    config.observe = static_cast<const ObserverConfig &>(tuning);
-    config.eventQueuePolicy = tuning.queuePolicy;
+    config.observe = tuning;
     return config;
 }
 

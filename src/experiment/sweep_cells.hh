@@ -12,13 +12,11 @@
  * sweepCellJob here.
  *
  * SweepTuning carries the per-cell knobs that are not part of the
- * ScenarioSpec: the observer sinks (obs/observer_config.hh) and the
- * event-queue policy. canonicalKey() renders every *observable* knob as
- * stable text; the shard fingerprint hashes it alongside the canonical
+ * ScenarioSpec: the observer sinks (obs/observer_config.hh).
+ * observerKey() (experiment/observer_flags.hh) renders them as stable
+ * text; the shard fingerprint hashes it alongside the canonical
  * scenario text so a resumed sweep cannot silently change what its
- * cells would record. The event-queue policy is deliberately excluded:
- * both policies are pinned to bit-identical artifacts, so a resume may
- * switch them.
+ * cells would record.
  */
 
 #ifndef BUSARB_EXPERIMENT_SWEEP_CELLS_HH
@@ -34,23 +32,8 @@
 
 namespace busarb {
 
-/**
- * Per-cell knobs shared by every sweep cell: the observer sinks, plus
- * the event-queue policy, which no artifact can observe and which is
- * therefore left out of the fingerprint.
- */
-struct SweepTuning : ObserverConfig
-{
-    /** Event-queue storage policy (unobservable; not fingerprinted). */
-    EventQueuePolicy queuePolicy = EventQueuePolicy::kCalendar;
-
-    /**
-     * @return The observer knobs' canonical key (observerKey), hashed
-     *         with the canonical scenario text to fingerprint a sharded
-     *         sweep.
-     */
-    std::string canonicalKey() const;
-};
+/** Per-cell knobs shared by every sweep cell: the observer sinks. */
+using SweepTuning = ObserverConfig;
 
 /**
  * Expand one grid cell into its ScenarioConfig.

@@ -55,25 +55,6 @@ CalendarTuning::forExpectedDepth(std::size_t depth)
     return t;
 }
 
-CalendarTuning
-CalendarTuning::fromDepthHistogram(
-    const std::array<std::uint64_t, kEventDepthBuckets> &depth_log2)
-{
-    // The modal log2 bucket is the typical live depth while scheduling;
-    // size the calendar for that steady state.
-    std::size_t mode = 0;
-    std::uint64_t best = 0;
-    for (std::size_t b = 0; b < depth_log2.size(); ++b) {
-        if (depth_log2[b] > best) {
-            best = depth_log2[b];
-            mode = b;
-        }
-    }
-    if (best == 0)
-        return CalendarTuning{};
-    return forExpectedDepth(std::size_t{1} << (mode + 1));
-}
-
 // ------------------------------------------------------------ NodeArena
 
 EventQueue::Node *

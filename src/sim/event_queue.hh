@@ -100,19 +100,6 @@ struct CalendarTuning
      * @return Tuning with the bucket count sized to the depth.
      */
     static CalendarTuning forExpectedDepth(std::size_t depth);
-
-    /**
-     * Geometry from a recorded per-schedule depth histogram (the
-     * profiler's queueDepthLog2 / EventQueue::profileDepthHistogram()):
-     * the modal log2 depth bucket chooses the initial bucket count, so
-     * a profiled run can seed the next run's calendar directly.
-     *
-     * @param depth_log2 Log2-bucketed schedule-depth counts.
-     * @return Tuning sized to the modal depth.
-     */
-    static CalendarTuning
-    fromDepthHistogram(
-        const std::array<std::uint64_t, kEventDepthBuckets> &depth_log2);
 };
 
 /**

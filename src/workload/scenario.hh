@@ -44,11 +44,11 @@ struct ScenarioConfig
     std::uint64_t seed = 0x5eedcafe;
 
     /**
-     * Event-queue storage policy. kCalendar is the fast default; kHeap
-     * is the reference heap kernel, kept selectable so differential
-     * tests and benchmarks can push the identical scenario through both
-     * implementations (the determinism contract makes every artifact
-     * byte-identical between them).
+     * Event-queue storage policy. kCalendar is what every tool runs;
+     * kHeap is the reference heap kernel, selectable here only so
+     * differential tests and benchmarks can push the identical
+     * scenario through both implementations (the determinism contract
+     * makes every artifact byte-identical between them).
      */
     EventQueuePolicy eventQueuePolicy = EventQueuePolicy::kCalendar;
 

@@ -13,12 +13,13 @@
 #include <gtest/gtest.h>
 
 #include "bus/arbitration_pass.hh"
-#include "bus/contention.hh"
 #include "random/rng.hh"
 #include "support/settle_oracle.hh"
 
 namespace busarb {
 namespace {
+
+using test::Competitor;
 
 /** @return `count` distinct agent ids in [1, max_id], in random order. */
 std::vector<AgentId>
@@ -49,7 +50,6 @@ TEST(ArbitrationPassDifferentialTest, EverySubsetOfWordsUpToFourLines)
     // placed once on agents 1..15 and once across the 63/64 boundary.
     for (int k = 1; k <= 4; ++k) {
         const int num_words = (1 << k) - 1;
-        ContentionArbiter arbiter(k);
         for (int offset : {0, 55}) {
             for (std::uint32_t subset = 1; subset < (1U << num_words);
                  ++subset) {
@@ -61,13 +61,14 @@ TEST(ArbitrationPassDifferentialTest, EverySubsetOfWordsUpToFourLines)
                             static_cast<std::uint64_t>(w)});
                     }
                 }
+                const ArbitrationPass pass = test::loadPass(k, cs);
                 const SettleResult want = test::oracleSettle(k, cs);
-                const SettleResult got = arbiter.settle(cs);
+                const SettleResult got = pass.settle();
                 ASSERT_EQ(got.rounds, want.rounds)
                     << "k=" << k << " subset=" << subset;
                 ASSERT_EQ(got.settledWord, want.settledWord);
                 ASSERT_EQ(got.winner, want.winner);
-                ASSERT_EQ(got.winner, selectMax(cs));
+                ASSERT_EQ(pass.winner(), want.winner);
             }
         }
     }
@@ -77,7 +78,6 @@ TEST(ArbitrationPassDifferentialTest, RandomSetsUpToTwentyLines)
 {
     Rng rng(20260);
     for (int k = 5; k <= 20; ++k) {
-        ContentionArbiter arbiter(k);
         const std::uint64_t limit = (1ULL << k) - 1;
         for (int trial = 0; trial < 300; ++trial) {
             const int n = 1 + static_cast<int>(rng.below(
@@ -95,7 +95,7 @@ TEST(ArbitrationPassDifferentialTest, RandomSetsUpToTwentyLines)
                 cs.push_back(Competitor{id, w});
             }
             const SettleResult want = test::oracleSettle(k, cs);
-            const SettleResult got = arbiter.settle(cs);
+            const SettleResult got = test::loadPass(k, cs).settle();
             ASSERT_EQ(got.rounds, want.rounds) << "k=" << k;
             ASSERT_EQ(got.settledWord, want.settledWord);
             ASSERT_EQ(got.winner, want.winner);
@@ -291,9 +291,6 @@ TEST(ArbitrationPassDeathTest, MisuseIsCaught)
     layered.reset(10, 5, linesForAgents(10));
     EXPECT_DEATH(layered.drive(0, 3), "not a dynamic line");
     EXPECT_DEATH(layered.addCompetitor(11), "out of range");
-
-    ContentionArbiter arbiter(4);
-    EXPECT_DEATH(arbiter.settle({{3, 5}, {3, 6}}), "competes twice");
 }
 
 } // namespace

@@ -10,13 +10,14 @@
 
 #include "bus/async_contention.hh"
 #include "random/rng.hh"
+#include "support/settle_oracle.hh"
 
 namespace busarb {
 namespace {
 
 TEST(AsyncSettleTest, EmptyAndSingleCompetitor)
 {
-    AsyncContentionArbiter arb(4);
+    AsyncSettleModel arb(4);
     EXPECT_EQ(arb.settle({}).winner, kNoAgent);
     const auto result =
         arb.settle({PlacedCompetitor{3, 0b1010, 0.5}});
@@ -28,7 +29,7 @@ TEST(AsyncSettleTest, EmptyAndSingleCompetitor)
 
 TEST(AsyncSettleTest, PaperExampleSettlesToMax)
 {
-    AsyncContentionArbiter arb(7);
+    AsyncSettleModel arb(7);
     const auto result = arb.settle({
         PlacedCompetitor{1, 0b1010101, 0.0},
         PlacedCompetitor{2, 0b0011100, 1.0},
@@ -43,7 +44,7 @@ TEST(AsyncSettleTest, RemoveReapplyRoundTripCostsTwoPropagations)
     // A = 101 at one end, B = 011 at the other: A transiently removes
     // bit 0 (B's middle bit conflicts) and re-applies it only after
     // B's removal crosses the bus: settle time 2 end-to-end delays.
-    AsyncContentionArbiter arb(3);
+    AsyncSettleModel arb(3);
     const auto result = arb.settle({
         PlacedCompetitor{1, 0b101, 0.0},
         PlacedCompetitor{2, 0b011, 1.0},
@@ -55,7 +56,7 @@ TEST(AsyncSettleTest, RemoveReapplyRoundTripCostsTwoPropagations)
 TEST(AsyncSettleTest, CoLocatedAgentsSettleInstantly)
 {
     // Zero distance: reactions are immediate, no transient is visible.
-    AsyncContentionArbiter arb(3);
+    AsyncSettleModel arb(3);
     const auto result = arb.settle({
         PlacedCompetitor{1, 0b101, 0.4},
         PlacedCompetitor{2, 0b011, 0.4},
@@ -66,7 +67,7 @@ TEST(AsyncSettleTest, CoLocatedAgentsSettleInstantly)
 
 TEST(AsyncSettleTest, SettleTimeScalesWithDistance)
 {
-    AsyncContentionArbiter arb(3);
+    AsyncSettleModel arb(3);
     for (double span : {0.1, 0.5, 1.0}) {
         const auto result = arb.settle({
             PlacedCompetitor{1, 0b101, 0.0},
@@ -80,12 +81,11 @@ TEST(AsyncSettleTest, AgreesWithSynchronousModelOnWinner)
 {
     Rng rng(0xa57c);
     const int k = 8;
-    AsyncContentionArbiter async_arb(k);
-    ContentionArbiter sync_arb(k);
+    AsyncSettleModel async_arb(k);
     for (int trial = 0; trial < 120; ++trial) {
         const int n = 2 + static_cast<int>(rng.below(6));
         std::vector<PlacedCompetitor> placed;
-        std::vector<Competitor> plain;
+        std::vector<test::Competitor> plain;
         std::vector<std::uint64_t> used;
         for (int i = 0; i < n; ++i) {
             std::uint64_t w;
@@ -97,10 +97,11 @@ TEST(AsyncSettleTest, AgreesWithSynchronousModelOnWinner)
             const double pos = rng.uniform();
             placed.push_back(
                 PlacedCompetitor{static_cast<AgentId>(i + 1), w, pos});
-            plain.push_back(Competitor{static_cast<AgentId>(i + 1), w});
+            plain.push_back(
+                test::Competitor{static_cast<AgentId>(i + 1), w});
         }
         const auto async_result = async_arb.settle(placed);
-        const auto sync_result = sync_arb.settle(plain);
+        const auto sync_result = test::loadPass(k, plain).settle();
         ASSERT_EQ(async_result.winner, sync_result.winner)
             << "trial " << trial;
         ASSERT_EQ(async_result.settledWord, sync_result.settledWord);
@@ -115,7 +116,7 @@ TEST(AsyncSettleTest, SettleTimeBoundedByTaubEnvelope)
     // that, but everything stays inside Taub's k/2-style envelope.
     Rng rng(0x7A0B);
     for (int k : {4, 6, 8, 12}) {
-        AsyncContentionArbiter arb(k);
+        AsyncSettleModel arb(k);
         double worst = 0.0;
         for (int trial = 0; trial < 80; ++trial) {
             const int n = 2 + static_cast<int>(rng.below(6));
@@ -140,8 +141,8 @@ TEST(AsyncSettleTest, SettleTimeBoundedByTaubEnvelope)
 TEST(AsyncSettleTest, WorstCasePlacementRealizesTheRoundTrip)
 {
     for (int k : {4, 6, 8}) {
-        AsyncContentionArbiter arb(k);
-        const auto placed = AsyncContentionArbiter::worstCasePlacement(k);
+        AsyncSettleModel arb(k);
+        const auto placed = AsyncSettleModel::worstCasePlacement(k);
         const auto result = arb.settle(placed);
         // The alternating-bit winner prevails and the settle needs the
         // full cross-bus round trip.
@@ -152,14 +153,14 @@ TEST(AsyncSettleTest, WorstCasePlacementRealizesTheRoundTrip)
 
 TEST(AsyncSettleDeathTest, InvalidInputs)
 {
-    AsyncContentionArbiter arb(3);
+    AsyncSettleModel arb(3);
     EXPECT_DEATH(arb.settle({PlacedCompetitor{1, 0, 0.0}}), "bad word");
     EXPECT_DEATH(arb.settle({PlacedCompetitor{1, 0b1000, 0.0}}),
                  "bad word");
     EXPECT_DEATH(arb.settle({PlacedCompetitor{1, 1, -0.5}}),
                  "position");
-    EXPECT_DEATH(AsyncContentionArbiter(0), "out of range");
-    EXPECT_DEATH(AsyncContentionArbiter::worstCasePlacement(3), "even");
+    EXPECT_DEATH(AsyncSettleModel(0), "out of range");
+    EXPECT_DEATH(AsyncSettleModel::worstCasePlacement(3), "even");
 }
 
 } // namespace

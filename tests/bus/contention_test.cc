@@ -1,6 +1,8 @@
 /**
  * @file
- * Unit and property tests for the bit-level parallel contention arbiter.
+ * Unit and property tests for the bit-level parallel contention
+ * arbiter, run on ArbitrationPass: settle() for the Section 2.1
+ * remove/re-apply process and winner() for the maximum word.
  */
 
 #include <algorithm>
@@ -8,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "random/rng.hh"
+#include "support/settle_oracle.hh"
 
 namespace busarb {
 namespace {
+
+using test::Competitor;
+using test::loadPass;
 
 std::vector<Competitor>
 makeCompetitors(const std::vector<std::uint64_t> &words)
@@ -38,8 +44,7 @@ TEST(LinesForAgentsTest, MatchesCeilLog2NPlusOne)
 
 TEST(SettleTest, EmptyCompetitionSettlesToZero)
 {
-    ContentionArbiter arb(4);
-    const auto result = arb.settle({});
+    const auto result = loadPass(4, {}).settle();
     EXPECT_EQ(result.settledWord, 0u);
     EXPECT_EQ(result.winner, kNoAgent);
     EXPECT_EQ(result.rounds, 0);
@@ -47,8 +52,7 @@ TEST(SettleTest, EmptyCompetitionSettlesToZero)
 
 TEST(SettleTest, SingleCompetitorWinsImmediately)
 {
-    ContentionArbiter arb(4);
-    const auto result = arb.settle(makeCompetitors({0b1010}));
+    const auto result = loadPass(4, makeCompetitors({0b1010})).settle();
     EXPECT_EQ(result.settledWord, 0b1010u);
     EXPECT_EQ(result.winner, 1);
     EXPECT_EQ(result.rounds, 0); // nothing to remove
@@ -58,9 +62,8 @@ TEST(SettleTest, PaperWorkedExample)
 {
     // Section 2.1: agents 1010101 and 0011100. The first removes its
     // three lowest bits then re-applies them; the second removes all.
-    ContentionArbiter arb(7);
     const auto result =
-        arb.settle(makeCompetitors({0b1010101, 0b0011100}));
+        loadPass(7, makeCompetitors({0b1010101, 0b0011100})).settle();
     EXPECT_EQ(result.settledWord, 0b1010101u);
     EXPECT_EQ(result.winner, 1);
     EXPECT_GE(result.rounds, 1);
@@ -70,8 +73,8 @@ TEST(SettleTest, DominatedWordNeedsNoRounds)
 {
     // 0b1100 vs 0b1000: the loser's bits are a subset of the winner's
     // pattern conflicts... check the lines still settle to the max.
-    ContentionArbiter arb(4);
-    const auto result = arb.settle(makeCompetitors({0b1100, 0b1000}));
+    const auto result =
+        loadPass(4, makeCompetitors({0b1100, 0b1000})).settle();
     EXPECT_EQ(result.settledWord, 0b1100u);
     EXPECT_EQ(result.winner, 1);
 }
@@ -81,7 +84,6 @@ TEST(SettleTest, WorstCaseStaircaseRespectsLinearBound)
     // The classic slow case: words 1000..., 0100..., 0010..., each agent
     // keeps re-applying as higher conflicts resolve.
     const int k = 8;
-    ContentionArbiter arb(k);
     std::vector<std::uint64_t> words;
     for (int i = 0; i < k; ++i) {
         std::uint64_t w = 1ULL << (k - 1 - i);
@@ -91,7 +93,7 @@ TEST(SettleTest, WorstCaseStaircaseRespectsLinearBound)
             w = 1;
         words.push_back(w);
     }
-    const auto result = arb.settle(makeCompetitors(words));
+    const auto result = loadPass(k, makeCompetitors(words)).settle();
     std::uint64_t expected = *std::max_element(words.begin(), words.end());
     EXPECT_EQ(result.settledWord, expected);
     // Synchronous-round model: the process must converge within ~k
@@ -107,7 +109,6 @@ class SettlePropertyTest : public ::testing::TestWithParam<int>
 TEST_P(SettlePropertyTest, SettlesToMaximumForRandomSubsets)
 {
     const int k = GetParam();
-    ContentionArbiter arb(k);
     Rng rng(static_cast<std::uint64_t>(k) * 7919);
     const std::uint64_t limit = (k >= 63) ? ~0ULL : (1ULL << k) - 1;
     // Never ask for more distinct words than the line width can encode.
@@ -127,7 +128,7 @@ TEST_P(SettlePropertyTest, SettlesToMaximumForRandomSubsets)
             used.push_back(w);
             cs.push_back(Competitor{static_cast<AgentId>(i + 1), w});
         }
-        const auto result = arb.settle(cs);
+        const auto result = loadPass(k, cs).settle();
         EXPECT_EQ(result.settledWord,
                   *std::max_element(used.begin(), used.end()));
         EXPECT_LE(result.rounds, k + 1);
@@ -142,7 +143,6 @@ TEST(SettleTest, TypicalRoundsAreNearHalfK)
     // Sanity for the timing claim: across random contests the average
     // settle round count should be well below the worst case.
     const int k = 10;
-    ContentionArbiter arb(k);
     Rng rng(4242);
     double total_rounds = 0;
     const int trials = 500;
@@ -157,21 +157,20 @@ TEST(SettleTest, TypicalRoundsAreNearHalfK)
             used.push_back(w);
             cs.push_back(Competitor{static_cast<AgentId>(i + 1), w});
         }
-        total_rounds += arb.settle(cs).rounds;
+        total_rounds += loadPass(k, cs).settle().rounds;
     }
     EXPECT_LT(total_rounds / trials, k / 2.0 + 1.0);
 }
 
 TEST(SelectMaxTest, PicksLargestWord)
 {
-    EXPECT_EQ(selectMax(makeCompetitors({5, 9, 3})), 2);
-    EXPECT_EQ(selectMax(makeCompetitors({7})), 1);
-    EXPECT_EQ(selectMax({}), kNoAgent);
+    EXPECT_EQ(loadPass(4, makeCompetitors({5, 9, 3})).winner(), 2);
+    EXPECT_EQ(loadPass(4, makeCompetitors({7})).winner(), 1);
+    EXPECT_EQ(loadPass(4, {}).winner(), kNoAgent);
 }
 
 TEST(SelectMaxTest, AgreesWithSettleOnRandomInputs)
 {
-    ContentionArbiter arb(12);
     Rng rng(777);
     for (int trial = 0; trial < 300; ++trial) {
         std::vector<Competitor> cs;
@@ -185,22 +184,23 @@ TEST(SelectMaxTest, AgreesWithSettleOnRandomInputs)
             used.push_back(w);
             cs.push_back(Competitor{static_cast<AgentId>(i + 1), w});
         }
-        EXPECT_EQ(selectMax(cs), arb.settle(cs).winner);
+        const ArbitrationPass pass = loadPass(12, cs);
+        EXPECT_EQ(pass.winner(), pass.settle().winner);
     }
 }
 
 TEST(SelectMaxDeathTest, DuplicateMaximalWordsPanic)
 {
-    std::vector<Competitor> cs{{1, 7}, {2, 7}};
-    EXPECT_DEATH(selectMax(cs), "duplicate arbitration word");
+    const ArbitrationPass pass = loadPass(3, {{1, 7}, {2, 7}});
+    EXPECT_DEATH(pass.winner(), "duplicate arbitration word");
 }
 
 TEST(SettleDeathTest, InvalidInputs)
 {
-    EXPECT_DEATH(ContentionArbiter(0), "out of range");
-    ContentionArbiter arb(3);
-    EXPECT_DEATH(arb.settle(makeCompetitors({0b1000})), "does not fit");
-    EXPECT_DEATH(arb.settle(makeCompetitors({0})), "reserved word 0");
+    EXPECT_DEATH(loadPass(0, {}), "out of range");
+    EXPECT_DEATH(loadPass(3, makeCompetitors({0b1000})), "does not fit");
+    EXPECT_DEATH(loadPass(3, makeCompetitors({0})), "reserved word 0");
+    EXPECT_DEATH(loadPass(3, {{2, 5}, {2, 6}}), "competes twice");
 }
 
 } // namespace

@@ -59,7 +59,6 @@ richTuning()
     tuning.healthLag1 = 0.5;
     tuning.snapshotEvery = 10.0;
     tuning.healthSnapshots = true;
-    tuning.queuePolicy = EventQueuePolicy::kHeap;
     return tuning;
 }
 
@@ -69,7 +68,7 @@ TEST(ShardFile, RenderParseRoundTrip)
     const SweepTuning tuning = richTuning();
     const std::string scenario = spec.format();
     const std::uint64_t fp =
-        sweepFingerprint(scenario, tuning.canonicalKey());
+        sweepFingerprint(scenario, observerKey(tuning));
 
     const std::string text =
         renderShardFile(fp, 3, 1, 4, scenario, tuning);
@@ -81,8 +80,7 @@ TEST(ShardFile, RenderParseRoundTrip)
     EXPECT_EQ(task.begin, 1u);
     EXPECT_EQ(task.end, 4u);
     EXPECT_EQ(task.spec.format(), scenario);
-    EXPECT_EQ(task.tuning.canonicalKey(), tuning.canonicalKey());
-    EXPECT_EQ(task.tuning.queuePolicy, EventQueuePolicy::kHeap);
+    EXPECT_EQ(observerKey(task.tuning), observerKey(tuning));
 }
 
 TEST(ShardFile, RejectsFingerprintMismatch)
@@ -101,15 +99,22 @@ TEST(ShardFile, RejectsVersionMismatch)
 {
     const ScenarioSpec spec = tinySpec();
     const SweepTuning tuning;
-    std::string text = renderShardFile(
-        sweepFingerprint(spec.format(), tuning.canonicalKey()), 0, 0, 4,
+    const std::string text = renderShardFile(
+        sweepFingerprint(spec.format(), observerKey(tuning)), 0, 0, 4,
         spec.format(), tuning);
-    const std::size_t v = text.find("busarb-shard v1");
-    ASSERT_NE(v, std::string::npos);
-    text.replace(v, 15, "busarb-shard v9");
-    ShardTask task;
-    std::string error;
-    EXPECT_FALSE(parseShardFile(text, task, error));
+    // v1 task files (which carried a queue line) are refused too; the
+    // coordinator rewrites every task file before its workers run.
+    const std::string header = "busarb-shard v2\n";
+    ASSERT_EQ(text.compare(0, header.size(), header), 0);
+    for (const char *stale : {"busarb-shard v1\n", "busarb-shard v9\n"}) {
+        std::string old = text;
+        old.replace(0, header.size(), stale);
+        ShardTask task;
+        std::string error;
+        EXPECT_FALSE(parseShardFile(old, task, error)) << stale;
+        EXPECT_NE(error.find("busarb-shard v2"), std::string::npos)
+            << error;
+    }
 }
 
 TEST(ShardFile, RejectsBadCellRange)
@@ -117,7 +122,7 @@ TEST(ShardFile, RejectsBadCellRange)
     const ScenarioSpec spec = tinySpec(); // 4 cells
     const SweepTuning tuning;
     const std::uint64_t fp =
-        sweepFingerprint(spec.format(), tuning.canonicalKey());
+        sweepFingerprint(spec.format(), observerKey(tuning));
     ShardTask task;
     std::string error;
     // begin == end (empty shard).
@@ -144,7 +149,7 @@ std::uint64_t
 fingerprintOf(const ObserverConfig &config)
 {
     return sweepFingerprint(tinySpec().format(),
-                            SweepTuning{config}.canonicalKey());
+                            observerKey(config));
 }
 
 /**
@@ -233,7 +238,7 @@ TEST(TuningKey, RejectsMalformedKeys)
     std::string error;
     EXPECT_FALSE(parseObserverKey("", parsed, error));
     EXPECT_FALSE(parseObserverKey("trace=1", parsed, error)); // missing
-    const std::string key = SweepTuning{}.canonicalKey();
+    const std::string key = observerKey(SweepTuning{});
     EXPECT_FALSE(parseObserverKey(key + ";mystery=1", parsed, error));
     EXPECT_FALSE(parseObserverKey(key + ";trace=0", parsed, error));
     for (const auto &[good, bad] :
@@ -276,7 +281,7 @@ class WorkerShardTest : public ::testing::Test
     {
         const std::string scenario = spec.format();
         fingerprint_ =
-            sweepFingerprint(scenario, tuning.canonicalKey());
+            sweepFingerprint(scenario, observerKey(tuning));
         std::ofstream out(shardFilePath(dir_, 0), std::ios::binary);
         out << renderShardFile(fingerprint_, 0, 0, spec.cellCount(),
                                scenario, tuning);
@@ -320,8 +325,7 @@ expectCellMatches(const std::vector<std::uint8_t> &record,
 TEST_F(WorkerShardTest, ProducesBytesIdenticalToInProcessRun)
 {
     const ScenarioSpec spec = tinySpec();
-    SweepTuning tuning = richTuning();
-    tuning.queuePolicy = EventQueuePolicy::kCalendar;
+    const SweepTuning tuning = richTuning();
     writeTask(spec, tuning);
 
     EXPECT_EQ(runWorkerShard("worker_test",

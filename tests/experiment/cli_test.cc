@@ -115,10 +115,10 @@ TEST(ArgParserTest, UnknownFlagFails)
 
 TEST(ArgParserTest, TypeErrorsFail)
 {
-    {
+    for (const char *bad : {"seven", "99999999999999999999"}) {
         auto parser = makeParser();
         ::testing::internal::CaptureStderr();
-        EXPECT_FALSE(parse(parser, {"--count", "seven"}));
+        EXPECT_FALSE(parse(parser, {"--count", bad})) << bad;
         (void)::testing::internal::GetCapturedStderr();
         EXPECT_EQ(parser.exitCode(), 2);
     }
@@ -168,6 +168,43 @@ TEST(NumericParseTest, ParseLongAcceptsWholeIntegersOnly)
     EXPECT_FALSE(parseLong("", v));
     EXPECT_FALSE(parseLong("7x", v));
     EXPECT_FALSE(parseLong("x7", v));
+    // Values outside long used to be clamped to its limits.
+    EXPECT_TRUE(parseLong("9223372036854775807", v));
+    EXPECT_EQ(v, 9223372036854775807L);
+    EXPECT_TRUE(parseLong("-9223372036854775808", v));
+    EXPECT_FALSE(parseLong("9223372036854775808", v));
+    EXPECT_FALSE(parseLong("99999999999999999999", v));
+    EXPECT_FALSE(parseLong("-9223372036854775809", v));
+    EXPECT_EQ(v, -9223372036854775807L - 1); // untouched on failure
+}
+
+TEST(IntFlagOrExitTest, ReturnsValuesInRange)
+{
+    auto parser = makeParser();
+    ASSERT_TRUE(parse(parser, {"--count", "2147483647"}));
+    EXPECT_EQ(intFlagOrExit("prog", parser, "count"), 2147483647L);
+    auto wide = makeParser();
+    ASSERT_TRUE(parse(wide, {"--count", "4294967306"}));
+    EXPECT_EQ(intFlagOrExit("prog", wide, "count", 0, 4294967306L),
+              4294967306L);
+}
+
+TEST(IntFlagOrExitDeathTest, ValuesOutsideTheFieldExitTwoNamingTheFlag)
+{
+    // An int field used to take the value's low 32 bits: --count
+    // 4294967306 read as 10.
+    const auto exits_with = [](const char *value, long min_value,
+                               const char *message) {
+        auto parser = makeParser();
+        ASSERT_TRUE(parse(parser, {"--count", value}));
+        EXPECT_EXIT(intFlagOrExit("prog", parser, "count", min_value),
+                    ::testing::ExitedWithCode(2), message);
+    };
+    exits_with("4294967306", 0,
+               "prog: --count must be <= 2147483647, got 4294967306");
+    exits_with("-4294967286", -2147483648L,
+               "prog: --count must be >= -2147483648, got -4294967286");
+    exits_with("-1", 0, "prog: --count must be >= 0, got -1");
 }
 
 TEST(NumericParseTest, ParseDoubleAcceptsWholeNumbersOnly)

@@ -3,8 +3,10 @@
  * Full-stack differential test for the event-queue policy seam: the
  * same scenarios pushed through the calendar and the reference heap
  * kernel must produce byte-identical artifacts — every trace record,
- * metric, and batch statistic, not just the summary numbers. This is
- * the determinism contract docs/KERNEL.md promises.
+ * metric, fairness and health snapshot, and batch statistic, not just
+ * the summary numbers. This is the determinism contract docs/KERNEL.md
+ * promises. The tools only run the calendar, so this in-process
+ * comparison is where the heap stays pinned to it.
  */
 
 #include <sstream>
@@ -14,6 +16,7 @@
 
 #include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
+#include "experiment/scenario_spec.hh"
 #include "workload/scenario.hh"
 
 namespace busarb {
@@ -43,8 +46,17 @@ expectIdenticalRuns(ScenarioConfig config, const std::string &protocol)
     ASSERT_FALSE(calendar.binaryTrace.empty());
     EXPECT_EQ(calendar.binaryTrace, heap.binaryTrace);
 
-    // Identical metrics tree (bus.*, agent.NN.*, wait.*).
+    // Identical metrics tree (bus.*, agent.NN.*, wait.*, and the
+    // fairness.* and health.* entries when those sinks are attached).
     EXPECT_EQ(metricsJson(calendar), metricsJson(heap));
+
+    // Identical snapshot JSONL, keyed to simulated time.
+    EXPECT_EQ(calendar.fairnessSnapshots.empty(),
+              config.observe.snapshotEvery <= 0.0);
+    EXPECT_EQ(calendar.healthSnapshots.empty(),
+              !config.observe.healthSnapshots);
+    EXPECT_EQ(calendar.fairnessSnapshots, heap.fairnessSnapshots);
+    EXPECT_EQ(calendar.healthSnapshots, heap.healthSnapshots);
 
     // Identical batch statistics (bit-exact, not approximately equal).
     ASSERT_EQ(calendar.batches.size(), heap.batches.size());
@@ -110,6 +122,72 @@ TEST(QueueDifferentialTest, TwentyAgentWorkloadIsIdentical)
     config.batchSize = 800;
     config.warmup = 400;
     expectIdenticalRuns(config, "rr1");
+}
+
+/**
+ * @return The cell busarb_sweep runs for `load` on 8 agents, 3 batches
+ *         of 400, with the fairness auditor and health monitor on.
+ */
+ScenarioConfig
+observedSweepCell(const std::string &source, const std::string &load)
+{
+    ScenarioSpec spec;
+    spec.agents = 8;
+    spec.batches = 3;
+    spec.batchSize = 400;
+    spec.source = source;
+    ScenarioConfig config = spec.configForLoad(load);
+    config.observe.fairness = true;
+    config.observe.health = true;
+    return config;
+}
+
+TEST(QueueDifferentialTest, ObservedClosedSweepIsIdentical)
+{
+    // Every cell of a light-to-saturated sweep, with every observer
+    // attached.
+    for (const char *load : {"0.5", "2", "7.5"}) {
+        for (const char *protocol : {"rr1", "fcfs1", "aap1"}) {
+            SCOPED_TRACE(std::string(protocol) + " at load " + load);
+            expectIdenticalRuns(observedSweepCell("closed", load),
+                                protocol);
+        }
+    }
+}
+
+TEST(QueueDifferentialTest, Aap1SnapshotsNearSaturationAreIdentical)
+{
+    // RR and AAP-1 near saturation (load 7.6 on 8 agents), with the
+    // fairness and health snapshot streams on.
+    ScenarioSpec spec;
+    spec.agents = 8;
+    spec.batches = 2;
+    spec.batchSize = 400;
+    spec.warmupSet = true;
+    spec.warmup = 400;
+    ScenarioConfig config = spec.configForLoad("7.6");
+    config.observe.snapshotEvery = 100.0;
+    config.observe.fairness = true;
+    config.observe.health = true;
+    config.observe.healthSnapshots = true;
+    for (const char *protocol : {"rr1", "aap1"}) {
+        SCOPED_TRACE(protocol);
+        expectIdenticalRuns(config, protocol);
+    }
+}
+
+TEST(QueueDifferentialTest, OpenMmppSourceIsIdentical)
+{
+    // A bursty open-loop source schedules arrivals independently of
+    // service, unlike the closed loop.
+    for (const char *load : {"0.5", "0.8"}) {
+        for (const char *protocol : {"rr1", "fcfs1"}) {
+            SCOPED_TRACE(std::string(protocol) + " at load " + load);
+            expectIdenticalRuns(
+                observedSweepCell("open:dist=mmpp,burst=4,gap=8", load),
+                protocol);
+        }
+    }
 }
 
 } // namespace

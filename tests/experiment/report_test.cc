@@ -55,29 +55,5 @@ TEST(ReportTest, SummaryContainsTheMeasures)
     EXPECT_NE(out.find("±"), std::string::npos);
 }
 
-TEST(ReportTest, ComparisonListsEveryProtocol)
-{
-    ScenarioConfig config = equalLoadScenario(6, 1.5, 1.0);
-    config.numBatches = 3;
-    config.batchSize = 500;
-    config.warmup = 500;
-    std::vector<ScenarioResult> results;
-    const ProtocolRegistry &protocols = ProtocolRegistry::builtin();
-    results.push_back(runScenario(config, protocols.fromSpec("rr1")));
-    results.push_back(runScenario(config, protocols.fromSpec("aap1")));
-    std::ostringstream os;
-    printComparison(results, os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("RR (impl 1"), std::string::npos);
-    EXPECT_NE(out.find("AAP-1"), std::string::npos);
-    EXPECT_NE(out.find("retries"), std::string::npos);
-}
-
-TEST(ReportDeathTest, EmptyComparison)
-{
-    std::ostringstream os;
-    EXPECT_DEATH(printComparison({}, os), "nothing to compare");
-}
-
 } // namespace
 } // namespace busarb

@@ -80,6 +80,11 @@ TEST(ScenarioSpecParseTest, SeedAcceptsHex)
 {
     EXPECT_EQ(parseOk("[run]\nseed = 0x10\n").seed, 16u);
     EXPECT_EQ(parseOk("[run]\nseed = 12345\n").seed, 12345u);
+    EXPECT_EQ(parseOk("[run]\nseed = 0\n").seed, 0u);
+    EXPECT_EQ(parseOk("[run]\nseed = 18446744073709551615\n").seed,
+              18446744073709551615u);
+    EXPECT_EQ(parseOk("[run]\nseed = 0xffffffffffffffff\n").seed,
+              18446744073709551615u);
 }
 
 TEST(ScenarioSpecParseTest, WarmupDefaultsToBatchSize)
@@ -254,8 +259,44 @@ TEST(ScenarioSpecErrorTest, ValuesAreValidated)
     EXPECT_EQ(parseError("[run]\nseed = -1\n"),
               "line 2: key 'seed' expects an unsigned integer, got "
               "'-1'");
+    // Seeds are decimal or 0x hex within uint64. Octal used to slip
+    // through strtoull's base 0 ("0100" read as 64, while "09" was
+    // refused), so a leading zero is refused outright.
+    for (const char *bad :
+         {"0100", "09", "00", "18446744073709551616",
+          "99999999999999999999", "0x10000000000000000", "0x", "+5",
+          "0X10", "0x-1", "1e3"}) {
+        EXPECT_EQ(parseError(std::string("[run]\nseed = ") + bad + "\n"),
+                  std::string("line 2: key 'seed' expects an unsigned "
+                              "integer, got '") +
+                      bad + "'")
+            << bad;
+    }
     EXPECT_EQ(parseError("[workload]\nagents = 3\nagents = 4\n"),
               "line 3: duplicate key 'agents' in [workload]");
+
+    // Integer keys take the range of their field; these used to be cast
+    // to int, so agents = 4294967306 ran 10 agents.
+    for (const char *key : {"agents", "max-outstanding", "hot-agents"}) {
+        EXPECT_EQ(parseError(std::string("[workload]\n") + key +
+                             " = 4294967306\n"),
+                  std::string("line 2: key '") + key +
+                      "' must be <= 2147483647, got '4294967306'");
+    }
+    EXPECT_EQ(parseError("[run]\nbatches = 4294967297\n"),
+              "line 2: key 'batches' must be <= 2147483647, got "
+              "'4294967297'");
+    EXPECT_EQ(parseError("[run]\nbatch-size = 99999999999999999999\n"),
+              "line 2: key 'batch-size' expects an integer, got "
+              "'99999999999999999999'");
+    EXPECT_EQ(parseError("[run]\nwarmup = 9223372036854775808\n"),
+              "line 2: key 'warmup' expects an integer, got "
+              "'9223372036854775808'");
+    // The top of each range still parses.
+    EXPECT_EQ(parseOk("[run]\nbatches = 2147483647\n").batches,
+              2147483647);
+    EXPECT_EQ(parseOk("[run]\nbatch-size = 4294967306\n").batchSize,
+              4294967306L);
 }
 
 TEST(ScenarioSpecErrorTest, SweepAxesAreValidated)
@@ -469,6 +510,33 @@ TEST(ScenarioSpecDeathTest, FlagPathExitsTwoOnOutOfRangeScenarios)
     EXPECT_EXIT(specFromFlags({"--worst-case", "--agents", "3"}),
                 ::testing::ExitedWithCode(2),
                 "prog: family 'worst-case' requires agents >= 5");
+
+    // Integers the spec cannot hold. Each of these used to run:
+    // --agents and --batches wrapped to their low 32 bits, and --seed
+    // -5 became 18446744073709551611.
+    EXPECT_EXIT(specFromFlags({"--agents", "4294967306"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --agents must be <= 2147483647, got 4294967306");
+    EXPECT_EXIT(specFromFlags({"--batches", "4294967297"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --batches must be <= 2147483647, got 4294967297");
+    EXPECT_EXIT(specFromFlags({"--max-outstanding", "-4294967295"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --max-outstanding must be >= -2147483648");
+    EXPECT_EXIT(specFromFlags({"--hot-agents", "4294967298",
+                               "--hot-factor", "2"}),
+                ::testing::ExitedWithCode(2), "prog: --hot-agents");
+    EXPECT_EXIT(specFromFlags({"--seed", "-5"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --seed must be >= 0, got -5");
+    // A seed past the long range fails the flag parse itself.
+    ArgParser parser("prog", "test");
+    addScenarioFlags(parser);
+    const char *args[] = {"prog", "--seed", "99999999999999999999"};
+    EXPECT_FALSE(parser.parse(3, args));
+    EXPECT_EQ(parser.exitCode(), 2);
+    EXPECT_EQ(specFromFlags({"--seed", "9223372036854775807"}).seed,
+              9223372036854775807u);
 }
 
 TEST(ScenarioSpecDeathTest, ValidateFlagSpecOrExitUsesExitCodeTwo)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "experiment/observer_flags.hh"
 #include "experiment/sweep_cells.hh"
 
 namespace busarb {
@@ -66,7 +67,6 @@ TEST(SweepCells, TuningKnobsReachTheCellConfig)
     tuning.healthLag1 = 0.4;
     tuning.snapshotEvery = 7.0;
     tuning.healthSnapshots = true;
-    tuning.queuePolicy = EventQueuePolicy::kHeap;
 
     const ScenarioConfig config =
         sweepCellConfig(spec, tuning, "sweep_cells_test", 2);
@@ -80,7 +80,9 @@ TEST(SweepCells, TuningKnobsReachTheCellConfig)
     EXPECT_EQ(o.healthLag1, 0.4);
     EXPECT_EQ(o.snapshotEvery, 7.0);
     EXPECT_TRUE(o.healthSnapshots);
-    EXPECT_EQ(config.eventQueuePolicy, EventQueuePolicy::kHeap);
+    // Sweeps always run the calendar kernel; only in-process
+    // differential tests select the reference heap.
+    EXPECT_EQ(config.eventQueuePolicy, EventQueuePolicy::kCalendar);
 }
 
 TEST(SweepCells, BuildSweepGridMatchesPerCellAssembly)
@@ -104,7 +106,7 @@ TEST(SweepCells, CanonicalKeyIsStableText)
 {
     // The key is hashed into the sweep fingerprint; its exact text is
     // load-bearing for checkpoint compatibility across versions.
-    EXPECT_EQ(SweepTuning{}.canonicalKey(),
+    EXPECT_EQ(observerKey(SweepTuning{}),
               "trace=0;fairness=0;fairness-window=50;bypass-bound=0;"
               "health=0;health-rel-hw=0.05;health-lag1=0.3;"
               "snapshot-every=0;health-snapshots=0");
@@ -112,20 +114,10 @@ TEST(SweepCells, CanonicalKeyIsStableText)
     SweepTuning tuning;
     tuning.captureTrace = true;
     tuning.snapshotEvery = 2.5;
-    EXPECT_EQ(tuning.canonicalKey(),
+    EXPECT_EQ(observerKey(tuning),
               "trace=1;fairness=0;fairness-window=50;bypass-bound=0;"
               "health=0;health-rel-hw=0.05;health-lag1=0.3;"
               "snapshot-every=2.5;health-snapshots=0");
-}
-
-TEST(SweepCells, QueuePolicyIsNotInTheCanonicalKey)
-{
-    SweepTuning calendar;
-    SweepTuning heap;
-    heap.queuePolicy = EventQueuePolicy::kHeap;
-    // Both policies are pinned to bit-identical artifacts, so a resume
-    // may switch them without invalidating checkpoints.
-    EXPECT_EQ(calendar.canonicalKey(), heap.canonicalKey());
 }
 
 } // namespace

@@ -1,22 +1,66 @@
 /**
  * @file
- * The per-agent settle loop: the Section 2.1 remove/re-apply process
- * simulated one competitor at a time, exactly as the rule is stated.
- * busarb settles word-parallel (ArbitrationPass); this direct form is
- * the oracle the differential tests hold it to.
+ * Competitor-list helpers for the settle tests.
+ *
+ * busarb holds a pass as an ArbitrationPass; tests state their passes
+ * as lists of (agent, word) competitors. loadPass() puts such a list
+ * into a pass, and the per-agent settle loop — the Section 2.1
+ * remove/re-apply process simulated one competitor at a time, exactly
+ * as the rule is stated — is the oracle the word-parallel pass is held
+ * to.
  */
 
 #ifndef BUSARB_TESTS_SUPPORT_SETTLE_ORACLE_HH
 #define BUSARB_TESTS_SUPPORT_SETTLE_ORACLE_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
 
-#include "bus/contention.hh"
+#include "bus/arbitration_pass.hh"
 #include "sim/logging.hh"
 
 namespace busarb::test {
+
+/** A competitor in one arbitration: an agent and its composite word. */
+struct Competitor
+{
+    AgentId agent = kNoAgent;
+
+    /** The value the agent drives onto the arbitration lines. */
+    std::uint64_t word = 0;
+};
+
+/**
+ * @return A pass on `num_lines` lines, all driven by the words (no
+ *         identity lines), in which each competitor drives its word.
+ *         A word that is 0 or does not fit, a missing agent, or an
+ *         agent competing twice panics.
+ */
+inline ArbitrationPass
+loadPass(int num_lines, const std::vector<Competitor> &competitors)
+{
+    AgentId max_agent = 1;
+    for (const auto &c : competitors) {
+        BUSARB_ASSERT(c.agent != kNoAgent, "competitor without an agent");
+        max_agent = std::max(max_agent, c.agent);
+    }
+    ArbitrationPass pass;
+    pass.reset(max_agent, num_lines, 0); // checks the line count
+    for (const auto &c : competitors) {
+        BUSARB_ASSERT(c.word >> num_lines == 0, "word ", c.word,
+                      " does not fit in ", num_lines, " lines");
+        BUSARB_ASSERT(c.word != 0,
+                      "agent ", c.agent, " applied the reserved word 0");
+        BUSARB_ASSERT(!pass.competes(c.agent), "agent ", c.agent,
+                      " competes twice");
+        pass.addCompetitor(c.agent);
+        for (std::uint64_t bits = c.word; bits != 0; bits &= bits - 1)
+            pass.drive(std::countr_zero(bits), c.agent);
+    }
+    return pass;
+}
 
 /**
  * @return The word an agent with `identity` applies when the lines

@@ -66,7 +66,6 @@ main(int argc, char **argv)
                        "print the workload-source catalogue (keys, "
                        "parameters, defaults) and exit");
     addScenarioFlags(parser);
-    addQueueFlag(parser);
     parser.addStringFlag("batches-csv", "",
                          "write per-batch measurements to this file");
     parser.addStringFlag("histogram-csv", "",
@@ -100,6 +99,10 @@ main(int argc, char **argv)
                                parser.getString(flag));
     const ObserverConfig observe = observerConfigFromFlagsOrExit(
         "busarb_sim", parser, SnapshotSources::kIntervalOrHealth);
+    const long trace_events =
+        intFlagOrExit("busarb_sim", parser, "trace-events", 0);
+    const int jobs_flag =
+        static_cast<int>(intFlagOrExit("busarb_sim", parser, "jobs", 0));
 
     const ScenarioSpec spec = scenarioSpecFromFlags("busarb_sim", parser);
     if (spec.loadTokens.size() > 1) {
@@ -144,7 +147,6 @@ main(int argc, char **argv)
     config.collectHistogram = !parser.getString("histogram-csv").empty();
     config.observe = observe;
     config.profile = parser.getBool("profile");
-    config.eventQueuePolicy = queuePolicyOrExit("busarb_sim", parser);
 
     if (protocol_specs.size() == 2 &&
         protocol_specs[0] == protocol_specs[1]) {
@@ -160,7 +162,6 @@ main(int argc, char **argv)
     for (const auto &text : protocol_specs)
         factories.push_back(protocolFactoryOrExit("busarb_sim", text));
 
-    const auto trace_events = parser.getInt("trace-events");
     std::unique_ptr<TextTracer> tracer;
     if (trace_events > 0) {
         std::cout << "timeline of the first " << trace_events
@@ -179,9 +180,7 @@ main(int argc, char **argv)
     // A tracer writes to a shared stream while the simulation runs, so
     // traced runs must stay serial; plain runs fan out.
     const int jobs =
-        config.tracer != nullptr
-            ? 1
-            : resolveJobCount(static_cast<int>(parser.getInt("jobs")));
+        config.tracer != nullptr ? 1 : resolveJobCount(jobs_flag);
     const auto start = std::chrono::steady_clock::now();
     const std::vector<ScenarioResult> results =
         runScenarioGrid(grid, jobs);

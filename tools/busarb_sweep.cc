@@ -27,7 +27,6 @@
  * whatever the checkpoints already hold. See docs/ORCHESTRATION.md.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <fstream>
@@ -145,13 +144,13 @@ main(int argc, char **argv)
                          "checkpoint its cells (spawned by the "
                          "coordinator; every other flag except --jobs "
                          "is ignored)");
-    addQueueFlag(parser);
     if (!parser.parse(argc, argv))
         return parser.exitCode();
+    const int jobs_flag =
+        static_cast<int>(intFlagOrExit("busarb_sweep", parser, "jobs", 0));
     if (!parser.getString("worker-shard").empty()) {
         return runWorkerShard("busarb_sweep",
-                              parser.getString("worker-shard"),
-                              static_cast<int>(parser.getInt("jobs")));
+                              parser.getString("worker-shard"), jobs_flag);
     }
     if (parser.getBool("list-protocols")) {
         ProtocolRegistry::builtin().printTable(std::cout);
@@ -167,10 +166,8 @@ main(int argc, char **argv)
     // cells from it through the same sweep_cells.hh assembly, which is
     // what keeps sharded artifacts byte-identical to this process's.
     // Bad values exit 2 here, before any cell runs or worker spawns.
-    const SweepTuning tuning{
-        observerConfigFromFlagsOrExit("busarb_sweep", parser,
-                                      SnapshotSources::kIntervalOrHealth),
-        queuePolicyOrExit("busarb_sweep", parser)};
+    const SweepTuning tuning = observerConfigFromFlagsOrExit(
+        "busarb_sweep", parser, SnapshotSources::kIntervalOrHealth);
 
     // Artifact destinations are validated before any cell runs: a
     // missing parent directory fails in seconds, not after the sweep.
@@ -178,11 +175,11 @@ main(int argc, char **argv)
         requireParentDirOrExit("busarb_sweep", flag,
                                parser.getString(flag));
 
-    const long shards_flag = parser.getInt("shards");
-    if (shards_flag < 0) {
-        std::cerr << "busarb_sweep: --shards must be >= 0\n";
-        return 2;
-    }
+    const long shards_flag =
+        intFlagOrExit("busarb_sweep", parser, "shards", 0);
+    const long fleet_flag = intFlagOrExit("busarb_sweep", parser, "fleet", 0);
+    const int retries_flag = static_cast<int>(
+        intFlagOrExit("busarb_sweep", parser, "retries", 0));
     const bool sharded = shards_flag > 1;
     if (sharded && parser.getString("shard-dir").empty()) {
         std::cerr << "busarb_sweep: --shards needs --shard-dir for the "
@@ -197,10 +194,6 @@ main(int argc, char **argv)
                 return 2;
             }
         }
-    }
-    if (parser.getInt("retries") < 0) {
-        std::cerr << "busarb_sweep: --retries must be >= 0\n";
-        return 2;
     }
 
     // Both axes plus the workload come from one ScenarioSpec, built
@@ -223,9 +216,12 @@ main(int argc, char **argv)
                                   parser.getString("grid"));
     } else {
         spec.family = "equal";
-        spec.agents = static_cast<int>(parser.getInt("agents"));
+        // The re-validation below applies each key's lower bound.
+        spec.agents = static_cast<int>(
+            intFlagOrExit("busarb_sweep", parser, "agents"));
         spec.cv = parser.getDouble("cv");
-        spec.batches = static_cast<int>(parser.getInt("batches"));
+        spec.batches = static_cast<int>(
+            intFlagOrExit("busarb_sweep", parser, "batches"));
         spec.batchSize = parser.getInt("batch-size");
         spec.source = parser.getString("source");
         workloadSpecOrExit("busarb_sweep", spec.source);
@@ -308,15 +304,11 @@ main(int argc, char **argv)
         opts.exePath = argv[0];
         opts.shardDir = parser.getString("shard-dir");
         opts.shards = static_cast<std::size_t>(shards_flag);
-        opts.fleet = static_cast<std::size_t>(
-            std::max(0L, parser.getInt("fleet")));
-        opts.retries = static_cast<int>(parser.getInt("retries"));
+        opts.fleet = static_cast<std::size_t>(fleet_flag);
+        opts.retries = retries_flag;
         // Workers default to one thread each — the fleet is the
         // parallelism — but an explicit --jobs passes through.
-        opts.workerJobs =
-            parser.wasSet("jobs")
-                ? static_cast<int>(parser.getInt("jobs"))
-                : 1;
+        opts.workerJobs = parser.wasSet("jobs") ? jobs_flag : 1;
         opts.resume = parser.getBool("resume");
         opts.progress = parser.getBool("progress");
         results = runShardedSweep(spec, tuning, opts);
@@ -324,7 +316,7 @@ main(int argc, char **argv)
     } else {
         const std::vector<GridJob> grid =
             buildSweepGrid(spec, tuning, "busarb_sweep");
-        jobs = resolveJobCount(static_cast<int>(parser.getInt("jobs")));
+        jobs = resolveJobCount(jobs_flag);
 
         // The live progress line is stderr-only and host-timing based;
         // stdout and every written artifact stay byte-identical with
