@@ -15,11 +15,11 @@
 #include <benchmark/benchmark.h>
 
 #include "bus/arbitration_pass.hh"
-#include "bus/async_contention.hh"
 #include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "random/rng.hh"
 #include "sim/event_queue.hh"
+#include "support/async_contention.hh"
 #include "support/settle_oracle.hh"
 
 namespace {

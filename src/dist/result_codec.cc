@@ -1,8 +1,12 @@
 #include "dist/result_codec.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <set>
+#include <type_traits>
 
 #include "stats/convergence.hh"
+#include "stats/student_t.hh"
 
 namespace busarb {
 
@@ -11,361 +15,382 @@ namespace {
 /** Record magic: "BSRC" read as a big-endian u32. */
 constexpr std::uint32_t kMagic = 0x42535243u;
 
-// ---------------------------------------------------------------------
-// Encoding primitives. All multi-byte values are emitted via memcpy in
-// host byte order; doubles travel as their IEEE-754 bit patterns so the
-// round trip is bit-exact (decimal text would not be).
+/**
+ * Decode caps, far above what the runner builds (1200 bins per
+ * histogram): an edited record must not size an allocation.
+ */
+constexpr std::uint64_t kMaxHistogramBins = 1u << 20;
+constexpr std::uint64_t kMaxRecordBins = 1u << 22;
 
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    std::uint8_t raw[sizeof v];
-    std::memcpy(raw, &v, sizeof v);
-    out.insert(out.end(), raw, raw + sizeof v);
-}
+// Fields travel as their in-memory bytes in host order: doubles as
+// IEEE-754 bit patterns, so the round trip is bit-exact (decimal text
+// would not be), and sizes as u64.
+static_assert(sizeof(double) == 8 && sizeof(std::size_t) == 8,
+              "the record layout assumes 8-byte doubles and sizes");
 
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
+/** Writes a record. The checks are the decoder's; every write succeeds. */
+struct Encoder
 {
-    std::uint8_t raw[sizeof v];
-    std::memcpy(raw, &v, sizeof v);
-    out.insert(out.end(), raw, raw + sizeof v);
-}
+    std::vector<std::uint8_t> out;
 
-void
-putDouble(std::vector<std::uint8_t> &out, double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof v, "double must be 64-bit");
-    std::memcpy(&bits, &v, sizeof v);
-    putU64(out, bits);
-}
-
-void
-putString(std::vector<std::uint8_t> &out, const std::string &s)
-{
-    putU64(out, s.size());
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-void
-putBytes(std::vector<std::uint8_t> &out,
-         const std::vector<std::uint8_t> &b)
-{
-    putU64(out, b.size());
-    out.insert(out.end(), b.begin(), b.end());
-}
-
-void
-putU64Vec(std::vector<std::uint8_t> &out,
-          const std::vector<std::uint64_t> &v)
-{
-    putU64(out, v.size());
-    for (const std::uint64_t x : v)
-        putU64(out, x);
-}
-
-void
-putDoubleVec(std::vector<std::uint8_t> &out, const std::vector<double> &v)
-{
-    putU64(out, v.size());
-    for (const double x : v)
-        putDouble(out, x);
-}
-
-void
-putHistogram(std::vector<std::uint8_t> &out, const Histogram &h)
-{
-    // Sparse form: most sweep histograms concentrate mass in a few of
-    // their 1200 bins, so (index, count) pairs beat a dense dump.
-    putDouble(out, h.binWidth());
-    putU64(out, h.numBins());
-    putDouble(out, h.sum());
-    putU64(out, h.overflow());
-    std::uint64_t nonzero = 0;
-    for (std::size_t i = 0; i < h.numBins(); ++i)
-        if (h.binCount(i) != 0)
-            ++nonzero;
-    putU64(out, nonzero);
-    for (std::size_t i = 0; i < h.numBins(); ++i) {
-        if (h.binCount(i) == 0)
-            continue;
-        putU64(out, i);
-        putU64(out, h.binCount(i));
+    /** The one write primitive. */
+    bool
+    raw(const void *data, std::size_t n)
+    {
+        const auto *bytes = static_cast<const std::uint8_t *>(data);
+        out.insert(out.end(), bytes, bytes + n);
+        return true;
     }
-}
 
-void
-putRegistry(std::vector<std::uint8_t> &out, const MetricsRegistry &m)
-{
-    putU64(out, m.counters().size());
-    for (const auto &[name, counter] : m.counters()) {
-        putString(out, name);
-        putU64(out, counter.value());
+    template <typename T, typename... Check>
+    bool
+    value(const T &v, Check...)
+    {
+        return raw(&v, sizeof v);
     }
-    putU64(out, m.gauges().size());
-    for (const auto &[name, gauge] : m.gauges()) {
-        putString(out, name);
-        putU64(out, gauge.count());
-        putDouble(out, gauge.sum());
-        putDouble(out, gauge.min());
-        putDouble(out, gauge.max());
-    }
-    putU64(out, m.histograms().size());
-    for (const auto &[name, histogram] : m.histograms()) {
-        putString(out, name);
-        putHistogram(out, histogram);
-    }
-    putU64(out, m.annotations().size());
-    for (const auto &[name, value] : m.annotations()) {
-        putString(out, name);
-        putString(out, value);
-    }
-}
 
-// ---------------------------------------------------------------------
-// Decoding primitives: a cursor over the record with bounds-checked
-// reads. Every helper returns false on truncation; decode bails with a
-// diagnostic rather than assert because manifests are external input.
+    /** A bool, as a u32 0 or 1. */
+    bool flag(bool b) { return value(std::uint32_t{b}); }
 
-struct Reader
+    /** u64 count, then the elements of a string or scalar vector. */
+    template <typename Seq, typename... Length>
+    bool
+    seq(const Seq &s, Length...)
+    {
+        return value(s.size()) && raw(s.data(), s.size() * sizeof *s.data());
+    }
+
+    /** u64 count, then each element through `visit`. */
+    template <typename T, typename Visit>
+    bool
+    list(const std::vector<T> &v, const T &, Visit visit)
+    {
+        value(v.size());
+        for (const T &item : v)
+            visit(item);
+        return true;
+    }
+
+    bool histogram(const Histogram &h);
+    bool registry(const MetricsRegistry &m);
+    bool fail(const char *) { return false; }
+};
+
+/** Reads a record, bounds-checking and validating every field. */
+struct Decoder
 {
     const std::uint8_t *data;
     std::size_t size;
     std::size_t pos = 0;
+    std::uint64_t binsLeft = kMaxRecordBins;
+    std::string error = {};
 
+    /** The one read primitive: false past the end. */
     bool
-    getRaw(void *out, std::size_t n)
+    raw(void *out, std::size_t n)
     {
         if (size - pos < n)
             return false;
-        std::memcpy(out, data + pos, n);
+        if (n != 0)
+            std::memcpy(out, data + pos, n);
         pos += n;
         return true;
     }
 
-    bool getU32(std::uint32_t &v) { return getRaw(&v, sizeof v); }
-
-    bool getU64(std::uint64_t &v) { return getRaw(&v, sizeof v); }
-
+    /** `check`, when given, vets the value read. */
+    template <typename T>
     bool
-    getDouble(double &v)
+    value(T &v, std::type_identity_t<bool (*)(T)> check = nullptr)
     {
-        std::uint64_t bits = 0;
-        if (!getU64(bits))
-            return false;
-        std::memcpy(&v, &bits, sizeof v);
-        return true;
+        return raw(&v, sizeof v) && (check == nullptr || check(v));
     }
 
     bool
-    getString(std::string &s)
+    flag(bool &b)
+    {
+        std::uint32_t v = 0;
+        const bool ok = value(v) && v <= 1;
+        b = v == 1;
+        return ok;
+    }
+
+    /** A count of elements of at least `unit` bytes that fit. */
+    bool
+    count(std::uint64_t &n, std::size_t unit)
+    {
+        return value(n) && n <= (size - pos) / unit;
+    }
+
+    template <typename Seq>
+    bool
+    seq(Seq &s)
     {
         std::uint64_t n = 0;
-        if (!getU64(n) || size - pos < n)
+        if (!count(n, sizeof *s.data()))
             return false;
-        s.assign(reinterpret_cast<const char *>(data + pos),
-                 static_cast<std::size_t>(n));
-        pos += static_cast<std::size_t>(n);
-        return true;
+        s.resize(n);
+        return raw(s.data(), n * sizeof *s.data());
     }
 
+    /** A per-agent series: exactly `agents` entries, at least one. */
+    template <typename Seq>
     bool
-    getBytes(std::vector<std::uint8_t> &b)
+    seq(Seq &s, int agents)
+    {
+        return agents >= 1 && seq(s) &&
+               s.size() == static_cast<std::size_t>(agents);
+    }
+
+    /**
+     * `blank` seeds each element before `visit` reads it. Elements are
+     * added as they decode, so memory follows the bytes actually read.
+     */
+    template <typename T, typename Visit>
+    bool
+    list(std::vector<T> &v, const T &blank, Visit visit)
     {
         std::uint64_t n = 0;
-        if (!getU64(n) || size - pos < n)
+        if (!count(n, sizeof n))
             return false;
-        b.assign(data + pos, data + pos + n);
-        pos += static_cast<std::size_t>(n);
-        return true;
-    }
-
-    bool
-    getU64Vec(std::vector<std::uint64_t> &v)
-    {
-        std::uint64_t n = 0;
-        if (!getU64(n) || n > (size - pos) / sizeof(std::uint64_t))
-            return false;
-        v.resize(static_cast<std::size_t>(n));
-        for (auto &x : v)
-            if (!getU64(x))
-                return false;
-        return true;
-    }
-
-    bool
-    getDoubleVec(std::vector<double> &v)
-    {
-        std::uint64_t n = 0;
-        if (!getU64(n) || n > (size - pos) / sizeof(double))
-            return false;
-        v.resize(static_cast<std::size_t>(n));
-        for (auto &x : v)
-            if (!getDouble(x))
-                return false;
-        return true;
-    }
-
-    bool
-    getHistogram(Histogram &out)
-    {
-        double binWidth = 0.0;
-        std::uint64_t numBins = 0;
-        double sum = 0.0;
-        std::uint64_t overflow = 0;
-        std::uint64_t nonzero = 0;
-        if (!getDouble(binWidth) || !getU64(numBins) ||
-            !getDouble(sum) || !getU64(overflow) || !getU64(nonzero))
-            return false;
-        if (!(binWidth > 0.0) || numBins == 0 || nonzero > numBins)
-            return false;
-        Histogram h(binWidth, static_cast<std::size_t>(numBins));
-        for (std::uint64_t i = 0; i < nonzero; ++i) {
-            std::uint64_t bin = 0;
-            std::uint64_t count = 0;
-            if (!getU64(bin) || !getU64(count))
-                return false;
-            if (bin >= numBins || count == 0)
-                return false;
-            h.restoreBin(static_cast<std::size_t>(bin), count);
-        }
-        if (overflow != 0)
-            h.restoreOverflow(overflow);
-        h.restoreSum(sum);
-        out = h;
-        return true;
-    }
-
-    bool
-    getRegistry(MetricsRegistry &m)
-    {
-        std::uint64_t n = 0;
-        if (!getU64(n))
-            return false;
+        v.clear();
         for (std::uint64_t i = 0; i < n; ++i) {
-            std::string name;
-            std::uint64_t value = 0;
-            if (!getString(name) || !getU64(value))
+            v.push_back(blank);
+            if (!visit(v.back()))
                 return false;
-            m.counter(name).add(value);
-        }
-        if (!getU64(n))
-            return false;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            std::string name;
-            std::uint64_t count = 0;
-            double sum = 0.0;
-            double min = 0.0;
-            double max = 0.0;
-            if (!getString(name) || !getU64(count) || !getDouble(sum) ||
-                !getDouble(min) || !getDouble(max))
-                return false;
-            Gauge &gauge = m.gauge(name);
-            // An empty gauge's min/max are +/-inf sentinels; replaying
-            // them through mergeSummary would corrupt them, so only
-            // non-empty gauges carry samples back in.
-            if (count > 0)
-                gauge.mergeSummary(count, sum, min, max);
-        }
-        if (!getU64(n))
-            return false;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            std::string name;
-            Histogram h(1.0, 1);
-            if (!getString(name) || !getHistogram(h))
-                return false;
-            m.histogram(name, h.binWidth(), h.numBins()) = h;
-        }
-        if (!getU64(n))
-            return false;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            std::string name;
-            std::string value;
-            if (!getString(name) || !getString(value))
-                return false;
-            m.setAnnotation(name, value);
         }
         return true;
+    }
+
+    bool histogram(Histogram &out);
+    bool registry(MetricsRegistry &m);
+
+    bool
+    fail(const char *what)
+    {
+        error = what;
+        return false;
     }
 };
+
+bool
+Encoder::histogram(const Histogram &h)
+{
+    // Sparse form: most sweep histograms concentrate mass in a few of
+    // their 1200 bins, so (index, count) pairs beat a dense dump.
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < h.numBins(); ++i)
+        nonzero += h.binCount(i) != 0 ? 1 : 0;
+    value(h.binWidth());
+    value(h.numBins());
+    value(h.sum());
+    value(h.overflow());
+    value(nonzero);
+    for (std::size_t i = 0; i < h.numBins(); ++i) {
+        if (h.binCount(i) != 0) {
+            value(i);
+            value(h.binCount(i));
+        }
+    }
+    return true;
+}
+
+bool
+Decoder::histogram(Histogram &out)
+{
+    double width = 0.0, sum = 0.0;
+    std::uint64_t bins = 0, overflow = 0, nonzero = 0;
+    if (!value(width) || !value(bins) || !value(sum) || !value(overflow) ||
+        !value(nonzero) || !(width > 0.0) || bins == 0 ||
+        bins > kMaxHistogramBins || bins > binsLeft || nonzero > bins)
+        return false;
+    binsLeft -= bins;
+    Histogram h(width, bins);
+    for (std::uint64_t i = 0; i < nonzero; ++i) {
+        std::uint64_t bin = 0, n = 0;
+        if (!value(bin) || !value(n) || bin >= bins || n == 0)
+            return false;
+        h.restoreBin(bin, n);
+    }
+    h.restoreOverflow(overflow);
+    h.restoreSum(sum);
+    out = std::move(h);
+    return true;
+}
+
+bool
+Encoder::registry(const MetricsRegistry &m)
+{
+    // Four sections, each a count then a name and an entry per item.
+    const auto section = [this](const auto &items, auto entry) {
+        value(items.size());
+        for (const auto &[name, item] : items) {
+            seq(name);
+            entry(item);
+        }
+    };
+    section(m.counters(), [this](const auto &c) { value(c.value()); });
+    section(m.gauges(), [this](const auto &g) {
+        value(g.count());
+        value(g.sum());
+        value(g.min());
+        value(g.max());
+    });
+    section(m.histograms(), [this](const auto &h) { histogram(h); });
+    section(m.annotations(), [this](const auto &text) { seq(text); });
+    return true;
+}
+
+bool
+Decoder::registry(MetricsRegistry &m)
+{
+    // The registry asserts when a name changes kind, so a name may
+    // appear once in all four sections.
+    std::string name;
+    std::set<std::string> names;
+    const auto section = [&](auto entry) {
+        std::uint64_t n = 0;
+        if (!value(n))
+            return false;
+        for (std::uint64_t i = 0; i < n; ++i)
+            if (!seq(name) || !names.insert(name).second || !entry())
+                return false;
+        return true;
+    };
+    return section([&] {
+               std::uint64_t v = 0;
+               if (!value(v))
+                   return false;
+               m.counter(name).add(v);
+               return true;
+           }) &&
+           section([&] {
+               std::uint64_t samples = 0;
+               double sum = 0.0, min = 0.0, max = 0.0;
+               if (!value(samples) || !value(sum) || !value(min) ||
+                   !value(max))
+                   return false;
+               // An empty gauge's min/max are +/-inf sentinels;
+               // replaying them through mergeSummary would corrupt
+               // them, so only non-empty gauges carry samples back in.
+               Gauge &gauge = m.gauge(name);
+               if (samples > 0)
+                   gauge.mergeSummary(samples, sum, min, max);
+               return true;
+           }) &&
+           section([&] {
+               Histogram h(1.0, 1);
+               if (!histogram(h))
+                   return false;
+               m.histogram(name, h.binWidth(), h.numBins()) = h;
+               return true;
+           }) &&
+           section([&] {
+               std::string text;
+               if (!seq(text))
+                   return false;
+               m.setAnnotation(name, text);
+               return true;
+           });
+}
+
+bool
+knownVerdict(ConvergenceVerdict v)
+{
+    return static_cast<unsigned>(v) <=
+           static_cast<unsigned>(ConvergenceVerdict::kSaturated);
+}
+
+template <typename Io, typename Batch>
+bool
+walkBatch(Io &io, Batch &b, int agents)
+{
+    return io.value(b.duration) && io.seq(b.completions, agents) &&
+           io.value(b.waitMean) && io.value(b.waitStddev) &&
+           io.seq(b.productive, agents) && io.seq(b.cycle, agents) &&
+           io.seq(b.waitSum, agents) && io.seq(b.overlapSum, agents) &&
+           io.value(b.utilization) && io.value(b.passes) &&
+           io.value(b.retryPasses);
+}
+
+/**
+ * The record layout, stated once: every field of a ScenarioResult in
+ * record order. Instantiated with the Encoder over a const result and
+ * with the Decoder over the result it fills, which also checks what
+ * the coordinator's emission relies on (numAgents is a u32 on the
+ * wire, so one above INT_MAX reads back negative).
+ */
+template <typename Io, typename Result>
+bool
+walkResult(Io &io, Result &r)
+{
+    auto &w = r.workload;
+    auto &h = r.health;
+    const auto section = [&io](bool ok, const char *what) {
+        return ok || io.fail(what);
+    };
+    return section(io.seq(r.protocolName) && io.seq(r.spec) &&
+                       io.seq(r.workloadSpec) &&
+                       io.value(r.numAgents, [](int n) { return n >= 0; }) &&
+                       io.value(r.confidence, supportedConfidence) &&
+                       io.value(r.elapsedMs),
+                   "bad scenario header") &&
+           section(io.flag(w.openLoop) && io.flag(w.saturated) &&
+                       io.value(w.issued) && io.value(w.finalBacklog) &&
+                       io.value(w.offeredRate) &&
+                       io.value(w.carriedRate),
+                   "bad workload stats") &&
+           section(io.list(r.batches, BatchStats{},
+                           [&](auto &b) {
+                               return walkBatch(io, b, r.numAgents);
+                           }),
+                   "bad batch record") &&
+           section(io.histogram(r.waitHistogram),
+                   "bad waiting-time histogram") &&
+           section(io.list(r.agentWaitHistograms, Histogram(1.0, 1),
+                           [&io](auto &x) { return io.histogram(x); }),
+                   "bad per-agent histogram") &&
+           section(io.seq(r.binaryTrace), "bad binary trace") &&
+           section(io.registry(r.metrics), "bad metrics registry") &&
+           section(io.seq(r.fairnessSnapshots) &&
+                       io.seq(r.healthSnapshots),
+                   "bad snapshot text") &&
+           section(io.flag(h.enabled) &&
+                       io.value(h.verdict, knownVerdict) &&
+                       io.value(h.batches) && io.value(h.wait.value) &&
+                       io.value(h.wait.halfWidth) &&
+                       io.value(h.waitRelHalfWidth) &&
+                       io.value(h.waitLag1) && io.value(h.waitMserCut) &&
+                       io.seq(h.waitRelHwTrajectory) &&
+                       io.value(h.utilRelHalfWidth) &&
+                       io.value(h.utilLag1),
+                   "bad health report");
+}
 
 } // namespace
 
 std::vector<std::uint8_t>
 encodeScenarioResult(const ScenarioResult &result)
 {
-    std::vector<std::uint8_t> out;
-    putU32(out, kMagic);
-    putU32(out, kResultCodecVersion);
-    putString(out, result.protocolName);
-    putString(out, result.spec);
-    putString(out, result.workloadSpec);
-    putU32(out, static_cast<std::uint32_t>(result.numAgents));
-    putDouble(out, result.confidence);
-    putDouble(out, result.elapsedMs);
-
-    const WorkloadStats &w = result.workload;
-    putU32(out, w.openLoop ? 1 : 0);
-    putU32(out, w.saturated ? 1 : 0);
-    putU64(out, w.issued);
-    putU64(out, w.finalBacklog);
-    putDouble(out, w.offeredRate);
-    putDouble(out, w.carriedRate);
-
-    putU64(out, result.batches.size());
-    for (const BatchStats &b : result.batches) {
-        putDouble(out, b.duration);
-        putU64Vec(out, b.completions);
-        putDouble(out, b.waitMean);
-        putDouble(out, b.waitStddev);
-        putDoubleVec(out, b.productive);
-        putDoubleVec(out, b.cycle);
-        putDoubleVec(out, b.waitSum);
-        putDoubleVec(out, b.overlapSum);
-        putDouble(out, b.utilization);
-        putU64(out, b.passes);
-        putU64(out, b.retryPasses);
-    }
-
-    putHistogram(out, result.waitHistogram);
-    putU64(out, result.agentWaitHistograms.size());
-    for (const Histogram &h : result.agentWaitHistograms)
-        putHistogram(out, h);
-
-    putBytes(out, result.binaryTrace);
-    putRegistry(out, result.metrics);
-    putString(out, result.fairnessSnapshots);
-    putString(out, result.healthSnapshots);
-
-    const RunHealthReport &h = result.health;
-    putU32(out, h.enabled ? 1 : 0);
-    putU32(out, static_cast<std::uint32_t>(h.verdict));
-    putU64(out, h.batches);
-    putDouble(out, h.wait.value);
-    putDouble(out, h.wait.halfWidth);
-    putDouble(out, h.waitRelHalfWidth);
-    putDouble(out, h.waitLag1);
-    putU64(out, h.waitMserCut);
-    putDoubleVec(out, h.waitRelHwTrajectory);
-    putDouble(out, h.utilRelHalfWidth);
-    putDouble(out, h.utilLag1);
-    return out;
+    Encoder io;
+    io.value(kMagic);
+    io.value(kResultCodecVersion);
+    walkResult(io, result);
+    return std::move(io.out);
 }
 
 bool
 decodeScenarioResult(const std::uint8_t *data, std::size_t size,
                      ScenarioResult &out, std::string &error)
 {
-    Reader r{data, size};
-    const auto fail = [&error](const char *what) {
+    Decoder io{data, size};
+    const auto fail = [&error](const std::string &what) {
         error = what;
         return false;
     };
 
     std::uint32_t magic = 0;
     std::uint32_t version = 0;
-    if (!r.getU32(magic) || !r.getU32(version))
+    if (!io.value(magic) || !io.value(version))
         return fail("truncated record header");
     if (magic != kMagic)
         return fail("bad record magic");
@@ -373,87 +398,16 @@ decodeScenarioResult(const std::uint8_t *data, std::size_t size,
         return fail("record version mismatch");
 
     ScenarioResult result;
-    std::uint32_t numAgents = 0;
-    if (!r.getString(result.protocolName) || !r.getString(result.spec) ||
-        !r.getString(result.workloadSpec) || !r.getU32(numAgents) ||
-        !r.getDouble(result.confidence) ||
-        !r.getDouble(result.elapsedMs))
-        return fail("truncated scenario header");
-    result.numAgents = static_cast<int>(numAgents);
-
-    std::uint32_t wOpenLoop = 0;
-    std::uint32_t wSaturated = 0;
-    WorkloadStats &w = result.workload;
-    if (!r.getU32(wOpenLoop) || !r.getU32(wSaturated) ||
-        !r.getU64(w.issued) || !r.getU64(w.finalBacklog) ||
-        !r.getDouble(w.offeredRate) || !r.getDouble(w.carriedRate))
-        return fail("truncated workload stats");
-    if (wOpenLoop > 1 || wSaturated > 1)
-        return fail("bad workload flags");
-    w.openLoop = wOpenLoop != 0;
-    w.saturated = wSaturated != 0;
-
-    std::uint64_t numBatches = 0;
-    if (!r.getU64(numBatches))
-        return fail("truncated batch count");
-    result.batches.reserve(static_cast<std::size_t>(
-        numBatches < 4096 ? numBatches : 4096));
-    for (std::uint64_t i = 0; i < numBatches; ++i) {
-        BatchStats b;
-        if (!r.getDouble(b.duration) || !r.getU64Vec(b.completions) ||
-            !r.getDouble(b.waitMean) || !r.getDouble(b.waitStddev) ||
-            !r.getDoubleVec(b.productive) || !r.getDoubleVec(b.cycle) ||
-            !r.getDoubleVec(b.waitSum) || !r.getDoubleVec(b.overlapSum) ||
-            !r.getDouble(b.utilization) || !r.getU64(b.passes) ||
-            !r.getU64(b.retryPasses))
-            return fail("truncated batch record");
-        result.batches.push_back(std::move(b));
-    }
-
-    if (!r.getHistogram(result.waitHistogram))
-        return fail("bad waiting-time histogram");
-    std::uint64_t numAgentHists = 0;
-    if (!r.getU64(numAgentHists))
-        return fail("truncated agent histogram count");
-    for (std::uint64_t i = 0; i < numAgentHists; ++i) {
-        Histogram h(1.0, 1);
-        if (!r.getHistogram(h))
-            return fail("bad per-agent histogram");
-        result.agentWaitHistograms.push_back(std::move(h));
-    }
-
-    if (!r.getBytes(result.binaryTrace))
-        return fail("truncated binary trace");
-    if (!r.getRegistry(result.metrics))
-        return fail("bad metrics registry");
-    if (!r.getString(result.fairnessSnapshots) ||
-        !r.getString(result.healthSnapshots))
-        return fail("truncated snapshot text");
-
-    std::uint32_t enabled = 0;
-    std::uint32_t verdict = 0;
-    std::uint64_t healthBatches = 0;
-    std::uint64_t mserCut = 0;
-    RunHealthReport &h = result.health;
-    if (!r.getU32(enabled) || !r.getU32(verdict) ||
-        !r.getU64(healthBatches) || !r.getDouble(h.wait.value) ||
-        !r.getDouble(h.wait.halfWidth) ||
-        !r.getDouble(h.waitRelHalfWidth) || !r.getDouble(h.waitLag1) ||
-        !r.getU64(mserCut) || !r.getDoubleVec(h.waitRelHwTrajectory) ||
-        !r.getDouble(h.utilRelHalfWidth) || !r.getDouble(h.utilLag1))
-        return fail("truncated health report");
-    if (enabled > 1)
-        return fail("bad health-enabled flag");
-    if (verdict >
-        static_cast<std::uint32_t>(ConvergenceVerdict::kSaturated))
-        return fail("bad health verdict");
-    h.enabled = enabled != 0;
-    h.verdict = static_cast<ConvergenceVerdict>(verdict);
-    h.batches = static_cast<std::size_t>(healthBatches);
-    h.waitMserCut = static_cast<std::size_t>(mserCut);
-
-    if (r.pos != r.size)
+    if (!walkResult(io, result))
+        return fail(io.error);
+    if (io.pos != io.size)
         return fail("trailing bytes after record");
+    // Only what encode writes decodes: an edit the checks above let
+    // through (unordered bins, an empty gauge's sentinels, a NaN
+    // bound) would re-encode to other bytes.
+    const std::vector<std::uint8_t> canonical = encodeScenarioResult(result);
+    if (!std::equal(canonical.begin(), canonical.end(), data, data + size))
+        return fail("non-canonical record");
     out = std::move(result);
     error.clear();
     return true;

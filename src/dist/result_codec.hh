@@ -51,13 +51,16 @@ std::vector<std::uint8_t>
 encodeScenarioResult(const ScenarioResult &result);
 
 /**
- * Deserialize a record produced by encodeScenarioResult.
+ * Deserialize a record produced by encodeScenarioResult. Records are
+ * outside input: every count and size is bounded before use, and only
+ * bytes that encodeScenarioResult would write for the result decode.
  *
  * @param data Record bytes.
  * @param size Record length.
  * @param out Receives the result on success (fully overwritten).
  * @param error Receives a diagnostic on failure.
- * @retval false Malformed, truncated, or version-mismatched record.
+ * @retval false Malformed, truncated, version-mismatched or
+ *         non-canonical record.
  */
 bool decodeScenarioResult(const std::uint8_t *data, std::size_t size,
                           ScenarioResult &out, std::string &error);

@@ -41,25 +41,30 @@ writeHistogramCsv(const ScenarioResult &result, std::ostream &os)
 void
 writeSummaryCsvHeader(std::ostream &os)
 {
-    os << "label,protocol,throughput,throughput_hw,utilization,"
-          "wait_mean,wait_mean_hw,wait_stddev,wait_stddev_hw,"
-          "ratio_hi_lo,ratio_hi_lo_hw\n";
+    os << "label,protocol";
+    for (const ResultEstimate &e : kResultEstimates) {
+        if (e.csv != CsvForm::kAbsent)
+            os << "," << e.key;
+        if (e.csv == CsvForm::kValueAndHalfWidth)
+            os << "," << e.key << "_hw";
+    }
+    os << "\n";
 }
 
 void
 writeSummaryCsvRow(const ScenarioResult &result, const std::string &label,
                    std::ostream &os)
 {
-    const Estimate thr = result.throughput();
-    const Estimate util = result.utilization();
-    const Estimate wait = result.meanWait();
-    const Estimate sd = result.waitStddev();
-    const Estimate ratio =
-        result.throughputRatio(result.numAgents, 1);
-    os << label << "," << result.protocolName << "," << thr.value << ","
-       << thr.halfWidth << "," << util.value << "," << wait.value << ","
-       << wait.halfWidth << "," << sd.value << "," << sd.halfWidth << ","
-       << ratio.value << "," << ratio.halfWidth << "\n";
+    os << label << "," << result.protocolName;
+    for (const ResultEstimate &e : kResultEstimates) {
+        if (e.csv == CsvForm::kAbsent)
+            continue;
+        const Estimate estimate = e.compute(result);
+        os << "," << estimate.value;
+        if (e.csv == CsvForm::kValueAndHalfWidth)
+            os << "," << estimate.halfWidth;
+    }
+    os << "\n";
 }
 
 } // namespace busarb

@@ -37,8 +37,8 @@ void writeBatchesCsv(const ScenarioResult &result, std::ostream &os);
 void writeHistogramCsv(const ScenarioResult &result, std::ostream &os);
 
 /**
- * Append one summary row (protocol, estimates) to a CSV stream; call
- * writeSummaryCsvHeader first.
+ * Append one summary row (label, protocol, the kResultEstimates CSV
+ * columns) to a CSV stream; call writeSummaryCsvHeader first.
  *
  * @param result The scenario result.
  * @param label Row label (e.g. the scenario parameters).

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "experiment/report.hh"
 #include "experiment/table.hh"
 #include "obs/export_format.hh"
 #include "obs/latency.hh"
@@ -229,6 +228,17 @@ class HtmlSink : public ReportSink
     std::ostream &os_;
 };
 
+/** The report's and the summary's estimate rows: label, "v ± hw". */
+std::vector<std::vector<std::string>>
+estimateRows(const ScenarioResult &result)
+{
+    std::vector<std::vector<std::string>> rows;
+    for (const ResultEstimate &e : kResultEstimates)
+        rows.push_back(
+            {e.label, formatEstimate(e.compute(result), e.digits)});
+    return rows;
+}
+
 /** The shared content pass. */
 void
 renderReport(ReportSink &sink, const ScenarioConfig &config,
@@ -267,28 +277,7 @@ renderReport(ReportSink &sink, const ScenarioConfig &config,
     }
 
     sink.heading("Estimates");
-    {
-        std::vector<std::vector<std::string>> rows;
-        rows.push_back({"throughput (req/unit)",
-                        formatEstimate(result.throughput())});
-        rows.push_back({"bus utilization",
-                        formatEstimate(result.utilization(), 3)});
-        rows.push_back({"mean wait W",
-                        formatEstimate(result.meanWait())});
-        rows.push_back({"stddev of W",
-                        formatEstimate(result.waitStddev())});
-        rows.push_back(
-            {"t[N]/t[1] fairness ratio",
-             formatEstimate(
-                 result.throughputRatio(result.numAgents, 1))});
-        rows.push_back({"productivity",
-                        formatEstimate(result.productivity(), 3)});
-        rows.push_back({"residual wait",
-                        formatEstimate(result.residualWait())});
-        rows.push_back({"retry-pass fraction",
-                        formatEstimate(result.retryPassFraction(), 4)});
-        sink.table({"measure", "estimate"}, rows);
-    }
+    sink.table({"measure", "estimate"}, estimateRows(result));
 
     if (result.health.enabled) {
         sink.heading("Convergence");
@@ -400,6 +389,69 @@ renderReport(ReportSink &sink, const ScenarioConfig &config,
 }
 
 } // namespace
+
+std::string
+describeScenario(const ScenarioConfig &config)
+{
+    std::ostringstream os;
+    os << config.numAgents << " agents, total offered load "
+       << formatFixed(config.totalOfferedLoad(), 2);
+    if (!config.agents.empty()) {
+        // Report the CV when it is uniform across agents.
+        const double cv = config.agents.front().cv;
+        bool uniform = true;
+        for (const auto &a : config.agents)
+            uniform = uniform && a.cv == cv;
+        if (uniform)
+            os << " (cv " << formatFixed(cv, 2) << ")";
+        const int r = config.agents.front().maxOutstanding;
+        if (r > 1)
+            os << ", up to " << r << " outstanding/agent";
+    }
+    os << "; transaction " << config.bus.transactionTime
+       << ", arbitration ";
+    if (config.bus.settleTiming) {
+        os << "settle-timed ("
+           << (config.bus.settleMode == BusParams::SettleMode::kWorstCase
+                   ? "worst-case"
+                   : "dynamic")
+           << ", prop " << config.bus.propagationDelay << ")";
+    } else {
+        os << config.bus.arbitrationOverhead << " overlapped";
+    }
+    os << "; " << config.numBatches << " batches x " << config.batchSize;
+    // Only non-default sources are named, so closed-loop banners (and
+    // anything diffing them) look exactly as they did pre-seam.
+    if (config.workloadSpec != "closed")
+        os << "; source " << config.workloadSpec;
+    return os.str();
+}
+
+void
+printSummary(const ScenarioResult &result, std::ostream &os)
+{
+    TextTable table({"measure", "value"});
+    table.addRow({"protocol", result.protocolName});
+    if (result.workloadSpec != "closed")
+        table.addRow({"workload source", result.workloadSpec});
+    if (result.workload.openLoop) {
+        table.addRow({"offered rate",
+                      formatFixed(result.workload.offeredRate, 4)});
+        table.addRow({"carried rate",
+                      formatFixed(result.workload.carriedRate, 4)});
+        table.addRow({"final backlog",
+                      formatUint(result.workload.finalBacklog)});
+        table.addRow({"saturated",
+                      result.workload.saturated ? "yes" : "no"});
+    }
+    for (auto &row : estimateRows(result))
+        table.addRow(std::move(row));
+    // Host wall-clock, only known for grid-run scenarios.
+    if (result.elapsedMs > 0.0)
+        table.addRow({"sim wall time",
+                      formatFixed(result.elapsedMs, 0) + " ms"});
+    table.print(os);
+}
 
 void
 writeRunReport(const ScenarioConfig &config,

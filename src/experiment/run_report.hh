@@ -3,7 +3,7 @@
  * Self-contained run reports: one document per scenario run fusing the
  * summary estimates, convergence diagnosis, per-batch measurements,
  * latency breakdown (when a trace was captured), fairness audit, and
- * the full metrics export.
+ * the full metrics export. busarb_sim's banner and summary share it.
  *
  * The renderer is a pure function of (config, result), and every
  * number goes through the deterministic formatters, so a report for a
@@ -22,6 +22,19 @@
 #include "workload/scenario.hh"
 
 namespace busarb {
+
+/**
+ * @return A one-paragraph description of a scenario, e.g. "10 agents,
+ *         total offered load 2.00 (cv 1), transaction 1, arbitration
+ *         0.5 overlapped; 10 batches x 8000".
+ */
+std::string describeScenario(const ScenarioConfig &config);
+
+/**
+ * Print busarb_sim's summary of one result: the protocol, an open-loop
+ * source's observables, and the report's estimate rows.
+ */
+void printSummary(const ScenarioResult &result, std::ostream &os);
 
 /** Output flavor of a run report. */
 enum class RunReportFormat {

@@ -530,57 +530,69 @@ runScenarioGrid(const std::vector<GridJob> &grid, int jobs,
 
 // ------------------------------------------------------- result helpers
 
+namespace {
+
+/** Batch means (Section 4.1) over one value per batch. */
+template <typename PerBatch>
+Estimate
+batchMeans(const ScenarioResult &r, PerBatch per_batch)
+{
+    BatchMeans bm;
+    for (const BatchStats &b : r.batches)
+        bm.addBatch(per_batch(b));
+    return bm.estimate(r.confidence);
+}
+
+/** @return `agent`'s index in the per-agent series. */
+std::size_t
+agentIndex(const ScenarioResult &r, AgentId agent)
+{
+    BUSARB_ASSERT(agent >= 1 && agent <= r.numAgents,
+                  "agent id out of range: ", agent);
+    return static_cast<std::size_t>(agent - 1);
+}
+
+} // namespace
+
 Estimate
 ScenarioResult::throughput() const
 {
-    BatchMeans bm;
-    for (const auto &b : batches) {
+    return batchMeans(*this, [](const BatchStats &b) {
         std::uint64_t total = 0;
         for (auto c : b.completions)
             total += c;
-        bm.addBatch(static_cast<double>(total) / b.duration);
-    }
-    return bm.estimate(confidence);
+        return static_cast<double>(total) / b.duration;
+    });
 }
 
 Estimate
 ScenarioResult::utilization() const
 {
-    BatchMeans bm;
-    for (const auto &b : batches)
-        bm.addBatch(b.utilization);
-    return bm.estimate(confidence);
+    return batchMeans(*this,
+                      [](const BatchStats &b) { return b.utilization; });
 }
 
 Estimate
 ScenarioResult::agentThroughput(AgentId agent) const
 {
-    BUSARB_ASSERT(agent >= 1 && agent <= numAgents,
-                  "agent id out of range: ", agent);
-    BatchMeans bm;
-    for (const auto &b : batches) {
-        bm.addBatch(static_cast<double>(
-                        b.completions[static_cast<std::size_t>(agent - 1)]) /
-                    b.duration);
-    }
-    return bm.estimate(confidence);
+    const std::size_t idx = agentIndex(*this, agent);
+    return batchMeans(*this, [idx](const BatchStats &b) {
+        return static_cast<double>(b.completions[idx]) / b.duration;
+    });
 }
 
 Estimate
 ScenarioResult::throughputRatio(AgentId numer, AgentId denom) const
 {
-    BUSARB_ASSERT(numer >= 1 && numer <= numAgents && denom >= 1 &&
-                  denom <= numAgents,
-                  "agent id out of range");
+    const std::size_t n = agentIndex(*this, numer);
+    const std::size_t d = agentIndex(*this, denom);
     std::vector<double> num, den;
     bool starved = false;
     double num_total = 0.0;
     double den_total = 0.0;
     for (const auto &b : batches) {
-        num.push_back(static_cast<double>(
-            b.completions[static_cast<std::size_t>(numer - 1)]));
-        den.push_back(static_cast<double>(
-            b.completions[static_cast<std::size_t>(denom - 1)]));
+        num.push_back(static_cast<double>(b.completions[n]));
+        den.push_back(static_cast<double>(b.completions[d]));
         num_total += num.back();
         den_total += den.back();
         if (den.back() == 0.0)
@@ -599,42 +611,32 @@ ScenarioResult::throughputRatio(AgentId numer, AgentId denom) const
 Estimate
 ScenarioResult::meanWait() const
 {
-    BatchMeans bm;
-    for (const auto &b : batches)
-        bm.addBatch(b.waitMean);
-    return bm.estimate(confidence);
+    return batchMeans(*this,
+                      [](const BatchStats &b) { return b.waitMean; });
 }
 
 Estimate
 ScenarioResult::agentMeanWait(AgentId agent) const
 {
-    BUSARB_ASSERT(agent >= 1 && agent <= numAgents,
-                  "agent id out of range: ", agent);
-    BatchMeans bm;
-    const auto idx = static_cast<std::size_t>(agent - 1);
-    for (const auto &b : batches) {
+    const std::size_t idx = agentIndex(*this, agent);
+    return batchMeans(*this, [agent, idx](const BatchStats &b) {
         BUSARB_ASSERT(b.completions[idx] > 0,
                       "agent ", agent, " completed nothing in a batch");
-        bm.addBatch(b.waitSum[idx] /
-                    static_cast<double>(b.completions[idx]));
-    }
-    return bm.estimate(confidence);
+        return b.waitSum[idx] / static_cast<double>(b.completions[idx]);
+    });
 }
 
 Estimate
 ScenarioResult::waitStddev() const
 {
-    BatchMeans bm;
-    for (const auto &b : batches)
-        bm.addBatch(b.waitStddev);
-    return bm.estimate(confidence);
+    return batchMeans(*this,
+                      [](const BatchStats &b) { return b.waitStddev; });
 }
 
 Estimate
 ScenarioResult::productivity() const
 {
-    BatchMeans bm;
-    for (const auto &b : batches) {
+    return batchMeans(*this, [](const BatchStats &b) {
         double productive = 0.0;
         double cycle = 0.0;
         for (std::size_t i = 0; i < b.productive.size(); ++i) {
@@ -642,31 +644,25 @@ ScenarioResult::productivity() const
             cycle += b.cycle[i];
         }
         BUSARB_ASSERT(cycle > 0.0, "empty batch cycle time");
-        bm.addBatch(productive / cycle);
-    }
-    return bm.estimate(confidence);
+        return productive / cycle;
+    });
 }
 
 Estimate
 ScenarioResult::agentProductivity(AgentId agent) const
 {
-    BUSARB_ASSERT(agent >= 1 && agent <= numAgents,
-                  "agent id out of range: ", agent);
-    BatchMeans bm;
-    const auto idx = static_cast<std::size_t>(agent - 1);
-    for (const auto &b : batches) {
+    const std::size_t idx = agentIndex(*this, agent);
+    return batchMeans(*this, [agent, idx](const BatchStats &b) {
         BUSARB_ASSERT(b.cycle[idx] > 0.0,
                       "agent ", agent, " has no cycle time in a batch");
-        bm.addBatch(b.productive[idx] / b.cycle[idx]);
-    }
-    return bm.estimate(confidence);
+        return b.productive[idx] / b.cycle[idx];
+    });
 }
 
 Estimate
 ScenarioResult::residualWait() const
 {
-    BatchMeans bm;
-    for (const auto &b : batches) {
+    return batchMeans(*this, [](const BatchStats &b) {
         double wait = 0.0;
         double overlap = 0.0;
         std::uint64_t n = 0;
@@ -676,9 +672,8 @@ ScenarioResult::residualWait() const
             n += b.completions[i];
         }
         BUSARB_ASSERT(n > 0, "batch without completions");
-        bm.addBatch((wait - overlap) / static_cast<double>(n));
-    }
-    return bm.estimate(confidence);
+        return (wait - overlap) / static_cast<double>(n);
+    });
 }
 
 double
@@ -692,14 +687,11 @@ ScenarioResult::waitPercentile(double p) const
 Estimate
 ScenarioResult::retryPassFraction() const
 {
-    BatchMeans bm;
-    for (const auto &b : batches) {
-        bm.addBatch(b.passes == 0
-                        ? 0.0
-                        : static_cast<double>(b.retryPasses) /
-                              static_cast<double>(b.passes));
-    }
-    return bm.estimate(confidence);
+    return batchMeans(*this, [](const BatchStats &b) {
+        return b.passes == 0 ? 0.0
+                             : static_cast<double>(b.retryPasses) /
+                                   static_cast<double>(b.passes);
+    });
 }
 
 } // namespace busarb

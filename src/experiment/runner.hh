@@ -249,6 +249,50 @@ struct ScenarioResult
     double waitPercentile(double p) const;
 };
 
+/** How a derived estimate appears in the sweep CSV. */
+enum class CsvForm {
+    kAbsent,            ///< no column
+    kValue,             ///< column `key`
+    kValueAndHalfWidth, ///< columns `key` and `key_hw`
+};
+
+/** One derived estimate: its names in every view, and its function. */
+struct ResultEstimate
+{
+    const char *key;   ///< sweep-CSV column and sweep-table header
+    const char *label; ///< run-report and busarb_sim summary label
+    int digits;        ///< decimals in the report and the summary
+    CsvForm csv;
+    Estimate (*compute)(const ScenarioResult &);
+};
+
+/**
+ * The derived estimates of a ScenarioResult, in run-report order; the
+ * sweep CSV's columns follow the same order. Every view that prints an
+ * estimate reads it from here, so a new estimate is one row.
+ */
+inline constexpr ResultEstimate kResultEstimates[] = {
+    {"throughput", "throughput (req/unit)", 2, CsvForm::kValueAndHalfWidth,
+     [](const ScenarioResult &r) { return r.throughput(); }},
+    {"utilization", "bus utilization", 3, CsvForm::kValue,
+     [](const ScenarioResult &r) { return r.utilization(); }},
+    {"wait_mean", "mean wait W", 2, CsvForm::kValueAndHalfWidth,
+     [](const ScenarioResult &r) { return r.meanWait(); }},
+    {"wait_stddev", "stddev of W", 2, CsvForm::kValueAndHalfWidth,
+     [](const ScenarioResult &r) { return r.waitStddev(); }},
+    {"ratio_hi_lo", "t[N]/t[1] fairness ratio", 2,
+     CsvForm::kValueAndHalfWidth,
+     [](const ScenarioResult &r) {
+         return r.throughputRatio(r.numAgents, 1);
+     }},
+    {"productivity", "productivity", 3, CsvForm::kAbsent,
+     [](const ScenarioResult &r) { return r.productivity(); }},
+    {"residual_wait", "residual wait", 2, CsvForm::kAbsent,
+     [](const ScenarioResult &r) { return r.residualWait(); }},
+    {"retry_fraction", "retry-pass fraction", 4, CsvForm::kAbsent,
+     [](const ScenarioResult &r) { return r.retryPassFraction(); }},
+};
+
 /**
  * Run one scenario under one protocol.
  *

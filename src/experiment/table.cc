@@ -9,6 +9,18 @@
 
 namespace busarb {
 
+namespace {
+
+/** Columns of UTF-8 text: its bytes that are not 10xxxxxx ("±" is 2). */
+std::size_t
+displayWidth(const std::string &text)
+{
+    return std::count_if(text.begin(), text.end(),
+                         [](char c) { return (c & 0xC0) != 0x80; });
+}
+
+} // namespace
+
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers))
 {
@@ -28,15 +40,15 @@ TextTable::print(std::ostream &os) const
 {
     std::vector<std::size_t> widths(headers_.size());
     for (std::size_t c = 0; c < headers_.size(); ++c)
-        widths[c] = headers_[c].size();
+        widths[c] = displayWidth(headers_[c]);
     for (const auto &row : rows_) {
         for (std::size_t c = 0; c < row.size(); ++c)
-            widths[c] = std::max(widths[c], row[c].size());
+            widths[c] = std::max(widths[c], displayWidth(row[c]));
     }
     const auto print_row = [&](const std::vector<std::string> &row) {
         for (std::size_t c = 0; c < row.size(); ++c) {
-            os << "  " << std::left
-               << std::setw(static_cast<int>(widths[c])) << row[c];
+            os << "  " << row[c]
+               << std::string(widths[c] - displayWidth(row[c]), ' ');
         }
         os << "\n";
     };

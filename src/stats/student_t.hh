@@ -17,6 +17,9 @@ namespace busarb {
  */
 double studentTCritical(int dof, double confidence);
 
+/** @return Whether studentTCritical accepts `confidence`. */
+bool supportedConfidence(double confidence);
+
 } // namespace busarb
 
 #endif // BUSARB_STATS_STUDENT_T_HH

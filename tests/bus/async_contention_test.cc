@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "bus/async_contention.hh"
 #include "random/rng.hh"
+#include "support/async_contention.hh"
 #include "support/settle_oracle.hh"
 
 namespace busarb {

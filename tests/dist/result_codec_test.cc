@@ -5,9 +5,16 @@
  * record must fail decode with a diagnostic instead of crashing.
  */
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
+#include "dist/manifest.hh"
 #include "dist/result_codec.hh"
+#include "experiment/csv.hh"
 
 namespace busarb {
 namespace {
@@ -69,6 +76,115 @@ richResult()
     r.health.utilRelHalfWidth = 0.01;
     r.health.utilLag1 = 0.0625;
     return r;
+}
+
+/**
+ * What the sweep coordinator does with a decoded cell: its CSV row,
+ * its health line, and a prefixed merge of its metrics.
+ */
+void
+emitLikeTheCoordinator(const ScenarioResult &r)
+{
+    std::ostringstream os;
+    writeSummaryCsvRow(r, "load=1", os);
+    r.health.print(os);
+    MetricsRegistry merged;
+    merged.mergeFrom(r.metrics, "load=1.rr1.");
+    merged.writeJson(os);
+    merged.writeCsv(os);
+}
+
+// With one field walk, a reordered field moves encode and decode
+// together, so only pinned bytes catch a layout change. The pins are
+// FNV-1a 64 digests of the v2 records.
+TEST(ResultCodec, RichRecordLayoutIsPinned)
+{
+    if constexpr (std::endian::native != std::endian::little)
+        GTEST_SKIP() << "records are host-endian; pinned on little-endian";
+    const auto bytes = encodeScenarioResult(richResult());
+    EXPECT_EQ(bytes.size(), 1481u);
+    EXPECT_EQ(manifestChecksum(bytes), 0x7d28f43d38c81c25ull);
+}
+
+TEST(ResultCodec, DefaultRecordLayoutIsPinned)
+{
+    if constexpr (std::endian::native != std::endian::little)
+        GTEST_SKIP() << "records are host-endian; pinned on little-endian";
+    const auto bytes = encodeScenarioResult(ScenarioResult{});
+    EXPECT_EQ(bytes.size(), 290u);
+    EXPECT_EQ(manifestChecksum(bytes), 0x97d5636b792bfe2dull);
+}
+
+// Manifest checksums are unkeyed, so an edited record can reach
+// decode. Every single-field edit must either fail decode or give a
+// result the coordinator can emit and that re-encodes to the edit.
+TEST(ResultCodec, MutatedRecordsFailOrSurviveEmission)
+{
+    const auto bytes = encodeScenarioResult(richResult());
+    const std::uint64_t words[] = {~0ull, 1ull << 40, 1ull << 31, 0};
+    std::size_t decoded_count = 0;
+    for (std::size_t offset = 0; offset < bytes.size(); ++offset) {
+        std::vector<std::vector<std::uint8_t>> mutants;
+        mutants.push_back(bytes);
+        mutants.back()[offset] ^= 0xFF;
+        if (offset + sizeof(std::uint64_t) <= bytes.size()) {
+            for (const std::uint64_t word : words) {
+                mutants.push_back(bytes);
+                std::memcpy(mutants.back().data() + offset, &word,
+                            sizeof word);
+            }
+        }
+        for (const auto &mutant : mutants) {
+            ScenarioResult decoded;
+            std::string error;
+            if (!decodeScenarioResult(mutant.data(), mutant.size(),
+                                      decoded, error)) {
+                EXPECT_FALSE(error.empty()) << "offset " << offset;
+                continue;
+            }
+            ++decoded_count;
+            emitLikeTheCoordinator(decoded);
+            EXPECT_EQ(encodeScenarioResult(decoded), mutant)
+                << "offset " << offset;
+        }
+    }
+    // Edits to free-valued fields (doubles, counters, text) decode.
+    EXPECT_GT(decoded_count, 0u);
+}
+
+TEST(ResultCodec, RejectsOversizedHistogramAndAgentMismatch)
+{
+    const ScenarioResult rich = richResult();
+    const auto bytes = encodeScenarioResult(rich);
+    ScenarioResult decoded;
+    std::string error;
+
+    // The waiting-time histogram's bin count follows its bin width.
+    const double width = rich.waitHistogram.binWidth();
+    const std::uint64_t bins = rich.waitHistogram.numBins();
+    std::uint8_t header[16];
+    std::memcpy(header, &width, 8);
+    std::memcpy(header + 8, &bins, 8);
+    const auto at = std::search(bytes.begin(), bytes.end(), header,
+                                header + sizeof header);
+    ASSERT_NE(at, bytes.end());
+    auto huge = bytes;
+    const std::uint64_t too_many = 1ull << 40;
+    std::memcpy(huge.data() + (at - bytes.begin()) + 8, &too_many, 8);
+    EXPECT_FALSE(
+        decodeScenarioResult(huge.data(), huge.size(), decoded, error));
+    EXPECT_NE(error.find("histogram"), std::string::npos) << error;
+
+    // Per-agent series must hold exactly numAgents entries.
+    for (const int agents : {0, 3, 5}) {
+        ScenarioResult mismatched = rich;
+        mismatched.numAgents = agents;
+        const auto record = encodeScenarioResult(mismatched);
+        EXPECT_FALSE(decodeScenarioResult(record.data(), record.size(),
+                                          decoded, error))
+            << agents;
+        EXPECT_NE(error.find("batch"), std::string::npos) << error;
+    }
 }
 
 TEST(ResultCodec, RoundTripIsBitExact)

@@ -4,7 +4,9 @@
  * registry, and the scenario runner.
  */
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -83,6 +85,8 @@ TEST(TextTableTest, AlignsColumns)
 {
     TextTable table({"a", "long header"});
     table.addRow({"1234567", "x"});
+    // "±" is two UTF-8 bytes but one column wide.
+    table.addRow({"1.50 ± 0.25", "y"});
     std::ostringstream os;
     table.print(os);
     const std::string out = os.str();
@@ -90,6 +94,27 @@ TEST(TextTableTest, AlignsColumns)
     EXPECT_NE(out.find("long header"), std::string::npos);
     EXPECT_NE(out.find("1234567"), std::string::npos);
     EXPECT_NE(out.find("---"), std::string::npos);
+
+    // Every line's second column starts at the same display column.
+    std::istringstream lines(out);
+    std::string line;
+    std::vector<std::size_t> starts;
+    while (std::getline(lines, line)) {
+        if (line.find("---") != std::string::npos)
+            continue;
+        const std::size_t at = line.find_first_not_of(' ', 2);
+        const std::size_t second = line.find("  ", at);
+        ASSERT_NE(second, std::string::npos) << line;
+        const std::string before =
+            line.substr(0, line.find_first_not_of(' ', second));
+        starts.push_back(static_cast<std::size_t>(
+            std::count_if(before.begin(), before.end(), [](char c) {
+                return (static_cast<unsigned char>(c) & 0xC0) != 0x80;
+            })));
+    }
+    ASSERT_EQ(starts.size(), 3u);
+    EXPECT_EQ(starts[1], starts[0]) << out;
+    EXPECT_EQ(starts[2], starts[0]) << out;
 }
 
 TEST(TextTableTest, FormatHelpers)
@@ -366,7 +391,11 @@ TEST(CsvTest, SummaryRowsRoundTrip)
     writeSummaryCsvRow(result, "load=1.0", os);
     writeSummaryCsvRow(result, "again", os);
     const std::string out = os.str();
-    EXPECT_NE(out.find("label,protocol,throughput"), std::string::npos);
+    // The whole header is pinned: bench/e2e's goldens hash the CSV.
+    EXPECT_EQ(out.substr(0, out.find('\n') + 1),
+              "label,protocol,throughput,throughput_hw,utilization,"
+              "wait_mean,wait_mean_hw,wait_stddev,wait_stddev_hw,"
+              "ratio_hi_lo,ratio_hi_lo_hw\n");
     EXPECT_NE(out.find("load=1.0,RR"), std::string::npos);
     EXPECT_EQ(static_cast<int>(std::count(out.begin(), out.end(), '\n')),
               3);

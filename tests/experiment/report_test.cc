@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "experiment/protocol_registry.hh"
-#include "experiment/report.hh"
+#include "experiment/run_report.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
 

@@ -1,4 +1,4 @@
-#include "bus/async_contention.hh"
+#include "support/async_contention.hh"
 
 #include <algorithm>
 #include <bit>

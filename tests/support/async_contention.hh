@@ -19,8 +19,8 @@
  * cheaper synchronous model.
  */
 
-#ifndef BUSARB_BUS_ASYNC_CONTENTION_HH
-#define BUSARB_BUS_ASYNC_CONTENTION_HH
+#ifndef BUSARB_TESTS_SUPPORT_ASYNC_CONTENTION_HH
+#define BUSARB_TESTS_SUPPORT_ASYNC_CONTENTION_HH
 
 #include <cstdint>
 #include <vector>
@@ -106,4 +106,4 @@ class AsyncSettleModel
 
 } // namespace busarb
 
-#endif // BUSARB_BUS_ASYNC_CONTENTION_HH
+#endif // BUSARB_TESTS_SUPPORT_ASYNC_CONTENTION_HH

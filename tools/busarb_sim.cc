@@ -36,7 +36,7 @@
 #include "experiment/observer_flags.hh"
 #include "experiment/csv.hh"
 #include "experiment/protocol_registry.hh"
-#include "experiment/report.hh"
+#include "experiment/run_report.hh"
 #include "experiment/workload_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/scenario_spec.hh"
@@ -194,20 +194,6 @@ main(int argc, char **argv)
         if (i > 0)
             std::cout << "\n";
         printSummary(results[i], std::cout);
-    }
-    if (result.workload.openLoop) {
-        std::cout << "\n";
-        for (const auto &r : results) {
-            const WorkloadStats &w = r.workload;
-            std::cout << "workload[" << r.protocolName
-                      << "]: source=" << r.workloadSpec
-                      << " issued=" << w.issued
-                      << " backlog=" << w.finalBacklog
-                      << " offered_rate=" << formatFixed(w.offeredRate, 4)
-                      << " carried_rate=" << formatFixed(w.carriedRate, 4)
-                      << " saturated=" << (w.saturated ? "yes" : "no")
-                      << "\n";
-        }
     }
     std::vector<std::string> labels;
     for (const auto &r : results)

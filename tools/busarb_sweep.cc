@@ -252,7 +252,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const int n = spec.agents;
     const auto &protocol_keys = spec.protocolSpecs;
     // Sources without a load axis (trace replay) sweep the single
     // placeholder token "-", so row labels and metric prefixes stay
@@ -356,9 +355,14 @@ main(int argc, char **argv)
             .count();
 
     // Cells run loads-outer, protocols-inner; each is labelled
-    // load=<token>.<protocol> in metrics and verdicts.
-    TextTable table({"load", "protocol", "util", "W", "sigma W",
-                     "t_N/t_1", "ms"});
+    // load=<token>.<protocol> in metrics and verdicts. The table's
+    // estimate columns are the CSV's, at two decimals.
+    std::vector<std::string> headers{"load", "protocol"};
+    for (const ResultEstimate &e : kResultEstimates)
+        if (e.csv != CsvForm::kAbsent)
+            headers.push_back(e.key);
+    headers.push_back("ms");
+    TextTable table(headers);
     std::vector<std::string> labels;
     for (std::size_t cell = 0; cell < results.size(); ++cell) {
         const ScenarioResult &result = results[cell];
@@ -367,17 +371,17 @@ main(int argc, char **argv)
         labels.push_back("load=" + token + "." + key);
         if (csv != nullptr) {
             writeSummaryCsvRow(result, "load=" + token, *csv);
-        } else {
-            table.addRow({
-                token,
-                key,
-                formatFixed(result.utilization().value, 2),
-                formatEstimate(result.meanWait()),
-                formatEstimate(result.waitStddev()),
-                formatEstimate(result.throughputRatio(n, 1)),
-                formatFixed(result.elapsedMs, 0),
-            });
+            continue;
         }
+        std::vector<std::string> row{token, key};
+        for (const ResultEstimate &e : kResultEstimates) {
+            if (e.csv == CsvForm::kValue)
+                row.push_back(formatFixed(e.compute(result).value, 2));
+            else if (e.csv == CsvForm::kValueAndHalfWidth)
+                row.push_back(formatEstimate(e.compute(result)));
+        }
+        row.push_back(formatFixed(result.elapsedMs, 0));
+        table.addRow(std::move(row));
     }
     if (csv != nullptr) {
         std::cout << "wrote " << results.size() << " rows to "
