@@ -12,7 +12,7 @@
  * It demonstrates everything a protocol author needs:
  *   - deriving from ArbitrationProtocol,
  *   - holding each pass in an ArbitrationPass: identity lines built
- *     once, a queue-depth field above them filled at beginPass, and
+ *     once, the queue-depth bits above them driven at beginPass, and
  *     the wired-OR maximum (winner()) taken at completePass,
  *   - running scenarios through the experiment harness, where a
  *     built-in protocol comes from a spec string and a custom class
@@ -48,7 +48,6 @@ class LongestQueueFirstProtocol : public ArbitrationProtocol
         idBits_ = linesForAgents(num_agents);
         pending_.reset(num_agents);
         pass_.reset(num_agents, idBits_ + kDepthBits, idBits_);
-        pass_.defineField(idBits_, kDepthBits);
     }
 
     void
@@ -67,16 +66,19 @@ class LongestQueueFirstProtocol : public ArbitrationProtocol
     beginPass(Tick) override
     {
         // Every agent with a request competes, driving its queue depth
-        // (saturated at the field width) above its identity.
+        // (saturated at the depth width) above its identity, one line
+        // per bit.
         pass_.clear();
         for (std::size_t w = 0; w < pass_.numWords(); ++w)
             pass_.competitorWord(w) = pending_.requestMaskWord(w);
         pending_.forEachAgentWithRequests([&](AgentId a) {
             const std::size_t depth =
                 std::min(pending_.numOfAgent(a), kMaxDepth);
-            pass_.setField(a, static_cast<std::uint32_t>(depth));
+            for (int b = 0; b < kDepthBits; ++b) {
+                if (((depth >> b) & 1U) != 0)
+                    pass_.drive(idBits_ + b, a);
+            }
         });
-        pass_.fieldToLines();
     }
 
     PassResult

@@ -2,29 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 namespace busarb {
-
-namespace {
-
-/**
- * Transpose an 8x8 bit matrix held one row per byte: bit j of byte i
- * moves to bit i of byte j (Hacker's Delight, transpose8).
- */
-std::uint64_t
-transpose8x8(std::uint64_t x)
-{
-    std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
-    x ^= t ^ (t << 7);
-    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
-    x ^= t ^ (t << 14);
-    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
-    x ^= t ^ (t << 28);
-    return x;
-}
-
-} // namespace
 
 int
 linesForAgents(int num_agents)
@@ -54,10 +33,6 @@ ArbitrationPass::reset(int num_agents, int num_lines, int identity_lines)
     numWords_ = (static_cast<std::size_t>(num_agents) + 1 + 63) / 64;
     competitors_.assign(numWords_, 0);
     lines_.assign(static_cast<std::size_t>(num_lines) * numWords_, 0);
-    fieldLine_ = 0;
-    fieldWidth_ = 0;
-    fieldPlanes_ = 0;
-    fieldBytes_.clear();
     alive_.assign(numWords_, 0);
     applied_.assign(lines_.size(), 0);
     for (AgentId a = 1; a <= num_agents; ++a) {
@@ -79,66 +54,6 @@ ArbitrationPass::clear()
                   static_cast<std::ptrdiff_t>(
                       static_cast<std::size_t>(identityLines_) * numWords_),
               lines_.end(), 0);
-}
-
-void
-ArbitrationPass::defineField(int first_line, int width)
-{
-    BUSARB_ASSERT(width >= 1 && width <= 32, "field width out of range: ",
-                  width);
-    BUSARB_ASSERT(first_line >= identityLines_ &&
-                      first_line + width <= numLines_,
-                  "field lines [", first_line, ", ", first_line + width,
-                  ") out of range");
-    fieldLine_ = first_line;
-    fieldWidth_ = width;
-    fieldPlanes_ = (width + 7) / 8;
-    fieldBytes_.assign(static_cast<std::size_t>(fieldPlanes_) * numWords_ *
-                           64,
-                       0);
-}
-
-void
-ArbitrationPass::fieldToLines()
-{
-    BUSARB_ASSERT(fieldWidth_ > 0, "no field defined");
-    const std::size_t stride = numWords_ * 64;
-    for (int p = 0; p < fieldPlanes_; ++p) {
-        const int bits = std::min(8, fieldWidth_ - 8 * p);
-        for (std::size_t w = 0; w < numWords_; ++w) {
-            // y[c] byte b: value bit 8p + b of agents w*64 + 8c .. + 7.
-            const std::uint8_t *bytes =
-                &fieldBytes_[static_cast<std::size_t>(p) * stride + w * 64];
-            std::uint64_t y[8];
-            for (std::size_t c = 0; c < 8; ++c) {
-                std::memcpy(&y[c], bytes + c * 8, sizeof y[c]);
-                if (y[c] != 0) // chunks past the last agent stay zero
-                    y[c] = transpose8x8(y[c]);
-            }
-            // Byte transpose: afterwards y[b] byte c is y[c] byte b,
-            // i.e. y[b] is word w of line fieldLine_ + 8p + b.
-            for (std::size_t span = 1; span < 8; span *= 2) {
-                const unsigned shift = static_cast<unsigned>(8 * span);
-                const std::uint64_t keep =
-                    span == 1   ? 0x00FF00FF00FF00FFULL
-                    : span == 2 ? 0x0000FFFF0000FFFFULL
-                                : 0x00000000FFFFFFFFULL;
-                for (std::size_t c = 0; c < 8; ++c) {
-                    if ((c & span) != 0)
-                        continue;
-                    const std::uint64_t t =
-                        ((y[c] >> shift) ^ y[c + span]) & keep;
-                    y[c + span] ^= t;
-                    y[c] ^= t << shift;
-                }
-            }
-            for (int b = 0; b < bits; ++b) {
-                lines_[static_cast<std::size_t>(fieldLine_ + 8 * p + b) *
-                           numWords_ +
-                       w] = y[b];
-            }
-        }
-    }
 }
 
 bool

@@ -21,7 +21,7 @@
  *    drive a 1 there, and alive agents that drive a 0 on a line reading
  *    1 drop out for the lines below it.
  *
- * A pass never allocates once reset() (and defineField()) have sized it.
+ * A pass never allocates once reset() has sized it.
  */
 
 #ifndef BUSARB_BUS_ARBITRATION_PASS_HH
@@ -166,42 +166,6 @@ class ArbitrationPass
                 1ULL) != 0;
     }
 
-    /**
-     * Declare the pass's one multi-line field (a waiting-time counter):
-     * lines [first_line, first_line + width). Call after reset().
-     *
-     * @param first_line Lowest line of the field (a dynamic line).
-     * @param width Field width in bits, in [1, 32].
-     */
-    void defineField(int first_line, int width);
-
-    /**
-     * Record `agent`'s field value; fieldToLines() moves the recorded
-     * values onto the field's lines. Values of agents that do not
-     * compete are ignored.
-     *
-     * @param agent Agent id.
-     * @param value Field value; bits above the field width are dropped.
-     */
-    void
-    setField(AgentId agent, std::uint32_t value)
-    {
-        std::uint8_t *byte = fieldBytes_.data() + bitOf(agent);
-        const std::size_t stride = numWords_ * 64;
-        for (int p = 0; p < fieldPlanes_; ++p) {
-            byte[static_cast<std::size_t>(p) * stride] =
-                static_cast<std::uint8_t>(value >> (8 * p));
-        }
-    }
-
-    /**
-     * Transpose the recorded field values onto the field's lines: bit b
-     * of an agent's value becomes its driver bit on line first_line + b.
-     * Works on 64 agents at a time: an 8x8 bit transpose per 8 agents'
-     * value bytes, then an 8x8 byte transpose across the 8 results.
-     */
-    void fieldToLines();
-
     /** @return True iff nobody competes. */
     bool empty() const;
 
@@ -245,16 +209,6 @@ class ArbitrationPass
 
     std::vector<std::uint64_t> competitors_; // numWords_
     std::vector<std::uint64_t> lines_;       // numLines_ x numWords_
-
-    int fieldLine_ = 0;
-    int fieldWidth_ = 0;
-    int fieldPlanes_ = 0; // ceil(fieldWidth_ / 8)
-
-    /**
-     * Field values by agent id, one byte plane per 8 bits of value:
-     * byte p * numWords_ * 64 + a holds bits [8p, 8p + 8) of agent a's.
-     */
-    std::vector<std::uint8_t> fieldBytes_;
 
     // Scratch for winner() and settle(), sized by reset().
     mutable std::vector<std::uint64_t> alive_;   // numWords_

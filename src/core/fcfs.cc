@@ -46,15 +46,17 @@ FcfsProtocol::reset(int num_agents)
             ++extra;
         counterBits_ += extra;
     }
-    counterMax_ = (counterBits_ >= 63) ? ~0ULL >> 1
-                                       : ((1ULL << counterBits_) - 1ULL);
     windowTicks_ = unitsToTicks(config_.incrWindow);
     pending_.reset(num_agents);
+    counters_.reset(num_agents, counterBits_, config_.overflow);
     pass_.reset(num_agents, numLines(), idBits_);
-    pass_.defineField(idBits_, counterBits_);
+    patched_.assign(pass_.numWords(), 0);
     presentedSeq_.assign(static_cast<std::size_t>(num_agents) + 1, 0);
     passOpen_ = false;
     streams_ = {};
+    pulsedInPass_ = false;
+    lastSeq_ = 0;
+    passSeq_ = 0;
     overflowEvents_ = 0;
     tiedArrivals_ = 0;
     arrivalsSinceLastArb_ = 0;
@@ -66,14 +68,45 @@ FcfsProtocol::numLines() const
     return idBits_ + counterBits_ + (config_.enablePriority ? 1 : 0);
 }
 
+bool
+FcfsProtocol::dualStreams() const
+{
+    return config_.enablePriority &&
+           config_.priorityCounting == PriorityCounting::kDualIncrLines;
+}
+
 int
 FcfsProtocol::streamIndex(bool priority) const
 {
-    if (config_.enablePriority &&
-        config_.priorityCounting == PriorityCounting::kDualIncrLines) {
-        return priority ? 1 : 0;
+    return dualStreams() && priority ? 1 : 0;
+}
+
+void
+FcfsProtocol::countEvent(PendingEntry &e)
+{
+    ++e.counter;
+    if (e.counter == counters_.max() + 1)
+        ++overflowEvents_;
+}
+
+void
+FcfsProtocol::countPulse(int stream)
+{
+    // Every waiting request of the stream counts the pulse: the oldest
+    // ones as one add over the agent mask, the ones behind them singly.
+    for (std::size_t w = 0; w < counters_.numWords(); ++w) {
+        std::uint64_t waiting = pending_.requestMaskWord(w);
+        if (dualStreams())
+            waiting &= classWord(w, stream == 1);
+        overflowEvents_ += static_cast<std::uint64_t>(
+            counters_.increment(w, waiting));
     }
-    return 0;
+    pending_.forEachAgentWithSeveral([&](AgentId a) {
+        pending_.forEachBehindOldest(a, [&](PendingEntry &e) {
+            if (streamIndex(e.req.priority) == stream)
+                countEvent(e);
+        });
+    });
 }
 
 void
@@ -83,42 +116,39 @@ FcfsProtocol::requestPosted(const Request &req)
                   "agent id out of range: ", req.agent);
     if (req.priority && !config_.enablePriority)
         BUSARB_FATAL("priority request posted but enablePriority is off");
+    BUSARB_ASSERT(req.seq > lastSeq_, "request seq ", req.seq,
+                  " does not follow ", lastSeq_);
+    lastSeq_ = req.seq;
 
-    PendingEntry &entry = pending_.add(req);
     if (config_.strategy == FcfsStrategy::kIncrLine) {
-        PulseStream &stream = streams_[static_cast<std::size_t>(
-            streamIndex(req.priority))];
+        const int index = streamIndex(req.priority);
+        PulseStream &stream = streams_[static_cast<std::size_t>(index)];
         const bool line_idle =
             !stream.anyPulse || (req.issued - stream.lastPulse >=
                                  windowTicks_);
         if (line_idle) {
             // The agent senses 0 on a-incr and pulses it; every waiting
             // request of this stream counts the pulse.
-            ++stream.count;
             stream.lastPulse = req.issued;
             stream.anyPulse = true;
-            // Detect counters that just crossed the width limit.
-            pending_.forEach([&](PendingEntry &e) {
-                if (e.req.seq == req.seq)
-                    return;
-                if (streamIndex(e.req.priority) !=
-                    streamIndex(req.priority)) {
-                    return;
-                }
-                if (stream.count - e.epoch == counterMax_ + 1)
-                    ++overflowEvents_;
-            });
+            pulsedInPass_ = pulsedInPass_ || passOpen_;
+            countPulse(index);
         } else {
             // a-incr is already asserted: this request shares the pulse
             // (and therefore the counter value) of the previous arrival.
             ++tiedArrivals_;
         }
-        entry.epoch = stream.count;
     } else {
         if (arrivalsSinceLastArb_ > 0)
             ++tiedArrivals_;
         ++arrivalsSinceLastArb_;
     }
+
+    // The new request's counter starts at 0, on the planes when it is
+    // its agent's oldest and in its entry otherwise.
+    if (!pending_.hasAgent(req.agent))
+        counters_.set(req.agent, 0);
+    pending_.add(req);
 }
 
 bool
@@ -128,45 +158,22 @@ FcfsProtocol::wantsPass() const
 }
 
 std::uint64_t
-FcfsProtocol::effectiveCounter(const PendingEntry &e) const
+FcfsProtocol::wordFor(const Request &req, std::uint64_t counter) const
 {
-    std::uint64_t raw;
-    if (config_.strategy == FcfsStrategy::kIncrementOnLose) {
-        raw = e.counter;
-    } else {
-        const auto &stream = streams_[static_cast<std::size_t>(
-            streamIndex(e.req.priority))];
-        raw = stream.count - e.epoch;
-    }
-    if (raw <= counterMax_)
-        return raw;
-    return (config_.overflow == OverflowPolicy::kSaturate)
-               ? counterMax_
-               : (raw & counterMax_);
-}
-
-std::uint64_t
-FcfsProtocol::wordFor(const PendingEntry &e) const
-{
-    const auto id = static_cast<std::uint64_t>(e.req.agent);
-    std::uint64_t word = (effectiveCounter(e) << idBits_) | id;
-    if (config_.enablePriority && e.req.priority)
+    std::uint64_t word =
+        (counter << idBits_) | static_cast<std::uint64_t>(req.agent);
+    if (config_.enablePriority && req.priority)
         word |= 1ULL << (counterBits_ + idBits_);
     return word;
 }
 
-PendingEntry &
+const PendingEntry &
 FcfsProtocol::competingEntry(AgentId agent)
 {
-    // Closed workloads keep one outstanding request per agent, so the
-    // single-entry case is the hot path.
-    PendingEntry &front = pending_.oldest(agent);
-    if (pending_.numOfAgent(agent) == 1)
-        return front;
-    PendingEntry *best = &front;
-    std::uint64_t best_word = wordFor(front);
-    pending_.forEachOfAgent(agent, [&](PendingEntry &e) {
-        const std::uint64_t w = wordFor(e);
+    const PendingEntry *best = &pending_.oldest(agent);
+    std::uint64_t best_word = wordFor(best->req, counters_.value(agent));
+    pending_.forEachBehindOldest(agent, [&](const PendingEntry &e) {
+        const std::uint64_t w = wordFor(e.req, counters_.clip(e.counter));
         if (w > best_word) {
             best = &e;
             best_word = w;
@@ -176,22 +183,35 @@ FcfsProtocol::competingEntry(AgentId agent)
 }
 
 void
-FcfsProtocol::loadCounters()
+FcfsProtocol::presentEntry(AgentId agent, const PendingEntry &e)
 {
-    const std::size_t words = pass_.numWords();
-    for (std::size_t w = 0; w < words; ++w) {
-        for (std::uint64_t bits = pass_.competitorWord(w); bits != 0;
-             bits &= bits - 1) {
+    const auto bit = static_cast<std::size_t>(agent);
+    const std::size_t w = bit >> 6;
+    const std::uint64_t m = 1ULL << (bit & 63);
+    const std::uint64_t word = wordFor(e.req, counters_.clip(e.counter));
+    for (int line = idBits_; line < numLines(); ++line) {
+        std::uint64_t &l = pass_.lineWord(line, w);
+        l = ((word >> line) & 1ULL) != 0 ? (l | m) : (l & ~m);
+    }
+}
+
+void
+FcfsProtocol::driveCounters()
+{
+    for (int b = 0; b < counterBits_; ++b) {
+        for (std::size_t w = 0; w < pass_.numWords(); ++w)
+            pass_.lineWord(idBits_ + b, w) = counters_.plane(b, w);
+    }
+    for (std::size_t w = 0; w < patched_.size(); ++w) {
+        for (std::uint64_t bits = patched_[w]; bits != 0; bits &= bits - 1) {
             const auto a =
                 static_cast<AgentId>(w * 64 + std::countr_zero(bits));
             const PendingEntry *e = pending_.findBySeq(
                 a, presentedSeq_[static_cast<std::size_t>(a)]);
             BUSARB_ASSERT(e != nullptr, "frozen request vanished");
-            pass_.setField(a, static_cast<std::uint32_t>(
-                                  effectiveCounter(*e)));
+            presentEntry(a, *e);
         }
     }
-    pass_.fieldToLines();
 }
 
 void
@@ -200,27 +220,30 @@ FcfsProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    pass_.clear();
-    // Requests present now participate (or at least observe) this
-    // arbitration; requests posted later do not. Only the
-    // increment-on-lose counters need to know which.
-    const bool counts_losses =
-        config_.strategy == FcfsStrategy::kIncrementOnLose;
-    for (std::size_t w = 0; w < pass_.numWords(); ++w)
+    pulsedInPass_ = false;
+    passSeq_ = lastSeq_;
+    // Every agent with a request competes with its oldest one, whose
+    // counter the planes hold and whose class the priority mask does;
+    // every dynamic line is written whole.
+    for (std::size_t w = 0; w < pass_.numWords(); ++w) {
         pass_.competitorWord(w) = pending_.requestMaskWord(w);
-    pending_.forEachAgentWithRequests([&](AgentId a) {
-        if (counts_losses) {
-            pending_.forEachOfAgent(
-                a, [](PendingEntry &e) { e.inPass = true; });
+        if (config_.enablePriority) {
+            pass_.lineWord(counterBits_ + idBits_, w) =
+                pending_.priorityMaskWord(w);
         }
+        patched_[w] = 0;
+    }
+    // An agent with several requests presents its maximum word, which
+    // under wrap or priority can be a request behind its oldest.
+    pending_.forEachAgentWithSeveral([&](AgentId a) {
         const PendingEntry &e = competingEntry(a);
-        presentedSeq_[static_cast<std::size_t>(a)] = e.req.seq;
-        pass_.setField(a, static_cast<std::uint32_t>(effectiveCounter(e)));
-        if (config_.enablePriority && e.req.priority)
-            pass_.drive(counterBits_ + idBits_, a);
+        if (e.req.seq == pending_.oldest(a).req.seq)
+            return;
+        const auto bit = static_cast<std::size_t>(a);
+        patched_[bit >> 6] |= 1ULL << (bit & 63);
+        presentedSeq_[bit] = e.req.seq;
     });
-    pass_.fieldToLines();
-    passPulseCounts_ = {streams_[0].count, streams_[1].count};
+    driveCounters();
 }
 
 PassResult
@@ -230,41 +253,50 @@ FcfsProtocol::completePass(Tick now)
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
 
-    if (pass_.empty()) {
+    // The winner comes from the words at resolution time: for the
+    // a-incr strategy, pulses that occurred during the pass have already
+    // advanced the waiting-time counters the agents are applying.
+    if (pulsedInPass_)
+        driveCounters();
+    const AgentId agent = pass_.winner();
+    if (agent == kNoAgent) {
         BUSARB_ASSERT(pending_.empty(),
                       "FCFS pass frozen empty with requests pending");
         return PassResult::makeIdle();
     }
-
-    // The winner comes from the words at resolution time: for the
-    // a-incr strategy, pulses that occurred during the pass have already
-    // advanced the waiting-time counters the agents are applying.
-    if (passPulseCounts_[0] != streams_[0].count ||
-        passPulseCounts_[1] != streams_[1].count) {
-        loadCounters();
+    const auto bit = static_cast<std::size_t>(agent);
+    const bool patched = ((patched_[bit >> 6] >> (bit & 63)) & 1ULL) != 0;
+    const PendingEntry *winner = &pending_.oldest(agent);
+    if (patched) {
+        winner = pending_.findBySeq(agent, presentedSeq_[bit]);
+        BUSARB_ASSERT(winner != nullptr, "frozen request vanished");
     }
-    const AgentId agent = pass_.winner();
-    PendingEntry *winner = pending_.findBySeq(
-        agent, presentedSeq_[static_cast<std::size_t>(agent)]);
-    BUSARB_ASSERT(winner != nullptr, "frozen request vanished");
     const Request won = winner->req;
 
     if (config_.strategy == FcfsStrategy::kIncrementOnLose) {
         // Every request that observed this arbitration and was not served
         // increments its waiting-time counter (subject to the priority
-        // counting rule).
+        // counting rule): the competitors' oldest requests as one add
+        // over the competitor mask, the requests behind them singly.
         const bool matched =
             config_.enablePriority &&
             config_.priorityCounting == PriorityCounting::kMatchedIncrement;
-        pending_.forEach([&](PendingEntry &e) {
-            const bool lost = e.inPass && e.req.seq != won.seq &&
-                              (!matched || e.req.priority == won.priority);
-            e.inPass = false;
-            if (!lost)
-                return;
-            ++e.counter;
-            if (e.counter == counterMax_ + 1)
-                ++overflowEvents_;
+        for (std::size_t w = 0; w < pass_.numWords(); ++w) {
+            std::uint64_t lost = pass_.competitorWord(w);
+            if (!patched && w == (bit >> 6))
+                lost &= ~(1ULL << (bit & 63));
+            if (matched)
+                lost &= classWord(w, won.priority);
+            overflowEvents_ +=
+                static_cast<std::uint64_t>(counters_.increment(w, lost));
+        }
+        pending_.forEachAgentWithSeveral([&](AgentId a) {
+            pending_.forEachBehindOldest(a, [&](PendingEntry &e) {
+                if (e.req.seq <= passSeq_ && e.req.seq != won.seq &&
+                    (!matched || e.req.priority == won.priority)) {
+                    countEvent(e);
+                }
+            });
         });
         arrivalsSinceLastArb_ = 0;
     }
@@ -276,7 +308,12 @@ void
 FcfsProtocol::tenureStarted(const Request &req, Tick now)
 {
     (void)now;
+    const bool oldest = pending_.oldest(req.agent).req.seq == req.seq;
     pending_.popBySeq(req.agent, req.seq);
+    // The request behind a served oldest moves up, and its counter onto
+    // the planes.
+    if (oldest && pending_.hasAgent(req.agent))
+        counters_.set(req.agent, pending_.oldest(req.agent).counter);
 }
 
 int

@@ -42,6 +42,7 @@
 #include "bus/arbitration_pass.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
+#include "core/wait_counters.hh"
 
 namespace busarb {
 
@@ -49,14 +50,6 @@ namespace busarb {
 enum class FcfsStrategy {
     kIncrementOnLose = 1,
     kIncrLine = 2,
-};
-
-/** What happens when a waiting-time counter exceeds its width. */
-enum class OverflowPolicy {
-    /** Clamp at the maximum representable value (ties among the oldest). */
-    kSaturate,
-    /** Wrap modulo 2^bits (the paper's "reset to zero" overflow). */
-    kWrap,
 };
 
 /** Counter-update handling for mixed priority / non-priority traffic. */
@@ -156,7 +149,6 @@ class FcfsProtocol : public ArbitrationProtocol
     int numAgents_ = 0;
     int idBits_ = 0;
     int counterBits_ = 0;
-    std::uint64_t counterMax_ = 0;
     Tick windowTicks_ = 0;
     PendingRequests pending_;
     bool passOpen_ = false;
@@ -168,11 +160,16 @@ class FcfsProtocol : public ArbitrationProtocol
      *  priority line under kDualIncrLines; otherwise only index 0). */
     struct PulseStream
     {
-        std::uint64_t count = 0;
         Tick lastPulse = -1;
         bool anyPulse = false;
     };
     std::array<PulseStream, 2> streams_;
+
+    /** True once an a-incr pulse lands while a pass is open. */
+    bool pulsedInPass_ = false;
+
+    /** The counter of each agent's oldest pending request. */
+    WaitCounters counters_;
 
     /**
      * The frozen competitors and their lines: identity, the counter on
@@ -180,26 +177,54 @@ class FcfsProtocol : public ArbitrationProtocol
      */
     ArbitrationPass pass_;
 
-    /** Request each competitor presents (index by agent id). */
+    /** Sequence number of the last request posted. */
+    std::uint64_t lastSeq_ = 0;
+
+    /**
+     * lastSeq_ when the pass began: a request is in the pass iff its
+     * seq is at most this.
+     */
+    std::uint64_t passSeq_ = 0;
+
+    /**
+     * Competitors that present a request behind their oldest (packed
+     * agent mask), and the seq each presents (index by agent id).
+     */
+    std::vector<std::uint64_t> patched_;
     std::vector<std::uint64_t> presentedSeq_;
 
-    /** Pulse counts when the pass began (strategy 2). */
-    std::array<std::uint64_t, 2> passPulseCounts_{};
+    /** @return True iff each priority class has its own a-incr line. */
+    bool dualStreams() const;
 
     /** @return Index of the pulse stream a request of `priority` uses. */
     int streamIndex(bool priority) const;
 
-    /** @return The effective (width-limited) counter value of `e`. */
-    std::uint64_t effectiveCounter(const PendingEntry &e) const;
+    /** @return Word w of the agents whose oldest is of class `priority`. */
+    std::uint64_t
+    classWord(std::size_t w, bool priority) const
+    {
+        const std::uint64_t p = pending_.priorityMaskWord(w);
+        return priority ? p : ~p;
+    }
 
-    /** @return The full arbitration word for entry `e`. */
-    std::uint64_t wordFor(const PendingEntry &e) const;
+    /** @return The arbitration word of `req` with counter `counter`. */
+    std::uint64_t wordFor(const Request &req, std::uint64_t counter) const;
+
+    /** One more counted event for `e`, a request behind its oldest. */
+    void countEvent(PendingEntry &e);
+
+    /** An a-incr pulse on `stream`: +1 on each of its waiting requests. */
+    void countPulse(int stream);
 
     /** @return The entry `agent` presents: its maximum-word request. */
-    PendingEntry &competingEntry(AgentId agent);
+    const PendingEntry &competingEntry(AgentId agent);
 
-    /** Load the presented requests' counters onto the counter lines. */
-    void loadCounters();
+    /** Write `e`'s counter and class onto `agent`'s dynamic lines. */
+    void presentEntry(AgentId agent, const PendingEntry &e);
+
+    /** Copy the counter planes onto the counter lines, then re-present
+     *  the patched competitors. */
+    void driveCounters();
 };
 
 } // namespace busarb

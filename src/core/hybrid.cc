@@ -1,7 +1,5 @@
 #include "core/hybrid.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace busarb {
@@ -20,12 +18,13 @@ HybridProtocol::reset(int num_agents)
     idBits_ = linesForAgents(num_agents);
     counterBits_ =
         (config_.counterBits > 0) ? config_.counterBits : idBits_;
-    counterMax_ = (1ULL << counterBits_) - 1ULL;
     recordedWinner_ = num_agents + 1;
     pending_.reset(num_agents);
+    counters_.reset(num_agents, counterBits_, OverflowPolicy::kSaturate);
     pass_.reset(num_agents, arbitrationLineCount(), idBits_);
-    pass_.defineField(idBits_ + 1, counterBits_);
     passOpen_ = false;
+    lastSeq_ = 0;
+    passSeq_ = 0;
 }
 
 void
@@ -35,6 +34,11 @@ HybridProtocol::requestPosted(const Request &req)
                   "agent id out of range: ", req.agent);
     BUSARB_ASSERT(!req.priority,
                   "the hybrid protocol does not support priority requests");
+    BUSARB_ASSERT(req.seq > lastSeq_, "request seq ", req.seq,
+                  " does not follow ", lastSeq_);
+    lastSeq_ = req.seq;
+    if (!pending_.hasAgent(req.agent))
+        counters_.set(req.agent, 0);
     pending_.add(req);
 }
 
@@ -50,21 +54,18 @@ HybridProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    pass_.clear();
+    passSeq_ = lastSeq_;
+    // One outstanding word per agent: the oldest request has the largest
+    // (saturating) counter, so it is the one the agent presents, and the
+    // planes hold its counter.
     for (std::size_t w = 0; w < pass_.numWords(); ++w) {
         const std::uint64_t requesting = pending_.requestMaskWord(w);
         pass_.competitorWord(w) = requesting;
         pass_.lineWord(idBits_, w) =
             requesting & agentsBelowWord(recordedWinner_, w);
+        for (int b = 0; b < counterBits_; ++b)
+            pass_.lineWord(idBits_ + 1 + b, w) = counters_.plane(b, w);
     }
-    pending_.forEachAgentOldest([&](PendingEntry &e) {
-        // One outstanding word per agent; the oldest request has the
-        // largest counter, so it is the one the agent presents.
-        pass_.setField(e.req.agent, static_cast<std::uint32_t>(
-                                        std::min(e.counter, counterMax_)));
-    });
-    pass_.fieldToLines();
-    pending_.forEach([](PendingEntry &e) { e.inPass = true; });
 }
 
 PassResult
@@ -74,18 +75,29 @@ HybridProtocol::completePass(Tick now)
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
 
-    if (pass_.empty()) {
+    const AgentId agent = pass_.winner();
+    if (agent == kNoAgent) {
         BUSARB_ASSERT(pending_.empty(),
                       "hybrid pass frozen empty with requests pending");
         return PassResult::makeIdle();
     }
-
-    const Request won = pending_.oldest(pass_.winner()).req;
+    const Request won = pending_.oldest(agent).req;
     recordedWinner_ = won.agent;
-    pending_.forEach([&](PendingEntry &e) {
-        if (e.inPass && e.req.seq != won.seq)
-            ++e.counter;
-        e.inPass = false;
+    // Every request in the pass but the winner lost it: the competitors'
+    // oldest requests as one add over the competitor mask, the requests
+    // behind them singly.
+    const auto bit = static_cast<std::size_t>(agent);
+    for (std::size_t w = 0; w < pass_.numWords(); ++w) {
+        std::uint64_t lost = pass_.competitorWord(w);
+        if (w == (bit >> 6))
+            lost &= ~(1ULL << (bit & 63));
+        counters_.increment(w, lost);
+    }
+    pending_.forEachAgentWithSeveral([&](AgentId a) {
+        pending_.forEachBehindOldest(a, [&](PendingEntry &e) {
+            if (e.req.seq <= passSeq_)
+                ++e.counter;
+        });
     });
 
     return PassResult::makeWinner(won);
@@ -95,7 +107,12 @@ void
 HybridProtocol::tenureStarted(const Request &req, Tick now)
 {
     (void)now;
+    const bool oldest = pending_.oldest(req.agent).req.seq == req.seq;
     pending_.popBySeq(req.agent, req.seq);
+    // The request behind a served oldest moves up, and its counter onto
+    // the planes.
+    if (oldest && pending_.hasAgent(req.agent))
+        counters_.set(req.agent, pending_.oldest(req.agent).counter);
 }
 
 int

@@ -25,6 +25,7 @@
 #include "bus/arbitration_pass.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
+#include "core/wait_counters.hh"
 
 namespace busarb {
 
@@ -66,16 +67,27 @@ class HybridProtocol : public ArbitrationProtocol
     int numAgents_ = 0;
     int idBits_ = 0;
     int counterBits_ = 0;
-    std::uint64_t counterMax_ = 0;
     AgentId recordedWinner_ = 0;
     PendingRequests pending_;
     bool passOpen_ = false;
+
+    /** The saturating counter of each agent's oldest pending request. */
+    WaitCounters counters_;
 
     /**
      * The frozen competitors and their lines: identity, the RR bit on
      * line idBits, the counter on the lines above it.
      */
     ArbitrationPass pass_;
+
+    /** Sequence number of the last request posted. */
+    std::uint64_t lastSeq_ = 0;
+
+    /**
+     * lastSeq_ when the pass began: a request is in the pass iff its
+     * seq is at most this.
+     */
+    std::uint64_t passSeq_ = 0;
 };
 
 } // namespace busarb

@@ -13,21 +13,9 @@ PendingRequests::reset(int num_agents)
     slot_.assign(static_cast<std::size_t>(num_agents) + 1, {});
     overflow_.assign(slot_.size(), {});
     mask_.assign((slot_.size() + 63) / 64, 0);
+    priority_.assign(mask_.size(), 0);
+    several_.assign(mask_.size(), 0);
     total_ = 0;
-}
-
-void
-PendingRequests::setBit(AgentId agent)
-{
-    const auto bit = static_cast<std::size_t>(agent);
-    mask_[bit >> 6] |= 1ULL << (bit & 63);
-}
-
-void
-PendingRequests::clearBit(AgentId agent)
-{
-    const auto bit = static_cast<std::size_t>(agent);
-    mask_[bit >> 6] &= ~(1ULL << (bit & 63));
 }
 
 PendingEntry &
@@ -38,11 +26,13 @@ PendingRequests::add(const Request &req)
     const auto a = static_cast<std::size_t>(req.agent);
     ++total_;
     if (!hasAgent(req.agent)) {
-        slot_[a] = PendingEntry{req, 0, 0, false};
-        setBit(req.agent);
+        slot_[a] = PendingEntry{req, 0};
+        setMaskBit(mask_, req.agent, true);
+        setMaskBit(priority_, req.agent, req.priority);
         return slot_[a];
     }
-    overflow_[a].push_back(PendingEntry{req, 0, 0, false});
+    overflow_[a].push_back(PendingEntry{req, 0});
+    setMaskBit(several_, req.agent, true);
     return overflow_[a].back();
 }
 
@@ -112,6 +102,7 @@ PendingRequests::popBySeq(AgentId agent, std::uint64_t seq)
         if (it->req.seq == seq) {
             const Request req = it->req;
             dq.erase(it);
+            setMaskBit(several_, agent, !dq.empty());
             BUSARB_ASSERT(total_ > 0, "pending count underflow");
             --total_;
             return req;
@@ -129,10 +120,13 @@ PendingRequests::popOldest(AgentId agent)
     const Request req = slot_[a].req;
     auto &dq = overflow_[a];
     if (dq.empty()) {
-        clearBit(agent);
+        setMaskBit(mask_, agent, false);
+        setMaskBit(priority_, agent, false);
     } else {
         slot_[a] = std::move(dq.front());
         dq.pop_front();
+        setMaskBit(priority_, agent, slot_[a].req.priority);
+        setMaskBit(several_, agent, !dq.empty());
     }
     BUSARB_ASSERT(total_ > 0, "pending count underflow");
     --total_;

@@ -3,18 +3,18 @@
  * Bookkeeping for posted-but-unserved requests, shared by the protocol
  * implementations.
  *
- * Each entry models one outstanding request together with the dynamic
- * per-request state a distributed arbiter would keep in the requester's
- * interface logic (waiting-time counter, arrival epoch, membership in the
- * currently frozen arbitration pass).
+ * Each entry models one outstanding request together with one counter
+ * of dynamic per-request state a distributed arbiter would keep in the
+ * requester's interface logic.
  *
  * Storage is structure-of-arrays shaped for the per-pass hot loop: the
  * oldest pending request of each agent lives in a flat slot array
  * (`slot_[agent]`), so the arbitration scan touches one cache-friendly
- * array plus a packed occupancy bitmask. Closed workloads keep at most
- * one outstanding request per agent and never leave that fast path;
- * deeper per-agent FIFOs spill newer requests to a per-agent overflow
- * deque.
+ * array plus packed agent masks (who has a request, whose oldest is a
+ * priority request, who has more than one). Closed workloads keep at
+ * most one outstanding request per agent and never leave that fast
+ * path; deeper per-agent FIFOs spill newer requests to a per-agent
+ * overflow deque.
  */
 
 #ifndef BUSARB_CORE_PENDING_REQUESTS_HH
@@ -36,14 +36,13 @@ struct PendingEntry
 {
     Request req;
 
-    /** Waiting-time counter (FCFS Section 3.2); raw, before width clip. */
+    /**
+     * The protocol's per-request count: the ticket number of the central
+     * ticket arbiter, or the raw (unclipped) waiting-time counter of an
+     * FCFS or hybrid request behind its agent's oldest. The oldest
+     * request's counter lives in the protocol's WaitCounters.
+     */
     std::uint64_t counter = 0;
-
-    /** a-incr epoch at arrival (FCFS implementation 2). */
-    std::uint64_t epoch = 0;
-
-    /** True while the request is a competitor in the frozen pass. */
-    bool inPass = false;
 };
 
 /**
@@ -165,6 +164,42 @@ class PendingRequests
     }
 
     /**
+     * Visit every agent with more than one pending request, in
+     * ascending id order: a bit scan over a packed mask that closed
+     * workloads never set.
+     *
+     * @param fn Callable taking (AgentId).
+     */
+    template <typename Fn>
+    void
+    forEachAgentWithSeveral(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < several_.size(); ++w) {
+            for (std::uint64_t bits = several_[w]; bits != 0;
+                 bits &= bits - 1) {
+                fn(static_cast<AgentId>(w * 64 + std::countr_zero(bits)));
+            }
+        }
+    }
+
+    /**
+     * Visit the pending entries of `agent` behind its oldest, oldest
+     * first.
+     *
+     * @param agent Agent whose entries to visit.
+     * @param fn Callable taking (PendingEntry &).
+     */
+    template <typename Fn>
+    void
+    forEachBehindOldest(AgentId agent, Fn &&fn)
+    {
+        BUSARB_ASSERT(agent >= 1 && agent <= numAgents(),
+                      "agent id out of range: ", agent);
+        for (auto &entry : overflow_[static_cast<std::size_t>(agent)])
+            fn(entry);
+    }
+
+    /**
      * Visit every pending entry of one agent, oldest first.
      *
      * @param agent Agent whose entries to visit.
@@ -217,6 +252,16 @@ class PendingRequests
     std::uint64_t requestMaskWord(std::size_t w) const { return mask_[w]; }
 
     /**
+     * Packed priority mask word: bit a set iff agent w*64 + a has a
+     * pending request and its oldest one is a priority request.
+     */
+    std::uint64_t
+    priorityMaskWord(std::size_t w) const
+    {
+        return priority_[w];
+    }
+
+    /**
      * @param limit Exclusive agent-id bound.
      * @return True iff some agent with id < limit has a pending request.
      */
@@ -238,14 +283,22 @@ class PendingRequests
     int numAgents() const { return static_cast<int>(slot_.size()) - 1; }
 
   private:
-    void setBit(AgentId agent);
-    void clearBit(AgentId agent);
+    /** Set or clear `agent`'s bit in one of the packed masks. */
+    static void
+    setMaskBit(std::vector<std::uint64_t> &mask, AgentId agent, bool on)
+    {
+        const auto bit = static_cast<std::size_t>(agent);
+        const std::uint64_t m = 1ULL << (bit & 63);
+        mask[bit >> 6] = on ? (mask[bit >> 6] | m) : (mask[bit >> 6] & ~m);
+    }
 
     /** Oldest pending entry per agent (valid iff the mask bit is set). */
     std::vector<PendingEntry> slot_; // index by agent id
     /** Second-and-later pending entries per agent, oldest first. */
     std::vector<std::deque<PendingEntry>> overflow_; // index by agent id
     std::vector<std::uint64_t> mask_; // bit (id & 63) of word id/64
+    std::vector<std::uint64_t> priority_; // oldest is a priority request
+    std::vector<std::uint64_t> several_;  // more than one pending
     std::size_t total_ = 0;
 };
 

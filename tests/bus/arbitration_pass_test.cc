@@ -114,8 +114,8 @@ struct Fields
 
 /**
  * Builds passes the way the protocols do — identity lines from reset(),
- * dynamic lines by mask, drive() and the transposed counter field —
- * and checks them against the oracle run on the composed words.
+ * dynamic lines by drive(), the counter one line per bit — and checks
+ * them against the oracle run on the composed words.
  */
 class LayoutCheck
 {
@@ -136,8 +136,6 @@ class LayoutCheck
           lines_(priorityLine_ + (priority ? 1 : 0))
     {
         pass_.reset(agents, lines_, idBits_);
-        if (counter_bits > 0)
-            pass_.defineField(counterLine_, counter_bits);
     }
 
     void
@@ -166,12 +164,12 @@ class LayoutCheck
                     pass_.drive(claimLine_, a);
                 if (f.rrBit)
                     pass_.drive(rrLine_, a);
-                if (counterBits_ > 0)
-                    pass_.setField(a, f.counter);
+                for (int b = 0; b < counterBits_; ++b) {
+                    if (((f.counter >> b) & 1U) != 0)
+                        pass_.drive(counterLine_ + b, a);
+                }
                 cs.push_back(Competitor{a, wordOf(a, f)});
             }
-            if (counterBits_ > 0)
-                pass_.fieldToLines();
             for (const Competitor &c : cs)
                 ASSERT_EQ(linesOf(c.agent), c.word);
             const SettleResult want = test::oracleSettle(lines_, cs);
@@ -243,8 +241,8 @@ TEST(ArbitrationPassDifferentialTest, WrrClaimLayout)
 
 TEST(ArbitrationPassDifferentialTest, FcfsAndHybridCounterLayouts)
 {
-    // Counter widths of one and two byte planes, with and without the
-    // priority line (FCFS) and the RR tie-break bit (hybrid).
+    // Counter widths from 1 to 12 lines, with and without the priority
+    // line (FCFS) and the RR tie-break bit (hybrid).
     Rng rng(43);
     for (int agents : {5, 10, 64, 100, 300}) {
         for (int bits : {1, 3, 7, 9, 12}) {

@@ -2,16 +2,21 @@
  * @file
  * Differential tests: the distributed FCFS protocol against an oracle
  * that sorts requests by (pulse epoch, static identity) — the order the
- * hardware is specified to produce (Section 3.2).
+ * hardware is specified to produce (Section 3.2) — and the FCFS and
+ * hybrid protocols against a per-request counter model.
  */
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/fcfs.hh"
+#include "core/hybrid.hh"
 #include "random/rng.hh"
+#include "support/fcfs_reference.hh"
 #include "support/protocol_driver.hh"
 
 namespace busarb {
@@ -154,6 +159,143 @@ TEST(FcfsDifferentialTest, CountersNeverExceedTheSingleOutstandingBound)
         }
     }
     EXPECT_EQ(protocol.overflowEvents(), 0u);
+}
+
+/**
+ * Drives `protocol` and the per-request `reference` with the same random
+ * traffic over `n` agents: bursts of posts (at most three outstanding
+ * per agent, one in four a priority request when `priority`), passes,
+ * and posts while a pass is in flight. Every winner, and for FCFS every
+ * overflow and tie count, must match.
+ */
+template <typename Protocol>
+void
+checkAgainstReference(Protocol &protocol, test::FcfsReference &reference,
+                      int n, bool priority, std::uint64_t seed,
+                      const std::string &what)
+{
+    constexpr bool kFcfs = std::is_same_v<Protocol, FcfsProtocol>;
+    Rng rng(seed);
+    ProtocolDriver driver(protocol, n);
+    std::vector<int> outstanding(static_cast<std::size_t>(n) + 1, 0);
+    int pending = 0;
+    Tick now = 0;
+    const auto post = [&] {
+        const AgentId a = 1 + static_cast<AgentId>(
+                                  rng.below(static_cast<std::uint64_t>(n)));
+        if (outstanding[static_cast<std::size_t>(a)] == 3)
+            return;
+        ++outstanding[static_cast<std::size_t>(a)];
+        ++pending;
+        reference.post(driver.post(a, now, priority && rng.below(4) == 0));
+    };
+    const auto arbitrate = [&](int step) {
+        reference.beginPass();
+        const AgentId got = driver.arbitrateAndServe(now, [&] {
+            if (rng.below(4) == 0) {
+                now += static_cast<Tick>(rng.below(unitsToTicks(0.08)));
+                post();
+            }
+        });
+        const Request want = reference.completePass();
+        ASSERT_EQ(got, want.agent) << what << " step " << step;
+        ASSERT_EQ(driver.served().back().seq, want.seq)
+            << what << " step " << step;
+        reference.serve(want);
+        --outstanding[static_cast<std::size_t>(got)];
+        --pending;
+        if constexpr (kFcfs) {
+            ASSERT_EQ(protocol.overflowEvents(), reference.overflowEvents())
+                << what << " step " << step;
+            ASSERT_EQ(protocol.tiedArrivals(), reference.tiedArrivals())
+                << what << " step " << step;
+        }
+    };
+    std::uint64_t burst = 1;
+    for (int step = 0; step < 600; ++step) {
+        if (step % 100 == 0)
+            burst = 1 + rng.below(4); // alternate light and heavy phases
+        now += static_cast<Tick>(rng.below(unitsToTicks(0.08)));
+        for (std::uint64_t i = rng.below(burst + 1); i > 0; --i)
+            post();
+        if (pending > 0 && rng.below(100) < 70)
+            arbitrate(step);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    while (pending > 0 && !::testing::Test::HasFatalFailure())
+        arbitrate(-1);
+}
+
+const int kReferenceAgents[] = {3, 63, 64, 65, 130};
+
+TEST(FcfsDifferentialTest, MatchesPerRequestReference)
+{
+    struct Counting
+    {
+        bool priority;
+        PriorityCounting counting;
+    };
+    std::uint64_t seed = 0xFC5;
+    for (auto strategy :
+         {FcfsStrategy::kIncrementOnLose, FcfsStrategy::kIncrLine}) {
+        const bool lose = strategy == FcfsStrategy::kIncrementOnLose;
+        const Counting countings[] = {
+            {false, PriorityCounting::kMatchedIncrement},
+            {true, PriorityCounting::kAlwaysIncrement},
+            {true, lose ? PriorityCounting::kMatchedIncrement
+                        : PriorityCounting::kDualIncrLines}};
+        for (const Counting &c : countings) {
+            for (int bits : {1, 2, 3, 0}) {
+                for (auto policy :
+                     {OverflowPolicy::kSaturate, OverflowPolicy::kWrap}) {
+                    for (int n : kReferenceAgents) {
+                        FcfsConfig config;
+                        config.strategy = strategy;
+                        config.counterBits = bits;
+                        config.maxOutstandingHint = bits == 0 ? 3 : 1;
+                        config.overflow = policy;
+                        config.incrWindow = 0.05;
+                        config.enablePriority = c.priority;
+                        config.priorityCounting = c.counting;
+                        FcfsProtocol protocol(config);
+                        test::FcfsReference reference(config, n);
+                        const std::string what =
+                            std::string(lose ? "fcfs1" : "fcfs2") +
+                            " bits=" + std::to_string(bits) +
+                            (policy == OverflowPolicy::kWrap ? " wrap"
+                                                             : "") +
+                            " counting=" +
+                            std::to_string(static_cast<int>(c.counting)) +
+                            (c.priority ? " priority" : "") +
+                            " N=" + std::to_string(n);
+                        checkAgainstReference(protocol, reference, n,
+                                              c.priority, ++seed, what);
+                        if (HasFatalFailure())
+                            return;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(HybridDifferentialTest, MatchesPerRequestReference)
+{
+    std::uint64_t seed = 0x4B;
+    for (int bits : {1, 2, 0}) {
+        for (int n : kReferenceAgents) {
+            HybridConfig config;
+            config.counterBits = bits;
+            HybridProtocol protocol(config);
+            test::FcfsReference reference(config, n);
+            checkAgainstReference(protocol, reference, n, false, ++seed,
+                                  "hybrid bits=" + std::to_string(bits) +
+                                      " N=" + std::to_string(n));
+            if (HasFatalFailure())
+                return;
+        }
+    }
 }
 
 } // namespace

@@ -193,23 +193,66 @@ TEST(FcfsCounterWidthTest, DefaultWidthMatchesPaper)
     EXPECT_EQ(protocol8.counterBits(), 7); // + ceil(log2 8) = 3
 }
 
+/** @return The agents served by draining `driver` one pass a tick. */
+std::vector<AgentId>
+drain(ProtocolDriver &driver, Tick from)
+{
+    std::vector<AgentId> served;
+    for (Tick now = from;; ++now) {
+        const AgentId a = driver.arbitrateAndServe(now);
+        if (a == kNoAgent)
+            return served;
+        served.push_back(a);
+    }
+}
+
 TEST(FcfsCounterWidthTest, SaturationKeepsOldestGroupFirst)
 {
-    // 1-bit counter: counters clip to 1, so every request that has
-    // waited at least one event ties; identity breaks the tie, but a
-    // fresh request (counter 0) can never pass a waiting one.
-    FcfsConfig config = configFor(FcfsStrategy::kIncrementOnLose);
-    config.counterBits = 1;
-    config.overflow = OverflowPolicy::kSaturate;
-    FcfsProtocol protocol(config);
-    ProtocolDriver driver(protocol, 8);
-    driver.post(2, 0);
-    driver.post(3, 0);
-    EXPECT_EQ(driver.arbitrateAndServe(1), 3); // 2 loses twice -> sat.
-    driver.post(8, 2);
-    EXPECT_EQ(driver.arbitrateAndServe(3), 2); // still ahead of 8
-    EXPECT_EQ(driver.arbitrateAndServe(4), 8);
-    EXPECT_GE(protocol.overflowEvents(), 0u);
+    // 1-bit counter. Agents 2, 3 and 4 tie; 4 wins, then 3, so agent 2
+    // loses twice and its counter overflows once. Agent 8 arrives after
+    // that. Saturated, agent 2 still reads 1 and stays ahead of the
+    // fresh request; wrapped, it reads 0 and the identity lets 8 pass.
+    for (const OverflowPolicy policy :
+         {OverflowPolicy::kSaturate, OverflowPolicy::kWrap}) {
+        FcfsConfig config = configFor(FcfsStrategy::kIncrementOnLose);
+        config.counterBits = 1;
+        config.overflow = policy;
+        FcfsProtocol protocol(config);
+        ProtocolDriver driver(protocol, 8);
+        driver.post(2, 0);
+        driver.post(3, 0);
+        driver.post(4, 0);
+        EXPECT_EQ(driver.arbitrateAndServe(1), 4);
+        EXPECT_EQ(driver.arbitrateAndServe(2), 3);
+        driver.post(8, 3);
+        const std::vector<AgentId> want =
+            policy == OverflowPolicy::kSaturate
+                ? std::vector<AgentId>{2, 8}
+                : std::vector<AgentId>{8, 2};
+        EXPECT_EQ(drain(driver, 4), want);
+        EXPECT_EQ(protocol.overflowEvents(), 1u);
+    }
+}
+
+TEST(FcfsCounterWidthTest, OverflowCountsEachRequestOnce)
+{
+    // 1-bit counter, agents 2..5 posted together. The second pass
+    // overflows agents 2 and 3; the third overflows nobody new, although
+    // a saturated agent 2 carries out of its counter again.
+    for (const OverflowPolicy policy :
+         {OverflowPolicy::kSaturate, OverflowPolicy::kWrap}) {
+        FcfsConfig config = configFor(FcfsStrategy::kIncrementOnLose);
+        config.counterBits = 1;
+        config.overflow = policy;
+        FcfsProtocol protocol(config);
+        ProtocolDriver driver(protocol, 8);
+        for (AgentId a = 2; a <= 5; ++a)
+            driver.post(a, 0);
+        EXPECT_EQ(driver.arbitrateAndServe(1), 5);
+        EXPECT_EQ(driver.arbitrateAndServe(2), 4);
+        EXPECT_EQ(driver.arbitrateAndServe(3), 3);
+        EXPECT_EQ(protocol.overflowEvents(), 2u);
+    }
 }
 
 TEST(FcfsCounterWidthTest, WrapCanInvertOrder)

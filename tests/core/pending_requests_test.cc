@@ -3,6 +3,8 @@
  * Unit tests for the pending-request bookkeeping.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/pending_requests.hh"
@@ -69,11 +71,50 @@ TEST(PendingRequestsTest, EntriesKeepDynamicState)
     p.reset(2);
     PendingEntry &e = p.add(makeReq(1, 1));
     e.counter = 42;
-    e.epoch = 7;
-    e.inPass = true;
     EXPECT_EQ(p.oldest(1).counter, 42u);
-    EXPECT_EQ(p.oldest(1).epoch, 7u);
-    EXPECT_TRUE(p.oldest(1).inPass);
+}
+
+TEST(PendingRequestsTest, PriorityMaskAndSeveralAgentsFollowTheQueues)
+{
+    // Agent 70 sits in the second mask word.
+    PendingRequests p;
+    p.reset(70);
+    const auto several = [&p] {
+        std::vector<AgentId> agents;
+        p.forEachAgentWithSeveral(
+            [&](AgentId a) { agents.push_back(a); });
+        return agents;
+    };
+    Request prio = makeReq(70, 1);
+    prio.priority = true;
+    p.add(makeReq(3, 2));
+    p.add(prio);
+    EXPECT_EQ(p.priorityMaskWord(0), 0u);
+    EXPECT_EQ(p.priorityMaskWord(1), 1ULL << 6);
+    EXPECT_TRUE(several().empty());
+
+    // Two more requests of agent 3, a priority one behind its oldest.
+    Request behind = makeReq(3, 3);
+    behind.priority = true;
+    p.add(behind);
+    p.add(makeReq(3, 4));
+    EXPECT_EQ(several(), (std::vector<AgentId>{3}));
+    EXPECT_EQ(p.priorityMaskWord(0), 0u);
+    std::vector<std::uint64_t> seen;
+    p.forEachBehindOldest(
+        3, [&](PendingEntry &e) { seen.push_back(e.req.seq); });
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{3, 4}));
+
+    // Serving agent 3's oldest moves the priority request up.
+    p.popOldest(3);
+    EXPECT_EQ(p.priorityMaskWord(0), 1ULL << 3);
+    EXPECT_EQ(several(), (std::vector<AgentId>{3}));
+    p.popBySeq(3, 4);
+    EXPECT_TRUE(several().empty());
+    p.popOldest(3);
+    p.popOldest(70);
+    EXPECT_EQ(p.priorityMaskWord(0) | p.priorityMaskWord(1), 0u);
+    EXPECT_TRUE(p.empty());
 }
 
 TEST(PendingRequestsTest, ForEachVisitsAll)

@@ -251,6 +251,27 @@ INSTANTIATE_TEST_SUITE_P(
         pins("hybrid",
             {0x17dcd00ce258454a, 0x4b0bce251710654b, 0xc12b6d6036cd5823,
              0xc097523974543284, 0x3b963f319ca96f22, 0x2c6db48c4cd73064}),
+        pins("fcfs1:bits=2",
+            {0xc516cab95e0f54a2, 0xa1b62002824d1075, 0x6937046995161caf,
+             0xe2cd9789ebc2ac30, 0x255c9f777f788a48, 0xd3f15c73db5f8b9b}),
+        pins("fcfs2:bits=2,overflow=wrap",
+            {0xd4fefb8b604817e1, 0xc3b679115e80cc61, 0xa7d001545194c1e5,
+             0xa7cf04ea9cd81901, 0xd31963af536efc91, 0x954dee7618478443}),
+        pins("hybrid:bits=2",
+            {0xca690313177f4ba, 0xb1121c4bbd658286, 0xb2e27b59a904f65e,
+             0xed039c27e5784d15, 0xedcca180a2ae8a05, 0x1ee5869222e3fdb3}),
+        pins("fcfs1:priority=true",
+            {0x67727e1b6ae09897, 0xf7592220b161f9e3, 0x7ce7876dcfe4ef56,
+             0xb0192fd89b919f9e, 0x69d0db05b314dbc9, 0x9fa373184ae78230,
+             0x71b7682bc7ac8556, 0xf89888bd1bd858f7, 0x1eb7dac64ca21ba9}),
+        pins("fcfs1:priority=true,counting=always",
+            {0x67727e1b6ae09897, 0xf7592220b161f9e3, 0x7ce7876dcfe4ef56,
+             0xb0192fd89b919f9e, 0x69d0db05b314dbc9, 0x9fa373184ae78230,
+             0xf731da7dae7c7d87, 0x228729fb4bd671b8, 0x7bdd368609be3ef5}),
+        pins("fcfs2:priority=true,counting=dual",
+            {0xbbd7dde72f6a334d, 0xf73e8908e4ae709f, 0x7c6df6b3ca69ee45,
+             0xaadaf7bfc04c1746, 0x68d41fecdd9245df, 0xebacf1e40e61a458,
+             0x140d7a6fe240cad, 0xc8d5b71fe7ea2842, 0x8c7515eb3a13e1d}),
         pins("wrr",
             {0xc8b6ec7c001d58f6, 0x8dd8e31821e5a52f, 0x32ccb4824d6527b6,
              0x8d9811245e5ffc4f, 0xe8569de512507a21, 0xb7f53f5de3b4617b}),

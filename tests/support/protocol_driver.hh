@@ -50,10 +50,23 @@ class ProtocolDriver
     AgentId
     arbitrateAndServe(Tick now)
     {
+        return arbitrateAndServe(now, [] {});
+    }
+
+    /**
+     * As arbitrateAndServe(now), but calls `during()` between each
+     * beginPass and completePass: what happens while a pass is in
+     * flight, such as requests posted during it.
+     */
+    template <typename Fn>
+    AgentId
+    arbitrateAndServe(Tick now, Fn &&during)
+    {
         if (!protocol_.wantsPass())
             return kNoAgent;
         for (int attempts = 0; attempts < 4; ++attempts) {
             protocol_.beginPass(now);
+            during();
             const PassResult result = protocol_.completePass(now);
             switch (result.kind) {
               case PassResult::Kind::kWinner:
