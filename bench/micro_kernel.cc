@@ -159,10 +159,13 @@ BM_ArbitrationPassSettle(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
+// {14, 64} is fcfs1's line count with all 64 agents competing, the shape
+// wide64-settle spends its settle time on (two mask words).
 BENCHMARK(BM_ArbitrationPassSettle)
     ->Args({6, 8})
     ->Args({10, 16})
-    ->Args({16, 32});
+    ->Args({16, 32})
+    ->Args({14, 64});
 
 void
 BM_AsyncContentionSettle(benchmark::State &state)

@@ -226,6 +226,21 @@ if [ -e "$tmp/load-shards" ]; then
     echo "FAIL: sharded sweep wrote shards before rejecting a load" >&2
     fails=$((fails + 1))
 fi
+# A confidence level with no Student-t table refuses at parse time; it
+# used to run every cell and then exit 1 at the first interval.
+cat > "$tmp/confidence.grid" <<'EOF'
+[run]
+confidence = 0.8
+batches = 3
+batch-size = 5000000
+[sweep]
+loads = 2
+protocols = rr1
+EOF
+expect 2 "'confidence'" "sweep grid unsupported confidence" \
+    "$sweep" --grid "$tmp/confidence.grid"
+expect 2 "'confidence'" "sim scenario unsupported confidence" \
+    "$sim" --scenario "$tmp/confidence.grid"
 expect 2 "load 7.5 over 5 agents" "report per-agent load range" \
     "$report" --protocol rr1 --agents 5 --load 7.5 --out "$tmp/report.md"
 expect 2 "warmup" "report negative warmup" \

@@ -9,8 +9,10 @@
 #   - busarb_sweep's stdout, CSV, metrics, trace and snapshots for a
 #     closed grid and an open mmpp grid, in-process and at --shards 2;
 #   - busarb_sweep's stdout, CSV, metrics and trace for settle-timed
-#     --grid files at 70 agents (two mask words) over the FCFS and
-#     hybrid counter specs, closed and open mmpp;
+#     --grid files over every protocol whose settle rounds come from
+#     ArbitrationPass::settle() (the RR family, FCFS and hybrid with
+#     their counter variants, fixed, AAP and WRR), closed and open mmpp,
+#     at 10, 70 and 130 agents: one, two and three mask words;
 #   - busarb_sim's stdout, batches CSV and histogram CSV;
 #   - busarb_report in md and html.
 #
@@ -97,8 +99,9 @@ CLOSED="--protocols rr1,fcfs1,aap1 --agents 8 --loads 0.5,2,7.5
 OPEN="--source open:dist=mmpp,burst=8,gap=32,ratio=10 --agents 16
       --loads 0.5,0.9 --protocols rr1,fcfs1 --batches 3 --batch-size 400"
 OBSERVE="--fairness --health"
-SETTLE_PROTOCOLS="fcfs1 fcfs2 hybrid fcfs1:bits=2 fcfs2:bits=2,overflow=wrap
-                  hybrid:bits=2"
+SETTLE_PROTOCOLS="rr1 rr2 rr3 fcfs1 fcfs2 hybrid fcfs1:bits=2
+                  fcfs2:bits=2,overflow=wrap hybrid:bits=2 fixed aap1 aap2
+                  wrr"
 
 # run_corpus <build-dir> <out-dir>: every command runs inside <out-dir>
 # with relative paths, so the two builds print identical paths.
@@ -151,21 +154,25 @@ run_corpus() {
         done
     done
 
-    for source in closed mmpp; do
-        {
-            printf '[workload]\nfamily = equal\nagents = 70\ncv = 1\n'
-            [ "$source" = closed ] || printf 'source = open:dist=mmpp\n'
-            printf '\n[bus]\nsettle-timing = true\n'
-            printf '\n[run]\nbatches = 3\nbatch-size = 300\nwarmup = 300\n'
-            # shellcheck disable=SC2086
-            printf '\n[sweep]\nloads = 0.9 2\nprotocols =%s\n' \
-                "$(printf ' %s' $SETTLE_PROTOCOLS)"
-        } > "settle-$source.grid"
-        capture "settle-$source.stdout" "$sweep" --grid "settle-$source.grid" \
-            --csv "settle-$source.csv" \
-            --metrics-out "settle-$source.metrics.csv" \
-            --trace-out "settle-$source.trace"
-        rm "settle-$source.grid"
+    for agents in 10 70 130; do
+        for source in closed mmpp; do
+            item="settle-$agents-$source"
+            {
+                printf '[workload]\nfamily = equal\nagents = %s\ncv = 1\n' \
+                    "$agents"
+                [ "$source" = closed ] || printf 'source = open:dist=mmpp\n'
+                printf '\n[bus]\nsettle-timing = true\n'
+                printf '\n[run]\nbatches = 3\nbatch-size = 300\n'
+                printf 'warmup = 300\n'
+                # shellcheck disable=SC2086
+                printf '\n[sweep]\nloads = 0.9 2\nprotocols =%s\n' \
+                    "$(printf ' %s' $SETTLE_PROTOCOLS)"
+            } > "$item.grid"
+            capture "$item.stdout" "$sweep" --grid "$item.grid" \
+                --csv "$item.csv" --metrics-out "$item.metrics.csv" \
+                --trace-out "$item.trace"
+            rm "$item.grid"
+        done
     done
 
     capture sim-closed.stdout "$sim" --protocol fcfs1 --compare rr1 \

@@ -33,8 +33,7 @@ ArbitrationPass::reset(int num_agents, int num_lines, int identity_lines)
     numWords_ = (static_cast<std::size_t>(num_agents) + 1 + 63) / 64;
     competitors_.assign(numWords_, 0);
     lines_.assign(static_cast<std::size_t>(num_lines) * numWords_, 0);
-    alive_.assign(numWords_, 0);
-    applied_.assign(lines_.size(), 0);
+    scratch_.assign(2 * numWords_, 0);
     for (AgentId a = 1; a <= num_agents; ++a) {
         const auto bit = static_cast<std::size_t>(a);
         for (int j = 0; j < identity_lines; ++j) {
@@ -94,7 +93,7 @@ ArbitrationPass::winnerWords() const
     // registers; W == 0 handles any agent count through the scratch.
     const std::size_t nw = W != 0 ? W : numWords_;
     std::uint64_t local[W != 0 ? W : 1];
-    std::uint64_t *alive = W != 0 ? local : alive_.data();
+    std::uint64_t *alive = W != 0 ? local : scratch_.data();
     std::copy_n(competitors_.data(), nw, alive);
     for (int j = numLines_ - 1; j >= 0; --j) {
         const std::uint64_t *l = line(j);
@@ -128,65 +127,62 @@ template <std::size_t W>
 SettleResult
 ArbitrationPass::settleWords() const
 {
+    // The closed form of the round-by-round process (docs/PROTOCOLS.md
+    // §2.1). With M the maximum word and P_j the competitors that agree
+    // with M on every line at or above j, the even rounds read M plus
+    // the stray lines on which M reads 0 but some agent of P_lambda
+    // drives 1, and the odd rounds read M with every line at or below
+    // the highest stray cleared, which becomes the next lambda. One
+    // top-down walk yields all of it: `alive` is the winner walk's P_j
+    // and `reapplying` is P_lambda, the agents that apply their whole
+    // word again in the next even round.
     const std::size_t nw = W != 0 ? W : numWords_;
-
-    // Every competitor initially applies its full word: the applied set
-    // of line j is the competitors driving it.
-    std::uint64_t lines = 0;
-    for (int j = 0; j < numLines_; ++j) {
+    std::uint64_t local[W != 0 ? 2 * W : 1];
+    std::uint64_t *alive = W != 0 ? local : scratch_.data();
+    std::uint64_t *reapplying = alive + nw;
+    std::copy_n(competitors_.data(), nw, alive);
+    std::copy_n(competitors_.data(), nw, reapplying);
+    std::uint64_t settled = 0;
+    int strays = 0;
+    int lambda = numLines_;
+    // An agent of P_lambda drives a line below where it leaves M.
+    std::uint64_t extra = 0;
+    for (int j = numLines_ - 1; j >= 0; --j) {
         const std::uint64_t *l = line(j);
-        std::uint64_t *a = &applied_[static_cast<std::size_t>(j) * nw];
         std::uint64_t any = 0;
+        for (std::size_t w = 0; w < nw; ++w)
+            any |= alive[w] & l[w];
+        const std::uint64_t one = static_cast<std::uint64_t>(any != 0);
+        settled |= one << j;
+        const std::uint64_t reads_zero = one - 1;
+        std::uint64_t left = 0;
         for (std::size_t w = 0; w < nw; ++w) {
-            a[w] = competitors_[w] & l[w];
-            any |= a[w];
+            alive[w] &= l[w] | reads_zero;
+            left |= reapplying[w] & ~alive[w] & l[w];
         }
-        if (any != 0)
-            lines |= 1ULL << j;
+        // An agent of P_lambda that left M above j drives line j: a
+        // stray where M reads 0, a re-applied low bit where it reads 1.
+        const std::uint64_t hit = static_cast<std::uint64_t>(left != 0);
+        const std::uint64_t stray = hit & ~one;
+        const std::uint64_t take = 0 - stray;
+        for (std::size_t w = 0; w < nw; ++w)
+            reapplying[w] = (alive[w] & take) | (reapplying[w] & ~take);
+        strays += static_cast<int>(stray);
+        lambda = stray != 0 ? j : lambda;
+        extra = (extra | hit) & ~stray;
     }
 
-    // Synchronous rounds: every agent observes the lines of the previous
-    // round, then updates. Walking the lines top-down, an agent keeps
-    // applying while it has met no conflict (a line reading 1 that it
-    // drives 0) above the current line; the applied sets of all lines
-    // are the whole state, so an unchanged set on every line is the
-    // fixed point.
-    std::uint64_t local[W != 0 ? W : 1];
-    std::uint64_t *alive = W != 0 ? local : alive_.data();
-    int rounds = 0;
-    while (true) {
-        std::copy_n(competitors_.data(), nw, alive);
-        std::uint64_t next = 0;
-        std::uint64_t changed = 0;
-        for (int j = numLines_ - 1; j >= 0; --j) {
-            const std::uint64_t *l = line(j);
-            std::uint64_t *a = &applied_[static_cast<std::size_t>(j) * nw];
-            std::uint64_t any = 0;
-            for (std::size_t w = 0; w < nw; ++w) {
-                const std::uint64_t now_applied = alive[w] & l[w];
-                changed |= now_applied ^ a[w];
-                a[w] = now_applied;
-                any |= now_applied;
-            }
-            next |= static_cast<std::uint64_t>(any != 0) << j;
-            // A line reading 1 drops the alive agents that drive it 0.
-            const std::uint64_t reads_one = 0 - ((lines >> j) & 1ULL);
-            for (std::size_t w = 0; w < nw; ++w)
-                alive[w] &= l[w] | ~reads_one;
-        }
-        if (changed == 0)
-            break;
-        ++rounds;
-        BUSARB_ASSERT(rounds <= 2 * numLines_ + 2,
-                      "settle failed to converge");
-        lines = next;
-    }
-
-    // At the fixed point the agents still alive below the lowest line
-    // are exactly those whose word equals the settled lines.
+    // The lines first read M in round t = 2 * strays, or one round
+    // earlier when M has no 1 at or below the last lambda. After an even
+    // t the agents of P_lambda still drop their low bits once more.
+    const bool odd =
+        strays > 0 && (settled & ((2ULL << lambda) - 1ULL)) == 0;
     SettleResult result;
-    result.settledWord = lines;
-    result.rounds = rounds;
+    result.settledWord = settled;
+    result.rounds = 2 * strays - static_cast<int>(odd) +
+                    static_cast<int>(extra);
+    BUSARB_ASSERT(result.rounds <= 2 * numLines_ + 1,
+                  "settle failed to converge");
     result.winner =
         soleAgent<W>(alive, nw, "two agents settled on the same word");
     BUSARB_ASSERT(result.winner != kNoAgent,

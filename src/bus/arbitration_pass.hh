@@ -16,10 +16,12 @@
  *  - winner(): the maximum word, by walking the lines top-down and
  *    narrowing the alive set to the agents that drive 1 wherever any
  *    alive agent does.
- *  - settle(): the Section 2.1 remove/re-apply process in synchronous
- *    rounds. Per line, the applied set is the still-alive agents that
- *    drive a 1 there, and alive agents that drive a 0 on a line reading
- *    1 drop out for the lines below it.
+ *  - settle(): the outcome of the Section 2.1 remove/re-apply process
+ *    in synchronous rounds, in closed form: the same top-down walk also
+ *    tracks the agents whose low bits put stray lines above the maximum
+ *    in the even rounds, and the round count follows from those strays
+ *    (docs/PROTOCOLS.md §2.1 gives the proof; the per-agent round loop
+ *    in tests/support/settle_oracle.hh is the definition it is held to).
  *
  * A pass never allocates once reset() has sized it.
  */
@@ -177,7 +179,8 @@ class ArbitrationPass
     AgentId winner() const;
 
     /**
-     * Run the remove/re-apply settle process to a fixed point.
+     * The fixed point of the remove/re-apply settle process and the
+     * number of rounds it takes, in one walk over the lines.
      *
      * @return Settled word, winner, and propagation-round count.
      */
@@ -210,9 +213,9 @@ class ArbitrationPass
     std::vector<std::uint64_t> competitors_; // numWords_
     std::vector<std::uint64_t> lines_;       // numLines_ x numWords_
 
-    // Scratch for winner() and settle(), sized by reset().
-    mutable std::vector<std::uint64_t> alive_;   // numWords_
-    mutable std::vector<std::uint64_t> applied_; // numLines_ x numWords_
+    // Scratch for winner() and settle() beyond two mask words, sized by
+    // reset(): the alive set, then settle()'s re-applying set.
+    mutable std::vector<std::uint64_t> scratch_; // 2 x numWords_
 };
 
 } // namespace busarb

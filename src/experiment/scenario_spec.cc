@@ -14,6 +14,7 @@
 #include "experiment/workload_registry.hh"
 #include "obs/export_format.hh"
 #include "sim/logging.hh"
+#include "stats/student_t.hh"
 
 namespace busarb {
 
@@ -433,6 +434,9 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
             if (v <= 0.0 || v >= 1.0)
                 return fail("key 'confidence' must be in (0, 1), got '" +
                             value + "'");
+            if (!supportedConfidence(v))
+                return fail("key 'confidence' must be 0.90, 0.95 or "
+                            "0.99, got '" + value + "'");
             spec.confidence = v;
         } else if (key == "load" || key == "loads") {
             for (const auto &token : splitWhitespace(value)) {

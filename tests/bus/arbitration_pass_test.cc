@@ -74,23 +74,38 @@ TEST(ArbitrationPassDifferentialTest, EverySubsetOfWordsUpToFourLines)
     }
 }
 
-TEST(ArbitrationPassDifferentialTest, RandomSetsUpToTwentyLines)
+TEST(ArbitrationPassDifferentialTest, RandomSetsOnEveryLineCount)
 {
+    // Every line count reset() accepts. Uniform words seldom take more
+    // than a few rounds, so every other trial draws words that agree
+    // with one random word above a line where it has a 1: those chain
+    // stray lines down the whole width and take the longest rounds.
     Rng rng(20260);
-    for (int k = 5; k <= 20; ++k) {
+    for (int k = 1; k <= 63; ++k) {
         const std::uint64_t limit = (1ULL << k) - 1;
         for (int trial = 0; trial < 300; ++trial) {
             const int n = 1 + static_cast<int>(rng.below(
                                   std::min<std::uint64_t>(70, limit)));
             const std::vector<AgentId> ids = distinctAgents(rng, n, 300);
+            const std::uint64_t top = 1 + rng.below(limit);
+            const bool prefixed = trial % 2 == 1;
             std::vector<Competitor> cs;
             std::vector<std::uint64_t> used;
             for (AgentId id : ids) {
                 std::uint64_t w;
+                int tries = 0;
                 do {
                     w = 1 + rng.below(limit);
-                } while (std::find(used.begin(), used.end(), w) !=
-                         used.end());
+                    if (prefixed && ++tries <= 16) {
+                        const int d = static_cast<int>(
+                            rng.below(static_cast<std::uint64_t>(k)));
+                        if (((top >> d) & 1) != 0) {
+                            w = (top & ~((2ULL << d) - 1)) |
+                                (w & ((1ULL << d) - 1));
+                        }
+                    }
+                } while (w == 0 || std::find(used.begin(), used.end(),
+                                             w) != used.end());
                 used.push_back(w);
                 cs.push_back(Competitor{id, w});
             }
@@ -138,24 +153,44 @@ class LayoutCheck
         pass_.reset(agents, lines_, idBits_);
     }
 
+    /**
+     * @param dense Every agent competes, and the counters are a random
+     *        permutation of 0..N-1 saturated at the counter width: the
+     *        shape of FCFS at saturation, which takes the longest rounds.
+     *        Otherwise a random subset competes with random counters.
+     */
     void
-    check(Rng &rng, int trials)
+    check(Rng &rng, int trials, bool dense = false)
     {
         for (int t = 0; t < trials; ++t) {
-            const int n = 1 + static_cast<int>(rng.below(
-                                  static_cast<std::uint64_t>(agents_)));
-            const std::vector<AgentId> ids =
-                distinctAgents(rng, n, agents_);
+            std::vector<AgentId> ids;
+            std::vector<std::uint32_t> waits;
+            if (dense) {
+                for (AgentId a = 1; a <= agents_; ++a) {
+                    ids.push_back(a);
+                    waits.push_back(static_cast<std::uint32_t>(a - 1));
+                }
+                for (std::size_t i = waits.size() - 1; i > 0; --i)
+                    std::swap(waits[i], waits[rng.below(i + 1)]);
+            } else {
+                const int n = 1 + static_cast<int>(rng.below(
+                                      static_cast<std::uint64_t>(agents_)));
+                ids = distinctAgents(rng, n, agents_);
+            }
             pass_.clear();
             std::vector<Competitor> cs;
-            for (AgentId a : ids) {
+            for (std::size_t i = 0; i < ids.size(); ++i) {
+                const AgentId a = ids[i];
                 Fields f;
                 f.priority = priority_ && rng.below(4) == 0;
                 f.rrBit = rr_ && rng.below(2) == 0;
                 f.claim = claim_ && rng.below(16) == 0;
                 if (counterBits_ > 0) {
-                    f.counter = static_cast<std::uint32_t>(
-                        rng.below(1ULL << counterBits_));
+                    const std::uint32_t top =
+                        (1U << counterBits_) - 1; // widths <= 12 here
+                    f.counter = dense ? std::min(waits[i], top)
+                                      : static_cast<std::uint32_t>(
+                                            rng.below(top + 1ULL));
                 }
                 pass_.addCompetitor(a);
                 if (f.priority)
@@ -249,6 +284,18 @@ TEST(ArbitrationPassDifferentialTest, FcfsAndHybridCounterLayouts)
             LayoutCheck(agents, false, false, bits, false).check(rng, 60);
             LayoutCheck(agents, true, false, bits, false).check(rng, 60);
             LayoutCheck(agents, false, false, bits, true).check(rng, 60);
+        }
+    }
+    // Saturation: every agent competes with a distinct waiting time, on
+    // one, two and three mask words.
+    for (int agents : {64, 65, 130}) {
+        for (int bits : {1, 3, 7, 9, 12}) {
+            LayoutCheck(agents, false, false, bits, false)
+                .check(rng, 20, true);
+            LayoutCheck(agents, true, false, bits, false)
+                .check(rng, 20, true);
+            LayoutCheck(agents, false, false, bits, true)
+                .check(rng, 20, true);
         }
     }
 }

@@ -256,6 +256,11 @@ TEST(ScenarioSpecErrorTest, ValuesAreValidated)
               "'yes'");
     EXPECT_EQ(parseError("[run]\nconfidence = 1.5\n"),
               "line 2: key 'confidence' must be in (0, 1), got '1.5'");
+    // Only the levels studentTCritical knows; 0.8 used to run every
+    // cell before the first interval estimate refused it.
+    EXPECT_EQ(parseError("[run]\nconfidence = 0.8\n"),
+              "line 2: key 'confidence' must be 0.90, 0.95 or 0.99, got "
+              "'0.8'");
     EXPECT_EQ(parseError("[run]\nseed = -1\n"),
               "line 2: key 'seed' expects an unsigned integer, got "
               "'-1'");
