@@ -241,6 +241,45 @@ expect 2 "'confidence'" "sweep grid unsupported confidence" \
     "$sweep" --grid "$tmp/confidence.grid"
 expect 2 "'confidence'" "sim scenario unsupported confidence" \
     "$sim" --scenario "$tmp/confidence.grid"
+# Grid tables and row axes are checked at parse time: a bad [table]
+# exits 2 naming its line and key before any cell runs (the batch size
+# would take minutes).
+table_case() {
+    label="$1"; needle="$2"; shift 2
+    {
+        printf '[run]\nbatch-size = 5000000\n'
+        printf '%s\n' "$@"
+    } > "$tmp/table.grid"
+    expect 2 "$needle" "sweep grid $label" "$sweep" --grid "$tmp/table.grid"
+}
+SWEEP="[sweep]
+loads = 1 2
+protocols = rr1 fcfs1
+[table]
+title = T"
+table_case "unknown table estimate" "did you mean 'wait_mean'" \
+    "$SWEEP" "column = W = wait_men @ rr1"
+table_case "ratio agent out of range" "ratio(11,1) needs agents in 1..10" \
+    "$SWEEP" "column = r = ratio(11,1) @ rr1"
+table_case "table protocol not swept" "'rr2' is not in \\[sweep\\] protocols" \
+    "$SWEEP" "column = W = wait_mean @ rr2"
+table_case "table load not on the axis" "'3' is not on the loads axis" \
+    "$SWEEP" "rows = protocols" "column = W = wait_mean @ 3"
+table_case "table without columns" "line 6: \\[table\\] needs" "$SWEEP"
+table_case "two row axes" "a grid has one row axis" \
+    "[sweep]" "loads = 1 2" "cv = 0 1" "protocols = rr1"
+table_case "negative cv axis" "key 'cv' must be finite and >= 0" \
+    "[workload]" "load = 1" "[sweep]" "cv = -0.5 1" "protocols = rr1"
+table_case "worst-case with loads" "family 'worst-case' takes no loads" \
+    "[workload]" "family = worst-case" "[sweep]" "loads = 1" \
+    "protocols = rr1"
+# A single run refuses a row axis of several values, whichever key.
+printf '[workload]\nload = 1\n[sweep]\ncv = 0 1\n' > "$tmp/cv.grid"
+expect 2 "sweeps 2 cv values" "sim cv axis" "$sim" --scenario "$tmp/cv.grid"
+printf '[workload]\nload = 1\n[sweep]\narb-overhead = 0 1\n' \
+    > "$tmp/overhead.grid"
+expect 2 "sweeps 2 arb-overhead values" "report arb-overhead axis" \
+    "$report" --scenario "$tmp/overhead.grid" --out "$tmp/report.md"
 expect 2 "load 7.5 over 5 agents" "report per-agent load range" \
     "$report" --protocol rr1 --agents 5 --load 7.5 --out "$tmp/report.md"
 expect 2 "warmup" "report negative warmup" \

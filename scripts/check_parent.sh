@@ -5,7 +5,9 @@
 #
 #   - --help and --list-* of the four tools;
 #   - the 10 examples with their ctest arguments;
-#   - the 15 bench harnesses at BUSARB_BENCH_BATCH=200;
+#   - the five table harnesses at BUSARB_BENCH_BATCH=200, and
+#     busarb_sweep's tables for each paper grid in bench/tables at
+#     batch-size 200 (the working tree's grids on both builds);
 #   - busarb_sweep's stdout, CSV, metrics, trace and snapshots for a
 #     closed grid and an open mmpp grid, in-process and at --shards 2;
 #   - busarb_sweep's stdout, CSV, metrics and trace for settle-timed
@@ -55,12 +57,8 @@ tools="busarb_sim busarb_sweep busarb_trace busarb_report"
 examples="quickstart:1.0 fairness_demo:6 priority_traffic:0.2
           multi_outstanding:2 custom_protocol bus_monitor:rr3 trace_replay
           multiprocessor_speedup burst_dynamics:3 bursty_sources"
-harnesses="table_4_1_fairness table_4_2_wait_variance figure_4_1_wait_cdf
-           table_4_3_overlap table_4_4_unequal_load table_4_5_worst_case
-           ablation_arb_overhead ablation_fcfs_counter ablation_rr_impls
-           ablation_fcfs_incr_window ablation_settle_timing
-           ablation_burstiness ablation_batch_size hybrid_eval
-           cost_comparison"
+harnesses="figure_4_1_wait_cdf table_4_3_overlap ablation_settle_timing
+           ablation_batch_size cost_comparison"
 targets="busarb_sim_tool busarb_sweep busarb_trace busarb_report $harnesses"
 for e in $examples; do
     targets="$targets ${e%%:*}"
@@ -133,6 +131,12 @@ run_corpus() {
 
     for h in $harnesses; do
         capture "bench.$h" env BUSARB_BENCH_BATCH=200 "$bin/bench/$h"
+    done
+    for grid in "$root"/bench/tables/*.grid; do
+        name="$(basename "$grid" .grid)"
+        { cat "$grid"; printf '\n[run]\nbatch-size = 200\n'; } > "$name.grid"
+        capture "table.$name" "$sweep" --grid "$name.grid"
+        rm "$name.grid"
     done
 
     for grid in closed open; do

@@ -16,6 +16,8 @@
 #   4. A corrupt checkpoint (flipped hex digit in a cell record) and a
 #      manifest version mismatch must both exit 2, never silently
 #      merge bad data.
+#   5. A paper grid's [table] output at --shards 2 must equal the
+#      in-process tables (the elapsed_ms line masked).
 #
 # Usage: check_shard.sh /path/to/busarb_sweep
 set -eu
@@ -169,6 +171,23 @@ if [ "$code" -ne 2 ]; then
     exit 1
 fi
 
+# 5. Paper tables: the coordinator prints the same [table] sections
+# from merged checkpoints as an in-process run does.
+{
+    cat "$(dirname "$0")/../bench/tables/table_4_1_4_2_n10.grid"
+    printf '\n[run]\nbatch-size = 200\n'
+} > "$tmp/paper.grid"
+"$sweep" --grid "$tmp/paper.grid" | grep -v elapsed_ms= > "$tmp/paper.ref"
+"$sweep" --grid "$tmp/paper.grid" --shards 2 --shard-dir "$tmp/pshards" |
+    grep -v elapsed_ms= > "$tmp/paper.shard"
+if ! grep -q "=== Table 4.2(a)" "$tmp/paper.ref" ||
+        ! cmp -s "$tmp/paper.ref" "$tmp/paper.shard"; then
+    echo "FAIL: sharded paper tables differ from in-process" >&2
+    diff "$tmp/paper.ref" "$tmp/paper.shard" >&2 || true
+    exit 1
+fi
+
 echo "ok: sharded sweep byte-identical to single-process," \
-     "checkpoints survive SIGKILL + --resume, and corrupt or" \
-     "version-mismatched manifests are refused with exit 2"
+     "checkpoints survive SIGKILL + --resume, corrupt or" \
+     "version-mismatched manifests are refused with exit 2, and" \
+     "sharded paper tables match in-process ones"

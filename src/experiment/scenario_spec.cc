@@ -1,6 +1,8 @@
 #include "experiment/scenario_spec.hh"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -11,6 +13,8 @@
 
 #include "experiment/cli.hh"
 #include "experiment/protocol_registry.hh"
+#include "experiment/runner.hh"
+#include "experiment/table.hh"
 #include "experiment/workload_registry.hh"
 #include "obs/export_format.hh"
 #include "sim/logging.hh"
@@ -66,7 +70,7 @@ const std::vector<std::string> &
 sectionNames()
 {
     static const std::vector<std::string> names = {
-        "workload", "bus", "run", "protocol", "sweep"};
+        "workload", "bus", "run", "protocol", "sweep", "table"};
     return names;
 }
 
@@ -82,7 +86,10 @@ keysOf(const std::string &section)
     static const std::vector<std::string> run = {
         "batches", "batch-size", "warmup", "seed", "confidence"};
     static const std::vector<std::string> protocol = {"spec"};
-    static const std::vector<std::string> sweep = {"loads", "protocols"};
+    static const std::vector<std::string> sweep = {
+        "loads", "cv", "arb-overhead", "protocols"};
+    static const std::vector<std::string> table = {"title", "rows",
+                                                   "column"};
     static const std::vector<std::string> none;
     if (section == "workload")
         return workload;
@@ -94,43 +101,120 @@ keysOf(const std::string &section)
         return protocol;
     if (section == "sweep")
         return sweep;
+    if (section == "table")
+        return table;
     return none;
 }
 
-/** Expand one loads token ("2" or "a:b:step") into tokens. */
+/** @return The decimals `text` is written to: 2 for 0.25, 6 for 1e-6. */
+int
+writtenDecimals(const std::string &text)
+{
+    const auto exp = text.find_first_of("eE");
+    const auto dot = text.substr(0, exp).find('.');
+    long decimals = dot == std::string::npos
+                        ? 0
+                        : static_cast<long>(std::min(exp, text.size()) -
+                                            dot - 1);
+    if (exp != std::string::npos)
+        decimals -= std::clamp(std::strtol(text.c_str() + exp + 1, nullptr,
+                                           10),
+                               -17L, 17L);
+    return static_cast<int>(std::clamp(decimals, 0L, 17L));
+}
+
+/**
+ * Expand one axis token ("2" or "lo:hi:step") into tokens. A range
+ * value is lo + i * step, printed at the inputs' decimals, so
+ * 0.7:1.2:0.1 reads 0.7 0.8 0.9 1 1.1 1.2.
+ *
+ * @param noun The axis in diagnostics: "load", "cv", "arb-overhead".
+ */
 bool
-expandLoadToken(const std::string &token,
+expandAxisToken(const std::string &noun, const std::string &token,
                 std::vector<std::string> &out, std::string &error)
 {
     const auto colon = token.find(':');
     if (colon == std::string::npos) {
         double value = 0.0;
         if (!parseDouble(token, value)) {
-            error = "bad load '" + token + "'";
+            error = "bad " + noun + " '" + token + "'";
             return false;
         }
         out.push_back(token);
         return true;
     }
     const auto colon2 = token.find(':', colon + 1);
+    const std::string parts[] = {
+        token.substr(0, colon),
+        token.substr(colon + 1, colon2 - colon - 1),
+        colon2 == std::string::npos ? "" : token.substr(colon2 + 1)};
     double lo = 0.0, hi = 0.0, step = 0.0;
-    if (colon2 == std::string::npos ||
-        !parseDouble(token.substr(0, colon), lo) ||
-        !parseDouble(token.substr(colon + 1, colon2 - colon - 1), hi) ||
-        !parseDouble(token.substr(colon2 + 1), step)) {
-        error = "bad load range '" + token + "' (expected lo:hi:step)";
+    if (colon2 == std::string::npos || !parseDouble(parts[0], lo) ||
+        !parseDouble(parts[1], hi) || !parseDouble(parts[2], step)) {
+        error = "bad " + noun + " range '" + token +
+                "' (expected lo:hi:step)";
         return false;
     }
     if (step <= 0.0 || hi < lo) {
-        error = "bad load range '" + token +
+        error = "bad " + noun + " range '" + token +
                 "' (need step > 0 and hi >= lo)";
         return false;
     }
-    // A half-step tolerance keeps 0.25:2:0.25-style ranges inclusive
-    // despite accumulated floating-point error.
-    for (double v = lo; v <= hi + step * 0.5; v += step)
-        out.push_back(formatDouble(v));
+    // The tolerance keeps hi itself in despite rounding in (hi-lo)/step.
+    const double steps = std::floor((hi - lo) / step + 1e-9);
+    if (!(steps < 10000.0)) {
+        error = "bad " + noun + " range '" + token +
+                "' (more than 10000 values)";
+        return false;
+    }
+    int decimals = 0;
+    for (const auto &part : parts)
+        decimals = std::max(decimals, writtenDecimals(part));
+    for (long i = 0; i <= static_cast<long>(steps); ++i) {
+        std::string text =
+            formatFixed(lo + static_cast<double>(i) * step, decimals);
+        if (text.find('.') != std::string::npos) {
+            text.erase(text.find_last_not_of('0') + 1);
+            if (text.back() == '.')
+                text.pop_back();
+        }
+        out.push_back(text == "-0" ? "0" : text);
+    }
     return true;
+}
+
+/** Resolve a [table] column against the spec; "" or why it is bad. */
+std::string
+resolveColumn(const ScenarioSpec &spec, bool protocol_rows,
+              TableSpec::Column &column)
+{
+    const std::string &q = column.quantity;
+    const auto comma = q.find(',');
+    long a = 0, b = 0;
+    if (q.rfind("ratio(", 0) == 0 && q.back() == ')' &&
+        comma != std::string::npos && parseLong(q.substr(6, comma - 6), a) &&
+        parseLong(q.substr(comma + 1, q.size() - comma - 2), b)) {
+        if (std::min(a, b) < 1 || std::max(a, b) > spec.agents)
+            return q + " needs agents in 1.." + std::to_string(spec.agents);
+        column.ratioNumer = static_cast<int>(a);
+        column.ratioDenom = static_cast<int>(b);
+    } else if (q != "offered") {
+        std::vector<std::string> names{"offered", "ratio(a,b)"};
+        for (const ResultEstimate &e : kResultEstimates) {
+            names.push_back(e.key);
+            if (q == e.key)
+                column.estimate = &e;
+        }
+        if (column.estimate == nullptr)
+            return "unknown quantity '" + q + "'" + didYouMeanHint(q, names);
+    }
+    const auto &cells = protocol_rows ? spec.rowAxis() : spec.protocolSpecs;
+    if (std::find(cells.begin(), cells.end(), column.at) == cells.end())
+        return "'" + column.at + "' is not " +
+               (protocol_rows ? "on the " + spec.rowKey + " axis"
+                              : std::string("in [sweep] protocols"));
+    return "";
 }
 
 } // namespace
@@ -142,7 +226,9 @@ ScenarioSpec::format() const
     os << "[workload]\n";
     os << "family = " << family << "\n";
     os << "agents = " << agents << "\n";
-    os << "cv = " << formatDouble(cv) << "\n";
+    // A swept key leaves its section for [sweep].
+    if (rowKey != "cv")
+        os << "cv = " << formatDouble(cv) << "\n";
     if (family == "unequal")
         os << "unequal-factor = " << formatDouble(unequalFactor) << "\n";
     os << "max-outstanding = " << maxOutstanding << "\n";
@@ -155,7 +241,8 @@ ScenarioSpec::format() const
         os << "hot-factor = " << formatDouble(hotFactor) << "\n";
     }
     os << "\n[bus]\n";
-    os << "arb-overhead = " << formatDouble(arbOverhead) << "\n";
+    if (rowKey != "arb-overhead")
+        os << "arb-overhead = " << formatDouble(arbOverhead) << "\n";
     os << "settle-timing = " << (settleTiming ? "true" : "false") << "\n";
     os << "worst-case-settle = "
        << (worstCaseSettle ? "true" : "false") << "\n";
@@ -165,20 +252,21 @@ ScenarioSpec::format() const
     os << "warmup = " << formatUint(resolvedWarmup()) << "\n";
     os << "seed = " << formatUint(seed) << "\n";
     os << "confidence = " << formatDouble(confidence) << "\n";
-    if (!loadTokens.empty() || !protocolSpecs.empty()) {
+    if (!loadTokens.empty() || !rowTokens.empty() ||
+        !protocolSpecs.empty()) {
         os << "\n[sweep]\n";
-        if (!loadTokens.empty()) {
-            os << "loads =";
-            for (const auto &t : loadTokens)
+        const auto list = [&](const std::string &key,
+                              const std::vector<std::string> &tokens) {
+            if (tokens.empty())
+                return;
+            os << key << " =";
+            for (const auto &t : tokens)
                 os << " " << t;
             os << "\n";
-        }
-        if (!protocolSpecs.empty()) {
-            os << "protocols =";
-            for (const auto &p : protocolSpecs)
-                os << " " << p;
-            os << "\n";
-        }
+        };
+        list("loads", loadTokens);
+        list(rowKey, rowTokens);
+        list("protocols", protocolSpecs);
     }
     return os.str();
 }
@@ -191,21 +279,35 @@ ScenarioSpec::sourceTakesLoads() const
 }
 
 const std::vector<std::string> &
-ScenarioSpec::loadAxis() const
+ScenarioSpec::rowAxis() const
 {
     // The placeholder keeps the cell enumeration non-degenerate when
     // the source fixes its own schedule: one cell per protocol, with a
     // stable row label.
     static const std::vector<std::string> no_load_axis = {"-"};
+    if (rowKey != "loads")
+        return rowTokens;
     if (!sourceTakesLoads())
         return no_load_axis;
     return loadTokens;
 }
 
+std::string
+ScenarioSpec::rowName() const
+{
+    return rowKey == "loads" ? "load" : rowKey;
+}
+
+std::string
+ScenarioSpec::cellLabel(std::size_t index) const
+{
+    return rowName() + "=" + cellLoadToken(index);
+}
+
 std::size_t
 ScenarioSpec::cellCount() const
 {
-    return loadAxis().size() * protocolSpecs.size();
+    return rowAxis().size() * protocolSpecs.size();
 }
 
 const std::string &
@@ -213,7 +315,7 @@ ScenarioSpec::cellLoadToken(std::size_t index) const
 {
     BUSARB_ASSERT(index < cellCount(), "cell index ", index,
                   " out of range (", cellCount(), " cells)");
-    return loadAxis()[index / protocolSpecs.size()];
+    return rowAxis()[index / protocolSpecs.size()];
 }
 
 const std::string &
@@ -225,16 +327,28 @@ ScenarioSpec::cellProtocolSpec(std::size_t index) const
 }
 
 ScenarioConfig
-ScenarioSpec::configForLoad(const std::string &load_token) const
+ScenarioSpec::configForLoad(const std::string &token) const
 {
+    // A cv or arb-overhead row sets that key; every row runs at the
+    // one load.
+    double row_cv = cv;
+    double overhead = arbOverhead;
+    std::string load_token = token;
+    if (rowKey != "loads") {
+        double value = 0.0;
+        BUSARB_ASSERT(parseDouble(token, value), "bad ", rowKey,
+                      " token '", token, "'");
+        (rowKey == "cv" ? row_cv : overhead) = value;
+        load_token = loadTokens.empty() ? "" : loadTokens.front();
+    }
     ScenarioConfig config;
     if (family == "worst-case") {
-        config = worstCaseRrScenario(agents, cv);
+        config = worstCaseRrScenario(agents, row_cv);
     } else if (!sourceTakesLoads()) {
         // No load axis: the source (trace replay) fixes its own
         // arrivals and never samples think times, so the traits' load
         // is inert — any fixed value keeps the config deterministic.
-        config = equalLoadScenario(agents, 0.5, cv);
+        config = equalLoadScenario(agents, 0.5, row_cv);
     } else {
         double load = 0.0;
         BUSARB_ASSERT(parseDouble(load_token, load),
@@ -242,9 +356,9 @@ ScenarioSpec::configForLoad(const std::string &load_token) const
         if (family == "unequal") {
             config =
                 unequalLoadScenario(agents, load / agents,
-                                    unequalFactor, cv);
+                                    unequalFactor, row_cv);
         } else {
-            config = equalLoadScenario(agents, load, cv);
+            config = equalLoadScenario(agents, load, row_cv);
         }
         if (hotAgents > 0) {
             const double hot_load = hotFactor * load / agents;
@@ -260,7 +374,7 @@ ScenarioSpec::configForLoad(const std::string &load_token) const
     config.warmup = resolvedWarmup();
     config.seed = seed;
     config.confidence = confidence;
-    config.bus.arbitrationOverhead = arbOverhead;
+    config.bus.arbitrationOverhead = overhead;
     config.bus.settleTiming = settleTiming || worstCaseSettle;
     if (worstCaseSettle)
         config.bus.settleMode = BusParams::SettleMode::kWorstCase;
@@ -307,6 +421,11 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
                     "unknown section '[" + section + "]'" +
                     didYouMeanHint(section, sectionNames()));
             }
+            // Each [table] header starts a new table.
+            if (section == "table") {
+                spec.tables.emplace_back();
+                spec.tables.back().line = line_no;
+            }
             continue;
         }
 
@@ -330,10 +449,14 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
         if (value.empty())
             return fail("key '" + key + "' needs a value");
 
-        // List keys accumulate; everything else is single-assignment.
-        const bool list_key = key == "load" || key == "loads" ||
-                              key == "spec" || key == "protocols";
-        if (!list_key && !seen.insert(section + "." + key).second)
+        // List keys accumulate; everything else is single-assignment
+        // (per table in [table]).
+        const bool list_key = section == "sweep" || key == "load" ||
+                              key == "spec" || key == "column";
+        const std::string where =
+            section == "table" ? "table" + std::to_string(spec.tables.size())
+                               : section;
+        if (!list_key && !seen.insert(where + "." + key).second)
             return fail("duplicate key '" + key + "' in [" + section +
                         "]");
 
@@ -378,7 +501,50 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
             return true;
         };
 
-        if (key == "family") {
+        if (section == "table") {
+            // column = header = quantity @ cell (a cell may hold '=').
+            TableSpec &table = spec.tables.back();
+            const auto eq = value.find('=');
+            const auto at = value.find('@', eq);
+            if (key == "title") {
+                table.title = value;
+            } else if (key == "rows") {
+                if (value != "protocols")
+                    return fail("key 'rows' expects 'protocols' (rows run "
+                                "along the row axis by default), got '" +
+                                value + "'");
+                table.protocolRows = true;
+            } else if (at == std::string::npos) {
+                return fail("key 'column' expects 'header = quantity @ "
+                            "cell', got '" + value + "'");
+            } else {
+                table.columns.push_back(
+                    {trim(value.substr(0, eq)),
+                     trim(value.substr(eq + 1, at - eq - 1)),
+                     trim(value.substr(at + 1)), line_no});
+            }
+        } else if (section == "sweep" && key != "loads" &&
+                   key != "protocols") {
+            // A cv or arb-overhead row axis: finite values >= 0.
+            if (!spec.rowTokens.empty() && spec.rowKey != key)
+                return fail("[sweep] sweeps both '" + spec.rowKey +
+                            "' and '" + key + "'; a grid has one row axis");
+            spec.rowKey = key;
+            for (const auto &token : splitWhitespace(value)) {
+                const std::size_t first = spec.rowTokens.size();
+                std::string expand_error;
+                if (!expandAxisToken(key, token, spec.rowTokens,
+                                     expand_error))
+                    return fail(expand_error);
+                for (std::size_t i = first; i < spec.rowTokens.size(); ++i) {
+                    double v = 0.0;
+                    parseDouble(spec.rowTokens[i], v);
+                    if (!(v >= 0.0 && std::isfinite(v)))
+                        return fail("key '" + key + "' must be finite and "
+                                    ">= 0, got '" + spec.rowTokens[i] + "'");
+                }
+            }
+        } else if (key == "family") {
             if (value != "equal" && value != "unequal" &&
                 value != "worst-case") {
                 return fail(
@@ -441,7 +607,7 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
         } else if (key == "load" || key == "loads") {
             for (const auto &token : splitWhitespace(value)) {
                 std::string expand_error;
-                if (!expandLoadToken(token, spec.loadTokens,
+                if (!expandAxisToken("load", token, spec.loadTokens,
                                      expand_error))
                     return fail(expand_error);
             }
@@ -459,6 +625,9 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
         } else {
             BUSARB_PANIC("unhandled scenario key '", key, "'");
         }
+        if (spec.rowKey != "loads" && spec.loadTokens.size() > 1)
+            return fail("[sweep] sweeps both 'loads' and '" + spec.rowKey +
+                        "'; a grid has one row axis");
     }
     if (!ok)
         return false;
@@ -472,6 +641,21 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
         error = "family 'worst-case' takes no loads (the Table 4.5 "
                 "workload fixes its own rates)";
         return false;
+    }
+    if (spec.rowKey != "loads") {
+        const std::string scalar =
+            (spec.rowKey == "cv" ? "workload." : "bus.") + spec.rowKey;
+        if (seen.count(scalar) != 0) {
+            error = "key '" + spec.rowKey + "' is swept in [sweep]; drop "
+                    "it from [" + scalar.substr(0, scalar.find('.')) + "]";
+            return false;
+        }
+        if (spec.family != "worst-case" && spec.sourceTakesLoads() &&
+            spec.loadTokens.empty()) {
+            error = "sweeping " + spec.rowKey + " needs the one load "
+                    "every row runs at ([workload] load)";
+            return false;
+        }
     }
     if (!spec.sourceTakesLoads() && !spec.loadTokens.empty()) {
         error = "workload source '" + spec.source +
@@ -533,6 +717,19 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
                     " at load " + token +
                     " pushes a hot agent's offered load to >= 1";
             return false;
+        }
+    }
+    // Tables last: their columns name protocols and axis values.
+    for (TableSpec &table : spec.tables) {
+        line_no = table.line;
+        if (table.title.empty() || table.columns.empty())
+            return fail("[table] needs a 'title' and at least one 'column'");
+        for (TableSpec::Column &column : table.columns) {
+            line_no = column.line;
+            const std::string why =
+                resolveColumn(spec, table.protocolRows, column);
+            if (!why.empty())
+                return fail("key 'column': " + why);
         }
     }
     out = spec;

@@ -39,8 +39,18 @@
  *     loads = 0.25 0.5 1 1.5 2       # lists and a:b:c ranges
  *     protocols = rr1 fcfs1 aap1     # spec strings, space-separated
  *
+ *     [table]                        # any number; busarb_sweep only
+ *     title = Table 4.1(a)
+ *     rows = protocols               # default: along the row axis
+ *     column = t_N/t_1 = ratio_hi_lo @ 2   # header = quantity @ cell
+ *
+ * A grid has one row axis: `loads`, or `cv` or `arb-overhead` in
+ * [sweep] (ranges allowed), with at most one load for every row.
+ *
  * format() renders the canonical round-trip text, which the tools
  * record as the `scenario.spec` metrics annotation for provenance.
+ * [table] sections shape only busarb_sweep's stdout, so they stay out
+ * of it (and hence out of shard fingerprints and every artifact).
  */
 
 #ifndef BUSARB_EXPERIMENT_SCENARIO_SPEC_HH
@@ -55,6 +65,33 @@
 namespace busarb {
 
 class ArgParser;
+struct ResultEstimate;
+
+/**
+ * One [table] section: a paper-style table busarb_sweep prints in
+ * place of its generic one. Each column reads one quantity at one
+ * value of the axis the rows do not run along.
+ */
+struct TableSpec
+{
+    struct Column
+    {
+        std::string header;
+        std::string quantity; ///< estimate key, ratio(a,b) or offered
+        std::string at;       ///< a protocol spec, or a row-axis token
+        int line = 0;
+
+        /** The resolved quantity; neither set means offered. */
+        const ResultEstimate *estimate = nullptr;
+        int ratioNumer = 0; ///< ratio(a,b) when > 0
+        int ratioDenom = 0;
+    };
+
+    std::string title;
+    bool protocolRows = false; ///< rows = protocols; else the row axis
+    std::vector<Column> columns;
+    int line = 0; ///< of the [table] header
+};
 
 /** A declarative scenario: workload, bus, run controls, sweep axes. */
 struct ScenarioSpec
@@ -95,9 +132,16 @@ struct ScenarioSpec
     double confidence = 0.90;
 
     // Axes: verbatim tokens, so CSV row labels and metric prefixes are
-    // stable however the spec was written.
+    // stable however the spec was written. The row axis is the loads
+    // unless [sweep] lists `cv` or `arb-overhead` values (rowTokens);
+    // then loadTokens holds at most the one load every row runs at.
+    std::string rowKey = "loads"; // loads | cv | arb-overhead
     std::vector<std::string> loadTokens;
+    std::vector<std::string> rowTokens;
     std::vector<std::string> protocolSpecs;
+
+    /** The [table] sections, in file order; not part of format(). */
+    std::vector<TableSpec> tables;
 
     /** The file text this spec was parsed from ("" for flag-built). */
     std::string rawText;
@@ -117,30 +161,36 @@ struct ScenarioSpec
     std::string format() const;
 
     /**
-     * The load axis the grid sweeps. For sources with a load axis this
-     * is loadTokens; for sources that fix their own arrival schedule
-     * (trace replay, takesLoads = false) it is the single placeholder
-     * token "-", so the grid still enumerates one cell per protocol
-     * and row labels stay well-formed.
+     * The row axis the grid sweeps: rowTokens for a cv or arb-overhead
+     * axis, else loadTokens. Sources that fix their own arrival
+     * schedule (trace replay, takesLoads = false) have no load axis;
+     * theirs is the single placeholder token "-", so the grid still
+     * enumerates one cell per protocol and row labels stay well-formed.
      */
-    const std::vector<std::string> &loadAxis() const;
+    const std::vector<std::string> &rowAxis() const;
+
+    /** @return The row axis in labels: "load", "cv" or "arb-overhead". */
+    std::string rowName() const;
+
+    /** @return Cell `index`'s row label, e.g. "load=2" or "cv=0.25". */
+    std::string cellLabel(std::size_t index) const;
 
     /** @return True when the selected source has no load axis. */
     bool sourceTakesLoads() const;
 
     /**
-     * Number of grid cells this spec expands to: one per load x
-     * protocol pair, in row-emission order (loads outer, protocols
+     * Number of grid cells this spec expands to: one per row x
+     * protocol pair, in row-emission order (rows outer, protocols
      * inner). This is the canonical cell enumeration every consumer —
      * the in-process sweep, the shard planner, the worker processes,
      * and the merge stage — must agree on; a cell's global index is
      * its identity in checkpoint manifests.
      *
-     * @return loadAxis().size() * protocolSpecs.size().
+     * @return rowAxis().size() * protocolSpecs.size().
      */
     std::size_t cellCount() const;
 
-    /** @return The load token of grid cell `index` (loads-outer order). */
+    /** @return The row-axis token of grid cell `index` (rows outer). */
     const std::string &cellLoadToken(std::size_t index) const;
 
     /** @return The protocol spec of grid cell `index`. */
@@ -151,9 +201,10 @@ struct ScenarioSpec
      * code path that turns declarative inputs into runner configs —
      * for files and flags alike.
      *
-     * @param load_token One of loadTokens (ignored, and may be "",
-     *        when family is worst-case).
-     * @return The scenario configuration for that load.
+     * @param load_token A token of the row axis: a load (ignored, and
+     *        may be "", when family is worst-case), or the cv or
+     *        arb-overhead value of a row that runs at the one load.
+     * @return The scenario configuration for that row.
      */
     ScenarioConfig configForLoad(const std::string &load_token) const;
 };

@@ -16,8 +16,8 @@ sweepCellConfig(const ScenarioSpec &spec, const SweepTuning &tuning,
     const std::string &token = spec.cellLoadToken(cell);
     // Sources without a load axis sweep the placeholder token "-",
     // which is not a number and carries no load to validate.
-    if (spec.sourceTakesLoads())
-        parseDoubleTokenOrExit(program, "loads", token);
+    if (spec.rowKey != "loads" || spec.sourceTakesLoads())
+        parseDoubleTokenOrExit(program, spec.rowKey, token);
     ScenarioConfig config = spec.configForLoad(token);
     const std::string workload_error = validateWorkloadRun(config);
     if (!workload_error.empty()) {

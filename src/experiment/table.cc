@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "experiment/runner.hh"
+#include "experiment/scenario_spec.hh"
 #include "sim/logging.hh"
 
 namespace busarb {
@@ -73,6 +75,54 @@ std::string
 formatEstimate(const Estimate &e, int decimals)
 {
     return e.str(decimals);
+}
+
+void
+printGridTables(const ScenarioSpec &spec,
+                const std::vector<ScenarioResult> &results,
+                std::ostream &os)
+{
+    const std::vector<std::string> &protocols = spec.protocolSpecs;
+    for (const TableSpec &t : spec.tables) {
+        // Rows run along one axis; each column names its cell on the
+        // other. Cells are numbered rows outer, protocols inner.
+        const auto &rows = t.protocolRows ? protocols : spec.rowAxis();
+        const auto &across = t.protocolRows ? spec.rowAxis() : protocols;
+        std::vector<std::string> headers{t.protocolRows ? "protocol"
+                                                          : spec.rowName()};
+        for (const auto &column : t.columns)
+            headers.push_back(column.header);
+        TextTable table(headers);
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            std::vector<std::string> cells{rows[r]};
+            for (const auto &column : t.columns) {
+                const std::size_t a = static_cast<std::size_t>(
+                    std::find(across.begin(), across.end(), column.at) -
+                    across.begin());
+                const std::size_t cell =
+                    t.protocolRows ? a * protocols.size() + r
+                                     : r * protocols.size() + a;
+                const ScenarioResult &result = results.at(cell);
+                if (const ResultEstimate *e = column.estimate) {
+                    cells.push_back(
+                        e->csv == CsvForm::kValueAndHalfWidth
+                            ? formatEstimate(e->compute(result), e->digits)
+                            : formatFixed(e->compute(result).value,
+                                          e->digits));
+                } else if (column.ratioNumer > 0) {
+                    cells.push_back(formatEstimate(result.throughputRatio(
+                        column.ratioNumer, column.ratioDenom)));
+                } else {
+                    cells.push_back(formatFixed(
+                        spec.configForLoad(spec.cellLoadToken(cell))
+                            .totalOfferedLoad()));
+                }
+            }
+            table.addRow(std::move(cells));
+        }
+        os << "\n=== " << t.title << " ===\n\n";
+        table.print(os);
+    }
 }
 
 } // namespace busarb

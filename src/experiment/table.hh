@@ -1,7 +1,7 @@
 /**
  * @file
- * A minimal fixed-width text table, used by the benchmark harnesses to
- * print paper-style result tables.
+ * A minimal fixed-width text table, and the renderer of a grid file's
+ * [table] sections: the paper-style result tables busarb_sweep prints.
  */
 
 #ifndef BUSARB_EXPERIMENT_TABLE_HH
@@ -14,6 +14,9 @@
 #include "stats/batch_means.hh"
 
 namespace busarb {
+
+struct ScenarioResult;
+struct ScenarioSpec;
 
 /**
  * Column-aligned ASCII table writer.
@@ -40,6 +43,18 @@ std::string formatFixed(double value, int decimals = 2);
 
 /** Format an estimate as "v ± hw". */
 std::string formatEstimate(const Estimate &e, int decimals = 2);
+
+/**
+ * Print each [table] section of a grid under a "=== title ===" line.
+ * Estimates print at the catalogue's digits, with "± hw" where the
+ * sweep CSV carries a half-width; ratio(a,b) prints as an estimate and
+ * offered as the cell's total offered load, both at 2 decimals.
+ *
+ * @param results One per grid cell, in cell order.
+ */
+void printGridTables(const ScenarioSpec &spec,
+                     const std::vector<ScenarioResult> &results,
+                     std::ostream &os);
 
 } // namespace busarb
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "experiment/cli.hh"
+#include "experiment/runner.hh"
 #include "experiment/scenario_spec.hh"
 #include "workload/scenario.hh"
 #include "support/temp_path.hh"
@@ -74,6 +75,57 @@ TEST(ScenarioSpecParseTest, LoadRangesExpandInclusively)
         parseOk("[sweep]\nloads = 0.5:2:0.5 5\n");
     EXPECT_EQ(spec.loadTokens,
               (std::vector<std::string>{"0.5", "1", "1.5", "2", "5"}));
+    // Each value is lo + i * step at the inputs' decimals; repeated
+    // addition used to print 0.7999999999999999 and run load 1 as
+    // 0.9999999999999999.
+    EXPECT_EQ(parseOk("[sweep]\nloads = 0.7:1.2:0.1\n").loadTokens,
+              (std::vector<std::string>{"0.7", "0.8", "0.9", "1", "1.1",
+                                        "1.2"}));
+    EXPECT_EQ(parseOk("[sweep]\nloads = 0.1:0.3:0.1\n").loadTokens,
+              (std::vector<std::string>{"0.1", "0.2", "0.3"}));
+    EXPECT_EQ(parseOk("[sweep]\nloads = 0.25:1:0.25\n").loadTokens,
+              (std::vector<std::string>{"0.25", "0.5", "0.75", "1"}));
+    EXPECT_EQ(parseOk("[sweep]\ncv = 1e-2:3e-2:1e-2\n"
+                      "[workload]\nload = 1\n").rowTokens,
+              (std::vector<std::string>{"0.01", "0.02", "0.03"}));
+}
+
+TEST(ScenarioSpecParseTest, CvAndArbOverheadAxesSetEachRow)
+{
+    const ScenarioSpec spec = parseOk("[workload]\nagents = 6\nload = 2\n"
+                                      "[sweep]\ncv = 0:1:0.5\n"
+                                      "protocols = rr1 fcfs1\n");
+    EXPECT_EQ(spec.rowKey, "cv");
+    EXPECT_EQ(spec.rowAxis(), (std::vector<std::string>{"0", "0.5", "1"}));
+    ASSERT_EQ(spec.cellCount(), 6u);
+    EXPECT_EQ(spec.cellLabel(3), "cv=0.5");
+    EXPECT_EQ(spec.cellProtocolSpec(3), "fcfs1");
+    const ScenarioConfig config = spec.configForLoad("0.5");
+    const ScenarioConfig expected = equalLoadScenario(6, 2.0, 0.5);
+    for (std::size_t i = 0; i < config.agents.size(); ++i) {
+        EXPECT_DOUBLE_EQ(config.agents[i].cv, 0.5);
+        EXPECT_DOUBLE_EQ(config.agents[i].meanInterrequest,
+                         expected.agents[i].meanInterrequest);
+    }
+
+    const ScenarioSpec overhead =
+        parseOk("[sweep]\nloads = 0.5\narb-overhead = 0 0.25\n");
+    EXPECT_EQ(overhead.cellCount(), 0u); // no protocols yet
+    EXPECT_EQ(overhead.rowName(), "arb-overhead");
+    EXPECT_DOUBLE_EQ(
+        overhead.configForLoad("0.25").bus.arbitrationOverhead, 0.25);
+    EXPECT_DOUBLE_EQ(overhead.configForLoad("0.25").totalOfferedLoad(),
+                     0.5);
+
+    // The worst-case workload fixes its own rates, so its only axis
+    // is cv.
+    const ScenarioSpec worst = parseOk("[workload]\nfamily = worst-case\n"
+                                       "[sweep]\ncv = 0 0.25\n");
+    const ScenarioConfig w = worst.configForLoad("0.25");
+    const ScenarioConfig w_expected = worstCaseRrScenario(10, 0.25);
+    for (std::size_t i = 0; i < w.agents.size(); ++i)
+        EXPECT_DOUBLE_EQ(w.agents[i].meanInterrequest,
+                         w_expected.agents[i].meanInterrequest);
 }
 
 TEST(ScenarioSpecParseTest, SeedAcceptsHex)
@@ -132,6 +184,47 @@ TEST(ScenarioSpecFormatTest, ParseFormatRoundTrips)
     EXPECT_NE(canonical.find("seed = 16"), std::string::npos);
     EXPECT_NE(canonical.find("protocols = rr1 wrr:weights=4/1"),
               std::string::npos);
+}
+
+TEST(ScenarioSpecFormatTest, LoadAxisFormatIsPinned)
+{
+    // Shard directories hash this text, so a grid without a new axis
+    // must keep formatting byte for byte.
+    EXPECT_EQ(parseOk("[workload]\nagents = 30\n[sweep]\n"
+                      "loads = 0.25 1\nprotocols = rr1 fcfs1\n")
+                  .format(),
+              "[workload]\nfamily = equal\nagents = 30\ncv = 1\n"
+              "max-outstanding = 1\n\n[bus]\narb-overhead = 0.5\n"
+              "settle-timing = false\nworst-case-settle = false\n\n"
+              "[run]\nbatches = 10\nbatch-size = 8000\nwarmup = 8000\n"
+              "seed = 1592642302\nconfidence = 0.9\n\n[sweep]\n"
+              "loads = 0.25 1\nprotocols = rr1 fcfs1\n");
+}
+
+TEST(ScenarioSpecFormatTest, RowAxesRoundTripAndTablesStayOut)
+{
+    const std::string tables = "[table]\ntitle = T\n"
+                               "column = W = wait_mean @ rr1\n";
+    const ScenarioSpec cv = parseOk("[workload]\nfamily = worst-case\n"
+                                    "[sweep]\ncv = 0 0.1:0.3:0.1\n"
+                                    "protocols = rr1\n" + tables);
+    const std::string canonical = cv.format();
+    EXPECT_EQ(parseOk(canonical).format(), canonical);
+    EXPECT_NE(canonical.find("cv = 0 0.1 0.2 0.3\n"), std::string::npos);
+    // The swept key leaves [workload], and [table] never enters.
+    EXPECT_EQ(canonical.find("cv = 1"), std::string::npos);
+    EXPECT_EQ(canonical.find("table"), std::string::npos);
+
+    const ScenarioSpec overhead =
+        parseOk("[workload]\nload = 2\n[sweep]\narb-overhead = 0 1\n"
+                "protocols = rr1\n" + tables);
+    EXPECT_EQ(parseOk(overhead.format()).format(), overhead.format());
+    EXPECT_EQ(overhead.format().find("arb-overhead = 0.5"),
+              std::string::npos);
+    // A grid's tables do not change its canonical text.
+    EXPECT_EQ(parseOk("[sweep]\nloads = 1\nprotocols = rr1\n" + tables)
+                  .format(),
+              parseOk("[sweep]\nloads = 1\nprotocols = rr1\n").format());
 }
 
 TEST(ScenarioSpecFormatTest, FlagBuiltSpecMatchesEquivalentFile)
@@ -316,6 +409,93 @@ TEST(ScenarioSpecErrorTest, SweepAxesAreValidated)
               "'rr9'; did you mean 'rr1'?");
 }
 
+TEST(ScenarioSpecErrorTest, RowAxesAreValidated)
+{
+    EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\ncv = 0 -1\n"),
+              "line 4: key 'cv' must be finite and >= 0, got '-1'");
+    EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\n"
+                         "arb-overhead = -1:1:0.5\n"),
+              "line 4: key 'arb-overhead' must be finite and >= 0, got "
+              "'-1'");
+    EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\ncv = 1 nan\n"),
+              "line 4: key 'cv' must be finite and >= 0, got 'nan'");
+    EXPECT_EQ(parseError("[sweep]\nloads = 0.001:1e9:0.001\n"),
+              "line 2: bad load range '0.001:1e9:0.001' (more than 10000 "
+              "values)");
+    EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\ncv = 0:1\n"),
+              "line 4: bad cv range '0:1' (expected lo:hi:step)");
+    // One row axis per grid.
+    EXPECT_EQ(parseError("[sweep]\nloads = 1 2\ncv = 0 1\n"),
+              "line 3: [sweep] sweeps both 'loads' and 'cv'; a grid has "
+              "one row axis");
+    EXPECT_EQ(parseError("[sweep]\ncv = 0 1\nloads = 1 2\n"),
+              "line 3: [sweep] sweeps both 'loads' and 'cv'; a grid has "
+              "one row axis");
+    EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\ncv = 0 1\n"
+                         "arb-overhead = 0\n"),
+              "line 5: [sweep] sweeps both 'cv' and 'arb-overhead'; a grid "
+              "has one row axis");
+    EXPECT_EQ(parseError("[workload]\ncv = 2\nload = 1\n[sweep]\n"
+                         "cv = 0 1\n"),
+              "key 'cv' is swept in [sweep]; drop it from [workload]");
+    EXPECT_EQ(parseError("[sweep]\narb-overhead = 0 1\n"),
+              "sweeping arb-overhead needs the one load every row runs at "
+              "([workload] load)");
+    EXPECT_EQ(parseError("[workload]\nfamily = worst-case\n[sweep]\n"
+                         "loads = 1 2\n"),
+              "family 'worst-case' takes no loads (the Table 4.5 "
+              "workload fixes its own rates)");
+}
+
+TEST(ScenarioSpecErrorTest, TablesAreCheckedAtParse)
+{
+    const std::string grid = "[sweep]\nloads = 1 2\nprotocols = rr1 fcfs1\n"
+                             "[table]\ntitle = T\n";
+    // Columns resolve against the catalogue and the axes, wherever
+    // [sweep] sits in the file.
+    EXPECT_EQ(parseOk(grid + "column = W = wait_mean @ fcfs1\n")
+                  .tables.front()
+                  .columns.front()
+                  .estimate->key,
+              std::string("wait_mean"));
+    parseOk("[table]\ntitle = T\nrows = protocols\n"
+            "column = Load = offered @ 2\n"
+            "column = r = ratio(10,1) @ 1\n"
+            "[sweep]\nloads = 1 2\nprotocols = rr1\n");
+    EXPECT_EQ(parseError(grid + "column = W = wait_men @ rr1\n"),
+              "line 6: key 'column': unknown quantity 'wait_men'; did you "
+              "mean 'wait_mean'?");
+    EXPECT_EQ(parseError(grid + "column = r = ratio(11,1) @ rr1\n"),
+              "line 6: key 'column': ratio(11,1) needs agents in 1..10");
+    EXPECT_EQ(parseError(grid + "column = r = ratio(0,1) @ rr1\n"),
+              "line 6: key 'column': ratio(0,1) needs agents in 1..10");
+    EXPECT_NE(parseError(grid + "column = r = ratio(99999999999999999999,1)"
+                                " @ rr1\n")
+                  .find("unknown quantity"),
+              std::string::npos);
+    EXPECT_EQ(parseError(grid + "column = W = wait_mean @ rr2\n"),
+              "line 6: key 'column': 'rr2' is not in [sweep] protocols");
+    EXPECT_EQ(parseError(grid + "rows = protocols\n"
+                                "column = W = wait_mean @ 3\n"),
+              "line 7: key 'column': '3' is not on the loads axis");
+    EXPECT_EQ(parseError(grid),
+              "line 4: [table] needs a 'title' and at least one 'column'");
+    EXPECT_EQ(parseError(grid + "column = W = wait_mean @ rr1\n[table]\n"
+                                "column = W = wait_mean @ rr1\n"),
+              "line 7: [table] needs a 'title' and at least one 'column'");
+    EXPECT_EQ(parseError(grid + "column = W wait_mean rr1\n"),
+              "line 6: key 'column' expects 'header = quantity @ cell', "
+              "got 'W wait_mean rr1'");
+    EXPECT_EQ(parseError(grid + "rows = loads\n"),
+              "line 6: key 'rows' expects 'protocols' (rows run along the "
+              "row axis by default), got 'loads'");
+    EXPECT_EQ(parseError(grid + "title = U\n"),
+              "line 6: duplicate key 'title' in [table]");
+    EXPECT_EQ(parseError(grid + "colum = W = wait_mean @ rr1\n"),
+              "line 6: unknown key 'colum' in [table]; did you mean "
+              "'column'?");
+}
+
 TEST(ScenarioSpecErrorTest, FileLevelValidationHasNoLinePrefix)
 {
     EXPECT_EQ(parseError("[workload]\nfamily = unequal\n"),
@@ -404,7 +584,7 @@ TEST(ScenarioSpecSourceTest, TraceSourcesHaveNoLoadAxis)
         parseOk("[workload]\nsource = trace:file=x.trace\n"
                 "[sweep]\nprotocols = rr1 fcfs1\n");
     EXPECT_FALSE(spec.sourceTakesLoads());
-    EXPECT_EQ(spec.loadAxis(), std::vector<std::string>{"-"});
+    EXPECT_EQ(spec.rowAxis(), std::vector<std::string>{"-"});
     EXPECT_EQ(spec.cellCount(), 2u);
     EXPECT_EQ(spec.cellLoadToken(0), "-");
 

@@ -6,10 +6,13 @@
  * per-cell assembly.
  */
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "experiment/observer_flags.hh"
 #include "experiment/sweep_cells.hh"
+#include "experiment/table.hh"
 
 namespace busarb {
 namespace {
@@ -100,6 +103,51 @@ TEST(SweepCells, BuildSweepGridMatchesPerCellAssembly)
             << "cell " << cell;
         EXPECT_EQ(grid[cell].spec, spec.cellProtocolSpec(cell));
     }
+}
+
+TEST(SweepCells, GridTablesReadTheCellEachColumnNames)
+{
+    ScenarioSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseScenarioSpec(
+        "[workload]\nfamily = unequal\nagents = 4\nunequal-factor = 2\n"
+        "[run]\nbatches = 2\nbatch-size = 50\n"
+        "[sweep]\nloads = 0.5 1\nprotocols = rr1 fcfs1\n"
+        "[table]\ntitle = By load\ncolumn = Load = offered @ fcfs1\n"
+        "column = U = utilization @ fcfs1\n"
+        "column = r = ratio(1,2) @ rr1\n"
+        "[table]\ntitle = By protocol\nrows = protocols\n"
+        "column = W = wait_mean @ 1\ncolumn = retry = retry_fraction @ 0.5\n",
+        spec, error))
+        << error;
+    const auto results = runScenarioGrid(
+        buildSweepGrid(spec, SweepTuning{}, "sweep_cells_test"), 1);
+    std::ostringstream os;
+    printGridTables(spec, results, os);
+
+    // Cells are rows-outer: (0.5, rr1) (0.5, fcfs1) (1, rr1) (1, fcfs1).
+    std::ostringstream expected;
+    expected << "\n=== By load ===\n\n";
+    TextTable by_load({"load", "Load", "U", "r"});
+    for (std::size_t row = 0; row < 2; ++row) {
+        by_load.addRow({spec.loadTokens[row],
+                        formatFixed(spec.configForLoad(spec.loadTokens[row])
+                                        .totalOfferedLoad()),
+                        formatFixed(results[2 * row + 1].utilization().value,
+                                    3),
+                        formatEstimate(results[2 * row].throughputRatio(1, 2))});
+    }
+    by_load.print(expected);
+    expected << "\n=== By protocol ===\n\n";
+    TextTable by_protocol({"protocol", "W", "retry"});
+    for (std::size_t p = 0; p < 2; ++p) {
+        by_protocol.addRow(
+            {spec.protocolSpecs[p], formatEstimate(results[2 + p].meanWait()),
+             formatFixed(results[p].retryPassFraction().value, 4)});
+    }
+    by_protocol.print(expected);
+    EXPECT_EQ(os.str(), expected.str());
+    EXPECT_NE(os.str().find("  0.5   0.62"), std::string::npos) << os.str();
 }
 
 TEST(SweepCells, CanonicalKeyIsStableText)

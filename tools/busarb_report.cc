@@ -83,10 +83,10 @@ main(int argc, char **argv)
 
     const ScenarioSpec spec =
         scenarioSpecFromFlags("busarb_report", parser);
-    if (spec.loadTokens.size() > 1) {
+    if (spec.rowAxis().size() > 1) {
         std::cerr << "busarb_report: scenario sweeps "
-                  << spec.loadTokens.size()
-                  << " loads; a report covers one run\n";
+                  << spec.rowAxis().size() << " " << spec.rowName()
+                  << " values; a report covers one run\n";
         return 2;
     }
     std::vector<std::string> protocol_specs = spec.protocolSpecs;
@@ -105,7 +105,7 @@ main(int argc, char **argv)
     }
 
     ScenarioConfig config = spec.configForLoad(
-        spec.loadAxis().empty() ? "" : spec.loadAxis().front());
+        spec.rowAxis().empty() ? "" : spec.rowAxis().front());
     const std::string workload_error = validateWorkloadRun(config);
     if (!workload_error.empty()) {
         std::cerr << "busarb_report: " << workload_error << "\n";

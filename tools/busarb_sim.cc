@@ -105,9 +105,10 @@ main(int argc, char **argv)
         static_cast<int>(intFlagOrExit("busarb_sim", parser, "jobs", 0));
 
     const ScenarioSpec spec = scenarioSpecFromFlags("busarb_sim", parser);
-    if (spec.loadTokens.size() > 1) {
-        std::cerr << "busarb_sim: scenario sweeps " << spec.loadTokens.size()
-                  << " loads; busarb_sim runs one (use busarb_sweep "
+    if (spec.rowAxis().size() > 1) {
+        std::cerr << "busarb_sim: scenario sweeps " << spec.rowAxis().size()
+                  << " " << spec.rowName()
+                  << " values; busarb_sim runs one (use busarb_sweep "
                      "--grid for grids)\n";
         return 2;
     }
@@ -136,7 +137,7 @@ main(int argc, char **argv)
     }
 
     ScenarioConfig config = spec.configForLoad(
-        spec.loadAxis().empty() ? "" : spec.loadAxis().front());
+        spec.rowAxis().empty() ? "" : spec.rowAxis().front());
     // Pre-run workload validation (trace readability, length vs run
     // controls): a doomed run exits 2 here instead of dying mid-run.
     const std::string workload_error = validateWorkloadRun(config);

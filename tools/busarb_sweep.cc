@@ -10,13 +10,14 @@
  *
  *   busarb_sweep --protocols rr1,fcfs1,aap1 --agents 30 \
  *                --loads 0.25,0.5,1,1.5,2,2.5,5,7.5 --jobs 4 --csv out.csv
- *   busarb_sweep --grid examples/scenarios/table41.grid --csv out.csv
+ *   busarb_sweep --grid bench/tables/table_4_1_n10.grid
  *
  * A --grid scenario file (experiment/scenario_spec.hh) declares the
  * same sweep declaratively — including protocol specs with options,
- * which the comma-separated --protocols flag cannot express — and
- * expands through the same cell-assembly path, so a grid file
- * reproduces a flag invocation byte for byte.
+ * which the comma-separated --protocols flag cannot express, a cv or
+ * arb-overhead row axis, and [table] sections that replace the
+ * generic table — and expands through the same cell-assembly path, so
+ * a grid file reproduces a flag invocation byte for byte.
  *
  * With --shards N (and a --shard-dir), the sweep becomes a
  * multi-process fleet: the grid is partitioned into shards, worker
@@ -246,9 +247,9 @@ main(int argc, char **argv)
                                                         proto);
         validateFlagSpecOrExit("busarb_sweep", spec);
     }
-    if (spec.family == "worst-case") {
+    if (spec.family == "worst-case" && spec.rowKey == "loads") {
         std::cerr << "busarb_sweep: family 'worst-case' has no load "
-                     "axis; run it with busarb_sim\n";
+                     "axis; sweep cv or run it with busarb_sim\n";
         return 2;
     }
 
@@ -256,7 +257,7 @@ main(int argc, char **argv)
     // Sources without a load axis (trace replay) sweep the single
     // placeholder token "-", so row labels and metric prefixes stay
     // well-formed with one cell per protocol.
-    const auto &load_tokens = spec.loadAxis();
+    const auto &load_tokens = spec.rowAxis();
     if (protocol_keys.empty() || load_tokens.empty()) {
         std::cerr << "need at least one protocol and one load\n";
         return 2;
@@ -275,7 +276,8 @@ main(int argc, char **argv)
         return 2;
     }
     if (has_duplicate(load_tokens)) {
-        std::cerr << "busarb_sweep: duplicate load in --loads\n";
+        std::cerr << "busarb_sweep: duplicate " << spec.rowName()
+                  << " in --" << spec.rowKey << "\n";
         return 2;
     }
 
@@ -354,9 +356,10 @@ main(int argc, char **argv)
             std::chrono::steady_clock::now() - start)
             .count();
 
-    // Cells run loads-outer, protocols-inner; each is labelled
-    // load=<token>.<protocol> in metrics and verdicts. The table's
-    // estimate columns are the CSV's, at two decimals.
+    // Cells run rows-outer, protocols-inner; each is labelled
+    // load=<token>.<protocol> (or cv=, arb-overhead=) in metrics and
+    // verdicts. The generic table's estimate columns are the CSV's, at
+    // two decimals; a grid's [table] sections replace it.
     std::vector<std::string> headers{"load", "protocol"};
     for (const ResultEstimate &e : kResultEstimates)
         if (e.csv != CsvForm::kAbsent)
@@ -368,9 +371,9 @@ main(int argc, char **argv)
         const ScenarioResult &result = results[cell];
         const std::string &token = spec.cellLoadToken(cell);
         const std::string &key = spec.cellProtocolSpec(cell);
-        labels.push_back("load=" + token + "." + key);
+        labels.push_back(spec.cellLabel(cell) + "." + key);
         if (csv != nullptr) {
-            writeSummaryCsvRow(result, "load=" + token, *csv);
+            writeSummaryCsvRow(result, spec.cellLabel(cell), *csv);
             continue;
         }
         std::vector<std::string> row{token, key};
@@ -386,6 +389,8 @@ main(int argc, char **argv)
     if (csv != nullptr) {
         std::cout << "wrote " << results.size() << " rows to "
                   << parser.getString("csv") << "\n";
+    } else if (!spec.tables.empty()) {
+        printGridTables(spec, results, std::cout);
     } else {
         table.print(std::cout);
     }
@@ -403,8 +408,8 @@ main(int argc, char **argv)
                        "per-cell timing", [&](std::ostream &out) {
                            out << "label,protocol,elapsed_ms\n";
                            for (std::size_t i = 0; i < results.size(); ++i)
-                               out << "load=" << spec.cellLoadToken(i)
-                                   << "," << spec.cellProtocolSpec(i) << ","
+                               out << spec.cellLabel(i) << ","
+                                   << spec.cellProtocolSpec(i) << ","
                                    << formatFixed(results[i].elapsedMs, 3)
                                    << "\n";
                        }))
