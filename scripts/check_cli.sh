@@ -201,12 +201,50 @@ expect 2 "warmup" "sim negative warmup" \
     "$sim" --protocol rr1 --warmup -1
 expect 2 "load 7.5 over 5 agents" "sweep per-agent load range" \
     "$sweep" --protocols rr1 --agents 5 --loads 7.5
-expect 2 "'agents'" "sweep zero agents" \
-    "$sweep" --protocols rr1 --agents 0
-expect 2 "'batches'" "sweep zero batches" \
-    "$sweep" --protocols rr1 --batches 0
-expect 2 "'cv'" "sweep negative cv" \
-    "$sweep" --protocols rr1 --cv -1
+# A scenario flag gets its file key's own check and names itself,
+# never a line of a file the user did not write.
+expect_flag() {
+    label="$1"; flag="$2"; shift 2
+    expect 2 "--$flag" "$label" "$@"
+    if grep -q "line " "$tmp/out"; then
+        echo "FAIL: $label names a file line" >&2
+        cat "$tmp/out" >&2
+        fails=$((fails + 1))
+    fi
+}
+for tool in sim report sweep; do
+    case "$tool" in
+      sim) cmd="$sim" ;;
+      report) cmd="$report --out $tmp/report.md" ;;
+      sweep) cmd="$sweep --protocols rr1" ;;
+    esac
+    for bad in "agents 0" "batches 0" "max-outstanding 0" "cv -1"; do
+        flag="${bad% *}"
+        [ "$tool:$flag" != sweep:max-outstanding ] || continue
+        # shellcheck disable=SC2086
+        expect_flag "$tool --$bad" "$flag" $cmd --$bad
+    done
+done
+expect_flag "sim negative unequal-factor" "unequal-factor" \
+    "$sim" --unequal-factor -1
+expect_flag "sim negative hot-factor" "hot-factor" "$sim" --hot-factor -1
+expect 2 "hot-factor requires hot-agents" "sim hot-factor alone" \
+    "$sim" --hot-factor 3
+expect 2 "family 'worst-case' takes no loads" "sim worst-case with --load" \
+    "$sim" --worst-case --load 3
+expect_flag "sweep empty --protocols" "protocols" "$sweep" --protocols ''
+expect_flag "sweep empty --loads" "loads" "$sweep" --loads ''
+expect 2 "busarb_sweep: --protocols" "sweep empty --protocols prefix" \
+    "$sweep" --protocols ''
+# unequal-factor outside family unequal used to vanish from the run.
+expect 2 "unequal-factor requires family 'unequal'" \
+    "sim worst-case with --unequal-factor" \
+    "$sim" --worst-case --unequal-factor 2
+printf '[workload]\nfamily = equal\nunequal-factor = 2\nload = 1\n' \
+    > "$tmp/unequal.scenario"
+expect 2 "unequal-factor requires family 'unequal'" \
+    "sim scenario unequal-factor without family" \
+    "$sim" --scenario "$tmp/unequal.scenario"
 cat > "$tmp/overload.grid" <<'EOF'
 [workload]
 agents = 5
@@ -280,6 +318,12 @@ printf '[workload]\nload = 1\n[sweep]\narb-overhead = 0 1\n' \
     > "$tmp/overhead.grid"
 expect 2 "sweeps 2 arb-overhead values" "report arb-overhead axis" \
     "$report" --scenario "$tmp/overhead.grid" --out "$tmp/report.md"
+# A scenario without a load runs no cell; it used to abort.
+printf '[workload]\nagents = 4\n' > "$tmp/noload.scenario"
+expect 2 "sweeps 0 load values" "sim scenario without a load" \
+    "$sim" --scenario "$tmp/noload.scenario"
+expect 2 "sweeps 0 load values" "report scenario without a load" \
+    "$report" --scenario "$tmp/noload.scenario" --out "$tmp/report.md"
 expect 2 "load 7.5 over 5 agents" "report per-agent load range" \
     "$report" --protocol rr1 --agents 5 --load 7.5 --out "$tmp/report.md"
 expect 2 "warmup" "report negative warmup" \

@@ -15,7 +15,10 @@
 #     ArbitrationPass::settle() (the RR family, FCFS and hybrid with
 #     their counter variants, fixed, AAP and WRR), closed and open mmpp,
 #     at 10, 70 and 130 agents: one, two and three mask words;
-#   - busarb_sim's stdout, batches CSV and histogram CSV;
+#   - busarb_sim's stdout, batches CSV and histogram CSV, and three
+#     flag-built runs that between them give every scenario flag a
+#     value other than its default, with their metrics (whose
+#     scenario.spec annotation is the flag-built spec's format());
 #   - busarb_report in md and html.
 #
 # Host timing is masked: the value of elapsed_ms=, the summary's sim
@@ -92,7 +95,7 @@ capture() {
     set -e
 }
 
-CLOSED="--protocols rr1,fcfs1,aap1 --agents 8 --loads 0.5,2,7.5
+CLOSED="--protocols rr1,fcfs1,aap1 --agents 8 --cv 0.5 --loads 0.5,2,7.5
         --batches 3 --batch-size 400"
 OPEN="--source open:dist=mmpp,burst=8,gap=32,ratio=10 --agents 16
       --loads 0.5,0.9 --protocols rr1,fcfs1 --batches 3 --batch-size 400"
@@ -187,6 +190,18 @@ run_corpus() {
     capture sim-open.stdout "$sim" --protocol rr1 --agents 16 --load 0.9 \
         --source open:dist=mmpp,burst=8,gap=32,ratio=10 --batches 3 \
         --batch-size 400 --warmup 400
+    capture sim-unequal.stdout "$sim" --protocol fcfs1 --compare rr1 \
+        --agents 6 --load 1.5 --cv 0.5 --unequal-factor 2 \
+        --max-outstanding 2 --source open:dist=mmpp --batches 3 \
+        --batch-size 300 --warmup 100 --seed 0100 --arb-overhead 0.25 \
+        --settle-timing --worst-case-settle \
+        --metrics-out sim-unequal.metrics.csv
+    capture sim-hot.stdout "$sim" --protocol rr1 --agents 8 --load 2.0 \
+        --cv 2 --hot-agents 2 --hot-factor 3 --batches 3 --batch-size 300 \
+        --warmup 300 --metrics-out sim-hot.metrics.csv
+    capture sim-worst-case.stdout "$sim" --protocol rr1 --worst-case \
+        --agents 6 --cv 0 --batches 3 --batch-size 300 --warmup 300 \
+        --metrics-out sim-worst-case.metrics.csv
 
     for format in md html; do
         capture "report-$format.stdout" "$bin/tools/busarb_report" \

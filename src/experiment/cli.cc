@@ -9,6 +9,7 @@
 
 #include <sys/stat.h>
 
+#include "obs/export_format.hh"
 #include "sim/logging.hh"
 
 namespace busarb {
@@ -51,21 +52,6 @@ parseDoubleTokenOrExit(const std::string &program,
         std::exit(2);
     }
     return value;
-}
-
-std::vector<double>
-parseDoubleListOrExit(const std::string &program, const std::string &flag,
-                      const std::string &text)
-{
-    std::vector<double> values;
-    std::istringstream is(text);
-    std::string token;
-    while (std::getline(is, token, ',')) {
-        if (token.empty())
-            continue;
-        values.push_back(parseDoubleTokenOrExit(program, flag, token));
-    }
-    return values;
 }
 
 void
@@ -296,6 +282,18 @@ bool
 ArgParser::getBool(const std::string &name) const
 {
     return find(name, Kind::kBool).value == "true";
+}
+
+std::string
+ArgParser::parsedText(const std::string &name) const
+{
+    const auto it = flags_.find(name);
+    BUSARB_ASSERT(it != flags_.end(), "undeclared flag: ", name);
+    if (it->second.kind == Kind::kInt)
+        return std::to_string(getInt(name));
+    if (it->second.kind == Kind::kDouble)
+        return formatDouble(getDouble(name));
+    return it->second.value;
 }
 
 bool

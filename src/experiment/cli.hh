@@ -56,21 +56,6 @@ double parseDoubleTokenOrExit(const std::string &program,
                               const std::string &token);
 
 /**
- * Parse a comma-separated list of numbers, exiting on a bad token.
- *
- * Empty tokens (from stray commas) are skipped; malformed tokens are
- * reported via parseDoubleTokenOrExit semantics (stderr + exit 2).
- *
- * @param program Program name for the error message.
- * @param flag Flag name (without dashes) for the error message.
- * @param text The comma-separated list.
- * @return The parsed values, in input order.
- */
-std::vector<double> parseDoubleListOrExit(const std::string &program,
-                                          const std::string &flag,
-                                          const std::string &text);
-
-/**
  * Validate an output path's parent directory up front, exiting on
  * failure.
  *
@@ -154,6 +139,13 @@ class ArgParser
     long getInt(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;
+
+    /**
+     * @return The value as parsed, in canonical text: an integer or a
+     *         number as it prints (`0100` is `100`, `2.0` is `2`),
+     *         true/false, or a string verbatim.
+     */
+    std::string parsedText(const std::string &name) const;
 
     /**
      * @retval true The flag appeared explicitly on the command line

@@ -39,12 +39,10 @@ MetricsCollector::onServiceEnd(const Request &req, Tick now)
     const double wait = ticksToUnits(now - req.issued);
     ++sums.completions;
     sums.waitSum += wait;
-    sums.waitSqSum += wait * wait;
     const double limit = overlapLimit_[static_cast<std::size_t>(req.agent)];
     sums.overlapSum += std::min(limit, wait);
     ++totalCompletions_;
     totalWaitSum_ += wait;
-    totalWaitSqSum_ += wait * wait;
     batchWait_.add(wait);
     if (histogramEnabled_)
         histogram_.add(wait);

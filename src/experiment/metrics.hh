@@ -37,7 +37,6 @@ class MetricsCollector : public BusObserver, public ThinkSink
     {
         std::uint64_t completions = 0;
         double waitSum = 0.0;      ///< sum of W (issue -> service end)
-        double waitSqSum = 0.0;    ///< sum of W^2
         double queueWaitSum = 0.0; ///< sum of issue -> service start
         double overlapSum = 0.0;   ///< sum of min(V, W)
         double thinkSum = 0.0;     ///< productive think time
@@ -69,9 +68,6 @@ class MetricsCollector : public BusObserver, public ThinkSink
 
     /** @return Global sum of waiting times. */
     double totalWaitSum() const { return totalWaitSum_; }
-
-    /** @return Global sum of squared waiting times. */
-    double totalWaitSqSum() const { return totalWaitSqSum_; }
 
     /** Restart the batch-local waiting-time accumulator. */
     void beginBatch() { batchWait_.clear(); }
@@ -112,7 +108,6 @@ class MetricsCollector : public BusObserver, public ThinkSink
     std::vector<double> overlapLimit_;
     std::uint64_t totalCompletions_ = 0;
     double totalWaitSum_ = 0.0;
-    double totalWaitSqSum_ = 0.0;
     RunningStats batchWait_;
     Histogram histogram_;
     bool histogramEnabled_ = false;

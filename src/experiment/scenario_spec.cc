@@ -217,6 +217,276 @@ resolveColumn(const ScenarioSpec &spec, bool protocol_rows,
     return "";
 }
 
+/**
+ * Where a key's value comes from: line `line` of a scenario file, or
+ * (line 0) the tool flag of the key's name. A message names the key as
+ * its source spells it: `key 'cv'` and a quoted value, or `--cv`.
+ */
+struct KeySource
+{
+    std::string key;
+    int line = 0;
+
+    std::string name() const
+    {
+        return line > 0 ? "key '" + key + "'" : "--" + key;
+    }
+
+    /** @return `<name> <what>, got <value>`. */
+    std::string bad(const std::string &what, const std::string &value) const
+    {
+        return name() + " " + what + ", got " +
+               (line > 0 ? "'" + value + "'" : value);
+    }
+
+    /** @return A message about a token; a flag's names the flag. */
+    std::string token(const std::string &message) const
+    {
+        return line > 0 ? message : "--" + key + ": " + message;
+    }
+};
+
+/**
+ * Set one key of `section` from its value text: the key's type, range,
+ * enum and registry checks. A file runs it once per line, a tool once
+ * per scenario flag, so a key is checked the same way whichever sets
+ * it.
+ *
+ * @return "" or why the value is bad.
+ */
+std::string
+setScenarioKey(ScenarioSpec &spec, const std::string &section,
+               const KeySource &source, const std::string &value)
+{
+    const std::string &key = source.key;
+    if (value.empty())
+        return source.name() + " needs a value";
+
+    // Integer keys take the range of the field they set.
+    const auto want_int = [&](long min_value, auto &slot) -> std::string {
+        using Field = std::remove_reference_t<decltype(slot)>;
+        const long max_value = std::numeric_limits<Field>::max();
+        long parsed = 0;
+        if (!parseLong(value, parsed))
+            return source.bad("expects an integer", value);
+        if (parsed < min_value || parsed > max_value)
+            return source.bad(
+                "must be " + (parsed < min_value
+                                  ? ">= " + std::to_string(min_value)
+                                  : "<= " + std::to_string(max_value)),
+                value);
+        slot = static_cast<Field>(parsed);
+        return "";
+    };
+    const auto want_double = [&](double min_value, bool exclusive,
+                                 double &slot) -> std::string {
+        double parsed = 0.0;
+        if (!parseDouble(value, parsed) || !std::isfinite(parsed))
+            return source.bad("expects a number", value);
+        if (parsed < min_value || (exclusive && parsed == min_value))
+            return source.bad(std::string("must be ") +
+                                  (exclusive ? ">" : ">=") + " " +
+                                  formatDouble(min_value),
+                              value);
+        slot = parsed;
+        return "";
+    };
+    const auto want_bool = [&](bool &slot) -> std::string {
+        if (value != "true" && value != "false")
+            return source.bad("expects true/false", value);
+        slot = value == "true";
+        return "";
+    };
+
+    std::string why;
+    if (section == "table") {
+        // column = header = quantity @ cell (a cell may hold '=').
+        TableSpec &table = spec.tables.back();
+        const auto eq = value.find('=');
+        const auto at = value.find('@', eq);
+        if (key == "title") {
+            table.title = value;
+        } else if (key == "rows") {
+            if (value != "protocols")
+                return source.bad("expects 'protocols' (rows run along "
+                                  "the row axis by default)",
+                                  value);
+            table.protocolRows = true;
+        } else if (at == std::string::npos) {
+            return source.bad("expects 'header = quantity @ cell'", value);
+        } else {
+            table.columns.push_back({trim(value.substr(0, eq)),
+                                     trim(value.substr(eq + 1, at - eq - 1)),
+                                     trim(value.substr(at + 1)),
+                                     source.line});
+        }
+    } else if (section == "sweep" && key != "loads" && key != "protocols") {
+        // A cv or arb-overhead row axis: finite values >= 0.
+        if (!spec.rowTokens.empty() && spec.rowKey != key)
+            return "[sweep] sweeps both '" + spec.rowKey + "' and '" + key +
+                   "'; a grid has one row axis";
+        spec.rowKey = key;
+        for (const auto &token : splitWhitespace(value)) {
+            const std::size_t first = spec.rowTokens.size();
+            if (!expandAxisToken(key, token, spec.rowTokens, why))
+                return source.token(why);
+            for (std::size_t i = first; i < spec.rowTokens.size(); ++i) {
+                double v = 0.0;
+                parseDouble(spec.rowTokens[i], v);
+                if (!(v >= 0.0 && std::isfinite(v)))
+                    return source.bad("must be finite and >= 0",
+                                      spec.rowTokens[i]);
+            }
+        }
+    } else if (key == "family") {
+        if (value != "equal" && value != "unequal" && value != "worst-case")
+            return source.bad("expects equal|unequal|worst-case", value) +
+                   didYouMeanHint(value, {"equal", "unequal", "worst-case"});
+        spec.family = value;
+    } else if (key == "agents") {
+        why = want_int(1, spec.agents);
+    } else if (key == "cv") {
+        why = want_double(0.0, false, spec.cv);
+    } else if (key == "unequal-factor") {
+        why = want_double(0.0, true, spec.unequalFactor);
+    } else if (key == "max-outstanding") {
+        why = want_int(1, spec.maxOutstanding);
+    } else if (key == "source") {
+        WorkloadSpec parsed;
+        if (!WorkloadRegistry::builtin().parseSpec(value, parsed, why))
+            return source.token("bad workload source '" + value +
+                                "': " + why);
+        spec.source = value;
+    } else if (key == "hot-agents") {
+        why = want_int(0, spec.hotAgents);
+    } else if (key == "hot-factor") {
+        why = want_double(0.0, true, spec.hotFactor);
+    } else if (key == "arb-overhead") {
+        why = want_double(0.0, false, spec.arbOverhead);
+    } else if (key == "settle-timing") {
+        why = want_bool(spec.settleTiming);
+    } else if (key == "worst-case-settle") {
+        why = want_bool(spec.worstCaseSettle);
+    } else if (key == "batches") {
+        why = want_int(1, spec.batches);
+    } else if (key == "batch-size") {
+        why = want_int(1, spec.batchSize);
+    } else if (key == "warmup") {
+        why = want_int(0, spec.warmup);
+        spec.warmupSet = true;
+    } else if (key == "seed") {
+        long negative = 0;
+        if (parseLong(value, negative) && negative < 0)
+            return source.bad("must be >= 0", value);
+        if (!parseSeed(value, spec.seed))
+            return source.bad("expects an unsigned integer", value);
+    } else if (key == "confidence") {
+        double v = 0.0;
+        if (!parseDouble(value, v))
+            return source.bad("expects a number", value);
+        if (v <= 0.0 || v >= 1.0)
+            return source.bad("must be in (0, 1)", value);
+        if (!supportedConfidence(v))
+            return source.bad("must be 0.90, 0.95 or 0.99", value);
+        spec.confidence = v;
+    } else if (key == "load" || key == "loads") {
+        for (const auto &token : splitWhitespace(value))
+            if (!expandAxisToken("load", token, spec.loadTokens, why))
+                return source.token(why);
+    } else if (key == "spec" || key == "protocols") {
+        for (const auto &token : splitWhitespace(value)) {
+            ProtocolSpec parsed;
+            if (!ProtocolRegistry::builtin().parseSpec(token, parsed, why))
+                return source.token("bad protocol spec '" + token +
+                                    "': " + why);
+            spec.protocolSpecs.push_back(token);
+        }
+    } else {
+        BUSARB_PANIC("unhandled scenario key '", key, "'");
+    }
+    if (why.empty() && spec.rowKey != "loads" && spec.loadTokens.size() > 1)
+        why = "[sweep] sweeps both 'loads' and '" + spec.rowKey +
+              "'; a grid has one row axis";
+    return why;
+}
+
+/**
+ * The checks across keys, which a file and a tool's flags both get once
+ * every key is set: family and factor rules, axis rules, the per-agent
+ * load range, and [table] resolution.
+ *
+ * @return "" or why the spec is bad; only [table] errors name a line.
+ */
+std::string
+checkScenarioSpec(ScenarioSpec &spec)
+{
+    if (spec.family == "unequal" && spec.unequalFactor <= 0.0)
+        return "family 'unequal' requires unequal-factor";
+    if (spec.family != "unequal" && spec.unequalFactor > 0.0)
+        return "unequal-factor requires family 'unequal'";
+    if (spec.family == "worst-case" && !spec.loadTokens.empty())
+        return "family 'worst-case' takes no loads (the Table 4.5 "
+               "workload fixes its own rates)";
+    if (spec.rowKey != "loads" && spec.hasLoadAxis() &&
+        spec.loadTokens.empty())
+        return "sweeping " + spec.rowKey + " needs the one load every row "
+               "runs at ([workload] load)";
+    if (!spec.sourceTakesLoads() && !spec.loadTokens.empty())
+        return "workload source '" + spec.source +
+               "' takes no loads (it fixes its own arrival schedule)";
+    if (spec.hotAgents > 0) {
+        if (spec.family != "equal")
+            return "hot-agents requires family 'equal' (family "
+                   "'unequal' already defines its own hot agent)";
+        if (spec.hotFactor <= 0.0)
+            return "hot-agents requires hot-factor";
+        if (spec.hotAgents > spec.agents)
+            return "hot-agents exceeds agents";
+    } else if (spec.hotFactor > 0.0) {
+        return "hot-factor requires hot-agents";
+    }
+    // The scenario builders assert what follows; checking it here makes
+    // a bad file or flag exit 2 naming the key instead of aborting.
+    if (spec.family == "worst-case" && spec.agents < 5)
+        return "family 'worst-case' requires agents >= 5, got " +
+               std::to_string(spec.agents);
+    if (spec.family == "unequal" && spec.agents < 2)
+        return "family 'unequal' requires agents >= 2, got " +
+               std::to_string(spec.agents);
+    for (const auto &token : spec.loadTokens) {
+        double load = 0.0;
+        parseDouble(token, load); // the setter validated it
+        const double per_agent = load / spec.agents;
+        if (!(per_agent > 0.0 && per_agent < 1.0))
+            return "load " + token + " over " + std::to_string(spec.agents) +
+                   " agents is " + formatDouble(per_agent) +
+                   " per agent; the per-agent load must be in (0, 1)";
+        if (spec.family == "unequal" &&
+            per_agent * spec.unequalFactor >= 1.0)
+            return "unequal-factor " + formatDouble(spec.unequalFactor) +
+                   " at load " + token +
+                   " pushes agent 1's offered load to >= 1";
+        if (spec.hotAgents > 0 && spec.hotFactor * load / spec.agents >= 1.0)
+            return "hot-factor " + formatDouble(spec.hotFactor) +
+                   " at load " + token +
+                   " pushes a hot agent's offered load to >= 1";
+    }
+    // Tables last: their columns name protocols and axis values.
+    for (TableSpec &table : spec.tables) {
+        if (table.title.empty() || table.columns.empty())
+            return "line " + std::to_string(table.line) +
+                   ": [table] needs a 'title' and at least one 'column'";
+        for (TableSpec::Column &column : table.columns) {
+            const std::string why =
+                resolveColumn(spec, table.protocolRows, column);
+            if (!why.empty())
+                return "line " + std::to_string(column.line) +
+                       ": key 'column': " + why;
+        }
+    }
+    return "";
+}
+
 } // namespace
 
 std::string
@@ -278,18 +548,22 @@ ScenarioSpec::sourceTakesLoads() const
     return desc == nullptr || desc->takesLoads;
 }
 
+bool
+ScenarioSpec::hasLoadAxis() const
+{
+    return family != "worst-case" && sourceTakesLoads();
+}
+
 const std::vector<std::string> &
 ScenarioSpec::rowAxis() const
 {
     // The placeholder keeps the cell enumeration non-degenerate when
-    // the source fixes its own schedule: one cell per protocol, with a
+    // the workload fixes its own rates: one cell per protocol, with a
     // stable row label.
     static const std::vector<std::string> no_load_axis = {"-"};
     if (rowKey != "loads")
         return rowTokens;
-    if (!sourceTakesLoads())
-        return no_load_axis;
-    return loadTokens;
+    return hasLoadAxis() ? loadTokens : no_load_axis;
 }
 
 std::string
@@ -395,15 +669,13 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
     std::string section;
     std::set<std::string> seen; // scalar keys, qualified by section
     int line_no = 0;
-    bool ok = true;
 
     const auto fail = [&](const std::string &message) {
         error = "line " + std::to_string(line_no) + ": " + message;
-        ok = false;
         return false;
     };
 
-    while (ok && std::getline(is, raw_line)) {
+    while (std::getline(is, raw_line)) {
         ++line_no;
         std::string line = trim(raw_line);
         if (line.empty() || line[0] == '#' || line[0] == ';')
@@ -446,8 +718,6 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
             return fail("unknown key '" + key + "' in [" + section +
                         "]" + didYouMeanHint(key, vocab));
         }
-        if (value.empty())
-            return fail("key '" + key + "' needs a value");
 
         // List keys accumulate; everything else is single-assignment
         // (per table in [table]).
@@ -459,189 +729,13 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
         if (!list_key && !seen.insert(where + "." + key).second)
             return fail("duplicate key '" + key + "' in [" + section +
                         "]");
-
-        // Integer keys take the range of the field they set.
-        const auto want_int = [&](long min_value, auto &slot) {
-            using Field = std::remove_reference_t<decltype(slot)>;
-            const long max_value = std::numeric_limits<Field>::max();
-            long parsed = 0;
-            if (!parseLong(value, parsed))
-                return fail("key '" + key +
-                            "' expects an integer, got '" + value + "'");
-            if (parsed < min_value || parsed > max_value)
-                return fail("key '" + key + "' must be " +
-                            (parsed < min_value
-                                 ? ">= " + std::to_string(min_value)
-                                 : "<= " + std::to_string(max_value)) +
-                            ", got '" + value + "'");
-            slot = static_cast<Field>(parsed);
-            return true;
-        };
-        const auto want_double = [&](double min_value, bool exclusive,
-                                     double &slot) {
-            double parsed = 0.0;
-            if (!parseDouble(value, parsed))
-                return fail("key '" + key +
-                            "' expects a number, got '" + value + "'");
-            if (parsed < min_value ||
-                (exclusive && parsed == min_value)) {
-                return fail("key '" + key + "' must be " +
-                            (exclusive ? ">" : ">=") + " " +
-                            formatDouble(min_value) + ", got '" + value +
-                            "'");
-            }
-            slot = parsed;
-            return true;
-        };
-        const auto want_bool = [&](bool &slot) {
-            if (value != "true" && value != "false")
-                return fail("key '" + key +
-                            "' expects true/false, got '" + value + "'");
-            slot = value == "true";
-            return true;
-        };
-
-        if (section == "table") {
-            // column = header = quantity @ cell (a cell may hold '=').
-            TableSpec &table = spec.tables.back();
-            const auto eq = value.find('=');
-            const auto at = value.find('@', eq);
-            if (key == "title") {
-                table.title = value;
-            } else if (key == "rows") {
-                if (value != "protocols")
-                    return fail("key 'rows' expects 'protocols' (rows run "
-                                "along the row axis by default), got '" +
-                                value + "'");
-                table.protocolRows = true;
-            } else if (at == std::string::npos) {
-                return fail("key 'column' expects 'header = quantity @ "
-                            "cell', got '" + value + "'");
-            } else {
-                table.columns.push_back(
-                    {trim(value.substr(0, eq)),
-                     trim(value.substr(eq + 1, at - eq - 1)),
-                     trim(value.substr(at + 1)), line_no});
-            }
-        } else if (section == "sweep" && key != "loads" &&
-                   key != "protocols") {
-            // A cv or arb-overhead row axis: finite values >= 0.
-            if (!spec.rowTokens.empty() && spec.rowKey != key)
-                return fail("[sweep] sweeps both '" + spec.rowKey +
-                            "' and '" + key + "'; a grid has one row axis");
-            spec.rowKey = key;
-            for (const auto &token : splitWhitespace(value)) {
-                const std::size_t first = spec.rowTokens.size();
-                std::string expand_error;
-                if (!expandAxisToken(key, token, spec.rowTokens,
-                                     expand_error))
-                    return fail(expand_error);
-                for (std::size_t i = first; i < spec.rowTokens.size(); ++i) {
-                    double v = 0.0;
-                    parseDouble(spec.rowTokens[i], v);
-                    if (!(v >= 0.0 && std::isfinite(v)))
-                        return fail("key '" + key + "' must be finite and "
-                                    ">= 0, got '" + spec.rowTokens[i] + "'");
-                }
-            }
-        } else if (key == "family") {
-            if (value != "equal" && value != "unequal" &&
-                value != "worst-case") {
-                return fail(
-                    "key 'family' expects equal|unequal|worst-case, "
-                    "got '" + value + "'" +
-                    didYouMeanHint(value, {"equal", "unequal",
-                                           "worst-case"}));
-            }
-            spec.family = value;
-        } else if (key == "agents") {
-            want_int(1, spec.agents);
-        } else if (key == "cv") {
-            want_double(0.0, false, spec.cv);
-        } else if (key == "unequal-factor") {
-            want_double(0.0, true, spec.unequalFactor);
-        } else if (key == "max-outstanding") {
-            want_int(1, spec.maxOutstanding);
-        } else if (key == "source") {
-            WorkloadSpec parsed;
-            std::string spec_error;
-            if (!WorkloadRegistry::builtin().parseSpec(value, parsed,
-                                                       spec_error)) {
-                return fail("bad workload source '" + value + "': " +
-                            spec_error);
-            }
-            spec.source = value;
-        } else if (key == "hot-agents") {
-            want_int(0, spec.hotAgents);
-        } else if (key == "hot-factor") {
-            want_double(0.0, true, spec.hotFactor);
-        } else if (key == "arb-overhead") {
-            want_double(0.0, false, spec.arbOverhead);
-        } else if (key == "settle-timing") {
-            want_bool(spec.settleTiming);
-        } else if (key == "worst-case-settle") {
-            want_bool(spec.worstCaseSettle);
-        } else if (key == "batches") {
-            want_int(1, spec.batches);
-        } else if (key == "batch-size") {
-            want_int(1, spec.batchSize);
-        } else if (key == "warmup") {
-            if (want_int(0, spec.warmup))
-                spec.warmupSet = true;
-        } else if (key == "seed") {
-            if (!parseSeed(value, spec.seed))
-                return fail("key 'seed' expects an unsigned integer, "
-                            "got '" + value + "'");
-        } else if (key == "confidence") {
-            double v = 0.0;
-            if (!parseDouble(value, v))
-                return fail("key 'confidence' expects a number, got '" +
-                            value + "'");
-            if (v <= 0.0 || v >= 1.0)
-                return fail("key 'confidence' must be in (0, 1), got '" +
-                            value + "'");
-            if (!supportedConfidence(v))
-                return fail("key 'confidence' must be 0.90, 0.95 or "
-                            "0.99, got '" + value + "'");
-            spec.confidence = v;
-        } else if (key == "load" || key == "loads") {
-            for (const auto &token : splitWhitespace(value)) {
-                std::string expand_error;
-                if (!expandAxisToken("load", token, spec.loadTokens,
-                                     expand_error))
-                    return fail(expand_error);
-            }
-        } else if (key == "spec" || key == "protocols") {
-            for (const auto &token : splitWhitespace(value)) {
-                ProtocolSpec parsed;
-                std::string spec_error;
-                if (!ProtocolRegistry::builtin().parseSpec(
-                        token, parsed, spec_error)) {
-                    return fail("bad protocol spec '" + token + "': " +
-                                spec_error);
-                }
-                spec.protocolSpecs.push_back(token);
-            }
-        } else {
-            BUSARB_PANIC("unhandled scenario key '", key, "'");
-        }
-        if (spec.rowKey != "loads" && spec.loadTokens.size() > 1)
-            return fail("[sweep] sweeps both 'loads' and '" + spec.rowKey +
-                        "'; a grid has one row axis");
+        const std::string why =
+            setScenarioKey(spec, section, {key, line_no}, value);
+        if (!why.empty())
+            return fail(why);
     }
-    if (!ok)
-        return false;
 
-    // File-level validation errors carry no line prefix.
-    if (spec.family == "unequal" && spec.unequalFactor <= 0.0) {
-        error = "family 'unequal' requires unequal-factor";
-        return false;
-    }
-    if (spec.family == "worst-case" && !spec.loadTokens.empty()) {
-        error = "family 'worst-case' takes no loads (the Table 4.5 "
-                "workload fixes its own rates)";
-        return false;
-    }
+    // A key swept in [sweep] is not also a scalar of its own section.
     if (spec.rowKey != "loads") {
         const std::string scalar =
             (spec.rowKey == "cv" ? "workload." : "bus.") + spec.rowKey;
@@ -650,88 +744,11 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
                     "it from [" + scalar.substr(0, scalar.find('.')) + "]";
             return false;
         }
-        if (spec.family != "worst-case" && spec.sourceTakesLoads() &&
-            spec.loadTokens.empty()) {
-            error = "sweeping " + spec.rowKey + " needs the one load "
-                    "every row runs at ([workload] load)";
-            return false;
-        }
     }
-    if (!spec.sourceTakesLoads() && !spec.loadTokens.empty()) {
-        error = "workload source '" + spec.source +
-                "' takes no loads (it fixes its own arrival schedule)";
+    // Errors across keys name no line, but for a [table]'s.
+    error = checkScenarioSpec(spec);
+    if (!error.empty())
         return false;
-    }
-    if (spec.hotAgents > 0) {
-        if (spec.family != "equal") {
-            error = "hot-agents requires family 'equal' (family "
-                    "'unequal' already defines its own hot agent)";
-            return false;
-        }
-        if (spec.hotFactor <= 0.0) {
-            error = "hot-agents requires hot-factor";
-            return false;
-        }
-        if (spec.hotAgents > spec.agents) {
-            error = "hot-agents exceeds agents";
-            return false;
-        }
-    } else if (spec.hotFactor > 0.0) {
-        error = "hot-factor requires hot-agents";
-        return false;
-    }
-    // The scenario builders assert what follows; checking it here makes
-    // a bad file or flag exit 2 naming the key instead of aborting.
-    if (spec.family == "worst-case" && spec.agents < 5) {
-        error = "family 'worst-case' requires agents >= 5, got " +
-                std::to_string(spec.agents);
-        return false;
-    }
-    if (spec.family == "unequal" && spec.agents < 2) {
-        error = "family 'unequal' requires agents >= 2, got " +
-                std::to_string(spec.agents);
-        return false;
-    }
-    for (const auto &token : spec.loadTokens) {
-        double load = 0.0;
-        if (!parseDouble(token, load))
-            continue; // expandLoadToken already validated
-        const double per_agent = load / spec.agents;
-        if (per_agent <= 0.0 || per_agent >= 1.0) {
-            error = "load " + token + " over " +
-                    std::to_string(spec.agents) + " agents is " +
-                    formatDouble(per_agent) +
-                    " per agent; the per-agent load must be in (0, 1)";
-            return false;
-        }
-        if (spec.family == "unequal" &&
-            per_agent * spec.unequalFactor >= 1.0) {
-            error = "unequal-factor " + formatDouble(spec.unequalFactor) +
-                    " at load " + token +
-                    " pushes agent 1's offered load to >= 1";
-            return false;
-        }
-        if (spec.hotAgents > 0 &&
-            spec.hotFactor * load / spec.agents >= 1.0) {
-            error = "hot-factor " + formatDouble(spec.hotFactor) +
-                    " at load " + token +
-                    " pushes a hot agent's offered load to >= 1";
-            return false;
-        }
-    }
-    // Tables last: their columns name protocols and axis values.
-    for (TableSpec &table : spec.tables) {
-        line_no = table.line;
-        if (table.title.empty() || table.columns.empty())
-            return fail("[table] needs a 'title' and at least one 'column'");
-        for (TableSpec::Column &column : table.columns) {
-            line_no = column.line;
-            const std::string why =
-                resolveColumn(spec, table.protocolRows, column);
-            if (!why.empty())
-                return fail("key 'column': " + why);
-        }
-    }
     out = spec;
     return true;
 }
@@ -797,90 +814,71 @@ addScenarioFlags(ArgParser &parser)
 }
 
 ScenarioSpec
-scenarioSpecFromFlags(const std::string &program,
-                      const ArgParser &parser)
+scenarioSpecFromFlags(const std::string &program, const ArgParser &parser)
 {
-    const std::string path = parser.getString("scenario");
-    if (!path.empty()) {
-        static const char *const kOwned[] = {
-            "agents", "load", "cv", "worst-case", "unequal-factor",
-            "max-outstanding", "batches", "batch-size", "warmup",
-            "seed", "arb-overhead", "settle-timing",
-            "worst-case-settle", "source", "hot-agents", "hot-factor"};
-        for (const char *flag : kOwned) {
-            if (parser.wasSet(flag)) {
-                std::cerr << program << ": --" << flag
-                          << " conflicts with --scenario (the file is "
-                             "the single source of truth)\n";
-                std::exit(2);
-            }
+    const auto usage = [&](const std::string &message) {
+        if (message.empty())
+            return;
+        std::cerr << program << ": " << message << "\n";
+        std::exit(2);
+    };
+    // The scenario flags: --worst-case, which picks the family, and the
+    // file keys the tool declares as flags, each in the first section
+    // that has the key. The load axis goes last, as whether its default
+    // applies depends on the family and the source.
+    std::vector<std::string> names;
+    std::vector<std::pair<std::string, std::string>> flags; // section, key
+    if (parser.declares("worst-case"))
+        names.push_back("worst-case");
+    for (const auto &section : sectionNames()) {
+        for (const auto &key : keysOf(section)) {
+            if (section == "table" || !parser.declares(key) ||
+                std::count(names.begin(), names.end(), key) != 0)
+                continue;
+            names.push_back(key);
+            flags.emplace_back(section, key);
         }
-        return scenarioSpecOrExit(program, path);
+    }
+    std::stable_partition(flags.begin(), flags.end(), [](const auto &flag) {
+        return flag.second != "load" && flag.second != "loads";
+    });
+
+    const std::string file = parser.declares("grid") ? "grid" : "scenario";
+    if (!parser.getString(file).empty()) {
+        for (const auto &name : names)
+            if (parser.wasSet(name))
+                usage("--" + name + " conflicts with --" + file +
+                      " (the file is the single source of truth)");
+        return scenarioSpecOrExit(program, parser.getString(file));
     }
 
     ScenarioSpec spec;
-    const double factor = parser.getDouble("unequal-factor");
-    if (parser.getBool("worst-case"))
-        spec.family = "worst-case";
-    else if (factor > 0.0)
-        spec.family = "unequal";
-    else
-        spec.family = "equal";
-    // The int fields take the int range here; the re-validation below
-    // applies each key's own lower bound.
-    spec.agents = static_cast<int>(intFlagOrExit(program, parser, "agents"));
-    spec.cv = parser.getDouble("cv");
-    spec.unequalFactor = factor;
-    spec.maxOutstanding = static_cast<int>(
-        intFlagOrExit(program, parser, "max-outstanding"));
-    spec.arbOverhead = parser.getDouble("arb-overhead");
-    spec.settleTiming = parser.getBool("settle-timing");
-    spec.worstCaseSettle = parser.getBool("worst-case-settle");
-    spec.batches =
-        static_cast<int>(intFlagOrExit(program, parser, "batches"));
-    spec.batchSize = parser.getInt("batch-size");
-    // format() prints the resolved warm-up and the seed unsigned, so a
-    // negative one must not reach the re-validation below.
-    constexpr long kLongMax = std::numeric_limits<long>::max();
-    spec.warmupSet = true;
-    spec.warmup = intFlagOrExit(program, parser, "warmup", 0, kLongMax);
-    spec.seed = static_cast<std::uint64_t>(
-        intFlagOrExit(program, parser, "seed", 0, kLongMax));
-
-    spec.source = parser.getString("source");
-    workloadSpecOrExit(program, spec.source); // validate; keep verbatim
-    spec.hotAgents =
-        static_cast<int>(intFlagOrExit(program, parser, "hot-agents"));
-    spec.hotFactor = parser.getDouble("hot-factor");
-
-    if (!spec.sourceTakesLoads()) {
-        if (parser.wasSet("load")) {
-            std::cerr << program << ": --load conflicts with --source "
-                      << spec.source
-                      << " (the source fixes its own arrival "
-                         "schedule)\n";
-            std::exit(2);
-        }
-    } else if (spec.family != "worst-case") {
-        spec.loadTokens.push_back(
-            formatDouble(parser.getDouble("load")));
+    if (parser.declares("worst-case")) {
+        const bool unequal = parser.getDouble("unequal-factor") > 0.0;
+        usage(setScenarioKey(spec, "workload", {"family"},
+                             parser.getBool("worst-case") ? "worst-case"
+                             : unequal                    ? "unequal"
+                                                          : "equal"));
     }
-
-    validateFlagSpecOrExit(program, spec);
+    for (const auto &[section, key] : flags) {
+        const bool axis = key == "load" || key == "loads";
+        if (axis && parser.wasSet(key) && !spec.sourceTakesLoads())
+            usage("--" + key + " conflicts with --source " + spec.source +
+                  " (the source fixes its own arrival schedule)");
+        // A load default needs a load axis, and a factor of 0 is off.
+        if ((axis && !parser.wasSet(key) && !spec.hasLoadAxis()) ||
+            ((key == "unequal-factor" || key == "hot-factor") &&
+             parser.getDouble(key) == 0.0))
+            continue;
+        // Values as parsed, so --seed 0100 is 100 and --load 2.0 is 2;
+        // a [sweep] list is comma-separated on the command line.
+        std::string value = parser.parsedText(key);
+        if (section == "sweep")
+            std::replace(value.begin(), value.end(), ',', ' ');
+        usage(setScenarioKey(spec, section, {key}, trim(value)));
+    }
+    usage(checkScenarioSpec(spec));
     return spec;
-}
-
-void
-validateFlagSpecOrExit(const std::string &program, const ScenarioSpec &spec)
-{
-    // Re-run the file-level validation on the flag-built spec so both
-    // construction paths reject the same contradictions identically.
-    ScenarioSpec validated;
-    std::string error;
-    if (!parseScenarioSpec(spec.format(), validated, error)) {
-        std::cerr << program << ": " << error << "\n";
-        std::exit(2);
-    }
 }
 
 } // namespace busarb

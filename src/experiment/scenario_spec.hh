@@ -6,10 +6,11 @@
  *
  * This is the construction seam the tools share: busarb_sim
  * (--scenario), busarb_sweep (--grid) and busarb_report all reduce
- * their inputs to a ScenarioSpec, then expand it cell by cell into
- * ScenarioConfig values with configForLoad(). Because both the flag
- * path and the file path go through the same expansion, a grid file
- * reproduces a flag invocation byte for byte.
+ * their inputs to a ScenarioSpec, then build its cells with
+ * buildSweepGrid (experiment/sweep_cells.hh). A tool's scenario flags
+ * are the file's keys: each flag's value goes through the same per-key
+ * check as a file line, and both paths end in the same checks across
+ * keys, so a grid file reproduces a flag invocation byte for byte.
  *
  * File format (full-line comments with '#' or ';'):
  *
@@ -162,10 +163,10 @@ struct ScenarioSpec
 
     /**
      * The row axis the grid sweeps: rowTokens for a cv or arb-overhead
-     * axis, else loadTokens. Sources that fix their own arrival
-     * schedule (trace replay, takesLoads = false) have no load axis;
-     * theirs is the single placeholder token "-", so the grid still
-     * enumerates one cell per protocol and row labels stay well-formed.
+     * axis, else loadTokens. Without a load axis (hasLoadAxis(): trace
+     * replay, or the worst-case family) it is the single placeholder
+     * token "-", so the grid still enumerates one cell per protocol and
+     * row labels stay well-formed.
      */
     const std::vector<std::string> &rowAxis() const;
 
@@ -175,8 +176,15 @@ struct ScenarioSpec
     /** @return Cell `index`'s row label, e.g. "load=2" or "cv=0.25". */
     std::string cellLabel(std::size_t index) const;
 
-    /** @return True when the selected source has no load axis. */
+    /** @return True when the selected source has a load axis. */
     bool sourceTakesLoads() const;
+
+    /**
+     * @return True when the cells take a load: the source has a load
+     *         axis and the family is not worst-case (Table 4.5 fixes
+     *         its own rates).
+     */
+    bool hasLoadAxis() const;
 
     /**
      * Number of grid cells this spec expands to: one per row x
@@ -229,30 +237,27 @@ ScenarioSpec scenarioSpecOrExit(const std::string &program,
                                 const std::string &path);
 
 /**
- * Declare the scenario flags shared by busarb_sim and busarb_report:
- * --scenario plus the workload/bus/run flags (--agents, --load, --cv,
- * --worst-case, --unequal-factor, --max-outstanding, --batches,
- * --batch-size, --warmup, --seed, --arb-overhead, --settle-timing,
- * --worst-case-settle).
+ * Declare the scenario flags busarb_sim and busarb_report share:
+ * --scenario, --worst-case, and one flag per [workload], [bus] and
+ * [run] key they take, named as the key.
  */
 void addScenarioFlags(ArgParser &parser);
 
 /**
- * Build the spec those flags describe. When --scenario names a file it
- * is loaded via scenarioSpecOrExit, and any explicitly set workload
- * flag is rejected (exit 2) — a scenario file is the single source of
- * truth for the run it describes.
+ * Build the spec a tool's flags describe. The tool's scenario flags
+ * are the file keys it declares as flags (plus --worst-case, which
+ * picks the family), and each sets its key through the key's file
+ * check; a bad value exits 2 as `program: --flag ...`. Defaults count
+ * as given, except a load default on a spec without a load axis and a
+ * factor of 0, which is off. The spec then gets a file's checks across
+ * keys.
+ *
+ * When the tool's --scenario or --grid flag names a file, the spec is
+ * that file's (scenarioSpecOrExit) and any scenario flag given as well
+ * exits 2: the file is the single source of truth for the run.
  */
 ScenarioSpec scenarioSpecFromFlags(const std::string &program,
                                    const ArgParser &parser);
-
-/**
- * Run a flag-built spec through the same file-level validation a
- * scenario file gets, by re-parsing its format(); on failure print
- * `program: <error>` and exit 2.
- */
-void validateFlagSpecOrExit(const std::string &program,
-                            const ScenarioSpec &spec);
 
 } // namespace busarb
 

@@ -14,9 +14,9 @@ sweepCellConfig(const ScenarioSpec &spec, const SweepTuning &tuning,
                 const std::string &program, std::size_t cell)
 {
     const std::string &token = spec.cellLoadToken(cell);
-    // Sources without a load axis sweep the placeholder token "-",
+    // Specs without a load axis sweep the placeholder token "-",
     // which is not a number and carries no load to validate.
-    if (spec.rowKey != "loads" || spec.sourceTakesLoads())
+    if (spec.rowKey != "loads" || spec.hasLoadAxis())
         parseDoubleTokenOrExit(program, spec.rowKey, token);
     ScenarioConfig config = spec.configForLoad(token);
     const std::string workload_error = validateWorkloadRun(config);

@@ -9,7 +9,8 @@
  * count and validation), and every `busarb_sweep --worker-shard`
  * process. Any fork between them would break the byte-identity of
  * merged artifacts, so all of them call buildSweepGrid /
- * sweepCellJob here.
+ * sweepCellJob here. busarb_sim and busarb_report build their one or
+ * two cells the same way.
  *
  * SweepTuning carries the per-cell knobs that are not part of the
  * ScenarioSpec: the observer sinks (obs/observer_config.hh).

@@ -143,11 +143,13 @@ TEST(BatchWaitStatsTest, StddevIsStableForLargeMagnitudeWaits)
     MetricsCollector collector(1);
     collector.beginBatch();
     const double base = 1.0e9;
+    double wait_sq_sum = 0.0;
     for (int k = 0; k < 3; ++k) {
         Request req;
         req.agent = 1;
         req.issued = 0;
         collector.onServiceEnd(req, unitsToTicks(base + k));
+        wait_sq_sum += (base + k) * (base + k);
     }
     const RunningStats &stats = collector.batchWaitStats();
     EXPECT_EQ(stats.count(), 3u);
@@ -155,11 +157,10 @@ TEST(BatchWaitStatsTest, StddevIsStableForLargeMagnitudeWaits)
     EXPECT_NEAR(stats.variancePopulation(), 2.0 / 3.0, 1e-6);
 
     // Document the failure mode this replaces: the naive formula over
-    // the collector's cumulative sums cancels catastrophically and
-    // loses most (here: all) of the true variance.
+    // cumulative sums cancels catastrophically and loses most (here:
+    // all) of the true variance.
     const double naive_mean = collector.totalWaitSum() / 3.0;
-    const double naive_var =
-        collector.totalWaitSqSum() / 3.0 - naive_mean * naive_mean;
+    const double naive_var = wait_sq_sum / 3.0 - naive_mean * naive_mean;
     EXPECT_GT(std::abs(naive_var - 2.0 / 3.0), 0.5);
 }
 

@@ -41,6 +41,38 @@ parseError(const std::string &text)
     return error;
 }
 
+/** Declare busarb_sweep's scenario flags, as the tool does. */
+void
+addSweepFlags(ArgParser &parser)
+{
+    parser.addStringFlag("grid", "", "");
+    parser.addStringFlag("protocols", "rr1,fcfs1", "");
+    parser.addStringFlag("loads", "0.25,0.5,1,1.5,2,2.5,5,7.5", "");
+    parser.addStringFlag("source", "closed", "");
+    parser.addIntFlag("agents", 10, "");
+    parser.addDoubleFlag("cv", 1.0, "");
+    parser.addIntFlag("batches", 10, "");
+    parser.addIntFlag("batch-size", 8000, "");
+}
+
+/**
+ * @return The spec scenarioSpecFromFlags builds from `args`, with
+ *         busarb_sim's scenario flags, or busarb_sweep's when `sweep`.
+ */
+ScenarioSpec
+specFromFlags(std::vector<const char *> args, bool sweep = false)
+{
+    ArgParser parser("prog", "test");
+    if (sweep)
+        addSweepFlags(parser);
+    else
+        addScenarioFlags(parser);
+    args.insert(args.begin(), "prog");
+    EXPECT_TRUE(
+        parser.parse(static_cast<int>(args.size()), args.data()));
+    return scenarioSpecFromFlags("prog", parser);
+}
+
 TEST(ScenarioSpecParseTest, EmptyTextYieldsDefaults)
 {
     const ScenarioSpec spec = parseOk("");
@@ -229,25 +261,72 @@ TEST(ScenarioSpecFormatTest, RowAxesRoundTripAndTablesStayOut)
 
 TEST(ScenarioSpecFormatTest, FlagBuiltSpecMatchesEquivalentFile)
 {
-    ArgParser parser("prog", "test");
-    addScenarioFlags(parser);
-    std::vector<const char *> args{"prog",      "--agents", "8",
-                                   "--load",    "1.5",      "--cv",
-                                   "2",         "--batches", "4"};
-    ASSERT_TRUE(parser.parse(static_cast<int>(args.size()), args.data()));
-    const ScenarioSpec from_flags =
-        scenarioSpecFromFlags("prog", parser);
+    // Between them, the three runs set every scenario flag of
+    // busarb_sim and busarb_report to a value other than its default.
+    // Flags are read as parsed: --seed 0100 is 100, --load 1.50 is 1.5.
+    EXPECT_EQ(specFromFlags({"--agents", "6", "--load", "1.50", "--cv",
+                             "0.50", "--unequal-factor", "2",
+                             "--max-outstanding", "2", "--source",
+                             "open:dist=mmpp", "--batches", "4",
+                             "--batch-size", "300", "--warmup", "100",
+                             "--seed", "0100", "--arb-overhead", "0.25",
+                             "--settle-timing", "--worst-case-settle"})
+                  .format(),
+              parseOk("[workload]\nfamily = unequal\nagents = 6\n"
+                      "cv = 0.5\nunequal-factor = 2\nmax-outstanding = 2\n"
+                      "source = open:dist=mmpp\nload = 1.5\n"
+                      "[bus]\narb-overhead = 0.25\nsettle-timing = true\n"
+                      "worst-case-settle = true\n"
+                      "[run]\nbatches = 4\nbatch-size = 300\n"
+                      "warmup = 100\nseed = 100\n")
+                  .format());
+    // The --warmup default sets the warm-up.
+    EXPECT_EQ(specFromFlags({"--agents", "8", "--load", "1",
+                             "--hot-agents", "2", "--hot-factor", "3"})
+                  .format(),
+              parseOk("[workload]\nagents = 8\nhot-agents = 2\n"
+                      "hot-factor = 3\nload = 1\n[run]\nwarmup = 8000\n")
+                  .format());
+    // Table 4.5's workload has no load axis, so --load's default is
+    // not given.
+    EXPECT_EQ(specFromFlags({"--worst-case", "--agents", "5", "--cv", "0"})
+                  .format(),
+              parseOk("[workload]\nfamily = worst-case\nagents = 5\n"
+                      "cv = 0\n[run]\nwarmup = 8000\n")
+                  .format());
+}
 
-    const ScenarioSpec from_file = parseOk("[workload]\n"
-                                           "family = equal\n"
-                                           "agents = 8\n"
-                                           "cv = 2\n"
-                                           "[run]\n"
-                                           "batches = 4\n"
-                                           "warmup = 8000\n"
-                                           "[sweep]\n"
-                                           "loads = 1.5\n");
-    EXPECT_EQ(from_flags.format(), from_file.format());
+TEST(ScenarioSpecFormatTest, SweepFlagBuiltSpecMatchesEquivalentFile)
+{
+    // Every scenario flag of busarb_sweep at a value other than its
+    // default. Load tokens stay as written, and --loads takes ranges.
+    EXPECT_EQ(specFromFlags({"--protocols", "rr1,fcfs1,aap1", "--loads",
+                             "0.5,2.0,3:4:0.5", "--source",
+                             "open:dist=mmpp", "--agents", "8", "--cv",
+                             "0.50", "--batches", "3", "--batch-size",
+                             "400"},
+                            true)
+                  .format(),
+              parseOk("[workload]\nagents = 8\ncv = 0.5\n"
+                      "source = open:dist=mmpp\n"
+                      "[run]\nbatches = 3\nbatch-size = 400\n"
+                      "[sweep]\nloads = 0.5 2.0 3:4:0.5\n"
+                      "protocols = rr1 fcfs1 aap1\n")
+                  .format());
+    // Stray commas are skipped.
+    EXPECT_EQ(specFromFlags({"--loads", "0.25,,0.5,2,"}, true).loadTokens,
+              (std::vector<std::string>{"0.25", "0.5", "2"}));
+    // The defaults.
+    EXPECT_EQ(specFromFlags({}, true).format(),
+              parseOk("[sweep]\nloads = 0.25 0.5 1 1.5 2 2.5 5 7.5\n"
+                      "protocols = rr1 fcfs1\n")
+                  .format());
+    // A source without a load axis takes no default loads.
+    EXPECT_EQ(specFromFlags({"--source", "trace:file=x.trace"}, true)
+                  .format(),
+              parseOk("[workload]\nsource = trace:file=x.trace\n"
+                      "[sweep]\nprotocols = rr1 fcfs1\n")
+                  .format());
 }
 
 TEST(ScenarioSpecConfigTest, EqualFamilyMatchesHandBuiltConfig)
@@ -344,6 +423,14 @@ TEST(ScenarioSpecErrorTest, ValuesAreValidated)
               "line 2: key 'agents' must be >= 1, got '0'");
     EXPECT_EQ(parseError("[workload]\ncv =\n"),
               "line 2: key 'cv' needs a value");
+    // Not-a-number and infinite values used to abort the run.
+    EXPECT_EQ(parseError("[workload]\ncv = nan\n"),
+              "line 2: key 'cv' expects a number, got 'nan'");
+    EXPECT_EQ(parseError("[bus]\narb-overhead = inf\n"),
+              "line 2: key 'arb-overhead' expects a number, got 'inf'");
+    EXPECT_EQ(parseError("[workload]\nload = nan\n"),
+              "load nan over 10 agents is nan per agent; the per-agent "
+              "load must be in (0, 1)");
     EXPECT_EQ(parseError("[bus]\nsettle-timing = yes\n"),
               "line 2: key 'settle-timing' expects true/false, got "
               "'yes'");
@@ -355,8 +442,7 @@ TEST(ScenarioSpecErrorTest, ValuesAreValidated)
               "line 2: key 'confidence' must be 0.90, 0.95 or 0.99, got "
               "'0.8'");
     EXPECT_EQ(parseError("[run]\nseed = -1\n"),
-              "line 2: key 'seed' expects an unsigned integer, got "
-              "'-1'");
+              "line 2: key 'seed' must be >= 0, got '-1'");
     // Seeds are decimal or 0x hex within uint64. Octal used to slip
     // through strtoull's base 0 ("0100" read as 64, while "09" was
     // refused), so a leading zero is refused outright.
@@ -504,6 +590,19 @@ TEST(ScenarioSpecErrorTest, FileLevelValidationHasNoLinePrefix)
                          "[sweep]\nloads = 1\n"),
               "family 'worst-case' takes no loads (the Table 4.5 "
               "workload fixes its own rates)");
+}
+
+TEST(ScenarioSpecErrorTest, UnequalFactorRequiresFamilyUnequal)
+{
+    // Outside family unequal the key used to vanish from format() and
+    // the run used the family's own workload.
+    for (const char *family : {"", "family = equal\n",
+                               "family = worst-case\n"}) {
+        EXPECT_EQ(parseError(std::string("[workload]\n") + family +
+                             "unequal-factor = 2\n"),
+                  "unequal-factor requires family 'unequal'")
+            << family;
+    }
 }
 
 TEST(ScenarioSpecErrorTest, ScenarioBuilderRangesAreCheckedUpFront)
@@ -669,18 +768,6 @@ TEST(ScenarioSpecDeathTest, OrExitDistinguishesIoFromParseErrors)
     std::remove(path.c_str());
 }
 
-/** @return The spec scenarioSpecFromFlags builds from `args`. */
-ScenarioSpec
-specFromFlags(std::vector<const char *> args)
-{
-    ArgParser parser("prog", "test");
-    addScenarioFlags(parser);
-    args.insert(args.begin(), "prog");
-    EXPECT_TRUE(
-        parser.parse(static_cast<int>(args.size()), args.data()));
-    return scenarioSpecFromFlags("prog", parser);
-}
-
 TEST(ScenarioSpecDeathTest, FlagPathExitsTwoOnOutOfRangeScenarios)
 {
     EXPECT_EXIT(specFromFlags({"--warmup", "-1"}),
@@ -707,10 +794,14 @@ TEST(ScenarioSpecDeathTest, FlagPathExitsTwoOnOutOfRangeScenarios)
                 "prog: --batches must be <= 2147483647, got 4294967297");
     EXPECT_EXIT(specFromFlags({"--max-outstanding", "-4294967295"}),
                 ::testing::ExitedWithCode(2),
-                "prog: --max-outstanding must be >= -2147483648");
+                "prog: --max-outstanding must be >= 1, got -4294967295");
     EXPECT_EXIT(specFromFlags({"--hot-agents", "4294967298",
                                "--hot-factor", "2"}),
-                ::testing::ExitedWithCode(2), "prog: --hot-agents");
+                ::testing::ExitedWithCode(2),
+                "prog: --hot-agents must be <= 2147483647, got 4294967298");
+    EXPECT_EXIT(specFromFlags({"--hot-agents", "-1"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --hot-agents must be >= 0, got -1");
     EXPECT_EXIT(specFromFlags({"--seed", "-5"}),
                 ::testing::ExitedWithCode(2),
                 "prog: --seed must be >= 0, got -5");
@@ -724,13 +815,55 @@ TEST(ScenarioSpecDeathTest, FlagPathExitsTwoOnOutOfRangeScenarios)
               9223372036854775807u);
 }
 
-TEST(ScenarioSpecDeathTest, ValidateFlagSpecOrExitUsesExitCodeTwo)
+TEST(ScenarioSpecDeathTest, FlagErrorsNameTheFlag)
 {
-    ScenarioSpec spec;
-    spec.agents = 0;
-    EXPECT_EXIT(validateFlagSpecOrExit("prog", spec),
+    // A flag gets its key's own check and names itself, never a line
+    // of a file the user did not write.
+    EXPECT_EXIT(specFromFlags({"--agents", "0"}),
                 ::testing::ExitedWithCode(2),
-                "prog: line 3: key 'agents' must be >= 1");
+                "prog: --agents must be >= 1, got 0");
+    EXPECT_EXIT(specFromFlags({"--batches", "0"}, true),
+                ::testing::ExitedWithCode(2),
+                "prog: --batches must be >= 1, got 0");
+    EXPECT_EXIT(specFromFlags({"--cv", "-1"}, true),
+                ::testing::ExitedWithCode(2),
+                "prog: --cv must be >= 0, got -1");
+    EXPECT_EXIT(specFromFlags({"--cv", "nan"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --cv expects a number, got nan");
+    // Each of these used to run the equal workload and exit 0.
+    EXPECT_EXIT(specFromFlags({"--unequal-factor", "-1"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --unequal-factor must be > 0, got -1");
+    EXPECT_EXIT(specFromFlags({"--hot-factor", "-1"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --hot-factor must be > 0, got -1");
+    EXPECT_EXIT(specFromFlags({"--hot-factor", "3"}),
+                ::testing::ExitedWithCode(2),
+                "prog: hot-factor requires hot-agents");
+    EXPECT_EXIT(specFromFlags({"--worst-case", "--load", "3"}),
+                ::testing::ExitedWithCode(2),
+                "prog: family 'worst-case' takes no loads");
+    EXPECT_EXIT(specFromFlags({"--worst-case", "--unequal-factor", "2"}),
+                ::testing::ExitedWithCode(2),
+                "prog: unequal-factor requires family 'unequal'");
+    // Tokens of a list flag name the flag too.
+    EXPECT_EXIT(specFromFlags({"--loads", "0.5,bogus"}, true),
+                ::testing::ExitedWithCode(2),
+                "prog: --loads: bad load 'bogus'");
+    EXPECT_EXIT(specFromFlags({"--protocols", ""}, true),
+                ::testing::ExitedWithCode(2),
+                "prog: --protocols needs a value");
+    EXPECT_EXIT(specFromFlags({"--loads", ","}, true),
+                ::testing::ExitedWithCode(2), "prog: --loads needs a value");
+    EXPECT_EXIT(specFromFlags({"--source", "opne"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --source: bad workload source 'opne'");
+
+    // A factor of 0 is off.
+    EXPECT_EQ(specFromFlags({"--unequal-factor", "0", "--hot-factor", "0"})
+                  .format(),
+              specFromFlags({}).format());
 }
 
 } // namespace

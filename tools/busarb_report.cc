@@ -26,11 +26,10 @@
 
 #include "experiment/cli.hh"
 #include "experiment/observer_flags.hh"
-#include "experiment/protocol_registry.hh"
 #include "experiment/run_report.hh"
 #include "experiment/runner.hh"
 #include "experiment/scenario_spec.hh"
-#include "experiment/workload_registry.hh"
+#include "experiment/sweep_cells.hh"
 #include "workload/scenario.hh"
 
 using namespace busarb;
@@ -81,53 +80,47 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const ScenarioSpec spec =
-        scenarioSpecFromFlags("busarb_report", parser);
-    if (spec.rowAxis().size() > 1) {
+    ScenarioSpec spec = scenarioSpecFromFlags("busarb_report", parser);
+    // The report embeds the scenario as given; --protocol joins only
+    // its cell.
+    const std::string scenario_text = spec.format();
+    if (spec.rowAxis().size() != 1) {
         std::cerr << "busarb_report: scenario sweeps "
                   << spec.rowAxis().size() << " " << spec.rowName()
                   << " values; a report covers one run\n";
         return 2;
     }
-    std::vector<std::string> protocol_specs = spec.protocolSpecs;
-    if (!protocol_specs.empty() && parser.wasSet("protocol")) {
+    if (!spec.protocolSpecs.empty() && parser.wasSet("protocol")) {
         std::cerr << "busarb_report: --protocol conflicts with the "
                      "scenario file's [protocol]/[sweep] entries\n";
         return 2;
     }
-    if (protocol_specs.empty())
-        protocol_specs.push_back(parser.getString("protocol"));
-    if (protocol_specs.size() > 1) {
+    if (spec.protocolSpecs.empty())
+        spec.protocolSpecs.push_back(parser.getString("protocol"));
+    if (spec.protocolSpecs.size() > 1) {
         std::cerr << "busarb_report: scenario names "
-                  << protocol_specs.size()
+                  << spec.protocolSpecs.size()
                   << " protocols; a report covers one run\n";
-        return 2;
-    }
-
-    ScenarioConfig config = spec.configForLoad(
-        spec.rowAxis().empty() ? "" : spec.rowAxis().front());
-    const std::string workload_error = validateWorkloadRun(config);
-    if (!workload_error.empty()) {
-        std::cerr << "busarb_report: " << workload_error << "\n";
         return 2;
     }
 
     // A report is the run's full observability surface: health verdict,
     // snapshots, fairness audit, and (unless suppressed) the trace the
     // latency breakdown is computed from.
-    config.observe = observerConfigFromFlagsOrExit("busarb_report", parser);
-    config.observe.health = true;
-    config.observe.healthSnapshots = true;
-    config.observe.fairness = true;
-    config.observe.captureTrace = !parser.getBool("no-trace");
-
-    const ScenarioResult result = runScenario(
-        config,
-        protocolFactoryOrExit("busarb_report", protocol_specs.front()));
+    ObserverConfig observe =
+        observerConfigFromFlagsOrExit("busarb_report", parser);
+    observe.health = true;
+    observe.healthSnapshots = true;
+    observe.fairness = true;
+    observe.captureTrace = !parser.getBool("no-trace");
+    const GridJob cell =
+        buildSweepGrid(spec, observe, "busarb_report").front();
+    const ScenarioConfig &config = cell.config;
+    const ScenarioResult result = runScenario(config, cell.factory);
 
     if (out_path == "-") {
         writeRunReport(config, result, format, std::cout,
-                       spec.format());
+                       scenario_text);
         return 0;
     }
     const std::string what =
@@ -137,7 +130,7 @@ main(int argc, char **argv)
     return writeArtifact("busarb_report", out_path, what,
                          [&](std::ostream &out) {
                              writeRunReport(config, result, format, out,
-                                            spec.format());
+                                            scenario_text);
                          })
                ? 0
                : 1;

@@ -40,6 +40,7 @@
 #include "experiment/workload_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/scenario_spec.hh"
+#include "experiment/sweep_cells.hh"
 #include "experiment/table.hh"
 #include "workload/scenario.hh"
 
@@ -104,8 +105,11 @@ main(int argc, char **argv)
     const int jobs_flag =
         static_cast<int>(intFlagOrExit("busarb_sim", parser, "jobs", 0));
 
-    const ScenarioSpec spec = scenarioSpecFromFlags("busarb_sim", parser);
-    if (spec.rowAxis().size() > 1) {
+    ScenarioSpec spec = scenarioSpecFromFlags("busarb_sim", parser);
+    // The provenance annotation is the scenario as given; --protocol
+    // and --compare join only its cells.
+    const std::string scenario_text = spec.format();
+    if (spec.rowAxis().size() != 1) {
         std::cerr << "busarb_sim: scenario sweeps " << spec.rowAxis().size()
                   << " " << spec.rowName()
                   << " values; busarb_sim runs one (use busarb_sweep "
@@ -116,7 +120,7 @@ main(int argc, char **argv)
     // One or two protocol specs: from the scenario file when it names
     // any, otherwise from --protocol/--compare. Mixing the two sources
     // would leave the file no longer describing the run.
-    std::vector<std::string> protocol_specs = spec.protocolSpecs;
+    std::vector<std::string> &protocol_specs = spec.protocolSpecs;
     if (!protocol_specs.empty() &&
         (parser.wasSet("protocol") || parser.wasSet("compare"))) {
         std::cerr << "busarb_sim: --protocol/--compare conflict with "
@@ -135,20 +139,6 @@ main(int argc, char **argv)
                      "busarb_sweep --grid for grids)\n";
         return 2;
     }
-
-    ScenarioConfig config = spec.configForLoad(
-        spec.rowAxis().empty() ? "" : spec.rowAxis().front());
-    // Pre-run workload validation (trace readability, length vs run
-    // controls): a doomed run exits 2 here instead of dying mid-run.
-    const std::string workload_error = validateWorkloadRun(config);
-    if (!workload_error.empty()) {
-        std::cerr << "busarb_sim: " << workload_error << "\n";
-        return 2;
-    }
-    config.collectHistogram = !parser.getString("histogram-csv").empty();
-    config.observe = observe;
-    config.profile = parser.getBool("profile");
-
     if (protocol_specs.size() == 2 &&
         protocol_specs[0] == protocol_specs[1]) {
         // Identical specs would collide under the protocol-name
@@ -158,10 +148,9 @@ main(int argc, char **argv)
                   << protocol_specs[0] << "' twice\n";
         return 2;
     }
-    // Resolve specs before any output so usage errors stay clean.
-    std::vector<ProtocolFactory> factories;
-    for (const auto &text : protocol_specs)
-        factories.push_back(protocolFactoryOrExit("busarb_sim", text));
+    // Every spec and the workload are checked before any output, so
+    // usage errors stay clean.
+    std::vector<GridJob> grid = buildSweepGrid(spec, observe, "busarb_sim");
 
     std::unique_ptr<TextTracer> tracer;
     if (trace_events > 0) {
@@ -169,14 +158,16 @@ main(int argc, char **argv)
                   << " bus events:\n\n";
         tracer = std::make_unique<TextTracer>(
             std::cout, static_cast<std::uint64_t>(trace_events));
-        config.tracer = tracer.get();
     }
+    for (GridJob &job : grid) {
+        job.config.collectHistogram =
+            !parser.getString("histogram-csv").empty();
+        job.config.profile = parser.getBool("profile");
+        job.config.tracer = tracer.get();
+    }
+    const ScenarioConfig &config = grid.front().config;
 
     std::cout << "busarb_sim: " << describeScenario(config) << "\n\n";
-
-    std::vector<GridJob> grid;
-    for (std::size_t i = 0; i < protocol_specs.size(); ++i)
-        grid.push_back({config, factories[i], protocol_specs[i]});
 
     // A tracer writes to a shared stream while the simulation runs, so
     // traced runs must stay serial; plain runs fan out.
@@ -259,7 +250,7 @@ main(int argc, char **argv)
     // Canonical provenance: the same scenario.spec annotation whether
     // the run came from flags or from a scenario file.
     if (!writeMetricsOut("busarb_sim", parser, results, labels,
-                         spec.format()))
+                         scenario_text))
         return 1;
     return healthStrictStatus("busarb_sim", parser, results, labels, "run");
 }

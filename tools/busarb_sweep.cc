@@ -32,7 +32,6 @@
 #include <cstddef>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,22 +48,8 @@
 #include "experiment/table.hh"
 #include "experiment/workload_registry.hh"
 #include "obs/sweep_progress.hh"
-#include "workload/scenario.hh"
 
 namespace {
-
-std::vector<std::string>
-splitCsvList(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::istringstream is(text);
-    std::string token;
-    while (std::getline(is, token, ',')) {
-        if (!token.empty())
-            parts.push_back(token);
-    }
-    return parts;
-}
 
 double
 nowSeconds()
@@ -198,55 +183,10 @@ main(int argc, char **argv)
     }
 
     // Both axes plus the workload come from one ScenarioSpec, built
-    // either from a --grid file or from the flags; cell assembly below
-    // is shared, so the two inputs produce identical artifacts.
-    ScenarioSpec spec;
-    if (!parser.getString("grid").empty()) {
-        static const char *const kOwned[] = {"protocols", "loads",
-                                             "agents", "cv", "batches",
-                                             "batch-size", "source"};
-        for (const char *flag : kOwned) {
-            if (parser.wasSet(flag)) {
-                std::cerr << "busarb_sweep: --" << flag
-                          << " conflicts with --grid (the file is the "
-                             "single source of truth)\n";
-                return 2;
-            }
-        }
-        spec = scenarioSpecOrExit("busarb_sweep",
-                                  parser.getString("grid"));
-    } else {
-        spec.family = "equal";
-        // The re-validation below applies each key's lower bound.
-        spec.agents = static_cast<int>(
-            intFlagOrExit("busarb_sweep", parser, "agents"));
-        spec.cv = parser.getDouble("cv");
-        spec.batches = static_cast<int>(
-            intFlagOrExit("busarb_sweep", parser, "batches"));
-        spec.batchSize = parser.getInt("batch-size");
-        spec.source = parser.getString("source");
-        workloadSpecOrExit("busarb_sweep", spec.source);
-        if (spec.sourceTakesLoads()) {
-            spec.loadTokens = splitCsvList(parser.getString("loads"));
-        } else if (parser.wasSet("loads")) {
-            // The source fixes its own arrival schedule; a load axis
-            // would be silently ignored, so reject it loudly instead.
-            std::cerr << "busarb_sweep: --loads conflicts with --source "
-                      << spec.source
-                      << " (the source fixes its own arrival "
-                         "schedule)\n";
-            return 2;
-        }
-        spec.protocolSpecs = splitCsvList(parser.getString("protocols"));
-        // Axis tokens first, so they keep their flag-named messages;
-        // then the checks a --grid file gets.
-        for (const auto &token : spec.loadTokens)
-            parseDoubleTokenOrExit("busarb_sweep", "loads", token);
-        for (const auto &proto : spec.protocolSpecs)
-            ProtocolRegistry::builtin().parseSpecOrExit("busarb_sweep",
-                                                        proto);
-        validateFlagSpecOrExit("busarb_sweep", spec);
-    }
+    // either from a --grid file or from the flags through the file's
+    // own checks; cell assembly below is shared, so the two inputs
+    // produce identical artifacts.
+    const ScenarioSpec spec = scenarioSpecFromFlags("busarb_sweep", parser);
     if (spec.family == "worst-case" && spec.rowKey == "loads") {
         std::cerr << "busarb_sweep: family 'worst-case' has no load "
                      "axis; sweep cv or run it with busarb_sim\n";
@@ -259,7 +199,8 @@ main(int argc, char **argv)
     // well-formed with one cell per protocol.
     const auto &load_tokens = spec.rowAxis();
     if (protocol_keys.empty() || load_tokens.empty()) {
-        std::cerr << "need at least one protocol and one load\n";
+        std::cerr << "busarb_sweep: need at least one protocol and one "
+                     "load\n";
         return 2;
     }
     // Duplicate keys would collide under the per-cell metric prefixes
