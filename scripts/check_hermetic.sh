@@ -10,8 +10,9 @@ set -eu
 
 build="${1:-build}"
 suites='TraceWorkloadTest|OpenWorkloadTest|WorkloadRegistryTest'
-suites="$suites|ScenarioSpec|MetricsRegistry|ManifestTest|WorkerShardTest"
-suites="$suites|ShardFile|TracePlayer|RequestTrace|WriteArtifactTest"
+suites="$suites|ScenarioSpec|MetricsRegistry|ManifestTest|MergeTest"
+suites="$suites|WorkerShardTest|ShardFile|TracePlayer|RequestTrace"
+suites="$suites|WriteArtifactTest"
 suites="$suites|SettleDigestTest"
 
 exec ctest --test-dir "$build" -R "$suites" \

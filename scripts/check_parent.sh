@@ -10,6 +10,12 @@
 #     batch-size 200 (the working tree's grids on both builds);
 #   - busarb_sweep's stdout, CSV, metrics, trace and snapshots for a
 #     closed grid and an open mmpp grid, in-process and at --shards 2;
+#   - cross-build resume: each build --resumes the closed grid's
+#     --shards 2 directory the other build wrote (every cell is
+#     checkpointed, so it only merges), and its CSV, metrics, trace
+#     and snapshots must equal the writer's in-process ones, its stdout
+#     the writer's sharded one, and the manifests must not change
+#     (items resume-closed.<writer>-to-<reader>.*);
 #   - busarb_sweep's stdout, CSV, metrics and trace for settle-timed
 #     --grid files over every protocol whose settle rounds come from
 #     ArbitrationPass::settle() (the RR family, FCFS and hybrid with
@@ -23,9 +29,10 @@
 #
 # Host timing is masked: the value of elapsed_ms=, the summary's sim
 # wall time and the sweep table's ms column; trailing blanks are
-# dropped. Timing CSVs and shard manifests are not compared. A
-# difference that disappears under `tr -s ' -'` is reported as table
-# padding only.
+# dropped. Timing CSVs and shard manifests are not compared byte for
+# byte (manifests carry elapsedMs); the cross-build resume items check
+# that one build reads the other's checkpoints. A difference that
+# disappears under `tr -s ' -'` is reported as table padding only.
 #
 # Prints "same" or "differs" per item and a diff for each difference,
 # and exits 1 on any difference. It is not a ctest: it needs git
@@ -157,7 +164,13 @@ run_corpus() {
                 --trace-out "sweep-$grid-$mode.trace" \
                 --snapshot-every 100 --snapshot-out "sweep-$grid-$mode.jsonl" \
                 --timing-csv "timing-$grid-$mode.csv"
-            rm -rf "shards-$grid" "timing-$grid-$mode.csv"
+            rm -f "timing-$grid-$mode.csv"
+            # The closed grid's checkpoints stay for resume_closed.
+            if [ "$grid-$mode" = closed-shards ]; then
+                mv shards-closed "$2.shards"
+            else
+                rm -rf "shards-$grid"
+            fi
         done
     done
 
@@ -212,9 +225,34 @@ run_corpus() {
     cd "$root"
 }
 
+# resume_closed <writer> <reader> <reader-build-dir>: the reader's
+# busarb_sweep --resumes the closed grid's --shards 2 directory that
+# the writer's corpus left. Every cell is checkpointed, so it only
+# merges, and the manifests must come out unchanged. Its output names
+# match the sweep-closed-shards item's.
+resume_closed() {
+    mkdir "$tmp/resume-$1-to-$2"
+    cd "$tmp/resume-$1-to-$2"
+    cat "$tmp/out-$1.shards"/*.manifest.jsonl > manifests.before
+    # shellcheck disable=SC2086
+    capture sweep-closed-shards.stdout "$3/tools/busarb_sweep" $CLOSED \
+        $OBSERVE --shards 2 --shard-dir "$tmp/out-$1.shards" --resume \
+        --csv sweep-closed-shards.csv \
+        --metrics-out sweep-closed-shards.metrics.csv \
+        --trace-out sweep-closed-shards.trace --snapshot-every 100 \
+        --snapshot-out sweep-closed-shards.jsonl \
+        --timing-csv timing-closed-shards.csv
+    rm -f timing-closed-shards.csv
+    cat "$tmp/out-$1.shards"/*.manifest.jsonl > manifests.after
+    cd "$root"
+}
+
 echo "running the corpus ..."
 run_corpus "$tmp/rev-build" "$tmp/out-rev"
 run_corpus "$build" "$tmp/out-tree"
+echo "resuming each build's checkpoints with the other ..."
+resume_closed rev tree "$build"
+resume_closed tree rev "$tmp/rev-build"
 
 mask() {
     sed -E -e 's/(elapsed_ms=)[0-9]+/\1<ms>/g' \
@@ -226,42 +264,61 @@ mask_table() {
 }
 
 status=0
+# compare_item <item> <expected-file> <actual-file>
+compare_item() {
+    case "$1" in
+      *.trace)
+        if cmp -s "$2" "$3"; then echo "same     $1"; else
+            echo "differs  $1"
+            status=1
+        fi
+        return ;;
+      sweep-*.table) masker=mask_table ;;
+      *) masker=mask ;;
+    esac
+    $masker "$2" > "$tmp/a"
+    $masker "$3" > "$tmp/b"
+    if cmp -s "$tmp/a" "$tmp/b"; then
+        echo "same     $1"
+        return
+    fi
+    status=1
+    if [ "$(tr -s ' -' < "$tmp/a")" = "$(tr -s ' -' < "$tmp/b")" ]; then
+        echo "differs  $1 (table padding only)"
+    else
+        echo "differs  $1"
+    fi
+    diff -u "$tmp/a" "$tmp/b" | sed -n '3,40p'
+}
+
 for f in $(cd "$tmp/out-rev" && ls); do
-    a="$tmp/out-rev/$f"
-    b="$tmp/out-tree/$f"
-    if [ ! -e "$b" ]; then
+    if [ ! -e "$tmp/out-tree/$f" ]; then
         echo "differs  $f (missing from the working tree)"
         status=1
         continue
     fi
-    case "$f" in
-      *.trace)
-        if cmp -s "$a" "$b"; then echo "same     $f"; else
-            echo "differs  $f"
-            status=1
-        fi
-        continue ;;
-      sweep-*.table) masker=mask_table ;;
-      *) masker=mask ;;
-    esac
-    $masker "$a" > "$tmp/a"
-    $masker "$b" > "$tmp/b"
-    if cmp -s "$tmp/a" "$tmp/b"; then
-        echo "same     $f"
-        continue
-    fi
-    status=1
-    if [ "$(tr -s ' -' < "$tmp/a")" = "$(tr -s ' -' < "$tmp/b")" ]; then
-        echo "differs  $f (table padding only)"
-    else
-        echo "differs  $f"
-    fi
-    diff -u "$tmp/a" "$tmp/b" | sed -n '3,40p'
+    compare_item "$f" "$tmp/out-rev/$f" "$tmp/out-tree/$f"
 done
 for f in $(cd "$tmp/out-tree" && ls); do
     if [ ! -e "$tmp/out-rev/$f" ]; then
         echo "differs  $f (new in the working tree)"
         status=1
     fi
+done
+for pair in rev:tree tree:rev; do
+    writer="${pair%:*}"
+    reader="${pair#*:}"
+    for ext in stdout csv metrics.csv trace jsonl; do
+        # The in-process stdout names other files and another --jobs;
+        # the sharded stdout is the reference there.
+        mode=inproc
+        [ "$ext" != stdout ] || mode=shards
+        compare_item "resume-closed.$writer-to-$reader.$ext" \
+            "$tmp/out-$writer/sweep-closed-$mode.$ext" \
+            "$tmp/resume-$writer-to-$reader/sweep-closed-shards.$ext"
+    done
+    compare_item "resume-closed.$writer-to-$reader.manifests" \
+        "$tmp/resume-$writer-to-$reader/manifests.before" \
+        "$tmp/resume-$writer-to-$reader/manifests.after"
 done
 exit "$status"

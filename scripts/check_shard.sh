@@ -18,6 +18,8 @@
 #      merge bad data.
 #   5. A paper grid's [table] output at --shards 2 must equal the
 #      in-process tables (the elapsed_ms line masked).
+#   6. A --resume under a different --shards must exit 2 naming
+#      --shards before any task file is written or any worker runs.
 #
 # Usage: check_shard.sh /path/to/busarb_sweep
 set -eu
@@ -187,7 +189,39 @@ if ! grep -q "=== Table 4.2(a)" "$tmp/paper.ref" ||
     exit 1
 fi
 
+# 6. Checkpoints written with --shards 3 cover other cell ranges than
+# --shards 5 plans: the resume is refused up front, so no shard 3 or 4
+# task file or manifest appears.
+# shellcheck disable=SC2086
+"$sweep" $GRID --shards 3 --shard-dir "$tmp/rshards" \
+         --csv "$tmp/r.csv" --snapshot-out "$tmp/r.jsonl" > /dev/null
+set +e
+# shellcheck disable=SC2086
+"$sweep" $GRID --shards 5 --shard-dir "$tmp/rshards" --resume \
+         --csv "$tmp/r5.csv" --snapshot-out "$tmp/r5.jsonl" \
+         > "$tmp/reshard.out" 2>&1
+code=$?
+set -e
+if [ "$code" -ne 2 ]; then
+    echo "FAIL: --resume with another --shards exited $code, expected 2" >&2
+    cat "$tmp/reshard.out" >&2
+    exit 1
+fi
+if ! grep -q -- "--shards 5" "$tmp/reshard.out"; then
+    echo "FAIL: --shards refusal does not name --shards" >&2
+    cat "$tmp/reshard.out" >&2
+    exit 1
+fi
+for f in shard-0003.manifest.jsonl shard-0004.manifest.jsonl \
+         shard-0003.shard shard-0004.shard; do
+    if [ -e "$tmp/rshards/$f" ]; then
+        echo "FAIL: refused --shards resume still wrote $f" >&2
+        exit 1
+    fi
+done
+
 echo "ok: sharded sweep byte-identical to single-process," \
      "checkpoints survive SIGKILL + --resume, corrupt or" \
-     "version-mismatched manifests are refused with exit 2, and" \
-     "sharded paper tables match in-process ones"
+     "version-mismatched manifests are refused with exit 2," \
+     "sharded paper tables match in-process ones, and a resume" \
+     "under another --shards is refused before any worker runs"

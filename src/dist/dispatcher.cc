@@ -18,6 +18,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include "dist/manifest.hh"
 #include "dist/merge.hh"
 #include "dist/shard_plan.hh"
 #include "dist/worker_protocol.hh"
@@ -201,6 +202,36 @@ runShardedSweep(const ScenarioSpec &spec, const SweepTuning &tuning,
                                       "but the sweep identity file "
                                       "is gone); remove the directory "
                                       "to start over");
+    // A checkpoint written under another --shards covers other cells;
+    // refuse it before any task file or worker touches the directory.
+    for (const ShardRange &shard : plan) {
+        const std::string path =
+            shardManifestPath(opts.shardDir, shard.index);
+        ManifestHeader header;
+        std::string error;
+        switch (readManifestHeader(path, header, error)) {
+        case ManifestReadStatus::kOk:
+            break;
+        case ManifestReadStatus::kMissing:
+            continue;
+        case ManifestReadStatus::kIoError:
+            ioExit(program, error);
+        case ManifestReadStatus::kCorrupt:
+            specExit(program, error);
+        }
+        if (header.shard != shard.index || header.begin != shard.begin ||
+            header.end != shard.end)
+            specExit(program,
+                     path + ": checkpoints cells [" +
+                         std::to_string(header.begin) + ", " +
+                         std::to_string(header.end) + "), but --shards " +
+                         std::to_string(opts.shards) + " plans cells [" +
+                         std::to_string(shard.begin) + ", " +
+                         std::to_string(shard.end) + ") for shard " +
+                         std::to_string(shard.index) +
+                         "; resume with the --shards the directory was "
+                         "written with");
+    }
     if (!had_grid_spec && !writeFileText(grid_path, grid_text))
         ioExit(program, "cannot write '" + grid_path + "'");
 
@@ -260,7 +291,7 @@ runShardedSweep(const ScenarioSpec &spec, const SweepTuning &tuning,
         std::cerr.flush();
     };
 
-    while (completed < plan.size()) {
+    const auto fill_fleet = [&]() {
         while (running.size() < fleet && !pending.empty()) {
             const std::size_t shard = pending.front();
             pending.pop_front();
@@ -274,6 +305,13 @@ runShardedSweep(const ScenarioSpec &spec, const SweepTuning &tuning,
             }
             running.emplace(pid, Worker{shard});
         }
+    };
+
+    // One result per cell; each shard fills its range as its worker
+    // exits, so the merge runs while the rest of the fleet simulates.
+    std::vector<ScenarioResult> results(cells);
+    while (completed < plan.size()) {
+        fill_fleet();
 
         int status = 0;
         pid_t pid = -1;
@@ -303,6 +341,25 @@ runShardedSweep(const ScenarioSpec &spec, const SweepTuning &tuning,
         running.erase(it);
 
         if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+            // Start the next shard first, so no slot idles while this
+            // one merges.
+            fill_fleet();
+            std::string error;
+            const MergeStatus merged = collectShard(
+                opts.shardDir, plan[shard], fingerprint, results, error);
+            if (merged != MergeStatus::kOk) {
+                killFleet(running);
+                if (opts.progress)
+                    std::cerr << "\n";
+                if (merged == MergeStatus::kIoError)
+                    ioExit(program, error);
+                // A gap after a clean exit is a coordinator bug or
+                // concurrent tampering; surface it as corruption.
+                specExit(program,
+                         merged == MergeStatus::kIncomplete
+                             ? error + " (after its worker exited 0)"
+                             : error);
+            }
             ++completed;
             continue;
         }
@@ -337,22 +394,6 @@ runShardedSweep(const ScenarioSpec &spec, const SweepTuning &tuning,
     if (opts.progress) {
         show_progress();
         std::cerr << "\n";
-    }
-
-    std::vector<ScenarioResult> results;
-    std::string error;
-    switch (collectShardResults(opts.shardDir, plan, fingerprint,
-                                results, error)) {
-    case MergeStatus::kOk:
-        break;
-    case MergeStatus::kIncomplete:
-        // Every worker exited 0, so a gap here is a coordinator bug or
-        // concurrent tampering; surface it as corruption.
-        specExit(program, error + " (after all workers completed)");
-    case MergeStatus::kCorrupt:
-        specExit(program, error);
-    case MergeStatus::kIoError:
-        ioExit(program, error);
     }
     return results;
 }

@@ -23,9 +23,10 @@
  *    help, so the fleet is torn down and the sweep exits 2
  *    immediately.
  *
- * When every shard completes, the results are reassembled with
- * merge.hh and handed back exactly as runScenarioGrid would have
- * produced them.
+ * As each worker exits 0, its shard's results are decoded with
+ * merge.hh while the rest of the fleet runs; once every shard is in,
+ * they are handed back exactly as runScenarioGrid would have produced
+ * them. A merge failure tears the fleet down before the sweep exits.
  */
 
 #ifndef BUSARB_DIST_DISPATCHER_HH

@@ -1,9 +1,9 @@
 #include "dist/manifest.hh"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -15,26 +15,51 @@ namespace busarb {
 
 namespace {
 
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+/** kHexValue entry of a byte that is not a lowercase hex digit. */
+constexpr std::uint8_t kNotHex = 0xff;
+
+/** The value of each byte as a lowercase hex digit, else kNotHex. */
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+    std::array<std::uint8_t, 256> table{};
+    table.fill(kNotHex);
+    for (std::uint8_t digit = 0; digit < 16; ++digit)
+        table[static_cast<unsigned char>(kHexDigits[digit])] = digit;
+    return table;
+}();
+
+/** A header line is far shorter; a longer first line is malformed. */
+constexpr std::size_t kMaxHeaderBytes = 256;
+
+/** Write the 2 * `size` lowercase hex digits of `data` at `out`. */
+void
+writeHex(const std::uint8_t *data, std::size_t size, char *out)
+{
+    for (std::size_t i = 0; i < size; ++i) {
+        out[2 * i] = kHexDigits[data[i] >> 4];
+        out[2 * i + 1] = kHexDigits[data[i] & 0xf];
+    }
+}
+
 /**
  * Strict field-by-field parser for the manifest's own JSONL output.
  * The writer emits one fixed shape per line, so the reader demands
  * exactly that shape — any deviation is corruption, which makes the
- * parser double as the integrity check for complete lines.
+ * parser double as the integrity check for complete lines. Fields are
+ * views into the line; nothing is copied.
  */
 struct LineParser
 {
-    const std::string &line;
+    std::string_view line;
     std::size_t pos = 0;
 
-    explicit LineParser(const std::string &l) : line(l) {}
-
     bool
-    literal(const char *text)
+    literal(std::string_view text)
     {
-        const std::size_t n = std::strlen(text);
-        if (line.compare(pos, n, text) != 0)
+        if (line.compare(pos, text.size(), text) != 0)
             return false;
-        pos += n;
+        pos += text.size();
         return true;
     }
 
@@ -58,23 +83,23 @@ struct LineParser
 
     /** Consume a quoted run of `n` characters into `out`. */
     bool
-    fixedString(std::size_t n, std::string &out)
+    fixedString(std::size_t n, std::string_view &out)
     {
         if (line.size() - pos < n)
             return false;
-        out = line.substr(pos, n);
+        out = std::string_view(line.data() + pos, n);
         pos += n;
         return true;
     }
 
     /** Consume characters up to (not including) the next '"'. */
     bool
-    untilQuote(std::string &out)
+    untilQuote(std::string_view &out)
     {
         const std::size_t quote = line.find('"', pos);
-        if (quote == std::string::npos)
+        if (quote == std::string_view::npos)
             return false;
-        out = line.substr(pos, quote - pos);
+        out = std::string_view(line.data() + pos, quote - pos);
         pos = quote;
         return true;
     }
@@ -85,21 +110,26 @@ struct LineParser
 std::string
 headerLine(const ManifestHeader &header)
 {
-    std::ostringstream os;
-    os << "{\"kind\":\"busarb-shard-manifest\",\"version\":"
-       << kManifestVersion << ",\"fingerprint\":\""
-       << fingerprintHex(header.fingerprint) << "\",\"shard\":"
-       << header.shard << ",\"begin\":" << header.begin
-       << ",\"end\":" << header.end << "}\n";
-    return os.str();
+    return "{\"kind\":\"busarb-shard-manifest\",\"version\":" +
+           std::to_string(kManifestVersion) + ",\"fingerprint\":\"" +
+           fingerprintHex(header.fingerprint) +
+           "\",\"shard\":" + std::to_string(header.shard) +
+           ",\"begin\":" + std::to_string(header.begin) +
+           ",\"end\":" + std::to_string(header.end) + "}\n";
 }
 
+/**
+ * Parse a header line and check its version.
+ *
+ * @param what Receives the reason on failure, without the path.
+ */
 bool
-parseHeaderLine(const std::string &line, ManifestHeader &out,
-                std::uint64_t &version)
+parseHeaderLine(std::string_view line, ManifestHeader &out,
+                std::string &what)
 {
-    LineParser p(line);
-    std::string fp;
+    LineParser p{line};
+    std::uint64_t version = 0;
+    std::string_view fp;
     std::uint64_t shard = 0;
     std::uint64_t begin = 0;
     std::uint64_t end = 0;
@@ -108,10 +138,17 @@ parseHeaderLine(const std::string &line, ManifestHeader &out,
         !p.fixedString(16, fp) || !p.literal("\",\"shard\":") ||
         !p.number(shard) || !p.literal(",\"begin\":") ||
         !p.number(begin) || !p.literal(",\"end\":") || !p.number(end) ||
-        !p.literal("}") || !p.atEnd())
+        !p.literal("}") || !p.atEnd() ||
+        !parseFingerprintHex(fp, out.fingerprint)) {
+        what = "line 1: malformed manifest header";
         return false;
-    if (!parseFingerprintHex(fp, out.fingerprint))
+    }
+    if (version != kManifestVersion) {
+        what = "manifest version " + std::to_string(version) +
+               " does not match this build (expected " +
+               std::to_string(kManifestVersion) + ")";
         return false;
+    }
     out.shard = static_cast<std::size_t>(shard);
     out.begin = static_cast<std::size_t>(begin);
     out.end = static_cast<std::size_t>(end);
@@ -119,23 +156,22 @@ parseHeaderLine(const std::string &line, ManifestHeader &out,
 }
 
 bool
-parseCellLine(const std::string &line, std::size_t &cell,
+parseCellLine(std::string_view line, std::size_t &cell,
               std::vector<std::uint8_t> &record)
 {
-    LineParser p(line);
+    LineParser p{line};
     std::uint64_t index = 0;
-    std::string check;
+    std::string_view check;
     std::uint64_t bytes = 0;
-    std::string hex;
+    std::string_view hex;
     if (!p.literal("{\"cell\":") || !p.number(index) ||
         !p.literal(",\"check\":\"") || !p.fixedString(16, check) ||
         !p.literal("\",\"bytes\":") || !p.number(bytes) ||
         !p.literal(",\"data\":\"") || !p.untilQuote(hex) ||
         !p.literal("\"}") || !p.atEnd())
         return false;
-    if (!hexDecode(hex, record))
-        return false;
-    if (record.size() != bytes)
+    // Check the length before hexDecode sizes the record from it.
+    if (hex.size() / 2 != bytes || !hexDecode(hex, record))
         return false;
     std::uint64_t expected = 0;
     if (!parseFingerprintHex(check, expected))
@@ -146,45 +182,97 @@ parseCellLine(const std::string &line, std::size_t &cell,
     return true;
 }
 
+/** A read-only descriptor, closed when it goes out of scope. */
+class ReadOnlyFd
+{
+  public:
+    explicit ReadOnlyFd(const std::string &path)
+        : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC))
+    {
+    }
+    ~ReadOnlyFd()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    ReadOnlyFd(const ReadOnlyFd &) = delete;
+    ReadOnlyFd &operator=(const ReadOnlyFd &) = delete;
+
+    int get() const { return fd_; }
+
+  private:
+    int fd_;
+};
+
+/**
+ * Read up to `limit` bytes of `path` into `text`, whose one buffer is
+ * sized from fstat. A file that shrinks meanwhile yields what is
+ * left; bytes appended after the fstat are not read, as if they had
+ * come later.
+ */
+ManifestReadStatus
+readPrefix(const std::string &path, std::size_t limit, std::string &text,
+           std::string &error)
+{
+    const ReadOnlyFd fd(path);
+    if (fd.get() < 0) {
+        if (errno == ENOENT)
+            return ManifestReadStatus::kMissing;
+        error = path + ": cannot open manifest: " + std::strerror(errno);
+        return ManifestReadStatus::kIoError;
+    }
+    struct stat st{};
+    if (::fstat(fd.get(), &st) != 0) {
+        error = path + ": cannot stat manifest: " + std::strerror(errno);
+        return ManifestReadStatus::kIoError;
+    }
+    text.resize(std::min(limit, static_cast<std::size_t>(st.st_size)));
+    std::size_t got = 0;
+    while (got < text.size()) {
+        const ssize_t n =
+            ::read(fd.get(), text.data() + got, text.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0) {
+            error = path + ": read error: " + std::strerror(errno);
+            return ManifestReadStatus::kIoError;
+        }
+        if (n == 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    text.resize(got);
+    return ManifestReadStatus::kOk;
+}
+
 } // namespace
 
 std::string
 hexEncode(const std::vector<std::uint8_t> &data)
 {
-    static const char *const kDigits = "0123456789abcdef";
-    std::string text;
-    text.reserve(data.size() * 2);
-    for (const std::uint8_t byte : data) {
-        text.push_back(kDigits[byte >> 4]);
-        text.push_back(kDigits[byte & 0xf]);
-    }
+    std::string text(2 * data.size(), '\0');
+    writeHex(data.data(), data.size(), text.data());
     return text;
 }
 
 bool
-hexDecode(const std::string &text, std::vector<std::uint8_t> &out)
+hexDecode(std::string_view text, std::vector<std::uint8_t> &out)
 {
     if (text.size() % 2 != 0)
         return false;
-    out.clear();
-    out.reserve(text.size() / 2);
-    int hi = -1;
-    for (const char c : text) {
-        int digit = 0;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else
-            return false;
-        if (hi < 0) {
-            hi = digit;
-        } else {
-            out.push_back(static_cast<std::uint8_t>((hi << 4) | digit));
-            hi = -1;
-        }
+    out.resize(text.size() / 2);
+    // OR every digit value together and test once: a kNotHex anywhere
+    // leaves bits above the low nibble set.
+    std::uint8_t seen = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const std::uint8_t hi =
+            kHexValue[static_cast<unsigned char>(text[2 * i])];
+        const std::uint8_t lo =
+            kHexValue[static_cast<unsigned char>(text[2 * i + 1])];
+        seen |= hi | lo;
+        out[i] = static_cast<std::uint8_t>(hi << 4 | lo);
     }
-    return true;
+    return seen <= 0xf;
 }
 
 std::uint64_t
@@ -199,28 +287,37 @@ manifestChecksum(const std::vector<std::uint8_t> &data)
 }
 
 ManifestReadStatus
+readManifestHeader(const std::string &path, ManifestHeader &out,
+                   std::string &error)
+{
+    std::string text;
+    const ManifestReadStatus status =
+        readPrefix(path, kMaxHeaderBytes, text, error);
+    if (status != ManifestReadStatus::kOk)
+        return status;
+    const std::size_t newline = text.find('\n');
+    if (newline == std::string::npos && text.size() < kMaxHeaderBytes)
+        return ManifestReadStatus::kMissing;
+    std::string what = "line 1: malformed manifest header";
+    if (newline == std::string::npos ||
+        !parseHeaderLine(std::string_view(text.data(), newline), out,
+                         what)) {
+        error = path + ": " + what;
+        return ManifestReadStatus::kCorrupt;
+    }
+    return ManifestReadStatus::kOk;
+}
+
+ManifestReadStatus
 readManifest(const std::string &path, const ManifestHeader &expected,
              ManifestContents &out, std::string &error)
 {
-    struct stat st{};
-    if (::stat(path.c_str(), &st) != 0) {
-        if (errno == ENOENT)
-            return ManifestReadStatus::kMissing;
-        error = path + ": cannot stat manifest: " + std::strerror(errno);
-        return ManifestReadStatus::kIoError;
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-        error = path + ": cannot open manifest";
-        return ManifestReadStatus::kIoError;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-        error = path + ": read error";
-        return ManifestReadStatus::kIoError;
-    }
-    const std::string text = buffer.str();
+    std::string buffer;
+    const ManifestReadStatus status =
+        readPrefix(path, SIZE_MAX, buffer, error);
+    if (status != ManifestReadStatus::kOk)
+        return status;
+    const std::string_view text = buffer;
 
     out = ManifestContents{};
     const auto corrupt = [&](const std::string &what) {
@@ -233,25 +330,20 @@ readManifest(const std::string &path, const ManifestHeader &expected,
     std::size_t lineNo = 0;
     while (lineStart < text.size()) {
         const std::size_t newline = text.find('\n', lineStart);
-        if (newline == std::string::npos) {
+        if (newline == std::string_view::npos) {
             // Torn final line: the expected artifact of a mid-write
             // kill. Drop it; the resuming writer truncates it away.
             out.tornTail = true;
             break;
         }
-        const std::string line =
-            text.substr(lineStart, newline - lineStart);
+        const std::string_view line(text.data() + lineStart,
+                                    newline - lineStart);
         ++lineNo;
         if (!sawHeader) {
-            std::uint64_t version = 0;
             ManifestHeader header;
-            if (!parseHeaderLine(line, header, version))
-                return corrupt("line 1: malformed manifest header");
-            if (version != kManifestVersion)
-                return corrupt(
-                    "manifest version " + std::to_string(version) +
-                    " does not match this build (expected " +
-                    std::to_string(kManifestVersion) + ")");
+            std::string what;
+            if (!parseHeaderLine(line, header, what))
+                return corrupt(what);
             if (header.fingerprint != expected.fingerprint)
                 return corrupt(
                     "sweep fingerprint " +
@@ -367,12 +459,17 @@ ManifestWriter::appendCell(std::size_t cell,
         error = "manifest writer is not open";
         return false;
     }
-    std::ostringstream os;
-    os << "{\"cell\":" << cell << ",\"check\":\""
-       << fingerprintHex(manifestChecksum(record)) << "\",\"bytes\":"
-       << record.size() << ",\"data\":\"" << hexEncode(record)
-       << "\"}\n";
-    const std::string line = os.str();
+    // One string sized for the whole line; the hex goes in place.
+    std::string line = "{\"cell\":" + std::to_string(cell) +
+                       ",\"check\":\"" +
+                       fingerprintHex(manifestChecksum(record)) +
+                       "\",\"bytes\":" + std::to_string(record.size()) +
+                       ",\"data\":\"";
+    constexpr std::string_view kTail = "\"}\n";
+    const std::size_t hex = line.size();
+    line.resize(hex + 2 * record.size() + kTail.size());
+    writeHex(record.data(), record.size(), line.data() + hex);
+    kTail.copy(line.data() + hex + 2 * record.size(), kTail.size());
     // One write() per line keeps a kill from interleaving two cells;
     // the worst case is one torn tail, which readers drop.
     if (::write(fd_, line.data(), line.size()) !=

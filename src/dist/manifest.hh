@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace busarb {
@@ -100,6 +101,22 @@ ManifestReadStatus readManifest(const std::string &path,
                                 std::string &error);
 
 /**
+ * Read only a manifest's header line, checking its shape and version
+ * as readManifest does but nothing it would need an expected header
+ * for. The coordinator uses it to see which cell ranges the
+ * checkpoints in a shard directory were written for.
+ *
+ * @param path Manifest file path.
+ * @param out Receives the header on kOk.
+ * @param error Receives a diagnostic on kIoError/kCorrupt.
+ * @retval kMissing No file, or no complete header line yet (a torn
+ *         header is a fresh manifest).
+ */
+ManifestReadStatus readManifestHeader(const std::string &path,
+                                      ManifestHeader &out,
+                                      std::string &error);
+
+/**
  * Append-only manifest writer with per-line durability.
  *
  * Not copyable; closes its descriptor on destruction.
@@ -161,10 +178,10 @@ std::string hexEncode(const std::vector<std::uint8_t> &data);
  * Decode hexEncode output.
  *
  * @param text Candidate text; must be even-length lowercase hex.
- * @param out Receives the bytes on success.
+ * @param out Receives the bytes; sized once, to text.size() / 2.
  * @retval false Malformed hex.
  */
-bool hexDecode(const std::string &text, std::vector<std::uint8_t> &out);
+bool hexDecode(std::string_view text, std::vector<std::uint8_t> &out);
 
 /** @return FNV-1a 64 checksum of `data` (cell-line integrity check). */
 std::uint64_t manifestChecksum(const std::vector<std::uint8_t> &data);

@@ -8,47 +8,40 @@
 namespace busarb {
 
 MergeStatus
-collectShardResults(const std::string &dir,
-                    const std::vector<ShardRange> &plan,
-                    std::uint64_t fingerprint,
-                    std::vector<ScenarioResult> &out, std::string &error)
+collectShard(const std::string &dir, const ShardRange &shard,
+             std::uint64_t fingerprint, std::vector<ScenarioResult> &out,
+             std::string &error)
 {
-    std::size_t cells = 0;
-    for (const ShardRange &shard : plan)
-        cells += shard.size();
-    out.assign(cells, ScenarioResult{});
-
-    for (const ShardRange &shard : plan) {
-        const std::string path = shardManifestPath(dir, shard.index);
-        const ManifestHeader expected{fingerprint, shard.index,
-                                      shard.begin, shard.end};
-        ManifestContents contents;
-        switch (readManifest(path, expected, contents, error)) {
-        case ManifestReadStatus::kOk:
-            break;
-        case ManifestReadStatus::kMissing:
-            error = path + ": manifest missing";
-            return MergeStatus::kIncomplete;
-        case ManifestReadStatus::kIoError:
-            return MergeStatus::kIoError;
-        case ManifestReadStatus::kCorrupt:
+    if (out.size() < shard.end)
+        out.resize(shard.end);
+    const std::string path = shardManifestPath(dir, shard.index);
+    const ManifestHeader expected{fingerprint, shard.index, shard.begin,
+                                  shard.end};
+    ManifestContents contents;
+    switch (readManifest(path, expected, contents, error)) {
+    case ManifestReadStatus::kOk:
+        break;
+    case ManifestReadStatus::kMissing:
+        error = path + ": manifest missing";
+        return MergeStatus::kIncomplete;
+    case ManifestReadStatus::kIoError:
+        return MergeStatus::kIoError;
+    case ManifestReadStatus::kCorrupt:
+        return MergeStatus::kCorrupt;
+    }
+    if (contents.cells.size() != shard.size()) {
+        error = path + ": only " + std::to_string(contents.cells.size()) +
+                " of " + std::to_string(shard.size()) +
+                " cells are checkpointed";
+        return MergeStatus::kIncomplete;
+    }
+    for (const auto &[cell, record] : contents.cells) {
+        std::string decode_error;
+        if (!decodeScenarioResult(record.data(), record.size(), out[cell],
+                                  decode_error)) {
+            error = path + ": cell " + std::to_string(cell) + ": " +
+                    decode_error;
             return MergeStatus::kCorrupt;
-        }
-        if (contents.cells.size() != shard.size()) {
-            error = path + ": only " +
-                    std::to_string(contents.cells.size()) + " of " +
-                    std::to_string(shard.size()) +
-                    " cells are checkpointed";
-            return MergeStatus::kIncomplete;
-        }
-        for (const auto &[cell, record] : contents.cells) {
-            std::string decode_error;
-            if (!decodeScenarioResult(record.data(), record.size(),
-                                      out[cell], decode_error)) {
-                error = path + ": cell " + std::to_string(cell) + ": " +
-                        decode_error;
-                return MergeStatus::kCorrupt;
-            }
         }
     }
     error.clear();

@@ -2,13 +2,14 @@
  * @file
  * Deterministic reassembly of a sharded sweep's results.
  *
- * After every shard's manifest is complete, the coordinator decodes
- * the checkpointed records back into ScenarioResult values, ordered by
- * global cell index — exactly the vector runScenarioGrid would have
- * returned in-process. All artifact emission (summary CSV, merged
- * metrics, concatenated traces, snapshot JSONL) then runs the same
- * code over the same values, which is what makes the merged artifacts
- * byte-identical to a single-process run at any shard count.
+ * As each worker exits, the coordinator decodes its shard's
+ * checkpointed records back into ScenarioResult values at their global
+ * cell indices; once the last shard is in, the vector is exactly the
+ * one runScenarioGrid would have returned in-process. All artifact
+ * emission (summary CSV, merged metrics, concatenated traces,
+ * snapshot JSONL) then runs the same code over the same values, which
+ * is what makes the merged artifacts byte-identical to a
+ * single-process run at any shard count.
  */
 
 #ifndef BUSARB_DIST_MERGE_HH
@@ -22,30 +23,31 @@
 
 namespace busarb {
 
-/** Outcome of collectShardResults. */
+/** Outcome of collectShard. */
 enum class MergeStatus {
-    kOk,         ///< every cell recovered
-    kIncomplete, ///< a manifest is missing cells (or missing entirely)
+    kOk,         ///< every cell of the shard recovered
+    kIncomplete, ///< the manifest is missing cells (or missing entirely)
     kCorrupt,    ///< corrupt manifest or undecodable record; exit 2
     kIoError,    ///< a manifest could not be read; exit 1
 };
 
 /**
- * Recover the full grid's results from the shard manifests in `dir`.
+ * Recover one shard's results from its manifest in `dir`. The
+ * dispatcher calls it as each worker exits 0, so the reads overlap
+ * the workers that are still running.
  *
  * @param dir Shard directory.
- * @param plan The shard plan (shard_plan.hh) the manifests were
- *        written under.
- * @param fingerprint Sweep fingerprint the manifests must carry.
- * @param out Receives one result per grid cell, in cell order, on kOk.
+ * @param shard The shard (shard_plan.hh) to collect.
+ * @param fingerprint Sweep fingerprint the manifest must carry.
+ * @param out The grid's results, grown to at least `shard.end`
+ *        entries; on kOk entries [begin, end) hold the shard's cells.
  * @param error Receives a diagnostic on any other status.
  * @return Merge status.
  */
-MergeStatus collectShardResults(const std::string &dir,
-                                const std::vector<ShardRange> &plan,
-                                std::uint64_t fingerprint,
-                                std::vector<ScenarioResult> &out,
-                                std::string &error);
+MergeStatus collectShard(const std::string &dir, const ShardRange &shard,
+                         std::uint64_t fingerprint,
+                         std::vector<ScenarioResult> &out,
+                         std::string &error);
 
 /**
  * Count the completed cells recorded in one shard manifest, cheaply

@@ -73,7 +73,7 @@ fingerprintHex(std::uint64_t fingerprint)
 }
 
 bool
-parseFingerprintHex(const std::string &text, std::uint64_t &out)
+parseFingerprintHex(std::string_view text, std::uint64_t &out)
 {
     if (text.size() != 16)
         return false;

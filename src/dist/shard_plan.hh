@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace busarb {
@@ -77,7 +78,7 @@ std::string fingerprintHex(std::uint64_t fingerprint);
  * @param out Receives the value on success.
  * @retval false Not a 16-digit lowercase hex string.
  */
-bool parseFingerprintHex(const std::string &text, std::uint64_t &out);
+bool parseFingerprintHex(std::string_view text, std::uint64_t &out);
 
 /** @return Path of the canonical grid spec inside a shard directory. */
 std::string gridSpecPath(const std::string &dir);
