@@ -12,7 +12,6 @@
 
 #include <iostream>
 
-#include "bench_common.hh"
 #include "core/cost_model.hh"
 #include "experiment/table.hh"
 
@@ -20,14 +19,13 @@ int
 main()
 {
     using namespace busarb;
-    using namespace busarb::bench;
 
     std::cout << "Wiring cost and nominal arbitration delay per "
                  "protocol\n(arb + broadcast + control lines; delay in "
                  "end-to-end propagations)\n";
 
     for (int n : {10, 30, 64}) {
-        heading(std::to_string(n) + " agents");
+        std::cout << "\n=== " << n << " agents ===\n\n";
         TextTable table({"Protocol", "Full lines", "Full delay",
                          "Patterned lines", "Patterned delay"});
         const auto row = [&](const std::string &name, WiringCost full,

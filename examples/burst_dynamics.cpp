@@ -5,30 +5,40 @@
  * All the fair protocols drain a backlog at the same rate (the bus is
  * work-conserving), but they hand out the pain very differently. This
  * example slams an 8-agent bus with a synchronized burst of requests
- * per agent, samples the backlog and utilization in half-unit windows
- * with a TimelineProbe, and prints drain curves for two protocols side
- * by side — plus which agent was still waiting at the end under each.
+ * per agent, samples the backlog and utilization every two units with
+ * a self-rescheduling event, and prints drain curves for two protocols
+ * side by side — plus which agent was still waiting at the end under
+ * each.
  *
  * Usage: burst_dynamics [burst_per_agent]   (default 6)
  */
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "experiment/protocol_registry.hh"
 #include "experiment/table.hh"
-#include "experiment/timeline.hh"
 #include "sim/event_queue.hh"
 
 namespace {
 
 using namespace busarb;
 
+/** The bus at the end of one sampling window. */
+struct Sample
+{
+    double time = 0.0;
+    std::uint64_t outstanding = 0; ///< requests waiting or in service
+    double utilization = 0.0;      ///< busy share of the window
+};
+
 struct DrainResult
 {
-    std::vector<TimelineSample> samples;
+    std::vector<Sample> samples;
     double lastServiceTime = 0.0;
     double agentOneFirstService = 0.0;
 };
@@ -52,8 +62,22 @@ drain(const char *key, int n, int burst)
         }
     } last;
     bus.setObserver(&last);
-    TimelineProbe probe(queue, bus, 2.0);
-    probe.start();
+    // Sample at the end of every window; busyTicks is credited at
+    // tenure start for the whole transfer, so a window's share can
+    // exceed 1 and is clamped.
+    DrainResult result;
+    const Tick window = unitsToTicks(2.0);
+    Tick last_busy = bus.busyTicks();
+    std::function<void()> sample = [&] {
+        const Tick busy = bus.busyTicks();
+        result.samples.push_back(
+            {ticksToUnits(queue.now()), bus.outstandingRequests(),
+             std::min(1.0, static_cast<double>(busy - last_busy) /
+                               static_cast<double>(window))});
+        last_busy = busy;
+        queue.scheduleIn(window, [&] { sample(); }, kPriStats);
+    };
+    queue.scheduleIn(window, [&] { sample(); }, kPriStats);
     queue.schedule(0, [&, n, burst] {
         for (int b = 0; b < burst; ++b) {
             for (AgentId a = 1; a <= n; ++a)
@@ -62,8 +86,6 @@ drain(const char *key, int n, int burst)
     });
     const Tick horizon = unitsToTicks(2.0 * n * burst);
     queue.run(horizon);
-    DrainResult result;
-    result.samples = probe.samples();
     result.lastServiceTime = last.time;
     result.agentOneFirstService = last.agentOneFirst;
     return result;

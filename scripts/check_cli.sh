@@ -311,6 +311,41 @@ table_case "negative cv axis" "key 'cv' must be finite and >= 0" \
 table_case "worst-case with loads" "family 'worst-case' takes no loads" \
     "[workload]" "family = worst-case" "[sweep]" "loads = 1" \
     "protocols = rr1"
+# The distribution quantities and the batch-size axis resolve at parse
+# time too, each error naming its line.
+table_case "overlap of an unswept protocol" \
+    "line 8: key 'column': overlap(rr1,rr2): 'rr2' is not in" \
+    "$SWEEP" "column = V = overlap(rr1,rr2) @ rr1"
+table_case "overlap of one protocol" \
+    "line 8: key 'column': overlap(rr1,rr1) needs two different" \
+    "$SWEEP" "column = V = overlap(rr1,rr1) @ rr1"
+table_case "negative cdf point" \
+    "line 8: key 'column': cdf(-1) needs a finite t >= 0" \
+    "$SWEEP" "column = F = cdf(-1) @ rr1"
+table_case "nan cdf point" "line 8: key 'column': cdf(nan) needs a finite" \
+    "$SWEEP" "column = F = cdf(nan) @ rr1"
+table_case "zero batch-size axis" \
+    "line 6: key 'batch-size' must be >= 1, got '0'" \
+    "[workload]" "load = 2" "[sweep]" "batch-size = 0" "protocols = rr1"
+# table_case's [run] sets batch-size: the swept key is refused at the
+# [sweep] line.
+table_case "batch-size in [run] and [sweep]" \
+    "line 6: key 'batch-size' is swept in \\[sweep\\]; drop it from" \
+    "[workload]" "load = 2" "[sweep]" "batch-size = 250 1000" \
+    "protocols = rr1"
+# An axis value listed twice would run its cells twice under one label:
+# a file names its line and key, a flag the flag.
+table_case "repeated load" "line 4: key 'loads' must not repeat a value" \
+    "[sweep]" "loads = 1 2 1" "protocols = rr1"
+table_case "repeated cv" "line 6: key 'cv' must not repeat a value" \
+    "[workload]" "load = 1" "[sweep]" "cv = 0 0.5 0" "protocols = rr1"
+table_case "repeated protocol" \
+    "line 5: key 'protocols' must not repeat a value, got 'rr1'" \
+    "[sweep]" "loads = 1" "protocols = rr1 rr1"
+expect 2 "busarb_sweep: --loads must not repeat a value, got 1" \
+    "sweep repeated --loads" "$sweep" --protocols rr1 --loads 1,2,1
+expect 2 "busarb_sweep: --protocols must not repeat a value, got rr1" \
+    "sweep repeated --protocols" "$sweep" --protocols rr1,rr1 --loads 1
 # A single run refuses a row axis of several values, whichever key.
 printf '[workload]\nload = 1\n[sweep]\ncv = 0 1\n' > "$tmp/cv.grid"
 expect 2 "sweeps 2 cv values" "sim cv axis" "$sim" --scenario "$tmp/cv.grid"

@@ -25,6 +25,10 @@
 #      thread interleaving, may never be observable in any artifact.
 #      (check_shard.sh drills the orchestration layer itself — crash
 #      recovery, refusal paths, corrupt manifests.)
+#   6. Every run collects its waiting-time histogram, but only
+#      busarb_sim --histogram-csv adds it to --metrics-out
+#      (wait.histogram, the same bytes at any --jobs): a sweep's
+#      metrics and a run's without the flag hold none.
 #   8. Settle timing: every signal-level protocol at 70 agents (two
 #      64-agent mask words), with pass durations taken from the
 #      wired-OR settle model, is byte-identical at --jobs 1, --jobs 8
@@ -93,6 +97,41 @@ for f in serial.trace serial-metrics.csv serial-timing.csv; do
         exit 1
     fi
 done
+
+# 6. The waiting-time histogram reaches the metrics only through
+# busarb_sim --histogram-csv, one wait.histogram per protocol.
+if grep -q "wait\.histogram" "$tmp/serial-metrics.csv"; then
+    echo "FAIL: busarb_sweep metrics hold a wait.histogram" >&2
+    exit 1
+fi
+run_hist() {
+    "$sim" --protocol rr1 --compare fcfs1 --agents 6 --load 1.5 \
+           --batches 2 --batch-size 300 --warmup 300 --jobs "$1" \
+           --histogram-csv "$2" --metrics-out "$3" > /dev/null
+}
+run_hist 1 "$tmp/hist-serial.csv" "$tmp/hist-serial-metrics.csv"
+run_hist 8 "$tmp/hist-parallel.csv" "$tmp/hist-parallel-metrics.csv"
+if ! cmp -s "$tmp/hist-serial.csv" "$tmp/hist-parallel.csv" ||
+        ! cmp -s "$tmp/hist-serial-metrics.csv" \
+            "$tmp/hist-parallel-metrics.csv"; then
+    echo "FAIL: --jobs 8 busarb_sim histogram or metrics CSV differs" \
+         "from --jobs 1" >&2
+    exit 1
+fi
+if [ "$(grep -c "\.wait\.histogram,histogram,600," \
+        "$tmp/hist-serial-metrics.csv")" -ne 2 ]; then
+    echo "FAIL: --histogram-csv metrics lack a 600-wait" \
+         "wait.histogram per protocol" >&2
+    exit 1
+fi
+"$sim" --protocol rr1 --agents 6 --load 1.5 --batches 2 \
+       --batch-size 300 --warmup 300 --metrics-out "$tmp/nohist.csv" \
+       > /dev/null
+if grep -q "wait\.histogram" "$tmp/nohist.csv"; then
+    echo "FAIL: busarb_sim metrics hold a wait.histogram without" \
+         "--histogram-csv" >&2
+    exit 1
+fi
 
 # Snapshot determinism: the fairness auditor's and health monitor's
 # JSONL streams are keyed to simulated time, so a two-cell --compare

@@ -5,9 +5,9 @@
 #
 #   - --help and --list-* of the four tools;
 #   - the 10 examples with their ctest arguments;
-#   - the five table harnesses at BUSARB_BENCH_BATCH=200, and
-#     busarb_sweep's tables for each paper grid in bench/tables at
-#     batch-size 200 (the working tree's grids on both builds);
+#   - cost_comparison, and busarb_sweep's tables for each paper grid in
+#     bench/tables at batch-size 200, or as written for a grid that
+#     sets batch-size itself (the working tree's grids on both builds);
 #   - busarb_sweep's stdout, CSV, metrics, trace and snapshots for a
 #     closed grid and an open mmpp grid, in-process and at --shards 2;
 #   - cross-build resume: each build --resumes the closed grid's
@@ -21,10 +21,12 @@
 #     ArbitrationPass::settle() (the RR family, FCFS and hybrid with
 #     their counter variants, fixed, AAP and WRR), closed and open mmpp,
 #     at 10, 70 and 130 agents: one, two and three mask words;
-#   - busarb_sim's stdout, batches CSV and histogram CSV, and three
-#     flag-built runs that between them give every scenario flag a
-#     value other than its default, with their metrics (whose
-#     scenario.spec annotation is the flag-built spec's format());
+#   - busarb_sim's stdout, batches CSV and histogram CSV, a run with
+#     --histogram-csv and --metrics-out (whose metrics hold
+#     wait.histogram), and three flag-built runs that between them give
+#     every scenario flag a value other than its default, with their
+#     metrics (whose scenario.spec annotation is the flag-built spec's
+#     format());
 #   - busarb_report in md and html.
 #
 # Host timing is masked: the value of elapsed_ms=, the summary's sim
@@ -67,8 +69,7 @@ tools="busarb_sim busarb_sweep busarb_trace busarb_report"
 examples="quickstart:1.0 fairness_demo:6 priority_traffic:0.2
           multi_outstanding:2 custom_protocol bus_monitor:rr3 trace_replay
           multiprocessor_speedup burst_dynamics:3 bursty_sources"
-harnesses="figure_4_1_wait_cdf table_4_3_overlap ablation_settle_timing
-           ablation_batch_size cost_comparison"
+harnesses="cost_comparison"
 targets="busarb_sim_tool busarb_sweep busarb_trace busarb_report $harnesses"
 for e in $examples; do
     targets="$targets ${e%%:*}"
@@ -140,11 +141,13 @@ run_corpus() {
     done
 
     for h in $harnesses; do
-        capture "bench.$h" env BUSARB_BENCH_BATCH=200 "$bin/bench/$h"
+        capture "bench.$h" "$bin/bench/$h"
     done
     for grid in "$root"/bench/tables/*.grid; do
         name="$(basename "$grid" .grid)"
-        { cat "$grid"; printf '\n[run]\nbatch-size = 200\n'; } > "$name.grid"
+        cp "$grid" "$name.grid"
+        grep -q '^batch-size *=' "$grid" ||
+            printf '\n[run]\nbatch-size = 200\n' >> "$name.grid"
         capture "table.$name" "$sweep" --grid "$name.grid"
         rm "$name.grid"
     done
@@ -199,6 +202,10 @@ run_corpus() {
         --agents 8 --load 2.0 --batches 3 --batch-size 400 --warmup 400 \
         --fairness --health --batches-csv sim.batches.csv \
         --histogram-csv sim.histogram.csv
+    capture sim-histogram.stdout "$sim" --protocol rr1 --compare fcfs1 \
+        --agents 6 --load 1.5 --batches 3 --batch-size 300 --warmup 300 \
+        --histogram-csv sim-histogram.csv \
+        --metrics-out sim-histogram.metrics.csv
     # shellcheck disable=SC2086
     capture sim-open.stdout "$sim" --protocol rr1 --agents 16 --load 0.9 \
         --source open:dist=mmpp,burst=8,gap=32,ratio=10 --batches 3 \

@@ -16,8 +16,9 @@
 #   4. A corrupt checkpoint (flipped hex digit in a cell record) and a
 #      manifest version mismatch must both exit 2, never silently
 #      merge bad data.
-#   5. A paper grid's [table] output at --shards 2 must equal the
-#      in-process tables (the elapsed_ms line masked).
+#   5. Two paper grids' [table] output at --shards 2 must equal the
+#      in-process tables (the elapsed_ms line masked); Table 4.3's
+#      columns read the waiting-time histograms in the records.
 #   6. A --resume under a different --shards must exit 2 naming
 #      --shards before any task file is written or any worker runs.
 #
@@ -174,20 +175,25 @@ if [ "$code" -ne 2 ]; then
 fi
 
 # 5. Paper tables: the coordinator prints the same [table] sections
-# from merged checkpoints as an in-process run does.
-{
-    cat "$(dirname "$0")/../bench/tables/table_4_1_4_2_n10.grid"
-    printf '\n[run]\nbatch-size = 200\n'
-} > "$tmp/paper.grid"
-"$sweep" --grid "$tmp/paper.grid" | grep -v elapsed_ms= > "$tmp/paper.ref"
-"$sweep" --grid "$tmp/paper.grid" --shards 2 --shard-dir "$tmp/pshards" |
-    grep -v elapsed_ms= > "$tmp/paper.shard"
-if ! grep -q "=== Table 4.2(a)" "$tmp/paper.ref" ||
-        ! cmp -s "$tmp/paper.ref" "$tmp/paper.shard"; then
-    echo "FAIL: sharded paper tables differ from in-process" >&2
-    diff "$tmp/paper.ref" "$tmp/paper.shard" >&2 || true
-    exit 1
-fi
+# from merged checkpoints as an in-process run does. Table 4.3 reads
+# each cell's waiting-time histogram, which travels in the records.
+for paper in table_4_1_4_2_n10:4.2 table_4_3_n10:4.3; do
+    {
+        cat "$(dirname "$0")/../bench/tables/${paper%:*}.grid"
+        printf '\n[run]\nbatch-size = 200\n'
+    } > "$tmp/paper.grid"
+    "$sweep" --grid "$tmp/paper.grid" | grep -v elapsed_ms= \
+        > "$tmp/paper.ref"
+    rm -rf "$tmp/pshards"
+    "$sweep" --grid "$tmp/paper.grid" --shards 2 \
+        --shard-dir "$tmp/pshards" | grep -v elapsed_ms= > "$tmp/paper.shard"
+    if ! grep -q "=== Table ${paper#*:}(a)" "$tmp/paper.ref" ||
+            ! cmp -s "$tmp/paper.ref" "$tmp/paper.shard"; then
+        echo "FAIL: sharded ${paper%:*} tables differ from in-process" >&2
+        diff "$tmp/paper.ref" "$tmp/paper.shard" >&2 || true
+        exit 1
+    fi
+done
 
 # 6. Checkpoints written with --shards 3 cover other cell ranges than
 # --shards 5 plans: the resume is refused up front, so no shard 3 or 4

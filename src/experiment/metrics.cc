@@ -6,11 +6,9 @@
 
 namespace busarb {
 
-MetricsCollector::MetricsCollector(int num_agents, double hist_bin_width,
-                                   std::size_t hist_bins)
+MetricsCollector::MetricsCollector(int num_agents)
     : agents_(static_cast<std::size_t>(num_agents) + 1),
-      overlapLimit_(static_cast<std::size_t>(num_agents) + 1, 0.0),
-      histogram_(hist_bin_width, hist_bins)
+      overlapLimit_(static_cast<std::size_t>(num_agents) + 1, 0.0)
 {
     BUSARB_ASSERT(num_agents >= 1, "need at least one agent");
 }
@@ -46,32 +44,6 @@ MetricsCollector::onServiceEnd(const Request &req, Tick now)
     batchWait_.add(wait);
     if (histogramEnabled_)
         histogram_.add(wait);
-    if (!agentHistograms_.empty())
-        agentHistograms_[static_cast<std::size_t>(req.agent - 1)]
-            .add(wait);
-}
-
-void
-MetricsCollector::enablePerAgentHistograms()
-{
-    if (!agentHistograms_.empty())
-        return;
-    const std::size_t n = agents_.size() - 1;
-    agentHistograms_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        agentHistograms_.emplace_back(histogram_.binWidth(),
-                                      histogram_.numBins());
-}
-
-const Histogram &
-MetricsCollector::agentHistogram(AgentId agent) const
-{
-    BUSARB_ASSERT(!agentHistograms_.empty(),
-                  "per-agent histograms are not enabled");
-    BUSARB_ASSERT(agent >= 1 &&
-                  agent <= static_cast<AgentId>(agentHistograms_.size()),
-                  "agent id out of range: ", agent);
-    return agentHistograms_[static_cast<std::size_t>(agent - 1)];
 }
 
 void

@@ -24,6 +24,13 @@
 namespace busarb {
 
 /**
+ * The waiting-time histogram's binning: 0.25-unit bins up to W = 300,
+ * past the longest wait of the paper's largest system (64 agents).
+ */
+inline constexpr double kWaitBinWidth = 0.25;
+inline constexpr std::size_t kWaitBins = 1200;
+
+/**
  * Accumulates per-agent and global service statistics.
  *
  * All sums are cumulative; the experiment runner computes per-batch
@@ -42,13 +49,8 @@ class MetricsCollector : public BusObserver, public ThinkSink
         double thinkSum = 0.0;     ///< productive think time
     };
 
-    /**
-     * @param num_agents Number of agents (identities 1..N).
-     * @param hist_bin_width Waiting-time histogram bin width.
-     * @param hist_bins Waiting-time histogram bin count.
-     */
-    MetricsCollector(int num_agents, double hist_bin_width = 0.25,
-                     std::size_t hist_bins = 1200);
+    /** @param num_agents Number of agents (identities 1..N). */
+    explicit MetricsCollector(int num_agents);
 
     /** Set the overlap limit V used for agent `agent` (Table 4.3). */
     void setOverlapLimit(AgentId agent, double overlap);
@@ -81,27 +83,14 @@ class MetricsCollector : public BusObserver, public ThinkSink
      */
     const RunningStats &batchWaitStats() const { return batchWait_; }
 
-    /** Start recording waiting times into the histogram. */
+    /**
+     * Start recording waiting times into the histogram. The runner
+     * calls it once warm-up ends, so warm-up waits stay out.
+     */
     void enableHistogram() { histogramEnabled_ = true; }
 
     /** @return Waiting-time histogram (empty until enabled). */
     const Histogram &histogram() const { return histogram_; }
-
-    /**
-     * Additionally record one waiting-time histogram per agent
-     * (allocates num_agents histograms; off by default). Implies
-     * enableHistogram semantics for the per-agent data only.
-     */
-    void enablePerAgentHistograms();
-
-    /** @return True when per-agent histograms are being recorded. */
-    bool perAgentHistogramsEnabled() const
-    {
-        return !agentHistograms_.empty();
-    }
-
-    /** @return Waiting-time histogram of one agent (must be enabled). */
-    const Histogram &agentHistogram(AgentId agent) const;
 
   private:
     std::vector<AgentSums> agents_;   // index by agent id, slot 0 unused
@@ -109,9 +98,8 @@ class MetricsCollector : public BusObserver, public ThinkSink
     std::uint64_t totalCompletions_ = 0;
     double totalWaitSum_ = 0.0;
     RunningStats batchWait_;
-    Histogram histogram_;
+    Histogram histogram_{kWaitBinWidth, kWaitBins};
     bool histogramEnabled_ = false;
-    std::vector<Histogram> agentHistograms_; // index 0 -> agent 1
 };
 
 } // namespace busarb

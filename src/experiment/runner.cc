@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "experiment/job_pool.hh"
-#include "experiment/metrics.hh"
 #include "experiment/workload_registry.hh"
 #include "obs/binary_trace.hh"
 #include "obs/export_format.hh"
@@ -135,11 +134,6 @@ populateMetrics(MetricsRegistry &m, const ScenarioConfig &config,
                 .set(sums.queueWaitSum /
                      static_cast<double>(sums.completions));
         }
-    }
-    if (config.collectHistogram) {
-        m.histogram("wait.histogram", config.histBinWidth,
-                    config.histBins)
-            .merge(collector.histogram());
     }
 }
 
@@ -284,8 +278,7 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
     RunSinks sinks(config, protocol_name);
     bus.setTracer(sinks.tracer());
 
-    MetricsCollector collector(config.numAgents, config.histBinWidth,
-                               config.histBins);
+    MetricsCollector collector(config.numAgents);
 
     // Self-profiler: one per run, owned here, so no hot-path locks. Its
     // wall-clock phases are host-only; the simulation never reads them.
@@ -357,17 +350,13 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
                             RunPhase::kWarmup);
         run_until(config.warmup);
     }
-    if (config.collectHistogram)
-        collector.enableHistogram();
-    if (config.collectPerAgentHistograms)
-        collector.enablePerAgentHistograms();
+    collector.enableHistogram();
 
     ScenarioResult result;
     result.protocolName = protocol_name;
     result.workloadSpec = config.workloadSpec;
     result.numAgents = config.numAgents;
     result.confidence = config.confidence;
-    result.waitHistogram = Histogram(config.histBinWidth, config.histBins);
 
     // Open-loop runs can outrun the bus; snapshot the issue counter at
     // the measurement boundary so backlog growth (not its warm-up
@@ -434,11 +423,6 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
     ProfilePhaseTimer drain_timer(profile ? &profiler : nullptr,
                                   RunPhase::kDrain);
     result.waitHistogram = collector.histogram();
-    if (config.collectPerAgentHistograms) {
-        for (AgentId a = 1; a <= config.numAgents; ++a)
-            result.agentWaitHistograms.push_back(
-                collector.agentHistogram(a));
-    }
     populateMetrics(result.metrics, config, queue, bus, collector);
     // workload.* observables exist only for open-loop sources: closed
     // loops cannot build backlog, and the closed path's artifacts must
@@ -680,7 +664,7 @@ double
 ScenarioResult::waitPercentile(double p) const
 {
     BUSARB_ASSERT(waitHistogram.count() > 0,
-                  "waitPercentile needs collectHistogram = true");
+                  "waitPercentile of a result with no measured waits");
     return waitHistogram.quantile(p);
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bus/protocol.hh"
+#include "experiment/metrics.hh"
 #include "obs/metrics_registry.hh"
 #include "obs/profiler.hh"
 #include "obs/run_health.hh"
@@ -130,8 +131,12 @@ struct ScenarioResult
      */
     double elapsedMs = 0.0;
 
-    /** Waiting-time histogram over the whole measurement period. */
-    Histogram waitHistogram{0.25, 1200};
+    /**
+     * Waiting-time histogram over the whole measurement period (warm-up
+     * excluded), collected on every run; the grid tables' cdf(t) and
+     * overlap quantities read it.
+     */
+    Histogram waitHistogram{kWaitBinWidth, kWaitBins};
 
     /**
      * Binary event trace of the run; empty unless
@@ -142,18 +147,13 @@ struct ScenarioResult
 
     /**
      * Hierarchical metrics of the run (obs/metrics_registry.hh):
-     * bus.* counters, agent.NN.* per-agent measures, wait.* summary
-     * gauges (and wait.histogram when collectHistogram was set).
+     * bus.* counters, agent.NN.* per-agent measures and wait.* summary
+     * gauges (busarb_sim --histogram-csv adds waitHistogram as
+     * wait.histogram).
      * Accumulated per run — never shared across JobPool workers — and
      * mergeable deterministically by the caller.
      */
     MetricsRegistry metrics;
-
-    /**
-     * Per-agent waiting-time histograms (index i is agent i+1); empty
-     * unless ScenarioConfig::collectPerAgentHistograms was set.
-     */
-    std::vector<Histogram> agentWaitHistograms;
 
     /**
      * Fairness snapshot JSONL (obs/fairness_auditor.hh); empty unless
@@ -243,8 +243,8 @@ struct ScenarioResult
      * Waiting-time percentile from the collected histogram.
      *
      * @param p Probability in [0, 1].
-     * @return Approximate p-quantile of W; requires
-     *         ScenarioConfig::collectHistogram.
+     * @return Approximate p-quantile of W; the result must hold
+     *         measured waits (every run's does).
      */
     double waitPercentile(double p) const;
 };

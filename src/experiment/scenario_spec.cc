@@ -87,7 +87,7 @@ keysOf(const std::string &section)
         "batches", "batch-size", "warmup", "seed", "confidence"};
     static const std::vector<std::string> protocol = {"spec"};
     static const std::vector<std::string> sweep = {
-        "loads", "cv", "arb-overhead", "protocols"};
+        "loads", "cv", "arb-overhead", "batch-size", "protocols"};
     static const std::vector<std::string> table = {"title", "rows",
                                                    "column"};
     static const std::vector<std::string> none;
@@ -128,7 +128,7 @@ writtenDecimals(const std::string &text)
  * value is lo + i * step, printed at the inputs' decimals, so
  * 0.7:1.2:0.1 reads 0.7 0.8 0.9 1 1.1 1.2.
  *
- * @param noun The axis in diagnostics: "load", "cv", "arb-overhead".
+ * @param noun The axis in diagnostics: "load" or the [sweep] key.
  */
 bool
 expandAxisToken(const std::string &noun, const std::string &token,
@@ -189,18 +189,73 @@ std::string
 resolveColumn(const ScenarioSpec &spec, bool protocol_rows,
               TableSpec::Column &column)
 {
+    using Kind = TableSpec::Column::Kind;
+    // A quantity is `name` or `name(args)`.
     const std::string &q = column.quantity;
-    const auto comma = q.find(',');
+    const auto open = q.find('(');
+    const std::string name = q.substr(0, open);
+    const bool call = open != std::string::npos && q.back() == ')';
+    const std::string args =
+        call ? q.substr(open + 1, q.size() - open - 2) : "";
+    const auto comma = args.find(',');
+    const auto &protocols = spec.protocolSpecs;
+    const auto protocol_index = [&](const std::string &p) {
+        return static_cast<int>(
+            std::find(protocols.begin(), protocols.end(), p) -
+            protocols.begin());
+    };
+    const int swept = static_cast<int>(protocols.size());
     long a = 0, b = 0;
-    if (q.rfind("ratio(", 0) == 0 && q.back() == ')' &&
-        comma != std::string::npos && parseLong(q.substr(6, comma - 6), a) &&
-        parseLong(q.substr(comma + 1, q.size() - comma - 2), b)) {
+    if (call && name == "ratio" && comma != std::string::npos &&
+        parseLong(args.substr(0, comma), a) &&
+        parseLong(args.substr(comma + 1), b)) {
         if (std::min(a, b) < 1 || std::max(a, b) > spec.agents)
             return q + " needs agents in 1.." + std::to_string(spec.agents);
-        column.ratioNumer = static_cast<int>(a);
-        column.ratioDenom = static_cast<int>(b);
+        column.kind = Kind::kRatio;
+        column.a = static_cast<int>(a);
+        column.b = static_cast<int>(b);
+    } else if (call && name == "cdf") {
+        if (!parseDouble(args, column.t) ||
+            !(column.t >= 0.0 && std::isfinite(column.t)))
+            return q + " needs a finite t >= 0";
+        column.kind = Kind::kCdf;
+    } else if (call && (name == "overlap" || name == "overlap_residual" ||
+                        name == "overlap_productivity")) {
+        // A protocol spec may hold commas: split where both halves are
+        // swept protocols, else at the first comma.
+        auto split = comma;
+        for (auto c = comma; c != std::string::npos;
+             c = args.find(',', c + 1)) {
+            if (protocol_index(args.substr(0, c)) < swept &&
+                protocol_index(args.substr(c + 1)) < swept) {
+                split = c;
+                break;
+            }
+        }
+        if (split == std::string::npos)
+            return q + " needs two protocols, a and b";
+        const std::string pair[] = {args.substr(0, split),
+                                    args.substr(split + 1)};
+        for (const std::string &p : pair)
+            if (protocol_index(p) == swept)
+                return q + ": '" + p + "' is not in [sweep] protocols";
+        if (pair[0] == pair[1])
+            return q + " needs two different protocols";
+        column.a = protocol_index(pair[0]);
+        column.b = protocol_index(pair[1]);
+        column.kind = name == "overlap" ? Kind::kOverlap
+                      : name == "overlap_residual"
+                          ? Kind::kOverlapResidual
+                          : Kind::kOverlapProductivity;
+    } else if (q == "wait_lag1") {
+        column.kind = Kind::kWaitLag1;
+    } else if (q == "lines") {
+        column.kind = Kind::kLines;
     } else if (q != "offered") {
-        std::vector<std::string> names{"offered", "ratio(a,b)"};
+        std::vector<std::string> names{
+            "offered", "ratio(a,b)", "cdf(t)", "wait_lag1", "lines",
+            "overlap(a,b)", "overlap_residual(a,b)",
+            "overlap_productivity(a,b)"};
         for (const ResultEstimate &e : kResultEstimates) {
             names.push_back(e.key);
             if (q == e.key)
@@ -208,6 +263,7 @@ resolveColumn(const ScenarioSpec &spec, bool protocol_rows,
         }
         if (column.estimate == nullptr)
             return "unknown quantity '" + q + "'" + didYouMeanHint(q, names);
+        column.kind = Kind::kEstimate;
     }
     const auto &cells = protocol_rows ? spec.rowAxis() : spec.protocolSpecs;
     if (std::find(cells.begin(), cells.end(), column.at) == cells.end())
@@ -263,20 +319,30 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
         return source.name() + " needs a value";
 
     // Integer keys take the range of the field they set.
-    const auto want_int = [&](long min_value, auto &slot) -> std::string {
+    const auto want_int = [&](long min_value, auto &slot,
+                              const std::string &text) -> std::string {
         using Field = std::remove_reference_t<decltype(slot)>;
         const long max_value = std::numeric_limits<Field>::max();
         long parsed = 0;
-        if (!parseLong(value, parsed))
-            return source.bad("expects an integer", value);
+        if (!parseLong(text, parsed))
+            return source.bad("expects an integer", text);
         if (parsed < min_value || parsed > max_value)
             return source.bad(
                 "must be " + (parsed < min_value
                                   ? ">= " + std::to_string(min_value)
                                   : "<= " + std::to_string(max_value)),
-                value);
+                text);
         slot = static_cast<Field>(parsed);
         return "";
+    };
+    // An axis that lists a value twice would run its cells twice under
+    // one label.
+    const auto want_distinct = [&](const std::vector<std::string> &axis) {
+        for (std::size_t i = 1; i < axis.size(); ++i)
+            if (std::find(axis.begin(), axis.begin() + i, axis[i]) !=
+                axis.begin() + i)
+                return source.bad("must not repeat a value", axis[i]);
+        return std::string();
     };
     const auto want_double = [&](double min_value, bool exclusive,
                                  double &slot) -> std::string {
@@ -321,7 +387,8 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
                                      source.line});
         }
     } else if (section == "sweep" && key != "loads" && key != "protocols") {
-        // A cv or arb-overhead row axis: finite values >= 0.
+        // A cv or arb-overhead row axis takes finite values >= 0, and a
+        // batch-size axis the [run] key's integers.
         if (!spec.rowTokens.empty() && spec.rowKey != key)
             return "[sweep] sweeps both '" + spec.rowKey + "' and '" + key +
                    "'; a grid has one row axis";
@@ -331,26 +398,32 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
             if (!expandAxisToken(key, token, spec.rowTokens, why))
                 return source.token(why);
             for (std::size_t i = first; i < spec.rowTokens.size(); ++i) {
+                const std::string &row = spec.rowTokens[i];
                 double v = 0.0;
-                parseDouble(spec.rowTokens[i], v);
-                if (!(v >= 0.0 && std::isfinite(v)))
-                    return source.bad("must be finite and >= 0",
-                                      spec.rowTokens[i]);
+                long size = 0;
+                parseDouble(row, v);
+                if (key == "batch-size")
+                    why = want_int(1, size, row);
+                else if (!(v >= 0.0 && std::isfinite(v)))
+                    why = source.bad("must be finite and >= 0", row);
+                if (!why.empty())
+                    return why;
             }
         }
+        why = want_distinct(spec.rowTokens);
     } else if (key == "family") {
         if (value != "equal" && value != "unequal" && value != "worst-case")
             return source.bad("expects equal|unequal|worst-case", value) +
                    didYouMeanHint(value, {"equal", "unequal", "worst-case"});
         spec.family = value;
     } else if (key == "agents") {
-        why = want_int(1, spec.agents);
+        why = want_int(1, spec.agents, value);
     } else if (key == "cv") {
         why = want_double(0.0, false, spec.cv);
     } else if (key == "unequal-factor") {
         why = want_double(0.0, true, spec.unequalFactor);
     } else if (key == "max-outstanding") {
-        why = want_int(1, spec.maxOutstanding);
+        why = want_int(1, spec.maxOutstanding, value);
     } else if (key == "source") {
         WorkloadSpec parsed;
         if (!WorkloadRegistry::builtin().parseSpec(value, parsed, why))
@@ -358,7 +431,7 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
                                 "': " + why);
         spec.source = value;
     } else if (key == "hot-agents") {
-        why = want_int(0, spec.hotAgents);
+        why = want_int(0, spec.hotAgents, value);
     } else if (key == "hot-factor") {
         why = want_double(0.0, true, spec.hotFactor);
     } else if (key == "arb-overhead") {
@@ -368,11 +441,11 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
     } else if (key == "worst-case-settle") {
         why = want_bool(spec.worstCaseSettle);
     } else if (key == "batches") {
-        why = want_int(1, spec.batches);
+        why = want_int(1, spec.batches, value);
     } else if (key == "batch-size") {
-        why = want_int(1, spec.batchSize);
+        why = want_int(1, spec.batchSize, value);
     } else if (key == "warmup") {
-        why = want_int(0, spec.warmup);
+        why = want_int(0, spec.warmup, value);
         spec.warmupSet = true;
     } else if (key == "seed") {
         long negative = 0;
@@ -393,6 +466,7 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
         for (const auto &token : splitWhitespace(value))
             if (!expandAxisToken("load", token, spec.loadTokens, why))
                 return source.token(why);
+        why = want_distinct(spec.loadTokens);
     } else if (key == "spec" || key == "protocols") {
         for (const auto &token : splitWhitespace(value)) {
             ProtocolSpec parsed;
@@ -401,6 +475,7 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
                                     "': " + why);
             spec.protocolSpecs.push_back(token);
         }
+        why = want_distinct(spec.protocolSpecs);
     } else {
         BUSARB_PANIC("unhandled scenario key '", key, "'");
     }
@@ -518,8 +593,12 @@ ScenarioSpec::format() const
        << (worstCaseSettle ? "true" : "false") << "\n";
     os << "\n[run]\n";
     os << "batches = " << batches << "\n";
-    os << "batch-size = " << batchSize << "\n";
-    os << "warmup = " << formatUint(resolvedWarmup()) << "\n";
+    // A batch-size row warms up for its own batch size unless warmup
+    // is set.
+    if (rowKey != "batch-size")
+        os << "batch-size = " << batchSize << "\n";
+    if (rowKey != "batch-size" || warmupSet)
+        os << "warmup = " << formatUint(resolvedWarmup()) << "\n";
     os << "seed = " << formatUint(seed) << "\n";
     os << "confidence = " << formatDouble(confidence) << "\n";
     if (!loadTokens.empty() || !rowTokens.empty() ||
@@ -603,18 +682,23 @@ ScenarioSpec::cellProtocolSpec(std::size_t index) const
 ScenarioConfig
 ScenarioSpec::configForLoad(const std::string &token) const
 {
-    // A cv or arb-overhead row sets that key; every row runs at the
-    // one load.
+    // A cv, arb-overhead or batch-size row sets that key; every row
+    // runs at the one load.
     double row_cv = cv;
     double overhead = arbOverhead;
+    long batch = batchSize;
     std::string load_token = token;
-    if (rowKey != "loads") {
+    if (rowKey == "batch-size") {
+        BUSARB_ASSERT(parseLong(token, batch), "bad batch-size token '",
+                      token, "'");
+    } else if (rowKey != "loads") {
         double value = 0.0;
         BUSARB_ASSERT(parseDouble(token, value), "bad ", rowKey,
                       " token '", token, "'");
         (rowKey == "cv" ? row_cv : overhead) = value;
-        load_token = loadTokens.empty() ? "" : loadTokens.front();
     }
+    if (rowKey != "loads")
+        load_token = loadTokens.empty() ? "" : loadTokens.front();
     ScenarioConfig config;
     if (family == "worst-case") {
         config = worstCaseRrScenario(agents, row_cv);
@@ -644,8 +728,8 @@ ScenarioSpec::configForLoad(const std::string &token) const
     }
     config.workloadSpec = source;
     config.numBatches = batches;
-    config.batchSize = static_cast<std::uint64_t>(batchSize);
-    config.warmup = resolvedWarmup();
+    config.batchSize = static_cast<std::uint64_t>(batch);
+    config.warmup = static_cast<std::uint64_t>(warmupSet ? warmup : batch);
     config.seed = seed;
     config.confidence = confidence;
     config.bus.arbitrationOverhead = overhead;
@@ -733,16 +817,13 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
             setScenarioKey(spec, section, {key, line_no}, value);
         if (!why.empty())
             return fail(why);
-    }
-
-    // A key swept in [sweep] is not also a scalar of its own section.
-    if (spec.rowKey != "loads") {
-        const std::string scalar =
-            (spec.rowKey == "cv" ? "workload." : "bus.") + spec.rowKey;
-        if (seen.count(scalar) != 0) {
-            error = "key '" + spec.rowKey + "' is swept in [sweep]; drop "
-                    "it from [" + scalar.substr(0, scalar.find('.')) + "]";
-            return false;
+        // A key swept in [sweep] is not also a scalar of its own
+        // section; the later of the two lines is the error.
+        for (const auto &scalar : sectionNames()) {
+            if (spec.rowKey != "loads" &&
+                seen.count(scalar + "." + spec.rowKey) != 0)
+                return fail("key '" + spec.rowKey + "' is swept in "
+                            "[sweep]; drop it from [" + scalar + "]");
         }
     }
     // Errors across keys name no line, but for a [table]'s.

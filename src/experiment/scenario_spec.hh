@@ -45,8 +45,16 @@
  *     rows = protocols               # default: along the row axis
  *     column = t_N/t_1 = ratio_hi_lo @ 2   # header = quantity @ cell
  *
- * A grid has one row axis: `loads`, or `cv` or `arb-overhead` in
- * [sweep] (ranges allowed), with at most one load for every row.
+ * A grid has one row axis: `loads`, or `cv`, `arb-overhead` or
+ * `batch-size` in [sweep] (ranges allowed), with at most one load for
+ * every row; no axis lists a value twice. A batch-size row warms up
+ * for its own batch size unless [run] sets warmup.
+ *
+ * A [table] quantity is a kResultEstimates key or one of: offered,
+ * ratio(a,b) (agents a and b), cdf(t), wait_lag1, lines, and
+ * overlap(a,b), overlap_residual(a,b) and overlap_productivity(a,b)
+ * (protocols a and b of [sweep] protocols). docs/PROTOCOLS.md defines
+ * each.
  *
  * format() renders the canonical round-trip text, which the tools
  * record as the `scenario.spec` metrics annotation for provenance.
@@ -78,14 +86,28 @@ struct TableSpec
     struct Column
     {
         std::string header;
-        std::string quantity; ///< estimate key, ratio(a,b) or offered
+        std::string quantity; ///< as written, e.g. ratio(1,2)
         std::string at;       ///< a protocol spec, or a row-axis token
         int line = 0;
 
-        /** The resolved quantity; neither set means offered. */
-        const ResultEstimate *estimate = nullptr;
-        int ratioNumer = 0; ///< ratio(a,b) when > 0
-        int ratioDenom = 0;
+        /** The resolved quantity. */
+        enum class Kind {
+            kEstimate,
+            kOffered,
+            kRatio,
+            kCdf,
+            kWaitLag1,
+            kLines,
+            kOverlap,
+            kOverlapResidual,
+            kOverlapProductivity,
+        };
+        Kind kind = Kind::kOffered;
+        const ResultEstimate *estimate = nullptr; ///< kEstimate
+        /** ratio(a,b)'s agents, or overlap*(a,b)'s protocol indices. */
+        int a = 0;
+        int b = 0;
+        double t = 0.0; ///< cdf(t)
     };
 
     std::string title;
@@ -134,9 +156,10 @@ struct ScenarioSpec
 
     // Axes: verbatim tokens, so CSV row labels and metric prefixes are
     // stable however the spec was written. The row axis is the loads
-    // unless [sweep] lists `cv` or `arb-overhead` values (rowTokens);
-    // then loadTokens holds at most the one load every row runs at.
-    std::string rowKey = "loads"; // loads | cv | arb-overhead
+    // unless [sweep] lists `cv`, `arb-overhead` or `batch-size` values
+    // (rowTokens); then loadTokens holds at most the one load every
+    // row runs at.
+    std::string rowKey = "loads"; // loads | cv | arb-overhead | batch-size
     std::vector<std::string> loadTokens;
     std::vector<std::string> rowTokens;
     std::vector<std::string> protocolSpecs;
@@ -162,15 +185,15 @@ struct ScenarioSpec
     std::string format() const;
 
     /**
-     * The row axis the grid sweeps: rowTokens for a cv or arb-overhead
-     * axis, else loadTokens. Without a load axis (hasLoadAxis(): trace
-     * replay, or the worst-case family) it is the single placeholder
-     * token "-", so the grid still enumerates one cell per protocol and
-     * row labels stay well-formed.
+     * The row axis the grid sweeps: rowTokens for a cv, arb-overhead or
+     * batch-size axis, else loadTokens. Without a load axis
+     * (hasLoadAxis(): trace replay, or the worst-case family) it is the
+     * single placeholder token "-", so the grid still enumerates one
+     * cell per protocol and row labels stay well-formed.
      */
     const std::vector<std::string> &rowAxis() const;
 
-    /** @return The row axis in labels: "load", "cv" or "arb-overhead". */
+    /** @return The row axis in labels: "load" or the [sweep] key. */
     std::string rowName() const;
 
     /** @return Cell `index`'s row label, e.g. "load=2" or "cv=0.25". */
@@ -210,8 +233,9 @@ struct ScenarioSpec
      * for files and flags alike.
      *
      * @param load_token A token of the row axis: a load (ignored, and
-     *        may be "", when family is worst-case), or the cv or
-     *        arb-overhead value of a row that runs at the one load.
+     *        may be "", when family is worst-case), or the cv,
+     *        arb-overhead or batch-size value of a row that runs at the
+     *        one load.
      * @return The scenario configuration for that row.
      */
     ScenarioConfig configForLoad(const std::string &load_token) const;

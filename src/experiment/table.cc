@@ -5,9 +5,11 @@
 #include <ostream>
 #include <sstream>
 
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/scenario_spec.hh"
 #include "sim/logging.hh"
+#include "stats/autocorrelation.hh"
 
 namespace busarb {
 
@@ -19,6 +21,66 @@ displayWidth(const std::string &text)
 {
     return std::count_if(text.begin(), text.end(),
                          [](char c) { return (c & 0xC0) != 0x80; });
+}
+
+/** The text of `column` at grid cell `cell`. */
+std::string
+columnText(const ScenarioSpec &spec,
+           const std::vector<ScenarioResult> &results,
+           const TableSpec::Column &column, std::size_t cell)
+{
+    using Kind = TableSpec::Column::Kind;
+    const ScenarioResult &result = results.at(cell);
+    const Histogram &waits = result.waitHistogram;
+    // The overlap quantities read the cells of protocols a and b on
+    // this cell's row (cells run rows outer, protocols inner).
+    const std::size_t row_start = cell - cell % spec.protocolSpecs.size();
+    const auto overlap = [&] {
+        return overlapValue(
+            results.at(row_start + static_cast<std::size_t>(column.a))
+                .waitHistogram,
+            results.at(row_start + static_cast<std::size_t>(column.b))
+                .waitHistogram);
+    };
+    const auto config = [&] {
+        return spec.configForLoad(spec.cellLoadToken(cell));
+    };
+    switch (column.kind) {
+    case Kind::kEstimate: {
+        const ResultEstimate &e = *column.estimate;
+        return e.csv == CsvForm::kValueAndHalfWidth
+                   ? formatEstimate(e.compute(result), e.digits)
+                   : formatFixed(e.compute(result).value, e.digits);
+    }
+    case Kind::kOffered:
+        return formatFixed(config().totalOfferedLoad());
+    case Kind::kRatio:
+        return formatEstimate(result.throughputRatio(column.a, column.b));
+    case Kind::kCdf:
+        return formatFixed(waits.cdf(column.t), 3);
+    case Kind::kWaitLag1: {
+        std::vector<double> means;
+        for (const BatchStats &b : result.batches)
+            means.push_back(b.waitMean);
+        return formatFixed(autocorrelation(means, 1), 3);
+    }
+    case Kind::kLines: {
+        auto protocol = ProtocolRegistry::builtin().fromSpec(
+            spec.cellProtocolSpec(cell))();
+        protocol->reset(spec.agents);
+        return std::to_string(protocol->arbitrationLineCount());
+    }
+    case Kind::kOverlap:
+        return formatFixed(overlap(), 0);
+    case Kind::kOverlapResidual:
+        return formatFixed(waits.expectedExcess(overlap()));
+    case Kind::kOverlapProductivity: {
+        const double think = config().agents.front().meanInterrequest;
+        return formatFixed((think + waits.expectedMin(overlap())) /
+                           (think + result.meanWait().value));
+    }
+    }
+    BUSARB_PANIC("unhandled table quantity '", column.quantity, "'");
 }
 
 } // namespace
@@ -102,21 +164,7 @@ printGridTables(const ScenarioSpec &spec,
                 const std::size_t cell =
                     t.protocolRows ? a * protocols.size() + r
                                      : r * protocols.size() + a;
-                const ScenarioResult &result = results.at(cell);
-                if (const ResultEstimate *e = column.estimate) {
-                    cells.push_back(
-                        e->csv == CsvForm::kValueAndHalfWidth
-                            ? formatEstimate(e->compute(result), e->digits)
-                            : formatFixed(e->compute(result).value,
-                                          e->digits));
-                } else if (column.ratioNumer > 0) {
-                    cells.push_back(formatEstimate(result.throughputRatio(
-                        column.ratioNumer, column.ratioDenom)));
-                } else {
-                    cells.push_back(formatFixed(
-                        spec.configForLoad(spec.cellLoadToken(cell))
-                            .totalOfferedLoad()));
-                }
+                cells.push_back(columnText(spec, results, column, cell));
             }
             table.addRow(std::move(cells));
         }

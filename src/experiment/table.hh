@@ -48,7 +48,9 @@ std::string formatEstimate(const Estimate &e, int decimals = 2);
  * Print each [table] section of a grid under a "=== title ===" line.
  * Estimates print at the catalogue's digits, with "± hw" where the
  * sweep CSV carries a half-width; ratio(a,b) prints as an estimate and
- * offered as the cell's total offered load, both at 2 decimals.
+ * offered as the cell's total offered load, both at 2 decimals. cdf(t)
+ * and wait_lag1 print at 3 decimals, lines and overlap(a,b) as
+ * integers, and the overlap residual and productivity at 2 decimals.
  *
  * @param results One per grid cell, in cell order.
  */

@@ -60,21 +60,20 @@ Histogram::cdf(double x) const
     if (x < 0.0)
         return 0.0;
     // Count full bins whose upper edge is <= x, plus a linear fraction of
-    // the bin containing x.
+    // the bin containing x. Beyond the last bin (which a table's cdf(t)
+    // can ask for with any t) all regular mass is below; that is tested
+    // before the bin index is formed, which a huge x would overflow.
     const double pos = x / binWidth_;
+    if (!(pos < static_cast<double>(bins_.size())))
+        return static_cast<double>(total_ - overflow_) /
+               static_cast<double>(total_);
     const auto full = static_cast<std::size_t>(pos);
     std::uint64_t below = 0;
-    const std::size_t limit = std::min(full, bins_.size());
-    for (std::size_t i = 0; i < limit; ++i)
+    for (std::size_t i = 0; i < full; ++i)
         below += bins_[i];
     double mass = static_cast<double>(below);
-    if (full < bins_.size()) {
-        const double frac = pos - static_cast<double>(full);
-        mass += frac * static_cast<double>(bins_[full]);
-    } else {
-        // x reaches into the overflow region; all regular mass is below.
-        mass = static_cast<double>(total_ - overflow_);
-    }
+    const double frac = pos - static_cast<double>(full);
+    mass += frac * static_cast<double>(bins_[full]);
     return mass / static_cast<double>(total_);
 }
 
@@ -167,6 +166,19 @@ void
 Histogram::restoreSum(double sum)
 {
     sum_ += sum;
+}
+
+double
+overlapValue(const Histogram &a, const Histogram &b)
+{
+    for (double eps : {0.01, 0.001, 0.0001}) {
+        for (int v = 1; v <= 200; ++v) {
+            const double x = static_cast<double>(v);
+            if (a.cdf(x) < b.cdf(x) - eps)
+                return x;
+        }
+    }
+    return std::ceil(a.approximateMean());
 }
 
 } // namespace busarb

@@ -86,7 +86,7 @@ class Histogram
     /**
      * Approximate E[min(X, v)] from the bins.
      *
-     * Used by the Table 4.3 harness: the expected execution overlap
+     * Used by Table 4.3's productivity: the expected execution overlap
      * realized per request when up to `v` units of useful work can be
      * overlapped with a waiting time X. Bin mass is taken at the bin
      * midpoint; overflow mass contributes min(v, overflow edge) = v for
@@ -133,6 +133,21 @@ class Histogram
     std::uint64_t total_ = 0;
     double sum_ = 0.0; // exact sum of observations, for approximateMean
 };
+
+/**
+ * Table 4.3's overlap value V: the smallest integer v >= 1 with
+ * CDF_a(v) < CDF_b(v), "the point that maximizes the [b] advantage".
+ * The search first asks for a clearly resolved crossing, a margin of
+ * 0.01, so that sampling noise in the tails cannot trigger it, then
+ * relaxes the margin to 0.001 and 0.0001 for distributions too close
+ * for one (low loads), and else falls back to ceil(mean of a), the
+ * natural crossing point.
+ *
+ * @param a The distribution that must fall below (RR in the paper).
+ * @param b The distribution it is compared with (FCFS).
+ * @return V, an integer >= 1, or ceil(mean of a) without a crossing.
+ */
+double overlapValue(const Histogram &a, const Histogram &b);
 
 } // namespace busarb
 

@@ -7,7 +7,6 @@
 #ifndef BUSARB_WORKLOAD_SCENARIO_HH
 #define BUSARB_WORKLOAD_SCENARIO_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -61,14 +60,6 @@ struct ScenarioConfig
 
     /** Two-sided confidence level for interval estimates. */
     double confidence = 0.90;
-
-    /** Collect the waiting-time histogram (Figure 4.1, Table 4.3). */
-    bool collectHistogram = false;
-
-    /** Additionally collect one waiting-time histogram per agent. */
-    bool collectPerAgentHistograms = false;
-    double histBinWidth = 0.25;
-    std::size_t histBins = 1200;
 
     /**
      * Optional bus tracer attached for the run (not owned; must outlive

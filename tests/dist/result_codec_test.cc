@@ -49,9 +49,6 @@ richResult()
     r.waitHistogram.add(0.1);
     r.waitHistogram.add(3.7);
     r.waitHistogram.add(1e9); // overflow
-    r.agentWaitHistograms.emplace_back(0.5, 10);
-    r.agentWaitHistograms.back().add(2.0);
-    r.agentWaitHistograms.emplace_back(0.5, 10);
 
     r.binaryTrace = {0x00, 0xff, 0x42, 0x10, 0x00, 0x7f};
 
@@ -102,8 +99,8 @@ TEST(ResultCodec, RichRecordLayoutIsPinned)
     if constexpr (std::endian::native != std::endian::little)
         GTEST_SKIP() << "records are host-endian; pinned on little-endian";
     const auto bytes = encodeScenarioResult(richResult());
-    EXPECT_EQ(bytes.size(), 1481u);
-    EXPECT_EQ(manifestChecksum(bytes), 0x7d28f43d38c81c25ull);
+    EXPECT_EQ(bytes.size(), 1385u);
+    EXPECT_EQ(manifestChecksum(bytes), 0xa057d50d48c952b7ull);
 }
 
 TEST(ResultCodec, DefaultRecordLayoutIsPinned)
@@ -187,6 +184,36 @@ TEST(ResultCodec, RejectsOversizedHistogramAndAgentMismatch)
     }
 }
 
+// The per-agent histogram list is retired but keeps its place: its
+// count is written as 0, and a record that lists any is refused.
+TEST(ResultCodec, RejectsPerAgentHistograms)
+{
+    const auto bytes = encodeScenarioResult(ScenarioResult{});
+    // The count follows the waiting-time histogram, whose five u64
+    // fields (width, bins, sum, overflow, nonzero) end it when empty.
+    const Histogram &h = ScenarioResult{}.waitHistogram;
+    const double width = h.binWidth();
+    const std::uint64_t bins = h.numBins();
+    std::uint8_t header[16];
+    std::memcpy(header, &width, 8);
+    std::memcpy(header + 8, &bins, 8);
+    const auto at = std::search(bytes.begin(), bytes.end(), header,
+                                header + sizeof header);
+    ASSERT_NE(at, bytes.end());
+    const auto count_at = (at - bytes.begin()) + 40;
+    std::uint64_t count = ~0ull;
+    std::memcpy(&count, bytes.data() + count_at, 8);
+    ASSERT_EQ(count, 0u);
+    auto listed = bytes;
+    count = 1;
+    std::memcpy(listed.data() + count_at, &count, 8);
+    ScenarioResult decoded;
+    std::string error;
+    EXPECT_FALSE(
+        decodeScenarioResult(listed.data(), listed.size(), decoded, error));
+    EXPECT_EQ(error, "bad per-agent histogram");
+}
+
 TEST(ResultCodec, RoundTripIsBitExact)
 {
     const ScenarioResult original = richResult();
@@ -211,8 +238,6 @@ TEST(ResultCodec, RoundTripIsBitExact)
     EXPECT_EQ(decoded.waitHistogram.count(), 3u);
     EXPECT_EQ(decoded.waitHistogram.overflow(), 1u);
     EXPECT_EQ(decoded.waitHistogram.sum(), original.waitHistogram.sum());
-    ASSERT_EQ(decoded.agentWaitHistograms.size(), 2u);
-    EXPECT_EQ(decoded.agentWaitHistograms[1].count(), 0u);
     EXPECT_EQ(decoded.binaryTrace, original.binaryTrace);
     EXPECT_EQ(decoded.metrics.counters().at("bus.passes").value(), 321u);
     EXPECT_EQ(decoded.metrics.gauges().at("wait.mean").sum(),

@@ -88,10 +88,8 @@ TEST(EstimatesTest, PartialOverlapBracketsResidual)
 
 TEST(EstimatesTest, WaitPercentilesBracketTheMean)
 {
-    auto c = config(2.0);
-    c.collectHistogram = true;
-    const auto result =
-        runScenario(c, ProtocolRegistry::builtin().fromSpec("fcfs1"));
+    const auto result = runScenario(
+        config(2.0), ProtocolRegistry::builtin().fromSpec("fcfs1"));
     const double median = result.waitPercentile(0.5);
     const double p95 = result.waitPercentile(0.95);
     EXPECT_LT(result.waitPercentile(0.05), median);
@@ -102,9 +100,10 @@ TEST(EstimatesTest, WaitPercentilesBracketTheMean)
 
 TEST(EstimatesDeathTest, PercentileWithoutHistogram)
 {
-    const auto result =
-        runScenario(config(), ProtocolRegistry::builtin().fromSpec("rr1"));
-    EXPECT_DEATH(result.waitPercentile(0.5), "collectHistogram");
+    // Every run's result holds its waits; only one built by hand can
+    // lack them.
+    const ScenarioResult empty;
+    EXPECT_DEATH(empty.waitPercentile(0.5), "no measured waits");
 }
 
 TEST(EstimatesDeathTest, OutOfRangeAgents)

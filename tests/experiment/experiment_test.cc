@@ -68,7 +68,7 @@ TEST(MetricsTest, ThinkRecording)
 
 TEST(MetricsTest, HistogramOnlyAfterEnable)
 {
-    MetricsCollector collector(2, 0.5, 10);
+    MetricsCollector collector(2);
     const Request r1 = makeReq(1, 0, 1);
     collector.onServiceStart(r1, 0);
     collector.onServiceEnd(r1, unitsToTicks(1.0));
@@ -255,55 +255,18 @@ TEST(RunnerTest, SaturatedBusIsFullyUtilized)
     EXPECT_NEAR(result.throughput().value, 1.0, 1e-6);
 }
 
-TEST(RunnerTest, HistogramCollectedWhenRequested)
+TEST(RunnerTest, HistogramExcludesWarmup)
 {
-    auto config = smallScenario();
-    config.collectHistogram = true;
+    // Every run collects the waiting-time histogram, from the end of
+    // warm-up on: it holds exactly the measured completions.
+    const auto config = smallScenario();
+    ASSERT_GT(config.warmup, 0u);
     const auto result =
         runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
-    EXPECT_EQ(result.waitHistogram.count(), 5u * 400u);
+    EXPECT_EQ(result.waitHistogram.count(),
+              static_cast<std::uint64_t>(config.numBatches) *
+                  config.batchSize);
     EXPECT_GT(result.waitHistogram.cdf(1000.0), 0.99);
-}
-
-TEST(RunnerTest, PerAgentHistogramsSumToGlobal)
-{
-    auto config = smallScenario(2.0);
-    config.collectHistogram = true;
-    config.collectPerAgentHistograms = true;
-    const auto result =
-        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
-    ASSERT_EQ(result.agentWaitHistograms.size(), 6u);
-    std::uint64_t total = 0;
-    for (const auto &h : result.agentWaitHistograms)
-        total += h.count();
-    EXPECT_EQ(total, result.waitHistogram.count());
-}
-
-TEST(RunnerTest, PerAgentHistogramsExposeFixedPriorityDominance)
-{
-    // Under fixed priority, the top identity's waiting-time CDF
-    // stochastically dominates the bottom's.
-    auto config = smallScenario(2.0);
-    config.collectPerAgentHistograms = true;
-    const auto result =
-        runScenario(config, ProtocolRegistry::builtin().fromSpec("fixed"));
-    const auto &hi = result.agentWaitHistograms[5];
-    const auto &lo = result.agentWaitHistograms[0];
-    ASSERT_GT(hi.count(), 0u);
-    ASSERT_GT(lo.count(), 0u);
-    // Finite-sample dominance: allow sampling noise at each point.
-    for (double t : {2.0, 4.0, 8.0}) {
-        EXPECT_GE(hi.cdf(t), lo.cdf(t) - 0.02) << t;
-    }
-    EXPECT_GT(hi.cdf(4.0), lo.cdf(4.0) + 0.2);
-}
-
-TEST(MetricsDeathTest, PerAgentHistogramRequiresEnable)
-{
-    MetricsCollector collector(3);
-    EXPECT_DEATH(collector.agentHistogram(1), "not enabled");
-    collector.enablePerAgentHistograms();
-    EXPECT_DEATH(collector.agentHistogram(4), "out of range");
 }
 
 TEST(RunnerTest, AgentThroughputsSumToTotal)
@@ -368,12 +331,8 @@ TEST(CsvTest, BatchesCsvHasHeaderAndRows)
 
 TEST(CsvTest, HistogramCsvEndsWithOverflowRow)
 {
-    auto config = smallScenario();
-    config.collectHistogram = true;
-    config.histBinWidth = 0.5;
-    config.histBins = 50;
-    const auto result =
-        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
+    const auto result = runScenario(
+        smallScenario(), ProtocolRegistry::builtin().fromSpec("rr1"));
     std::ostringstream os;
     writeHistogramCsv(result, os);
     const std::string out = os.str();

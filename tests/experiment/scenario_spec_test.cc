@@ -160,6 +160,36 @@ TEST(ScenarioSpecParseTest, CvAndArbOverheadAxesSetEachRow)
                          w_expected.agents[i].meanInterrequest);
 }
 
+TEST(ScenarioSpecParseTest, BatchSizeAxisSetsEachRowAndItsWarmup)
+{
+    const ScenarioSpec spec =
+        parseOk("[workload]\nload = 2\n[sweep]\n"
+                "batch-size = 250 1000:3000:1000\nprotocols = rr1\n");
+    EXPECT_EQ(spec.rowName(), "batch-size");
+    EXPECT_EQ(spec.rowAxis(),
+              (std::vector<std::string>{"250", "1000", "2000", "3000"}));
+    EXPECT_EQ(spec.cellLabel(1), "batch-size=1000");
+    // Each row warms up for its own batch size.
+    const ScenarioConfig config = spec.configForLoad("1000");
+    EXPECT_EQ(config.batchSize, 1000u);
+    EXPECT_EQ(config.warmup, 1000u);
+    EXPECT_DOUBLE_EQ(config.totalOfferedLoad(), 2.0);
+    // [run] keeps neither the swept key nor the warm-up that follows it.
+    const std::string canonical = spec.format();
+    EXPECT_EQ(parseOk(canonical).format(), canonical);
+    EXPECT_NE(canonical.find("batch-size = 250 1000 2000 3000\n"),
+              std::string::npos);
+    EXPECT_EQ(canonical.find("batch-size = 8000"), std::string::npos);
+    EXPECT_EQ(canonical.find("warmup"), std::string::npos);
+
+    // A [run] warmup holds for every row, and survives the round trip.
+    const ScenarioSpec warm =
+        parseOk("[workload]\nload = 2\n[run]\nwarmup = 5\n[sweep]\n"
+                "batch-size = 250 1000\n");
+    EXPECT_EQ(warm.configForLoad("1000").warmup, 5u);
+    EXPECT_EQ(parseOk(warm.format()).configForLoad("250").warmup, 5u);
+}
+
 TEST(ScenarioSpecParseTest, SeedAcceptsHex)
 {
     EXPECT_EQ(parseOk("[run]\nseed = 0x10\n").seed, 16u);
@@ -523,7 +553,12 @@ TEST(ScenarioSpecErrorTest, RowAxesAreValidated)
               "has one row axis");
     EXPECT_EQ(parseError("[workload]\ncv = 2\nload = 1\n[sweep]\n"
                          "cv = 0 1\n"),
-              "key 'cv' is swept in [sweep]; drop it from [workload]");
+              "line 5: key 'cv' is swept in [sweep]; drop it from "
+              "[workload]");
+    EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\n"
+                         "arb-overhead = 0 1\n[bus]\narb-overhead = 2\n"),
+              "line 6: key 'arb-overhead' is swept in [sweep]; drop it "
+              "from [bus]");
     EXPECT_EQ(parseError("[sweep]\narb-overhead = 0 1\n"),
               "sweeping arb-overhead needs the one load every row runs at "
               "([workload] load)");
@@ -580,6 +615,108 @@ TEST(ScenarioSpecErrorTest, TablesAreCheckedAtParse)
     EXPECT_EQ(parseError(grid + "colum = W = wait_mean @ rr1\n"),
               "line 6: unknown key 'colum' in [table]; did you mean "
               "'column'?");
+}
+
+TEST(ScenarioSpecErrorTest, BatchSizeAxisIsValidated)
+{
+    EXPECT_EQ(parseError("[workload]\nload = 2\n[sweep]\nbatch-size = 0\n"),
+              "line 4: key 'batch-size' must be >= 1, got '0'");
+    EXPECT_EQ(parseError("[workload]\nload = 2\n[sweep]\n"
+                         "batch-size = 100 1.5\n"),
+              "line 4: key 'batch-size' expects an integer, got '1.5'");
+    EXPECT_EQ(parseError("[workload]\nload = 2\n[sweep]\n"
+                         "batch-size = 0:200:100\n"),
+              "line 4: key 'batch-size' must be >= 1, got '0'");
+    // The run's batch size is the axis; whichever line comes second
+    // is the error.
+    EXPECT_EQ(parseError("[workload]\nload = 2\n[run]\nbatch-size = 100\n"
+                         "[sweep]\nbatch-size = 250 1000\n"),
+              "line 6: key 'batch-size' is swept in [sweep]; drop it from "
+              "[run]");
+    EXPECT_EQ(parseError("[workload]\nload = 2\n[sweep]\n"
+                         "batch-size = 250 1000\n[run]\nbatch-size = 100\n"),
+              "line 6: key 'batch-size' is swept in [sweep]; drop it from "
+              "[run]");
+    EXPECT_EQ(parseError("[sweep]\nbatch-size = 250 1000\n"),
+              "sweeping batch-size needs the one load every row runs at "
+              "([workload] load)");
+}
+
+TEST(ScenarioSpecErrorTest, AxesRefuseRepeatedValues)
+{
+    // A repeated value would run its cells twice under one label.
+    EXPECT_EQ(parseError("[sweep]\nloads = 1 2\nloads = 1\n"),
+              "line 3: key 'loads' must not repeat a value, got '1'");
+    EXPECT_EQ(parseError("[sweep]\nloads = 1 0.5:1.5:0.5\n"),
+              "line 2: key 'loads' must not repeat a value, got '1'");
+    EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\ncv = 0 0.5 0\n"),
+              "line 4: key 'cv' must not repeat a value, got '0'");
+    EXPECT_EQ(parseError("[sweep]\nprotocols = rr1 fcfs1 rr1\n"),
+              "line 2: key 'protocols' must not repeat a value, got 'rr1'");
+    EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\n"
+                         "batch-size = 100 100\n"),
+              "line 4: key 'batch-size' must not repeat a value, got "
+              "'100'");
+    // Values are compared as written, as the row labels are.
+    parseOk("[sweep]\nloads = 1 1.0\n");
+}
+
+TEST(ScenarioSpecErrorTest, TableQuantitiesAreCheckedAtParse)
+{
+    using Kind = TableSpec::Column::Kind;
+    const std::string grid = "[sweep]\nloads = 1 2\nprotocols = rr1 fcfs1\n"
+                             "[table]\ntitle = T\n";
+    const auto columns =
+        parseOk(grid + "column = F = cdf(9.5) @ rr1\n"
+                       "column = V = overlap(fcfs1,rr1) @ rr1\n"
+                       "column = R = overlap_residual(rr1,fcfs1) @ fcfs1\n"
+                       "column = P = overlap_productivity(rr1,fcfs1) @ rr1\n"
+                       "column = L = wait_lag1 @ rr1\n"
+                       "column = k = lines @ fcfs1\n")
+            .tables.front()
+            .columns;
+    ASSERT_EQ(columns.size(), 6u);
+    EXPECT_EQ(columns[0].kind, Kind::kCdf);
+    EXPECT_EQ(columns[0].t, 9.5);
+    EXPECT_EQ(columns[1].kind, Kind::kOverlap);
+    EXPECT_EQ(columns[1].a, 1);
+    EXPECT_EQ(columns[1].b, 0);
+    EXPECT_EQ(columns[2].kind, Kind::kOverlapResidual);
+    EXPECT_EQ(columns[3].kind, Kind::kOverlapProductivity);
+    EXPECT_EQ(columns[4].kind, Kind::kWaitLag1);
+    EXPECT_EQ(columns[5].kind, Kind::kLines);
+    // A protocol spec may hold commas: the split falls where both
+    // halves are swept protocols.
+    const auto wrap =
+        parseOk("[sweep]\nloads = 1\nprotocols = rr1 fcfs1:bits=2,wrap\n"
+                "[table]\ntitle = T\n"
+                "column = V = overlap(fcfs1:bits=2,wrap,rr1) @ rr1\n")
+            .tables.front()
+            .columns.front();
+    EXPECT_EQ(wrap.a, 1);
+    EXPECT_EQ(wrap.b, 0);
+
+    EXPECT_EQ(parseError(grid + "column = V = overlap(rr1,rr2) @ rr1\n"),
+              "line 6: key 'column': overlap(rr1,rr2): 'rr2' is not in "
+              "[sweep] protocols");
+    EXPECT_EQ(parseError(grid + "column = V = overlap(rr1,rr1) @ rr1\n"),
+              "line 6: key 'column': overlap(rr1,rr1) needs two different "
+              "protocols");
+    EXPECT_EQ(parseError(grid + "column = R = overlap_residual(rr1) @ rr1\n"),
+              "line 6: key 'column': overlap_residual(rr1) needs two "
+              "protocols, a and b");
+    EXPECT_EQ(parseError(grid + "column = F = cdf(-1) @ rr1\n"),
+              "line 6: key 'column': cdf(-1) needs a finite t >= 0");
+    EXPECT_EQ(parseError(grid + "column = F = cdf(nan) @ rr1\n"),
+              "line 6: key 'column': cdf(nan) needs a finite t >= 0");
+    EXPECT_EQ(parseError(grid + "column = F = cdf(x) @ rr1\n"),
+              "line 6: key 'column': cdf(x) needs a finite t >= 0");
+    EXPECT_EQ(parseError(grid + "column = L = wait_lag @ rr1\n"),
+              "line 6: key 'column': unknown quantity 'wait_lag'; did you "
+              "mean 'wait_lag1'?");
+    EXPECT_NE(parseError(grid + "column = k = lines(2) @ rr1\n")
+                  .find("line 6: key 'column': unknown quantity 'lines(2)'"),
+              std::string::npos);
 }
 
 TEST(ScenarioSpecErrorTest, FileLevelValidationHasNoLinePrefix)
@@ -859,6 +996,13 @@ TEST(ScenarioSpecDeathTest, FlagErrorsNameTheFlag)
     EXPECT_EXIT(specFromFlags({"--source", "opne"}),
                 ::testing::ExitedWithCode(2),
                 "prog: --source: bad workload source 'opne'");
+    // A repeated axis value names the flag; cv has no axis flag.
+    EXPECT_EXIT(specFromFlags({"--loads", "1,2,1"}, true),
+                ::testing::ExitedWithCode(2),
+                "prog: --loads must not repeat a value, got 1");
+    EXPECT_EXIT(specFromFlags({"--protocols", "rr1,fcfs1,rr1"}, true),
+                ::testing::ExitedWithCode(2),
+                "prog: --protocols must not repeat a value, got rr1");
 
     // A factor of 0 is off.
     EXPECT_EQ(specFromFlags({"--unequal-factor", "0", "--hot-factor", "0"})

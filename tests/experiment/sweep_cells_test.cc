@@ -150,6 +150,52 @@ TEST(SweepCells, GridTablesReadTheCellEachColumnNames)
     EXPECT_NE(os.str().find("  0.5   0.62"), std::string::npos) << os.str();
 }
 
+TEST(SweepCells, OverlapQuantitiesReadTheTwoCellsTheyName)
+{
+    ScenarioSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseScenarioSpec(
+        "[workload]\nagents = 6\n[run]\nbatches = 2\nbatch-size = 400\n"
+        "[sweep]\nloads = 1.5 2.5\nprotocols = rr1 aap1 fcfs1\n"
+        "[table]\ntitle = T\n"
+        "column = V = overlap(rr1,fcfs1) @ aap1\n"
+        "column = swapped = overlap(fcfs1,rr1) @ aap1\n"
+        "column = residual = overlap_residual(rr1,fcfs1) @ aap1\n"
+        "column = prod = overlap_productivity(rr1,fcfs1) @ fcfs1\n",
+        spec, error))
+        << error;
+    const auto results = runScenarioGrid(
+        buildSweepGrid(spec, SweepTuning{}, "sweep_cells_test"), 1);
+    std::ostringstream os;
+    printGridTables(spec, results, os);
+
+    // Row r holds rr1, aap1 and fcfs1 in cells 3r, 3r + 1 and 3r + 2.
+    // V reads the rr1 and fcfs1 cells of the row; the residual and the
+    // productivity read the column's own cell at that V.
+    TextTable table({"load", "V", "swapped", "residual", "prod"});
+    for (std::size_t row = 0; row < 2; ++row) {
+        const ScenarioResult &rr = results[3 * row];
+        const ScenarioResult &aap = results[3 * row + 1];
+        const ScenarioResult &fcfs = results[3 * row + 2];
+        const double v = overlapValue(rr.waitHistogram, fcfs.waitHistogram);
+        const double swapped =
+            overlapValue(fcfs.waitHistogram, rr.waitHistogram);
+        EXPECT_NE(v, swapped) << "row " << row;
+        const double think = spec.configForLoad(spec.loadTokens[row])
+                                 .agents.front()
+                                 .meanInterrequest;
+        table.addRow({spec.loadTokens[row], formatFixed(v, 0),
+                      formatFixed(swapped, 0),
+                      formatFixed(aap.waitHistogram.expectedExcess(v)),
+                      formatFixed((think + fcfs.waitHistogram.expectedMin(v)) /
+                                  (think + fcfs.meanWait().value))});
+    }
+    std::ostringstream expected;
+    expected << "\n=== T ===\n\n";
+    table.print(expected);
+    EXPECT_EQ(os.str(), expected.str());
+}
+
 TEST(SweepCells, CanonicalKeyIsStableText)
 {
     // The key is hashed into the sweep fingerprint; its exact text is

@@ -119,8 +119,7 @@ TEST(PaperAnchorTest, Figure41CrossoverAtTheMean)
 {
     // Figure 4.1 (30 agents, load 1.5): both CDFs cross near the mean
     // wait (11.02); FCFS is far steeper around it.
-    ScenarioConfig config = anchorConfig(equalLoadScenario(30, 1.5));
-    config.collectHistogram = true;
+    const ScenarioConfig config = anchorConfig(equalLoadScenario(30, 1.5));
     const auto rr =
         runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     const auto fcfs =

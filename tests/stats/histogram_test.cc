@@ -3,6 +3,8 @@
  * Unit tests for the histogram / empirical CDF.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "stats/histogram.hh"
@@ -43,6 +45,12 @@ TEST(HistogramTest, OverflowBucket)
     EXPECT_EQ(h.overflow(), 2u);
     EXPECT_EQ(h.count(), 2u);
     EXPECT_DOUBLE_EQ(h.cdf(2.0), 0.0);  // all mass beyond the bins
+    // Past the last bin the CDF is the regular mass, however far: a
+    // t beyond the size_t range used to form a garbage bin index.
+    h.add(0.5);
+    EXPECT_DOUBLE_EQ(h.cdf(2.0), 1.0 / 3.0);
+    EXPECT_DOUBLE_EQ(h.cdf(1e20), 1.0 / 3.0);
+    EXPECT_DOUBLE_EQ(h.cdf(1e300), 1.0 / 3.0);
 }
 
 TEST(HistogramTest, NegativeClampsToFirstBin)
@@ -172,6 +180,23 @@ TEST(HistogramTest, ExpectedMinCountsOverflowAtLimit)
     h.add(0.5);
     h.add(50.0); // overflow
     EXPECT_NEAR(h.expectedMin(1.5), (0.5 + 1.5) / 2.0, 1e-12);
+}
+
+TEST(HistogramTest, OverlapValueIsTheFirstResolvedCrossing)
+{
+    // a spreads over [0, 10); b sits at 4.5: CDF_a(v) < CDF_b(v) - 0.01
+    // first at v = 5.
+    Histogram a(0.25, 100), b(0.25, 100);
+    for (int i = 0; i < 40; ++i)
+        a.add(0.25 * i + 0.1);
+    for (int i = 0; i < 40; ++i)
+        b.add(4.5);
+    EXPECT_DOUBLE_EQ(overlapValue(a, b), 5.0);
+    // b is below a from the start.
+    EXPECT_DOUBLE_EQ(overlapValue(b, a), 1.0);
+    // Without a crossing, V is the mean rounded up.
+    EXPECT_DOUBLE_EQ(overlapValue(b, b), 5.0);
+    EXPECT_DOUBLE_EQ(std::ceil(b.approximateMean()), 5.0);
 }
 
 TEST(HistogramTest, ClearResets)

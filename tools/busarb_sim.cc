@@ -160,8 +160,6 @@ main(int argc, char **argv)
             std::cout, static_cast<std::uint64_t>(trace_events));
     }
     for (GridJob &job : grid) {
-        job.config.collectHistogram =
-            !parser.getString("histogram-csv").empty();
         job.config.profile = parser.getBool("profile");
         job.config.tracer = tracer.get();
     }
@@ -174,12 +172,19 @@ main(int argc, char **argv)
     const int jobs =
         config.tracer != nullptr ? 1 : resolveJobCount(jobs_flag);
     const auto start = std::chrono::steady_clock::now();
-    const std::vector<ScenarioResult> results =
-        runScenarioGrid(grid, jobs);
+    std::vector<ScenarioResult> results = runScenarioGrid(grid, jobs);
     const double elapsed_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
+    // A histogram CSV comes with the histogram in the run's metrics.
+    if (!parser.getString("histogram-csv").empty()) {
+        for (ScenarioResult &r : results) {
+            const Histogram &h = r.waitHistogram;
+            r.metrics.histogram("wait.histogram", h.binWidth(),
+                                h.numBins()) = h;
+        }
+    }
     const ScenarioResult &result = results.front();
 
     for (std::size_t i = 0; i < results.size(); ++i) {

@@ -14,10 +14,11 @@
  *
  * A --grid scenario file (experiment/scenario_spec.hh) declares the
  * same sweep declaratively — including protocol specs with options,
- * which the comma-separated --protocols flag cannot express, a cv or
- * arb-overhead row axis, and [table] sections that replace the
- * generic table — and expands through the same cell-assembly path, so
- * a grid file reproduces a flag invocation byte for byte.
+ * which the comma-separated --protocols flag cannot express, a cv,
+ * arb-overhead or batch-size row axis, and [table] sections that
+ * replace the generic table — and expands through the same
+ * cell-assembly path, so a grid file reproduces a flag invocation
+ * byte for byte.
  *
  * With --shards N (and a --shard-dir), the sweep becomes a
  * multi-process fleet: the grid is partitioned into shards, worker
@@ -201,24 +202,6 @@ main(int argc, char **argv)
     if (protocol_keys.empty() || load_tokens.empty()) {
         std::cerr << "busarb_sweep: need at least one protocol and one "
                      "load\n";
-        return 2;
-    }
-    // Duplicate keys would collide under the per-cell metric prefixes
-    // (load=X.key.*) and silently double rows; reject them up front.
-    const auto has_duplicate = [](const std::vector<std::string> &v) {
-        for (std::size_t i = 0; i < v.size(); ++i)
-            for (std::size_t j = i + 1; j < v.size(); ++j)
-                if (v[i] == v[j])
-                    return true;
-        return false;
-    };
-    if (has_duplicate(protocol_keys)) {
-        std::cerr << "busarb_sweep: duplicate key in --protocols\n";
-        return 2;
-    }
-    if (has_duplicate(load_tokens)) {
-        std::cerr << "busarb_sweep: duplicate " << spec.rowName()
-                  << " in --" << spec.rowKey << "\n";
         return 2;
     }
 
