@@ -115,6 +115,7 @@ summary = {
             k: b[k]
             for k in ("real_time", "items_per_second",
                       "calendar_events_per_second", "heap_events_per_second",
+                      "calendar_tx_per_second", "heap_tx_per_second",
                       "calendar_vs_heap", "callback_heap_allocs",
                       "overhead_pct")
             if k in b

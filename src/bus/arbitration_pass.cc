@@ -76,7 +76,9 @@ soleAgent(const std::uint64_t *mask, std::size_t words, const char *what)
     for (std::size_t w = 0; w < (W != 0 ? W : words); ++w) {
         if (mask[w] == 0)
             continue;
-        BUSARB_ASSERT(found == kNoAgent && std::popcount(mask[w]) == 1,
+        // One bit set: clearing the lowest leaves nothing (a nonzero
+        // word; std::popcount is a library call without -mpopcnt).
+        BUSARB_ASSERT(found == kNoAgent && (mask[w] & (mask[w] - 1)) == 0,
                       what);
         found = static_cast<AgentId>(w * 64 + std::countr_zero(mask[w]));
     }

@@ -53,13 +53,14 @@ Bus::maybeStartPass()
         return;
     if (!protocol_->wantsPass())
         return;
-    // Defer the actual pass start to a same-tick event that runs after
-    // every same-tick request arrival: agents that assert the request
-    // line at the same instant all compete in the arbitration that
-    // starts at that instant.
+    // Defer the actual pass start to the queue's same-tick slot, which
+    // runs after every same-tick request arrival: agents that assert
+    // the request line at the same instant all compete in the
+    // arbitration that starts at that instant.
     passStartPending_ = true;
-    queue_.schedule(queue_.now(), [this] { startPassNow(); },
-                    kPriBeginPass);
+    queue_.armSameTick(
+        [](void *bus) { static_cast<Bus *>(bus)->startPassNow(); }, this,
+        kPriBeginPass);
 }
 
 void

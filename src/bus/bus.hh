@@ -96,7 +96,8 @@ class Bus
 {
   public:
     /**
-     * @param queue Event queue driving the simulation.
+     * @param queue Event queue driving the simulation. The bus arms its
+     *        same-tick slot for pass starts, so a queue drives one bus.
      * @param protocol Arbitration protocol (reset() is called here).
      * @param num_agents Number of agents (identities 1..N).
      * @param params Timing parameters.
@@ -172,7 +173,7 @@ class Bus
 
     bool busy_ = false;          // transfer in progress
     bool passInProgress_ = false;
-    bool passStartPending_ = false; // begin-pass event scheduled
+    bool passStartPending_ = false; // same-tick pass start armed
     bool winnerDecided_ = false; // next master chosen, waiting for the bus
     Request nextMaster_;
     Request current_;            // request being served while busy_
@@ -186,7 +187,7 @@ class Bus
     Tick busyTicks_ = 0;
     Tick exposedArbTicks_ = 0;
 
-    /** Schedule a pass start if one is due and none is outstanding. */
+    /** Arm a pass start if one is due and none is outstanding. */
     void maybeStartPass();
 
     /** Freeze competitors and launch the arbitration pass (deferred). */

@@ -58,13 +58,8 @@ CalendarTuning::forExpectedDepth(std::size_t depth)
 // ------------------------------------------------------------ NodeArena
 
 EventQueue::Node *
-EventQueue::NodeArena::allocate()
+EventQueue::NodeArena::carve()
 {
-    if (freeHead_ != nullptr) {
-        Slot *slot = freeHead_;
-        freeHead_ = slot->nextFree;
-        return reinterpret_cast<Node *>(slot->storage);
-    }
     if (slabFill_ == slabSize_) {
         slabSize_ = slabs_.empty()
                         ? kFirstSlabSlots
@@ -75,14 +70,6 @@ EventQueue::NodeArena::allocate()
     }
     return reinterpret_cast<Node *>(
         slabs_.back()[slabFill_++].storage);
-}
-
-void
-EventQueue::NodeArena::release(Node *node)
-{
-    Slot *slot = reinterpret_cast<Slot *>(node);
-    slot->nextFree = freeHead_;
-    freeHead_ = slot;
 }
 
 // ------------------------------------------------------------ lifecycle
@@ -101,6 +88,7 @@ EventQueue::EventQueue(EventQueuePolicy policy, CalendarTuning tuning)
         tails_.assign(buckets_.size(), nullptr);
         bucketBits_.assign((buckets_.size() + 63) / 64, 0);
         bucketMask_ = buckets_.size() - 1;
+        nextGeometryCheck_ = buckets_.size();
     }
 }
 
@@ -117,43 +105,6 @@ EventQueue::~EventQueue()
 }
 
 // ------------------------------------------------------------- calendar
-
-void
-EventQueue::calInsert(Node *node)
-{
-    const std::size_t bucket = calBucketOf(node->when);
-    bucketBits_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-    // Event ids increase monotonically, so a new event sorts after every
-    // same-(tick, priority) one already in its bucket; checking the tail
-    // first makes the common append — including dense many-events-per-
-    // tick floods, where chains cannot be short — O(1) instead of a
-    // whole-chain walk.
-    Node *tail = tails_[bucket];
-    if (tail != nullptr &&
-        earlier(tail->when, tail->priority, tail->id, node->when,
-                node->priority, node->id)) {
-        node->next = nullptr;
-        tail->next = node;
-        tails_[bucket] = node;
-    } else {
-        Node **link = &buckets_[bucket];
-        while (*link != nullptr &&
-               earlier((*link)->when, (*link)->priority, (*link)->id,
-                       node->when, node->priority, node->id)) {
-            link = &(*link)->next;
-            ++insertScanSteps_;
-        }
-        node->next = *link;
-        *link = node;
-        if (node->next == nullptr)
-            tails_[bucket] = node;
-    }
-    if (minValid_ &&
-        earlier(node->when, node->priority, node->id, cachedMin_->when,
-                cachedMin_->priority, cachedMin_->id)) {
-        cachedMin_ = node;
-    }
-}
 
 EventQueue::Node *
 EventQueue::calFindMin() const
@@ -258,15 +209,14 @@ EventQueue::calRemove(Node *node, std::size_t bucket)
 }
 
 void
-EventQueue::calMaybeResize()
+EventQueue::calCheckGeometry()
 {
     // Hysteresis: geometry changes only after a full bucket-count worth
     // of operations since the last rebuild, and never below the tuned
     // initial count — a live depth oscillating around a threshold must
-    // not ping-pong between rebuilds.
+    // not ping-pong between rebuilds. A check that keeps the geometry
+    // schedules the next one a bucket count later (calCountOp).
     const std::size_t nb = buckets_.size();
-    if (++opsSinceRebuild_ < nb)
-        return;
     if (liveCount_ > nb * 2 &&
         nb < (std::size_t{1} << kMaxBucketCountLog2)) {
         calRebuild(floorLog2(nb) + 1, widthLog2_);
@@ -279,6 +229,8 @@ EventQueue::calMaybeResize()
         // enough to trigger a count rebuild). Rebuild at the same count
         // to re-tune the width from the live span.
         calRebuild(floorLog2(nb), widthLog2_);
+    } else {
+        nextGeometryCheck_ = opsSinceRebuild_ + nb;
     }
 }
 
@@ -320,6 +272,7 @@ EventQueue::calRebuild(std::uint32_t count_log2, std::uint32_t width_log2)
     minValid_ = false;
     cachedMin_ = nullptr;
     opsSinceRebuild_ = 0;
+    nextGeometryCheck_ = buckets_.size();
     for (Node *node : rebuildScratch_)
         calInsert(node);
     // Reinsertion walks above must not count toward the next window's
@@ -358,23 +311,6 @@ EventQueue::heapCompactTombstones()
 
 // ------------------------------------------------------------------ API
 
-EventQueue::Callback *
-EventQueue::calScheduleSlot(Tick when, int priority, EventId &id)
-{
-    BUSARB_ASSERT(when >= now_, "scheduling into the past: when=", when,
-                  " now=", now_);
-    id = nextId_++;
-    Node *node = new (arena_.allocate())
-        Node{when, priority, id, nullptr, Callback{}};
-    calInsert(node);
-    ++liveCount_;
-    calMaybeResize();
-#if BUSARB_PROFILING_ENABLED
-    recordDepth(liveCount_);
-#endif
-    return &node->cb;
-}
-
 EventQueue::EventId
 EventQueue::schedule(Tick when, Callback cb, int priority)
 {
@@ -397,15 +333,6 @@ EventQueue::schedule(Tick when, Callback cb, int priority)
     recordDepth(liveCount_);
 #endif
     return id;
-}
-
-Tick
-EventQueue::saturatedTick(Tick delay) const
-{
-    BUSARB_ASSERT(delay >= 0, "negative delay: ", delay);
-    // Saturate instead of wrapping: now + delay past kMaxTick is signed
-    // overflow (UB) before it is ever comparable, so clamp first.
-    return delay > kMaxTick - now_ ? kMaxTick : now_ + delay;
 }
 
 EventQueue::EventId
@@ -432,7 +359,7 @@ EventQueue::deschedule(EventId id)
                 arena_.release(node);
                 BUSARB_ASSERT(liveCount_ > 0, "live count underflow");
                 --liveCount_;
-                calMaybeResize();
+                calCountOp();
                 return true;
             }
         }
@@ -457,64 +384,23 @@ EventQueue::deschedule(EventId id)
 }
 
 Tick
-EventQueue::nextTick() const
+EventQueue::heapNextTick() const
 {
-    if (policy_ == EventQueuePolicy::kCalendar) {
-        const Node *min = calFindMin();
-        return min == nullptr ? kMaxTick : min->when;
-    }
     heapSift();
     return heap_.empty() ? kMaxTick : heap_.front().when;
 }
 
 bool
-EventQueue::runOne()
+EventQueue::heapRunOne()
 {
-    if (policy_ == EventQueuePolicy::kCalendar) {
-        Node *min = calFindMin();
-        if (min == nullptr)
-            return false;
-        // The global minimum is always its bucket's head: anything in
-        // the same bucket sorting ahead of it would itself be earlier.
-        const std::size_t bucket = calBucketOf(min->when);
-        BUSARB_ASSERT(buckets_[bucket] == min,
-                      "calendar minimum is not its bucket head");
-        Node *succ = min->next;
-        buckets_[bucket] = succ;
-        if (succ == nullptr) {
-            tails_[bucket] = nullptr;
-            bucketBits_[bucket >> 6] &=
-                ~(std::uint64_t{1} << (bucket & 63));
-        }
-        if (succ != nullptr &&
-            (static_cast<std::uint64_t>(succ->when) >> widthLog2_) ==
-                (static_cast<std::uint64_t>(min->when) >> widthLog2_)) {
-            // A successor in the same year window is exactly what the
-            // lap scan from now's bucket would return next.
-            cachedMin_ = succ;
-            minValid_ = true;
-        } else {
-            cachedMin_ = nullptr;
-            minValid_ = false;
-        }
-        BUSARB_ASSERT(min->when >= now_, "event queue went backwards");
-        now_ = min->when;
-        BUSARB_ASSERT(liveCount_ > 0, "live count underflow");
-        --liveCount_;
-        ++numExecuted_;
-        // The node is already unlinked, so the callback can run in
-        // place: its slot is not released to the arena until after the
-        // call, so events it schedules can never alias this node.
-        min->cb();
-        min->~Node();
-        arena_.release(min);
-        // No geometry check here: pops never walk chains (the min is
-        // its bucket's head), so mistuned width only costs on inserts
-        // and the insert path carries the re-tune triggers.
+    heapSift();
+    if (sameTick_.fn != nullptr &&
+        (heap_.empty() ||
+         sameTickFirst(heap_.front().when, heap_.front().priority,
+                       heap_.front().id))) {
+        runSameTick();
         return true;
     }
-
-    heapSift();
     if (heap_.empty())
         return false;
     const auto later = [](const HeapEntry &a, const HeapEntry &b) {
@@ -535,13 +421,10 @@ EventQueue::runOne()
 std::size_t
 EventQueue::run(Tick until)
 {
-    std::size_t executed = 0;
-    while (nextTick() <= until) {
-        if (!runOne())
-            break;
-        ++executed;
+    const std::uint64_t before = numExecuted_;
+    while (nextTick() <= until && runOne()) {
     }
-    return executed;
+    return static_cast<std::size_t>(numExecuted_ - before);
 }
 
 std::size_t

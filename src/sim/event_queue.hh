@@ -26,6 +26,11 @@
  * Both policies store callbacks in a small-buffer-optimized, move-only
  * EventCallback, so popping an event moves the callable out instead of
  * copying a std::function off the heap top.
+ *
+ * Beside its events the queue has one same-tick slot (armSameTick()): a
+ * plain function armed at the current tick, which runs exactly where an
+ * event scheduled now at the same priority would run, without a trip
+ * through the storage.
  */
 
 #ifndef BUSARB_SIM_EVENT_QUEUE_HH
@@ -42,6 +47,7 @@
 #include <vector>
 
 #include "sim/event_callback.hh"
+#include "sim/logging.hh"
 #include "sim/profiling.hh"
 #include "sim/types.hh"
 
@@ -62,7 +68,7 @@ enum EventPriority : int {
     kPriRequestArrival = 20,
     // Pass starts run after every same-tick arrival so that requests
     // issued at the same instant all enter the arbitration that begins
-    // at that instant.
+    // at that instant. The bus arms them in the same-tick slot.
     kPriBeginPass = 30,
     kPriDefault = 50,
     kPriStats = 90,
@@ -113,6 +119,8 @@ class EventQueue
     /** Opaque handle for descheduling. 0 is never a valid id. */
     using EventId = std::uint64_t;
     using Callback = EventCallback;
+    /** What the same-tick slot runs: a plain function and its context. */
+    using SameTickFn = void (*)(void *context);
 
     EventQueue() : EventQueue(EventQueuePolicy::kCalendar) {}
 
@@ -189,6 +197,27 @@ class EventQueue
     }
 
     /**
+     * Arm the same-tick slot: fn(context) runs exactly where an event
+     * scheduled now at `priority` would run. The slot takes the next id
+     * of the event sequence, so it ties with same-(tick, priority)
+     * events as such an event would. It cannot be descheduled, and it
+     * is counted neither in numExecuted() nor in the depth profile.
+     * The slot is free again once fn is called, so fn may re-arm it.
+     *
+     * @param fn Function to run; must not be null.
+     * @param context Its argument.
+     * @param priority Tie-break among same-tick entries (lower first).
+     */
+    void
+    armSameTick(SameTickFn fn, void *context, int priority)
+    {
+        BUSARB_ASSERT(fn != nullptr, "null same-tick function");
+        BUSARB_ASSERT(sameTick_.fn == nullptr,
+                      "same-tick slot armed twice");
+        sameTick_ = SameTick{fn, context, priority, nextId_++};
+    }
+
+    /**
      * Cancel a previously scheduled event.
      *
      * @param id Handle returned by schedule().
@@ -197,39 +226,81 @@ class EventQueue
      */
     bool deschedule(EventId id);
 
-    /** @return true if no live events remain. */
-    bool empty() const { return liveCount_ == 0; }
+    /** @return true if no live events remain and the slot is not armed. */
+    bool
+    empty() const
+    {
+        return liveCount_ == 0 && sameTick_.fn == nullptr;
+    }
 
     /** @return Current simulated time in ticks. */
     Tick now() const { return now_; }
 
-    /** @return Tick of the earliest live event; kMaxTick if empty. */
-    Tick nextTick() const;
+    /**
+     * @return Tick of the earliest live event, or now() while the
+     *         same-tick slot is armed; kMaxTick if empty.
+     */
+    Tick
+    nextTick() const
+    {
+        if (sameTick_.fn != nullptr)
+            return now_;
+        if (policy_ == EventQueuePolicy::kCalendar) {
+            const Node *min = minValid_ ? cachedMin_ : calFindMin();
+            return min == nullptr ? kMaxTick : min->when;
+        }
+        return heapNextTick();
+    }
 
     /**
-     * Execute the single earliest live event.
+     * Execute the single earliest live event, or the same-tick slot
+     * where it sorts first.
      *
-     * @retval true An event was executed.
+     * @retval true An event or the slot was executed.
      * @retval false The queue was empty.
      */
-    bool runOne();
+    bool
+    runOne()
+    {
+        if (policy_ != EventQueuePolicy::kCalendar)
+            return heapRunOne();
+        Node *min = minValid_ ? cachedMin_ : calFindMin();
+        if (sameTick_.fn != nullptr &&
+            (min == nullptr ||
+             sameTickFirst(min->when, min->priority, min->id))) {
+            runSameTick();
+            return true;
+        }
+        if (min == nullptr)
+            return false;
+        calRunMin(min);
+        return true;
+    }
 
     /**
      * Run events until the queue drains or the next event is beyond
      * `until`.
      *
-     * Events scheduled exactly at `until` are executed. Time is left at
-     * the tick of the last executed event (or unchanged if none ran).
+     * Events scheduled exactly at `until` are executed, and so is the
+     * same-tick slot. Time is left at the tick of the last executed
+     * event (or unchanged if none ran).
      *
      * @param until Inclusive horizon in ticks.
-     * @return Number of events executed by this call.
+     * @return Number of events executed by this call, the slot's runs
+     *         not counted (as in numExecuted()).
      */
     std::size_t run(Tick until = kMaxTick);
 
-    /** @return Total events executed over the queue's lifetime. */
+    /**
+     * @return Total events executed over the queue's lifetime; runs of
+     *         the same-tick slot are not events and are not counted.
+     */
     std::uint64_t numExecuted() const { return numExecuted_; }
 
-    /** @return Number of live (scheduled, not cancelled) events. */
+    /**
+     * @return Number of live (scheduled, not cancelled) events; an
+     *         armed same-tick slot is not counted.
+     */
     std::size_t numPending() const { return liveCount_; }
 
     /** @return The storage policy this queue was built with. */
@@ -304,13 +375,29 @@ class EventQueue
      * Slab allocator for calendar nodes. Freed slots are threaded onto
      * a free list and recycled, so a steady-state simulation performs
      * no per-event allocation and churn cannot grow memory beyond the
-     * high-water mark of live events.
+     * high-water mark of live events. Taking and returning a recycled
+     * slot is inline; only carving a new slot goes out of line.
      */
     class NodeArena
     {
       public:
-        Node *allocate();
-        void release(Node *node);
+        Node *
+        allocate()
+        {
+            if (freeHead_ == nullptr)
+                return carve();
+            Slot *slot = freeHead_;
+            freeHead_ = slot->nextFree;
+            return reinterpret_cast<Node *>(slot->storage);
+        }
+
+        void
+        release(Node *node)
+        {
+            Slot *slot = reinterpret_cast<Slot *>(node);
+            slot->nextFree = freeHead_;
+            freeHead_ = slot;
+        }
 
         /** @return Total node slots allocated across all slabs. */
         std::size_t capacity() const { return capacity_; }
@@ -321,6 +408,9 @@ class EventQueue
             Slot *nextFree;
             alignas(Node) unsigned char storage[sizeof(Node)];
         };
+
+        /** Take a never-used slot, adding a slab when the last is full. */
+        Node *carve();
 
         std::vector<std::unique_ptr<Slot[]>> slabs_;
         Slot *freeHead_ = nullptr;
@@ -338,6 +428,15 @@ class EventQueue
         Callback cb;
     };
 
+    /** The armed same-tick slot; fn == nullptr when it is free. */
+    struct SameTick
+    {
+        SameTickFn fn = nullptr;
+        void *context = nullptr;
+        int priority = 0;
+        EventId id = 0;
+    };
+
     /** Strict (tick, priority, id) order. */
     static bool
     earlier(Tick aw, int ap, EventId ai, Tick bw, int bp, EventId bi)
@@ -349,16 +448,151 @@ class EventQueue
         return ai < bi;
     }
 
+    /**
+     * Does the armed slot sort before the event (when, priority, id)?
+     * The slot sits at now(): it cannot outlive its tick, because it
+     * sorts before every event of a later one.
+     */
+    bool
+    sameTickFirst(Tick when, int priority, EventId id) const
+    {
+        return earlier(now_, sameTick_.priority, sameTick_.id, when,
+                       priority, id);
+    }
+
+    /** Free the slot, then run what it held (which may re-arm it). */
+    void
+    runSameTick()
+    {
+        const SameTick armed = sameTick_;
+        sameTick_.fn = nullptr;
+        armed.fn(armed.context);
+    }
+
     /** Clamp now() + delay to kMaxTick (see scheduleIn). */
-    Tick saturatedTick(Tick delay) const;
+    Tick
+    saturatedTick(Tick delay) const
+    {
+        BUSARB_ASSERT(delay >= 0, "negative delay: ", delay);
+        // Saturate instead of wrapping: now + delay past kMaxTick is
+        // signed overflow (UB) before it is ever comparable, so clamp
+        // first.
+        return delay > kMaxTick - now_ ? kMaxTick : now_ + delay;
+    }
 
     // --- calendar policy ---
     /** Allocate, link, and account a node; cb is filled by the caller. */
-    Callback *calScheduleSlot(Tick when, int priority, EventId &id);
-    void calInsert(Node *node);
+    Callback *
+    calScheduleSlot(Tick when, int priority, EventId &id)
+    {
+        BUSARB_ASSERT(when >= now_, "scheduling into the past: when=",
+                      when, " now=", now_);
+        id = nextId_++;
+        Node *node = new (arena_.allocate())
+            Node{when, priority, id, nullptr, Callback{}};
+        calInsert(node);
+        ++liveCount_;
+        calCountOp();
+#if BUSARB_PROFILING_ENABLED
+        recordDepth(liveCount_);
+#endif
+        return &node->cb;
+    }
+
+    void
+    calInsert(Node *node)
+    {
+        const std::size_t bucket = calBucketOf(node->when);
+        bucketBits_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
+        // Event ids increase monotonically, so a new event sorts after
+        // every same-(tick, priority) one already in its bucket; checking
+        // the tail first makes the common append — including dense
+        // many-events-per-tick floods, where chains cannot be short —
+        // O(1) instead of a whole-chain walk.
+        Node *tail = tails_[bucket];
+        if (tail != nullptr &&
+            earlier(tail->when, tail->priority, tail->id, node->when,
+                    node->priority, node->id)) {
+            node->next = nullptr;
+            tail->next = node;
+            tails_[bucket] = node;
+        } else {
+            Node **link = &buckets_[bucket];
+            while (*link != nullptr &&
+                   earlier((*link)->when, (*link)->priority, (*link)->id,
+                           node->when, node->priority, node->id)) {
+                link = &(*link)->next;
+                ++insertScanSteps_;
+            }
+            node->next = *link;
+            *link = node;
+            if (node->next == nullptr)
+                tails_[bucket] = node;
+        }
+        if (minValid_ &&
+            earlier(node->when, node->priority, node->id, cachedMin_->when,
+                    cachedMin_->priority, cachedMin_->id)) {
+            cachedMin_ = node;
+        }
+    }
+
+    /**
+     * Count one schedule or deschedule toward the geometry window; the
+     * out-of-line check runs once per window, not once per operation.
+     */
+    void
+    calCountOp()
+    {
+        if (++opsSinceRebuild_ >= nextGeometryCheck_)
+            calCheckGeometry();
+    }
+
+    /** Pop `min` (the global minimum) and run its callback in place. */
+    void
+    calRunMin(Node *min)
+    {
+        // The global minimum is always its bucket's head: anything in
+        // the same bucket sorting ahead of it would itself be earlier.
+        const std::size_t bucket = calBucketOf(min->when);
+        BUSARB_ASSERT(buckets_[bucket] == min,
+                      "calendar minimum is not its bucket head");
+        Node *succ = min->next;
+        buckets_[bucket] = succ;
+        if (succ == nullptr) {
+            tails_[bucket] = nullptr;
+            bucketBits_[bucket >> 6] &=
+                ~(std::uint64_t{1} << (bucket & 63));
+        }
+        if (succ != nullptr &&
+            (static_cast<std::uint64_t>(succ->when) >> widthLog2_) ==
+                (static_cast<std::uint64_t>(min->when) >> widthLog2_)) {
+            // A successor in the same year window is exactly what the
+            // lap scan from now's bucket would return next.
+            cachedMin_ = succ;
+            minValid_ = true;
+        } else {
+            cachedMin_ = nullptr;
+            minValid_ = false;
+        }
+        BUSARB_ASSERT(min->when >= now_, "event queue went backwards");
+        now_ = min->when;
+        BUSARB_ASSERT(liveCount_ > 0, "live count underflow");
+        --liveCount_;
+        ++numExecuted_;
+        // The node is already unlinked, so the callback can run in
+        // place: its slot is not released to the arena until after the
+        // call, so events it schedules can never alias this node. No
+        // geometry check here: pops never walk chains (the min is its
+        // bucket's head), so a mistuned width only costs on inserts,
+        // and the insert path carries the re-tune triggers.
+        min->cb();
+        min->~Node();
+        arena_.release(min);
+    }
+
     Node *calFindMin() const;
     void calRemove(Node *node, std::size_t bucket);
-    void calMaybeResize();
+    void calCheckGeometry();
     void calRebuild(std::uint32_t count_log2, std::uint32_t width_log2);
     std::size_t
     calBucketOf(Tick when) const
@@ -370,6 +604,8 @@ class EventQueue
     // --- heap policy ---
     void heapSift() const;
     void heapCompactTombstones();
+    Tick heapNextTick() const;
+    bool heapRunOne();
 
     EventQueuePolicy policy_;
 
@@ -389,6 +625,10 @@ class EventQueue
     // the steady-state depth must not trigger rebuild ping-pong.
     std::uint32_t minCountLog2_ = 0;
     std::size_t opsSinceRebuild_ = 0;
+    // opsSinceRebuild_ value at which calCheckGeometry() runs next: the
+    // bucket count after a rebuild (the hysteresis window), then one
+    // more bucket count after each check that kept the geometry.
+    std::size_t nextGeometryCheck_ = 0;
     // Link-walk steps spent in calInsert since the last rebuild; a high
     // steps/ops ratio means the bucket width no longer matches the tick
     // distribution (chains grew long) and triggers a width re-tune.
@@ -408,6 +648,7 @@ class EventQueue
     EventId nextId_ = 1;
     std::size_t liveCount_ = 0;
     std::uint64_t numExecuted_ = 0;
+    SameTick sameTick_;
 
     // Profile probes: the array stays (zeroed) in unprofiled builds so
     // the accessor keeps one signature, but is only ever written under

@@ -5,7 +5,8 @@
  * completions, 90% Student-t intervals "within 5%") and must flag a
  * deliberately starved one (tiny batches on a high-CV workload). Also
  * pins the JobPool-facing determinism of the snapshot stream and the
- * profiler's deterministic counters.
+ * profiler's deterministic counters, among them three queue events per
+ * transaction.
  */
 
 #include <cstddef>
@@ -101,6 +102,30 @@ TEST(RunHealthIntegrationTest, SnapshotsAndMetricsAreDeterministic)
     for (char c : a.healthSnapshots)
         lines += c == '\n' ? 1 : 0;
     EXPECT_EQ(lines, 4u);
+}
+
+TEST(RunHealthIntegrationTest, SaturatedTransactionIsThreeEvents)
+{
+    // A transaction is three queue events: the request arrival, the
+    // pass completion and the tenure end. The pass start runs in the
+    // queue's same-tick slot, which is not an event. Saturated rr1
+    // never retries or idles a pass, so only the requests still in
+    // flight when the run stops (at most one arrival per agent, plus
+    // the pass completions of the tenure in progress and of a decided
+    // next master) sit above three per completion.
+    constexpr int kAgents = 10;
+    ScenarioConfig config = equalLoadScenario(kAgents, 2.0, 1.0);
+    config.numBatches = 2;
+    config.batchSize = 2000;
+    config.warmup = 500;
+    config.profile = true;
+    const ScenarioResult r =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
+    const std::uint64_t completions = r.profile.completions;
+    ASSERT_EQ(completions, 4500u);
+    EXPECT_EQ(r.profile.retryPasses, 0u);
+    EXPECT_GE(r.profile.eventsExecuted, 3 * completions);
+    EXPECT_LE(r.profile.eventsExecuted, 3 * completions + kAgents + 2);
 }
 
 TEST(RunHealthIntegrationTest, ProfilerCountersMatchRun)

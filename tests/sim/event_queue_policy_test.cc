@@ -2,11 +2,15 @@
  * @file
  * Policy-seam tests for the event queue: both storage policies must
  * implement the identical (tick, priority, id) ordering contract, the
- * scheduleIn() saturation rule, and bounded memory under churn.
+ * scheduleIn() saturation rule, bounded memory under churn, and the
+ * same-tick slot's place in that order.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,6 +132,70 @@ TEST_P(EventQueuePolicyTest, ChurnDoesNotGrowMemoryUnbounded)
     EXPECT_TRUE(queue_.empty());
 }
 
+/** A same-tick slot function: appends `value` to `order`. */
+struct SlotMark
+{
+    std::vector<int> *order;
+    int value;
+
+    static void
+    run(void *self)
+    {
+        const auto *mark = static_cast<const SlotMark *>(self);
+        mark->order->push_back(mark->value);
+    }
+};
+
+TEST_P(EventQueuePolicyTest, ArmedSlotAloneIsAnEntry)
+{
+    queue_.schedule(7, [] {});
+    queue_.run();
+    std::vector<int> order;
+    SlotMark mark{&order, 1};
+    queue_.armSameTick(&SlotMark::run, &mark, kPriBeginPass);
+    EXPECT_FALSE(queue_.empty());
+    EXPECT_EQ(queue_.nextTick(), queue_.now());
+    EXPECT_EQ(queue_.numPending(), 0u);
+    EXPECT_TRUE(queue_.runOne());
+    EXPECT_EQ(order, (std::vector<int>{1}));
+    EXPECT_EQ(queue_.now(), 7);
+    // The slot is not an event: the count holds the one event only.
+    EXPECT_EQ(queue_.numExecuted(), 1u);
+    EXPECT_TRUE(queue_.empty());
+    EXPECT_FALSE(queue_.runOne());
+}
+
+TEST_P(EventQueuePolicyTest, RunRunsTheArmedSlot)
+{
+    std::vector<int> order;
+    SlotMark mark{&order, 1};
+    queue_.armSameTick(&SlotMark::run, &mark, kPriBeginPass);
+    EXPECT_EQ(queue_.run(0), 0u);
+    EXPECT_EQ(order, (std::vector<int>{1}));
+    EXPECT_TRUE(queue_.empty());
+    // Freed once it ran, so it can be armed again.
+    queue_.armSameTick(&SlotMark::run, &mark, kPriBeginPass);
+    EXPECT_EQ(queue_.run(), 0u);
+    EXPECT_EQ(order, (std::vector<int>{1, 1}));
+}
+
+TEST_P(EventQueuePolicyTest, SlotSortsAsAnEventScheduledNow)
+{
+    // Same tick, same priority: the slot's place in the id sequence
+    // decides, exactly as for an event scheduled where it was armed.
+    std::vector<int> order;
+    SlotMark mark{&order, 3};
+    queue_.schedule(0, [&] { order.push_back(5); }, kPriDefault);
+    queue_.schedule(0, [&] { order.push_back(2); }, kPriBeginPass);
+    queue_.armSameTick(&SlotMark::run, &mark, kPriBeginPass);
+    queue_.schedule(0, [&] { order.push_back(4); }, kPriBeginPass);
+    queue_.schedule(0, [&] { order.push_back(1); }, kPriRequestArrival);
+    queue_.schedule(1, [&] { order.push_back(6); }, kPriTransactionEnd);
+    queue_.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(queue_.numExecuted(), 5u);
+}
+
 using EventQueuePolicyDeathTest = EventQueuePolicyTest;
 
 TEST_P(EventQueuePolicyDeathTest, DeathOnContractViolations)
@@ -138,6 +206,15 @@ TEST_P(EventQueuePolicyDeathTest, DeathOnContractViolations)
     queue_.schedule(10, [] {});
     queue_.run();
     EXPECT_DEATH(queue_.schedule(5, [] {}), "scheduling into the past");
+}
+
+TEST_P(EventQueuePolicyDeathTest, ArmingTheSlotTwicePanics)
+{
+    std::vector<int> order;
+    SlotMark mark{&order, 1};
+    queue_.armSameTick(&SlotMark::run, &mark, kPriBeginPass);
+    EXPECT_DEATH(queue_.armSameTick(&SlotMark::run, &mark, kPriDefault),
+                 "same-tick slot armed twice");
 }
 
 const auto kPolicyName =
@@ -218,6 +295,149 @@ TEST(EventQueueDifferentialTest, RandomChurnExecutesIdentically)
     EXPECT_EQ(cal_count, heap_count);
     EXPECT_GT(cal_count, 1000u);
 }
+
+/**
+ * One side of the same-tick differential: a queue that arms the slot
+ * (slot = true) or the reference that schedules the same call as an
+ * event at (now, priority) (slot = false).
+ */
+struct SameTickDriver
+{
+    EventQueue q;
+    bool slot;
+    std::vector<std::pair<int, Tick>> log;
+    std::vector<EventQueue::EventId> live; // ordinary events only
+    bool armed = false;
+    int armedOp = 0;
+    std::uint64_t armedRuns = 0;
+
+    static constexpr int kPriorities[] = {
+        kPriTransactionEnd, kPriArbitration, kPriRequestArrival,
+        kPriBeginPass,      kPriDefault,     kPriStats};
+
+    SameTickDriver(EventQueuePolicy policy, bool use_slot)
+        : q(policy), slot(use_slot)
+    {
+    }
+
+    /** Arm (or schedule now) the call for `op`, unless one is pending. */
+    void
+    arm(int op, int priority)
+    {
+        if (armed)
+            return;
+        armed = true;
+        armedOp = op;
+        if (slot) {
+            q.armSameTick(
+                [](void *self) {
+                    static_cast<SameTickDriver *>(self)->fire();
+                },
+                this, priority);
+        } else {
+            q.schedule(q.now(), [this] { fire(); }, priority);
+        }
+    }
+
+    /** The armed call: logs itself; some schedule or re-arm, as a pass
+     *  start schedules its completion. */
+    void
+    fire()
+    {
+        armed = false;
+        ++armedRuns;
+        const int op = armedOp;
+        log.emplace_back(-1 - op, q.now());
+        if (op % 3 == 0)
+            event(op + 100000, op % 4, kPriorities[op % 6]);
+        if (op % 7 == 0)
+            arm(op + 200000, kPriorities[(op / 7) % 6]);
+    }
+
+    /** An ordinary event; some arm the call when they run, as an
+     *  arrival arms a pass start. */
+    void
+    event(int op, Tick delay, int priority)
+    {
+        live.push_back(q.scheduleIn(
+            delay,
+            [this, op] {
+                log.emplace_back(op, q.now());
+                if (op % 4 == 0)
+                    arm(op, kPriorities[(op / 4) % 6]);
+            },
+            priority));
+    }
+};
+
+/**
+ * The same-tick slot is exactly the event it stands for: random
+ * schedules at every priority, deschedules and slot arms (from the top
+ * level, from events and from the slot itself) pushed through a queue
+ * that arms the slot and a reference of the same policy that schedules
+ * an event at (now, priority) in its place. Execution order, the now()
+ * trajectory and the event count (less the slot's runs) must match.
+ */
+class SameTickDifferentialTest
+    : public ::testing::TestWithParam<EventQueuePolicy>
+{
+};
+
+TEST_P(SameTickDifferentialTest, SlotRunsWhereItsEventWould)
+{
+    constexpr int kOps = 8000;
+    const auto drive = [](SameTickDriver &d) {
+        std::vector<Tick> trajectory;
+        std::uint64_t rng = 0x2545f4914f6cdd1dULL;
+        const auto next = [&rng] {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            return rng;
+        };
+        for (int op = 0; op < kOps; ++op) {
+            const std::uint64_t roll = next() % 100;
+            // Short delays: most entries tie on a tick with others.
+            const Tick delay = static_cast<Tick>(next() % 4);
+            const int pri = SameTickDriver::kPriorities[next() % 6];
+            if (roll < 35) {
+                d.event(op, delay, pri);
+            } else if (roll < 47) {
+                d.arm(op, pri);
+            } else if (roll < 57 && !d.live.empty()) {
+                const std::size_t victim = next() % d.live.size();
+                d.q.deschedule(d.live[victim]);
+                d.live.erase(d.live.begin() +
+                             static_cast<std::ptrdiff_t>(victim));
+            } else {
+                d.q.runOne();
+                trajectory.push_back(d.q.now());
+            }
+        }
+        d.q.run();
+        trajectory.push_back(d.q.now());
+        return trajectory;
+    };
+
+    SameTickDriver slot(GetParam(), true);
+    SameTickDriver reference(GetParam(), false);
+    const std::vector<Tick> slot_traj = drive(slot);
+    const std::vector<Tick> ref_traj = drive(reference);
+    EXPECT_EQ(slot.log, reference.log);
+    EXPECT_EQ(slot_traj, ref_traj);
+    EXPECT_EQ(slot.armedRuns, reference.armedRuns);
+    EXPECT_EQ(slot.q.numExecuted(),
+              reference.q.numExecuted() - reference.armedRuns);
+    EXPECT_TRUE(slot.q.empty());
+    EXPECT_GT(slot.armedRuns, 400u);
+    EXPECT_GT(slot.q.numExecuted(), 2000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothPolicies, SameTickDifferentialTest,
+    ::testing::Values(EventQueuePolicy::kCalendar,
+                      EventQueuePolicy::kHeap),
+    kPolicyName);
 
 /** The calendar must stay correct across growth-driven rebuilds. */
 TEST(EventQueueDifferentialTest, GrowthAndDrainMatchAcrossPolicies)
