@@ -15,12 +15,13 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "experiment/protocol_registry.hh"
 #include "experiment/table.hh"
 #include "stats/welford.hh"
-#include "workload/trace_workload.hh"
+#include "workload/workload_source.hh"
 
 namespace {
 
@@ -60,7 +61,11 @@ main(int argc, char **argv)
             std::cerr << "cannot open trace file " << argv[1] << "\n";
             return 1;
         }
-        trace = RequestTrace::parse(file);
+        std::string error;
+        if (!RequestTrace::parse(file, trace, error)) {
+            std::cerr << argv[1] << ": " << error << "\n";
+            return 2;
+        }
         std::cout << "loaded " << trace.size() << " requests from "
                   << argv[1] << "\n\n";
     } else {
@@ -78,8 +83,8 @@ main(int argc, char **argv)
                 std::max<int>(n, trace.maxAgent()), {});
         TraceMetrics metrics(bus.numAgents());
         bus.setObserver(&metrics);
-        TracePlayer player(queue, bus, trace);
-        player.start();
+        TraceWorkloadSource source(queue, bus, trace);
+        source.start();
         queue.run();
         const double hi =
             static_cast<double>(metrics.perAgent[static_cast<std::size_t>(

@@ -107,6 +107,28 @@ printf '0.5 1\n1.0 2\n' > "$tmp/short.trace"
 expect 2 "shorten the run" "sim short trace" \
     "$sim" --protocol rr1 --agents 4 --batches 1 --batch-size 100 \
     --warmup 0 --source "trace:file=$tmp/short.trace"
+# A malformed trace exits 2 naming the file and line (bad text) or the
+# file (a corrupt binary capture), before any cell runs.
+bad_trace() {
+    label="$1"; needle="$2"; spec="$3"
+    expect 2 "$needle" "sim $label" "$sim" --source "$spec" \
+        --batches 1 --batch-size 1 --warmup 0
+}
+printf '1 x\n' > "$tmp/agent.trace"
+bad_trace "trace bad agent" "agent.trace' line 1: bad agent id 'x'" \
+    "trace:file=$tmp/agent.trace"
+printf -- '-1 1\n' > "$tmp/negative.trace"
+bad_trace "trace negative time" "line 1: time must be a number in" \
+    "trace:file=$tmp/negative.trace"
+printf '1e300 1\n' > "$tmp/huge.trace"
+bad_trace "trace time past the tick clock" "got '1e300'" \
+    "trace:file=$tmp/huge.trace"
+printf 'nan 1\n' > "$tmp/nan.trace"
+bad_trace "trace nan time" "line 1: time must be a number in" \
+    "trace:file=$tmp/nan.trace"
+printf 'BATR\001\002\005pr' > "$tmp/corrupt.trace"
+bad_trace "corrupt binary trace" "corrupt.trace': corrupt or truncated" \
+    "trace:file=$tmp/corrupt.trace,format=binary"
 
 # Scenario files: parse errors are line-numbered usage errors, and
 # workload flags conflict with --scenario.
@@ -201,6 +223,18 @@ expect 2 "warmup" "sim negative warmup" \
     "$sim" --protocol rr1 --warmup -1
 expect 2 "load 7.5 over 5 agents" "sweep per-agent load range" \
     "$sweep" --protocols rr1 --agents 5 --loads 7.5
+# Values whose durations would overflow the tick clock: each used to
+# run wrong (overhead 0, a saturated bus) or panic with an empty batch.
+for bad in "arb-overhead 1e13" "arb-overhead 1e300" "arb-overhead 1e12" \
+    "cv 1e155"; do
+    # shellcheck disable=SC2086
+    expect 2 "--${bad% *} must be <= " "sim --$bad" \
+        "$sim" --batches 2 --batch-size 500 --warmup 100 --$bad
+done
+for bad in 1e-300 1e-12; do
+    expect 2 "per-agent load must be >= 1e-06" "sim --load $bad" \
+        "$sim" --batches 2 --batch-size 500 --warmup 100 --load "$bad"
+done
 # A scenario flag gets its file key's own check and names itself,
 # never a line of a file the user did not write.
 expect_flag() {

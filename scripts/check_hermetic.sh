@@ -9,9 +9,9 @@
 set -eu
 
 build="${1:-build}"
-suites='TraceWorkloadTest|OpenWorkloadTest|WorkloadRegistryTest'
+suites='TraceWorkload|OpenWorkloadTest|WorkloadRegistryTest'
 suites="$suites|ScenarioSpec|MetricsRegistry|ManifestTest|MergeTest"
-suites="$suites|WorkerShardTest|ShardFile|TracePlayer|RequestTrace"
+suites="$suites|WorkerShardTest|ShardFile|RequestTrace"
 suites="$suites|WriteArtifactTest"
 suites="$suites|SettleDigestTest"
 

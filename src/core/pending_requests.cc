@@ -63,15 +63,6 @@ PendingRequests::oldestPriority(AgentId agent)
     return found;
 }
 
-std::vector<AgentId>
-PendingRequests::agentsWithRequests() const
-{
-    std::vector<AgentId> result;
-    forEachAgentWithRequests(
-        [&result](AgentId agent) { result.push_back(agent); });
-    return result;
-}
-
 PendingEntry *
 PendingRequests::findBySeq(AgentId agent, std::uint64_t seq)
 {

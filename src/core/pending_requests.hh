@@ -217,14 +217,11 @@ class PendingRequests
             fn(entry);
     }
 
-    /** @return The set of agents that currently have pending requests. */
-    std::vector<AgentId> agentsWithRequests() const;
-
     /**
      * Visit every agent that has at least one pending request, in
-     * ascending id order, via a bit scan over the packed request mask —
-     * the allocation-free replacement for agentsWithRequests() on the
-     * per-pass arbitration path.
+     * ascending id order, via a bit scan over the packed request mask;
+     * it allocates nothing, so the per-pass arbitration path can call
+     * it.
      *
      * @param fn Callable taking (AgentId).
      */

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -233,28 +234,36 @@ registerOnOff(WorkloadRegistry &registry)
 /**
  * Load a request trace from disk.
  *
- * @param error Receives a message on failure.
- * @retval false The file was unreadable or the chunk out of range
- *         (malformed *content* is fatal, with a line/offset message).
+ * @param error Receives a message naming the file (and the line of a
+ *        malformed text record) on failure.
+ * @retval false The file was unreadable, malformed, or the chunk out of
+ *         range.
  */
 bool
 loadRequestTrace(const std::string &file, const std::string &format,
                  long chunk, RequestTrace &out, std::string &error)
 {
+    const std::string where = "trace file '" + file + "'";
     if (format == "binary") {
         std::ifstream is(file, std::ios::binary);
         if (!is) {
-            error = "cannot read trace file '" + file + "'";
+            error = "cannot read " + where;
             return false;
         }
         std::vector<std::uint8_t> bytes(
             (std::istreambuf_iterator<char>(is)),
             std::istreambuf_iterator<char>());
-        const auto chunks = readTraceChunks(bytes);
+        std::vector<TraceChunk> chunks;
+        try {
+            chunks = readTraceChunks(bytes);
+        } catch (const std::runtime_error &err) {
+            error = where + ": corrupt or truncated trace: " + err.what();
+            return false;
+        }
         if (chunk < 0 ||
             static_cast<std::size_t>(chunk) >= chunks.size()) {
             std::ostringstream os;
-            os << "trace file '" << file << "' has " << chunks.size()
+            os << where << " has " << chunks.size()
                << " chunk(s); chunk=" << chunk << " is out of range";
             error = os.str();
             return false;
@@ -262,18 +271,27 @@ loadRequestTrace(const std::string &file, const std::string &format,
         RequestTrace trace;
         for (const auto &event :
              chunks[static_cast<std::size_t>(chunk)].events) {
-            if (event.kind == TraceEventKind::kRequestPosted)
-                trace.append(event.tick, event.agent, event.priority);
+            if (event.kind != TraceEventKind::kRequestPosted)
+                continue;
+            if (event.agent < 1) {
+                error = where + ": corrupt trace: request from agent " +
+                        std::to_string(event.agent);
+                return false;
+            }
+            trace.append(event.tick, event.agent, event.priority);
         }
         out = std::move(trace);
         return true;
     }
     std::ifstream is(file);
     if (!is) {
-        error = "cannot read trace file '" + file + "'";
+        error = "cannot read " + where;
         return false;
     }
-    out = RequestTrace::parse(is);
+    if (!RequestTrace::parse(is, out, error)) {
+        error = where + " " + error;
+        return false;
+    }
     return true;
 }
 

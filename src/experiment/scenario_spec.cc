@@ -24,6 +24,19 @@ namespace busarb {
 
 namespace {
 
+/**
+ * Bounds that keep every duration a scenario implies inside the tick
+ * clock (2^63 ticks of 1e-6 units, about 9.2e12 units), where
+ * unitsToTicks() is defined. A per-agent load of 1e-6 is a mean think
+ * time of about 1e6 units; a cv of 100 puts the hyperexponential's slow
+ * phase at about 1e4 times the mean, so even its longest draws (about
+ * 37 slow-phase means) stay near 4e11 units; a pass takes at most 1000
+ * units.
+ */
+constexpr double kMaxCv = 100.0;
+constexpr double kMaxArbOverhead = 1000.0;
+constexpr double kMinPerAgentLoad = 1e-6;
+
 std::string
 trim(const std::string &s)
 {
@@ -344,8 +357,10 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
                 return source.bad("must not repeat a value", axis[i]);
         return std::string();
     };
-    const auto want_double = [&](double min_value, bool exclusive,
-                                 double &slot) -> std::string {
+    const auto want_double =
+        [&](double min_value, bool exclusive, double &slot,
+            double max_value =
+                std::numeric_limits<double>::infinity()) -> std::string {
         double parsed = 0.0;
         if (!parseDouble(value, parsed) || !std::isfinite(parsed))
             return source.bad("expects a number", value);
@@ -353,6 +368,9 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
             return source.bad(std::string("must be ") +
                                   (exclusive ? ">" : ">=") + " " +
                                   formatDouble(min_value),
+                              value);
+        if (parsed > max_value)
+            return source.bad("must be <= " + formatDouble(max_value),
                               value);
         slot = parsed;
         return "";
@@ -387,8 +405,8 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
                                      source.line});
         }
     } else if (section == "sweep" && key != "loads" && key != "protocols") {
-        // A cv or arb-overhead row axis takes finite values >= 0, and a
-        // batch-size axis the [run] key's integers.
+        // A cv or arb-overhead row axis takes the [workload] or [bus]
+        // key's values, and a batch-size axis the [run] key's integers.
         if (!spec.rowTokens.empty() && spec.rowKey != key)
             return "[sweep] sweeps both '" + spec.rowKey + "' and '" + key +
                    "'; a grid has one row axis";
@@ -402,10 +420,16 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
                 double v = 0.0;
                 long size = 0;
                 parseDouble(row, v);
+                const double max_value =
+                    key == "cv" ? kMaxCv : kMaxArbOverhead;
                 if (key == "batch-size")
                     why = want_int(1, size, row);
                 else if (!(v >= 0.0 && std::isfinite(v)))
                     why = source.bad("must be finite and >= 0", row);
+                else if (v > max_value)
+                    why = source.bad("must be <= " +
+                                         formatDouble(max_value),
+                                     row);
                 if (!why.empty())
                     return why;
             }
@@ -419,7 +443,7 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
     } else if (key == "agents") {
         why = want_int(1, spec.agents, value);
     } else if (key == "cv") {
-        why = want_double(0.0, false, spec.cv);
+        why = want_double(0.0, false, spec.cv, kMaxCv);
     } else if (key == "unequal-factor") {
         why = want_double(0.0, true, spec.unequalFactor);
     } else if (key == "max-outstanding") {
@@ -435,7 +459,7 @@ setScenarioKey(ScenarioSpec &spec, const std::string &section,
     } else if (key == "hot-factor") {
         why = want_double(0.0, true, spec.hotFactor);
     } else if (key == "arb-overhead") {
-        why = want_double(0.0, false, spec.arbOverhead);
+        why = want_double(0.0, false, spec.arbOverhead, kMaxArbOverhead);
     } else if (key == "settle-timing") {
         why = want_bool(spec.settleTiming);
     } else if (key == "worst-case-settle") {
@@ -532,19 +556,37 @@ checkScenarioSpec(ScenarioSpec &spec)
         double load = 0.0;
         parseDouble(token, load); // the setter validated it
         const double per_agent = load / spec.agents;
+        const std::string over = "load " + token + " over " +
+                                 std::to_string(spec.agents) + " agents is " +
+                                 formatDouble(per_agent) + " per agent; ";
         if (!(per_agent > 0.0 && per_agent < 1.0))
-            return "load " + token + " over " + std::to_string(spec.agents) +
-                   " agents is " + formatDouble(per_agent) +
-                   " per agent; the per-agent load must be in (0, 1)";
-        if (spec.family == "unequal" &&
-            per_agent * spec.unequalFactor >= 1.0)
-            return "unequal-factor " + formatDouble(spec.unequalFactor) +
-                   " at load " + token +
-                   " pushes agent 1's offered load to >= 1";
-        if (spec.hotAgents > 0 && spec.hotFactor * load / spec.agents >= 1.0)
-            return "hot-factor " + formatDouble(spec.hotFactor) +
-                   " at load " + token +
-                   " pushes a hot agent's offered load to >= 1";
+            return over + "the per-agent load must be in (0, 1)";
+        if (per_agent < kMinPerAgentLoad)
+            return over + "the per-agent load must be >= " +
+                   formatDouble(kMinPerAgentLoad);
+        // A factor scales one agent's load (computed as configForLoad
+        // does), which obeys the same range.
+        const auto scaled = [&](const char *key, double factor,
+                                double agent_load,
+                                const char *agent) -> std::string {
+            if (agent_load < 1.0 && agent_load >= kMinPerAgentLoad)
+                return "";
+            return std::string(key) + " " + formatDouble(factor) +
+                   " at load " + token + " pushes " + agent +
+                   "'s offered load to " +
+                   (agent_load >= 1.0
+                        ? std::string(">= 1")
+                        : "< " + formatDouble(kMinPerAgentLoad));
+        };
+        std::string why;
+        if (spec.family == "unequal")
+            why = scaled("unequal-factor", spec.unequalFactor,
+                         per_agent * spec.unequalFactor, "agent 1");
+        if (why.empty() && spec.hotAgents > 0)
+            why = scaled("hot-factor", spec.hotFactor,
+                         spec.hotFactor * load / spec.agents, "a hot agent");
+        if (!why.empty())
+            return why;
     }
     // Tables last: their columns name protocols and axis values.
     for (TableSpec &table : spec.tables) {

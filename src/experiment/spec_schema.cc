@@ -54,7 +54,12 @@ rangeLabel(const ParamSpec &param)
             return formatDouble(v);
         return std::to_string(static_cast<long>(v));
     };
-    return "[" + num(param.minValue) + ", " + num(param.maxValue) + "]";
+    std::string label = "[";
+    label += num(param.minValue);
+    label += ", ";
+    label += num(param.maxValue);
+    label += ']';
+    return label;
 }
 
 /** One raw option token of a spec string. */

@@ -1,5 +1,6 @@
 #include "obs/binary_trace.hh"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "sim/logging.hh"
@@ -12,8 +13,9 @@ namespace {
 constexpr std::uint8_t kTagEnd = 0;
 constexpr std::uint8_t kTagDefineCounter = 7;
 
-constexpr char kMagic[4] = {'B', 'A', 'T', 'R'};
 constexpr std::uint8_t kVersion = 1;
+/** A chunk opens with the magic "BATR" and the version byte. */
+constexpr std::uint8_t kChunkHeader[] = {'B', 'A', 'T', 'R', kVersion};
 
 [[noreturn]] void
 malformed(const char *what)
@@ -65,10 +67,9 @@ decodeVarint(const std::uint8_t **cursor, const std::uint8_t *end,
 
 BinaryTraceWriter::BinaryTraceWriter(int num_agents,
                                      const std::string &protocol)
+    : buffer_(std::begin(kChunkHeader), std::end(kChunkHeader))
 {
     BUSARB_ASSERT(num_agents >= 1, "trace writer needs agents");
-    buffer_.insert(buffer_.end(), kMagic, kMagic + sizeof(kMagic));
-    buffer_.push_back(kVersion);
     appendVarint(buffer_, static_cast<std::uint64_t>(num_agents));
     appendVarint(buffer_, protocol.size());
     buffer_.insert(buffer_.end(), protocol.begin(), protocol.end());
@@ -222,7 +223,10 @@ readTraceChunks(const std::uint8_t *data, std::size_t size)
             }
             TraceEvent ev;
             ev.kind = static_cast<TraceEventKind>(tag);
-            tick += static_cast<Tick>(readVarintOrThrow(&p, end));
+            const std::uint64_t delta = readVarintOrThrow(&p, end);
+            if (delta > static_cast<std::uint64_t>(kMaxTick - tick))
+                malformed("tick past the end of the tick clock");
+            tick += static_cast<Tick>(delta);
             ev.tick = tick;
             switch (ev.kind) {
               case TraceEventKind::kRequestPosted:

@@ -52,9 +52,10 @@ ProfileReport::exportMetrics(MetricsRegistry &m) const
     for (std::size_t b = 0; b < queueDepthLog2.size(); ++b) {
         if (queueDepthLog2[b] == 0)
             continue;
-        const std::string name =
-            "profile.queue.depth_log2." +
-            (b < 10 ? "0" + std::to_string(b) : std::to_string(b));
+        std::string name = "profile.queue.depth_log2.";
+        if (b < 10)
+            name += '0';
+        name += std::to_string(b);
         m.counter(name).add(queueDepthLog2[b]);
     }
 }

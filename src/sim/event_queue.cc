@@ -189,33 +189,13 @@ EventQueue::calFindMin() const
 }
 
 void
-EventQueue::calRemove(Node *node, std::size_t bucket)
-{
-    Node *prev = nullptr;
-    Node **link = &buckets_[bucket];
-    while (*link != node) {
-        BUSARB_ASSERT(*link != nullptr, "event ", node->id,
-                      " missing from its calendar bucket");
-        prev = *link;
-        link = &(*link)->next;
-    }
-    *link = node->next;
-    if (node == tails_[bucket])
-        tails_[bucket] = prev;
-    if (buckets_[bucket] == nullptr)
-        bucketBits_[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
-    if (node == cachedMin_)
-        minValid_ = false;
-}
-
-void
 EventQueue::calCheckGeometry()
 {
     // Hysteresis: geometry changes only after a full bucket-count worth
-    // of operations since the last rebuild, and never below the tuned
+    // of schedules since the last rebuild, and never below the tuned
     // initial count — a live depth oscillating around a threshold must
     // not ping-pong between rebuilds. A check that keeps the geometry
-    // schedules the next one a bucket count later (calCountOp).
+    // schedules the next one a bucket count later (calScheduleSlot).
     const std::size_t nb = buckets_.size();
     if (liveCount_ > nb * 2 &&
         nb < (std::size_t{1} << kMaxBucketCountLog2)) {
@@ -282,118 +262,28 @@ EventQueue::calRebuild(std::uint32_t count_log2, std::uint32_t width_log2)
 
 // ----------------------------------------------------------------- heap
 
-void
-EventQueue::heapSift() const
+EventCallback &
+EventQueue::heapAppend(Tick when, int priority)
 {
-    // Drop cancelled entries sitting at the heap top, erasing their
-    // tombstones as they surface.
-    const auto later = [](const HeapEntry &a, const HeapEntry &b) {
-        return earlier(b.when, b.priority, b.id, a.when, a.priority, a.id);
-    };
-    while (!heap_.empty() && cancelled_.erase(heap_.front().id) > 0) {
-        std::pop_heap(heap_.begin(), heap_.end(), later);
-        heap_.pop_back();
-    }
-}
-
-void
-EventQueue::heapCompactTombstones()
-{
-    const auto later = [](const HeapEntry &a, const HeapEntry &b) {
-        return earlier(b.when, b.priority, b.id, a.when, a.priority, a.id);
-    };
-    std::erase_if(heap_, [this](const HeapEntry &e) {
-        return cancelled_.count(e.id) > 0;
-    });
-    std::make_heap(heap_.begin(), heap_.end(), later);
-    cancelled_.clear();
-}
-
-// ------------------------------------------------------------------ API
-
-EventQueue::EventId
-EventQueue::schedule(Tick when, Callback cb, int priority)
-{
-    BUSARB_ASSERT(static_cast<bool>(cb), "null event callback");
-    if (policy_ == EventQueuePolicy::kCalendar) {
-        EventId id = 0;
-        *calScheduleSlot(when, priority, id) = std::move(cb);
-        return id;
-    }
     BUSARB_ASSERT(when >= now_, "scheduling into the past: when=", when,
                   " now=", now_);
-    const EventId id = nextId_++;
-    const auto later = [](const HeapEntry &a, const HeapEntry &b) {
-        return earlier(b.when, b.priority, b.id, a.when, a.priority, a.id);
-    };
-    heap_.push_back(HeapEntry{when, priority, id, std::move(cb)});
-    std::push_heap(heap_.begin(), heap_.end(), later);
+    heap_.push_back(HeapEntry{when, priority, nextId_++, EventCallback{}});
+    return heap_.back().cb;
+}
+
+void
+EventQueue::heapPush()
+{
+    std::push_heap(heap_.begin(), heap_.end(), HeapEntry::later);
     ++liveCount_;
 #if BUSARB_PROFILING_ENABLED
     recordDepth(liveCount_);
 #endif
-    return id;
-}
-
-EventQueue::EventId
-EventQueue::scheduleIn(Tick delay, Callback cb, int priority)
-{
-    return schedule(saturatedTick(delay), std::move(cb), priority);
-}
-
-bool
-EventQueue::deschedule(EventId id)
-{
-    if (id == 0 || id >= nextId_)
-        return false;
-    if (policy_ == EventQueuePolicy::kCalendar) {
-        // Deschedules are rare (no per-event bookkeeping is worth
-        // carrying for them); find the node by scanning the live set.
-        for (std::size_t b = 0; b < buckets_.size(); ++b) {
-            for (Node *node = buckets_[b]; node != nullptr;
-                 node = node->next) {
-                if (node->id != id)
-                    continue;
-                calRemove(node, b);
-                node->~Node();
-                arena_.release(node);
-                BUSARB_ASSERT(liveCount_ > 0, "live count underflow");
-                --liveCount_;
-                calCountOp();
-                return true;
-            }
-        }
-        return false;
-    }
-    if (cancelled_.count(id) > 0)
-        return false;
-    const bool live =
-        std::any_of(heap_.begin(), heap_.end(),
-                    [id](const HeapEntry &e) { return e.id == id; });
-    if (!live)
-        return false;
-    cancelled_.insert(id);
-    BUSARB_ASSERT(liveCount_ > 0, "live count underflow");
-    --liveCount_;
-    // Tombstones for far-future events would otherwise accumulate until
-    // they surfaced at the top; compact once they exceed half the live
-    // count so cancelled storage stays bounded by the live set.
-    if (cancelled_.size() * 2 > liveCount_)
-        heapCompactTombstones();
-    return true;
-}
-
-Tick
-EventQueue::heapNextTick() const
-{
-    heapSift();
-    return heap_.empty() ? kMaxTick : heap_.front().when;
 }
 
 bool
 EventQueue::heapRunOne()
 {
-    heapSift();
     if (sameTick_.fn != nullptr &&
         (heap_.empty() ||
          sameTickFirst(heap_.front().when, heap_.front().priority,
@@ -403,10 +293,7 @@ EventQueue::heapRunOne()
     }
     if (heap_.empty())
         return false;
-    const auto later = [](const HeapEntry &a, const HeapEntry &b) {
-        return earlier(b.when, b.priority, b.id, a.when, a.priority, a.id);
-    };
-    std::pop_heap(heap_.begin(), heap_.end(), later);
+    std::pop_heap(heap_.begin(), heap_.end(), HeapEntry::later);
     HeapEntry entry = std::move(heap_.back());
     heap_.pop_back();
     BUSARB_ASSERT(entry.when >= now_, "event queue went backwards");
@@ -418,6 +305,8 @@ EventQueue::heapRunOne()
     return true;
 }
 
+// ------------------------------------------------------------------ API
+
 std::size_t
 EventQueue::run(Tick until)
 {
@@ -425,12 +314,6 @@ EventQueue::run(Tick until)
     while (nextTick() <= until && runOne()) {
     }
     return static_cast<std::size_t>(numExecuted_ - before);
-}
-
-std::size_t
-EventQueue::numTombstones() const
-{
-    return cancelled_.size();
 }
 
 std::size_t

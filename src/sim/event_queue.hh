@@ -16,16 +16,16 @@
  *    (freed slots are recycled, so steady state allocates nothing),
  *    buckets hold short (tick, priority, id)-sorted lists, and the
  *    bucket width re-tunes itself from the live event span as the
- *    queue grows and shrinks. Deschedules unlink directly — no
- *    tombstones.
- *  - kHeap: the classic binary heap with a tombstone set for
- *    cancellations, kept as the reference implementation. Differential
- *    tests pin both policies to bit-identical execution order, and the
- *    benchmarks report the speedup of one over the other.
+ *    queue grows and shrinks.
+ *  - kHeap: a plain binary heap, kept as the reference implementation.
+ *    Differential tests pin both policies to bit-identical execution
+ *    order, and the benchmarks report the speedup of one over the other.
  *
- * Both policies store callbacks in a small-buffer-optimized, move-only
- * EventCallback, so popping an event moves the callable out instead of
- * copying a std::function off the heap top.
+ * A scheduled event always runs: the simulator never cancels one, so
+ * the queue has no cancel path. Both policies build each callable in
+ * place in a small-buffer-optimized, move-only EventCallback, so popping
+ * an event moves the callable out instead of copying a std::function
+ * off the heap top.
  *
  * Beside its events the queue has one same-tick slot (armSameTick()): a
  * plain function armed at the current tick, which runs exactly where an
@@ -41,8 +41,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -77,7 +75,7 @@ enum EventPriority : int {
 /** Storage policy behind EventQueue; both obey the same ordering. */
 enum class EventQueuePolicy {
     kCalendar, ///< calendar queue + arena (the fast default)
-    kHeap,     ///< binary heap + tombstones (reference implementation)
+    kHeap,     ///< plain binary heap (reference implementation)
 };
 
 /** Buckets of the event-queue depth profile histogram (log2-spaced). */
@@ -116,9 +114,6 @@ struct CalendarTuning
 class EventQueue
 {
   public:
-    /** Opaque handle for descheduling. 0 is never a valid id. */
-    using EventId = std::uint64_t;
-    using Callback = EventCallback;
     /** What the same-tick slot runs: a plain function and its context. */
     using SameTickFn = void (*)(void *context);
 
@@ -136,73 +131,51 @@ class EventQueue
     ~EventQueue();
 
     /**
-     * Schedule a callback at an absolute tick.
+     * Schedule a nullary callable at an absolute tick. The callable is
+     * constructed directly in the queue's own storage (the arena node
+     * or the heap entry), never moved through a temporary.
      *
      * @param when Absolute tick; must be >= now().
-     * @param cb Callback to invoke.
+     * @param fn Callable to invoke.
      * @param priority Tie-break among same-tick events (lower first).
-     * @return Handle usable with deschedule().
      */
-    EventId schedule(Tick when, Callback cb, int priority = kPriDefault);
-
-    /**
-     * Schedule a callable, constructing it directly in the queue's own
-     * storage (the arena node for the calendar policy) instead of
-     * moving it through a Callback temporary. Semantics are identical
-     * to schedule(Tick, Callback, int); this overload only removes two
-     * relocations per event from the hot path.
-     */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, Callback> &&
-                  !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
-    EventId
+    template <typename F>
+    void
     schedule(Tick when, F &&fn, int priority = kPriDefault)
     {
         if (policy_ == EventQueuePolicy::kCalendar) {
-            EventId id = 0;
-            calScheduleSlot(when, priority, id)
-                ->emplace(std::forward<F>(fn));
-            return id;
+            calScheduleSlot(when, priority)->emplace(std::forward<F>(fn));
+            return;
         }
-        return schedule(when, Callback(std::forward<F>(fn)), priority);
+        heapAppend(when, priority).emplace(std::forward<F>(fn));
+        heapPush();
     }
 
     /**
-     * Schedule a callback at a delay relative to now().
+     * Schedule a callable at a delay relative to now().
      *
      * Delays reaching past kMaxTick saturate at kMaxTick instead of
-     * overflowing: scheduleIn(kMaxTick, ...) is a valid "never, unless
-     * the horizon is infinite" sentinel event.
+     * overflowing: scheduleIn(kMaxTick, ...) parks an event that runs
+     * only if the horizon is infinite.
      *
      * @param delay Non-negative tick delay.
-     * @param cb Callback to invoke.
+     * @param fn Callable to invoke.
      * @param priority Tie-break among same-tick events (lower first).
-     * @return Handle usable with deschedule().
      */
-    EventId scheduleIn(Tick delay, Callback cb, int priority = kPriDefault);
-
-    /** In-place-constructing variant of scheduleIn; see schedule(). */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, Callback> &&
-                  !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
-    EventId
+    template <typename F>
+    void
     scheduleIn(Tick delay, F &&fn, int priority = kPriDefault)
     {
-        return schedule(saturatedTick(delay), std::forward<F>(fn),
-                        priority);
+        schedule(saturatedTick(delay), std::forward<F>(fn), priority);
     }
 
     /**
      * Arm the same-tick slot: fn(context) runs exactly where an event
      * scheduled now at `priority` would run. The slot takes the next id
-     * of the event sequence, so it ties with same-(tick, priority)
-     * events as such an event would. It cannot be descheduled, and it
-     * is counted neither in numExecuted() nor in the depth profile.
-     * The slot is free again once fn is called, so fn may re-arm it.
+     * of the insertion sequence, so it ties with same-(tick, priority)
+     * events as such an event would. It is counted neither in
+     * numExecuted() nor in the depth profile. The slot is free again
+     * once fn is called, so fn may re-arm it.
      *
      * @param fn Function to run; must not be null.
      * @param context Its argument.
@@ -216,15 +189,6 @@ class EventQueue
                       "same-tick slot armed twice");
         sameTick_ = SameTick{fn, context, priority, nextId_++};
     }
-
-    /**
-     * Cancel a previously scheduled event.
-     *
-     * @param id Handle returned by schedule().
-     * @retval true The event was pending and is now cancelled.
-     * @retval false The event already ran, was cancelled, or never existed.
-     */
-    bool deschedule(EventId id);
 
     /** @return true if no live events remain and the slot is not armed. */
     bool
@@ -249,7 +213,7 @@ class EventQueue
             const Node *min = minValid_ ? cachedMin_ : calFindMin();
             return min == nullptr ? kMaxTick : min->when;
         }
-        return heapNextTick();
+        return heap_.empty() ? kMaxTick : heap_.front().when;
     }
 
     /**
@@ -298,28 +262,15 @@ class EventQueue
     std::uint64_t numExecuted() const { return numExecuted_; }
 
     /**
-     * @return Number of live (scheduled, not cancelled) events; an
-     *         armed same-tick slot is not counted.
+     * @return Number of live (scheduled, not yet run) events; an armed
+     *         same-tick slot is not counted.
      */
     std::size_t numPending() const { return liveCount_; }
-
-    /** @return The storage policy this queue was built with. */
-    EventQueuePolicy policy() const { return policy_; }
-
-    /**
-     * Cancelled-but-not-yet-removed entries. Always 0 for the calendar
-     * policy (deschedule unlinks directly); for the heap policy the
-     * tombstone set is compacted whenever it exceeds half the live
-     * count, so this stays bounded by liveCount / 2 + 1.
-     *
-     * @return Current tombstone count.
-     */
-    std::size_t numTombstones() const;
 
     /**
      * Allocated event-slot capacity: arena node slots (calendar) or
      * heap vector capacity (heap). Used by tests to pin that a
-     * schedule/deschedule churn loop cannot grow memory without bound.
+     * schedule/run churn loop cannot grow memory without bound.
      *
      * @return Number of event slots currently allocated.
      */
@@ -358,14 +309,18 @@ class EventQueue
     }
 
   private:
+    /** Insertion sequence: the last key of the (tick, priority, id)
+     *  order, shared by events and the same-tick slot. */
+    using EventId = std::uint64_t;
+
     /** One live calendar event; recycled through the arena. */
     struct Node
     {
         Tick when;
         int priority;
-        EventId id; // doubles as insertion sequence
+        EventId id;
         Node *next;
-        Callback cb;
+        EventCallback cb;
     };
     // The callback's inline buffer is sized so a node is exactly one
     // cache line; a pop touches one line plus the bucket head.
@@ -425,7 +380,16 @@ class EventQueue
         Tick when;
         int priority;
         EventId id;
-        Callback cb;
+        EventCallback cb;
+
+        /** The heap's order: std::*_heap keep the greatest on top, so
+         *  "greater" is "runs later". */
+        static bool
+        later(const HeapEntry &a, const HeapEntry &b)
+        {
+            return earlier(b.when, b.priority, b.id, a.when, a.priority,
+                           a.id);
+        }
     };
 
     /** The armed same-tick slot; fn == nullptr when it is free. */
@@ -481,18 +445,22 @@ class EventQueue
     }
 
     // --- calendar policy ---
-    /** Allocate, link, and account a node; cb is filled by the caller. */
-    Callback *
-    calScheduleSlot(Tick when, int priority, EventId &id)
+    /**
+     * Allocate, link, and account a node; cb is filled by the caller.
+     * The geometry window counts each schedule inline; the out-of-line
+     * check runs once per window, not once per schedule.
+     */
+    EventCallback *
+    calScheduleSlot(Tick when, int priority)
     {
         BUSARB_ASSERT(when >= now_, "scheduling into the past: when=",
                       when, " now=", now_);
-        id = nextId_++;
         Node *node = new (arena_.allocate())
-            Node{when, priority, id, nullptr, Callback{}};
+            Node{when, priority, nextId_++, nullptr, EventCallback{}};
         calInsert(node);
         ++liveCount_;
-        calCountOp();
+        if (++opsSinceRebuild_ >= nextGeometryCheck_)
+            calCheckGeometry();
 #if BUSARB_PROFILING_ENABLED
         recordDepth(liveCount_);
 #endif
@@ -534,17 +502,6 @@ class EventQueue
                     cachedMin_->priority, cachedMin_->id)) {
             cachedMin_ = node;
         }
-    }
-
-    /**
-     * Count one schedule or deschedule toward the geometry window; the
-     * out-of-line check runs once per window, not once per operation.
-     */
-    void
-    calCountOp()
-    {
-        if (++opsSinceRebuild_ >= nextGeometryCheck_)
-            calCheckGeometry();
     }
 
     /** Pop `min` (the global minimum) and run its callback in place. */
@@ -591,7 +548,6 @@ class EventQueue
     }
 
     Node *calFindMin() const;
-    void calRemove(Node *node, std::size_t bucket);
     void calCheckGeometry();
     void calRebuild(std::uint32_t count_log2, std::uint32_t width_log2);
     std::size_t
@@ -602,9 +558,10 @@ class EventQueue
     }
 
     // --- heap policy ---
-    void heapSift() const;
-    void heapCompactTombstones();
-    Tick heapNextTick() const;
+    /** Append an entry with an empty callable for the caller to fill;
+     *  heapPush() then restores the heap order. */
+    EventCallback &heapAppend(Tick when, int priority);
+    void heapPush();
     bool heapRunOne();
 
     EventQueuePolicy policy_;
@@ -639,10 +596,8 @@ class EventQueue
     NodeArena arena_;
     std::vector<Node *> rebuildScratch_;
 
-    // Heap state (reference policy). mutable: nextTick() lazily pops
-    // cancelled entries but is logically const.
-    mutable std::vector<HeapEntry> heap_;
-    mutable std::unordered_set<EventId> cancelled_;
+    // Heap state (reference policy).
+    std::vector<HeapEntry> heap_;
 
     Tick now_ = 0;
     EventId nextId_ = 1;

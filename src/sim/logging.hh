@@ -53,7 +53,7 @@ std::string
 formatMessage(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << std::forward<Args>(args));
+    ((os << std::forward<Args>(args)), ...);
     return os.str();
 }
 

@@ -43,6 +43,21 @@ unitsToTicks(double units)
 }
 
 /**
+ * Does unitsToTicks() map `units` into the tick clock? Its cast is
+ * defined only below 2^63 ticks, so a larger, negative or non-finite
+ * duration from outside the program must be refused before conversion.
+ *
+ * @param units Duration in transaction times.
+ * @return True for a finite duration >= 0 that converts without overflow.
+ */
+constexpr bool
+fitsTickClock(double units)
+{
+    return units >= 0.0 &&
+           units * static_cast<double>(kTicksPerUnit) + 0.5 < 0x1p63;
+}
+
+/**
  * Convert ticks back to bus-transaction units.
  *
  * @param ticks Duration in ticks.

@@ -1,7 +1,9 @@
 #include "workload/trace_workload.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -22,8 +24,8 @@ RequestTrace::append(Tick when, AgentId agent, bool priority)
     maxAgent_ = std::max(maxAgent_, agent);
 }
 
-RequestTrace
-RequestTrace::parse(std::istream &is)
+bool
+RequestTrace::parse(std::istream &is, RequestTrace &out, std::string &error)
 {
     RequestTrace trace;
     std::string line;
@@ -34,35 +36,45 @@ RequestTrace::parse(std::istream &is)
         if (hash != std::string::npos)
             line.erase(hash);
         std::istringstream fields(line);
-        double when_units;
-        if (!(fields >> when_units))
+        std::string time_text, agent_text, flag;
+        if (!(fields >> time_text))
             continue; // blank or comment-only line
-        AgentId agent;
-        if (!(fields >> agent)) {
-            BUSARB_FATAL("trace line ", line_no,
-                         ": missing agent id");
+        const auto fail = [&](const std::string &why) {
+            error = "line " + std::to_string(line_no) + ": " + why;
+            return false;
+        };
+        char *end = nullptr;
+        const double when_units = std::strtod(time_text.c_str(), &end);
+        if (end == time_text.c_str() || *end != '\0' ||
+            !fitsTickClock(when_units)) {
+            std::ostringstream os;
+            os << "time must be a number in [0, " << ticksToUnits(kMaxTick)
+               << ") units, got '" << time_text << "'";
+            return fail(os.str());
         }
-        std::string flag;
+        if (!(fields >> agent_text))
+            return fail("missing agent id");
+        AgentId agent = 0;
+        const char *last = agent_text.data() + agent_text.size();
+        const auto [stop, ec] =
+            std::from_chars(agent_text.data(), last, agent);
+        if (ec != std::errc() || stop != last || agent < 1)
+            return fail("bad agent id '" + agent_text + "'");
         bool priority = false;
         if (fields >> flag) {
-            if (flag == "p" || flag == "P") {
-                priority = true;
-            } else {
-                BUSARB_FATAL("trace line ", line_no,
-                             ": unexpected token '", flag, "'");
-            }
+            if (flag != "p" && flag != "P")
+                return fail("unexpected token '" + flag + "'");
+            priority = true;
+            if (fields >> flag)
+                return fail("unexpected token '" + flag + "'");
         }
-        if (agent < 1)
-            BUSARB_FATAL("trace line ", line_no, ": bad agent ", agent);
         const Tick when = unitsToTicks(when_units);
-        if (!trace.entries_.empty() &&
-            when < trace.entries_.back().when) {
-            BUSARB_FATAL("trace line ", line_no,
-                         ": timestamps must be non-decreasing");
-        }
+        if (!trace.entries_.empty() && when < trace.entries_.back().when)
+            return fail("timestamps must be non-decreasing");
         trace.append(when, agent, priority);
     }
-    return trace;
+    out = std::move(trace);
+    return true;
 }
 
 void
@@ -96,27 +108,6 @@ RequestTrace::poisson(int num_agents, double total_rate, double length,
         trace.append(unitsToTicks(t), agent);
     }
     return trace;
-}
-
-TracePlayer::TracePlayer(EventQueue &queue, Bus &bus, RequestTrace trace)
-    : queue_(queue), bus_(bus), trace_(std::move(trace))
-{
-    BUSARB_ASSERT(trace_.maxAgent() <= bus.numAgents(),
-                  "trace references agent ", trace_.maxAgent(),
-                  " but the bus has only ", bus.numAgents());
-}
-
-void
-TracePlayer::start()
-{
-    for (const auto &entry : trace_.entries()) {
-        queue_.schedule(entry.when,
-                        [this, entry] {
-                            ++injected_;
-                            bus_.postRequest(entry.agent, entry.priority);
-                        },
-                        kPriRequestArrival);
-    }
 }
 
 } // namespace busarb

@@ -10,8 +10,10 @@
  *
  * Trace format (text, one request per line):
  *     <time-in-transaction-units> <agent-id> [p]
- * '#' starts a comment; blank lines are ignored; times must be
- * non-decreasing. The trailing 'p' marks a priority request.
+ * '#' starts a comment; blank lines are ignored; times must be finite,
+ * >= 0, non-decreasing and within the tick clock's range. The trailing
+ * 'p' marks a priority request. TraceWorkloadSource
+ * (workload/workload_source.hh) replays a trace into a bus.
  */
 
 #ifndef BUSARB_WORKLOAD_TRACE_WORKLOAD_HH
@@ -21,9 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "bus/bus.hh"
 #include "random/rng.hh"
-#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace busarb {
@@ -68,9 +68,12 @@ class RequestTrace
      * Parse a trace from a stream (format in the file header).
      *
      * @param is Input stream.
-     * @return The parsed trace; fatal error on malformed input.
+     * @param out Receives the parsed trace.
+     * @param error Receives `line N: <why>` on malformed input.
+     * @retval false The input was malformed; `out` is unchanged.
      */
-    static RequestTrace parse(std::istream &is);
+    static bool parse(std::istream &is, RequestTrace &out,
+                      std::string &error);
 
     /** Serialize in the parseable text format. */
     void write(std::ostream &os) const;
@@ -90,35 +93,6 @@ class RequestTrace
   private:
     std::vector<TraceEntry> entries_;
     AgentId maxAgent_ = 0;
-};
-
-/**
- * Replays a RequestTrace into a Bus (open loop).
- */
-class TracePlayer
-{
-  public:
-    /**
-     * @param queue Simulation event queue.
-     * @param bus Target bus; must have at least trace.maxAgent() agents.
-     * @param trace The schedule to replay (copied).
-     */
-    TracePlayer(EventQueue &queue, Bus &bus, RequestTrace trace);
-
-    /** Schedule every trace record; call once before running. */
-    void start();
-
-    /** @return Requests injected so far. */
-    std::size_t injected() const { return injected_; }
-
-    /** @return Total records in the trace. */
-    std::size_t total() const { return trace_.size(); }
-
-  private:
-    EventQueue &queue_;
-    Bus &bus_;
-    RequestTrace trace_;
-    std::size_t injected_ = 0;
 };
 
 } // namespace busarb

@@ -148,7 +148,10 @@ TEST(PendingRequestsTest, AgentsWithRequests)
     p.reset(5);
     p.add(makeReq(4, 1));
     p.add(makeReq(2, 2));
-    EXPECT_EQ(p.agentsWithRequests(), (std::vector<AgentId>{2, 4}));
+    std::vector<AgentId> agents;
+    p.forEachAgentWithRequests(
+        [&agents](AgentId agent) { agents.push_back(agent); });
+    EXPECT_EQ(agents, (std::vector<AgentId>{2, 4}));
 }
 
 TEST(PendingRequestsTest, ResetClears)

@@ -458,6 +458,18 @@ TEST(ScenarioSpecErrorTest, ValuesAreValidated)
               "line 2: key 'cv' expects a number, got 'nan'");
     EXPECT_EQ(parseError("[bus]\narb-overhead = inf\n"),
               "line 2: key 'arb-overhead' expects a number, got 'inf'");
+    // Past these bounds a pass or a think time overflows the tick
+    // clock: an overhead of 1e13 ran as 0, and 1e12 or cv 1e155
+    // panicked with an empty batch.
+    for (const char *bad : {"1e12", "1e13", "1e300"}) {
+        EXPECT_EQ(parseError(std::string("[bus]\narb-overhead = ") + bad +
+                             "\n"),
+                  std::string("line 2: key 'arb-overhead' must be <= "
+                              "1000, got '") +
+                      bad + "'");
+    }
+    EXPECT_EQ(parseError("[workload]\ncv = 1e155\n"),
+              "line 2: key 'cv' must be <= 100, got '1e155'");
     EXPECT_EQ(parseError("[workload]\nload = nan\n"),
               "load nan over 10 agents is nan per agent; the per-agent "
               "load must be in (0, 1)");
@@ -535,6 +547,11 @@ TEST(ScenarioSpecErrorTest, RowAxesAreValidated)
               "'-1'");
     EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\ncv = 1 nan\n"),
               "line 4: key 'cv' must be finite and >= 0, got 'nan'");
+    EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\ncv = 1 101\n"),
+              "line 4: key 'cv' must be <= 100, got '101'");
+    EXPECT_EQ(parseError("[workload]\nload = 1\n[sweep]\n"
+                         "arb-overhead = 0 2000\n"),
+              "line 4: key 'arb-overhead' must be <= 1000, got '2000'");
     EXPECT_EQ(parseError("[sweep]\nloads = 0.001:1e9:0.001\n"),
               "line 2: bad load range '0.001:1e9:0.001' (more than 10000 "
               "values)");
@@ -755,6 +772,22 @@ TEST(ScenarioSpecErrorTest, ScenarioBuilderRangesAreCheckedUpFront)
     EXPECT_EQ(parseError("[sweep]\nloads = 1 -1\n"),
               "load -1 over 10 agents is -0.1 per agent; the per-agent "
               "load must be in (0, 1)");
+    // Below 1e-6 a think time overflows the tick clock: load 1e-300
+    // ran as saturated, and 1e-12 panicked with an empty batch.
+    EXPECT_EQ(parseError("[workload]\nload = 1e-300\n"),
+              "load 1e-300 over 10 agents is 1e-301 per agent; the "
+              "per-agent load must be >= 1e-06");
+    EXPECT_EQ(parseError("[workload]\nload = 1e-12\n"),
+              "load 1e-12 over 10 agents is 1e-13 per agent; the "
+              "per-agent load must be >= 1e-06");
+    EXPECT_EQ(parseError("[workload]\nfamily = unequal\n"
+                         "unequal-factor = 1e-9\nload = 1\n"),
+              "unequal-factor 1e-09 at load 1 pushes agent 1's offered "
+              "load to < 1e-06");
+    EXPECT_EQ(parseError("[workload]\nhot-agents = 1\n"
+                         "hot-factor = 1e-9\nload = 1\n"),
+              "hot-factor 1e-09 at load 1 pushes a hot agent's offered "
+              "load to < 1e-06");
     EXPECT_EQ(parseError("[workload]\nfamily = unequal\n"
                          "unequal-factor = 3\nagents = 5\nload = 2.5\n"),
               "unequal-factor 3 at load 2.5 pushes agent 1's offered "
@@ -772,6 +805,9 @@ TEST(ScenarioSpecErrorTest, ScenarioBuilderRangesAreCheckedUpFront)
     parseOk("[workload]\nfamily = unequal\nunequal-factor = 2\n"
             "agents = 2\nload = 0.99\n")
         .configForLoad("0.99");
+    parseOk("[workload]\nagents = 1\nload = 1e-6\n").configForLoad("1e-6");
+    parseOk("[workload]\ncv = 100\nload = 1\n[bus]\narb-overhead = 1000\n")
+        .configForLoad("1");
 }
 
 TEST(ScenarioSpecFlagsTest, WasSetTracksExplicitFlagsOnly)
@@ -968,6 +1004,27 @@ TEST(ScenarioSpecDeathTest, FlagErrorsNameTheFlag)
     EXPECT_EXIT(specFromFlags({"--cv", "nan"}),
                 ::testing::ExitedWithCode(2),
                 "prog: --cv expects a number, got nan");
+    // Values past the tick clock's bounds.
+    EXPECT_EXIT(specFromFlags({"--arb-overhead", "1e13"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --arb-overhead must be <= 1000, got 1e\\+13");
+    EXPECT_EXIT(specFromFlags({"--arb-overhead", "1e300"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --arb-overhead must be <= 1000, got 1e\\+300");
+    EXPECT_EXIT(specFromFlags({"--arb-overhead", "1e12"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --arb-overhead must be <= 1000, got 1e\\+12");
+    EXPECT_EXIT(specFromFlags({"--cv", "1e155"}),
+                ::testing::ExitedWithCode(2),
+                "prog: --cv must be <= 100, got 1e\\+155");
+    EXPECT_EXIT(specFromFlags({"--load", "1e-300"}),
+                ::testing::ExitedWithCode(2),
+                "prog: load 1e-300 over 10 agents is 1e-301 per agent; "
+                "the per-agent load must be >= 1e-06");
+    EXPECT_EXIT(specFromFlags({"--load", "1e-12"}),
+                ::testing::ExitedWithCode(2),
+                "prog: load 1e-12 over 10 agents is 1e-13 per agent; "
+                "the per-agent load must be >= 1e-06");
     // Each of these used to run the equal workload and exit 0.
     EXPECT_EXIT(specFromFlags({"--unequal-factor", "-1"}),
                 ::testing::ExitedWithCode(2),

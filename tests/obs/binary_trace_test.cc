@@ -210,6 +210,17 @@ TEST(BinaryTrace, RejectsMalformedInput)
     std::vector<std::uint8_t> bad_tag = good;
     bad_tag[bad_tag.size() - 1] = 200;
     EXPECT_THROW(readTraceChunks(bad_tag), std::runtime_error);
+
+    // A tick delta that runs past the end of the tick clock.
+    BinaryTraceWriter late(1, "p");
+    late.onPassStarted(kMaxTick);
+    std::vector<std::uint8_t> overflow = late.finish();
+    overflow.pop_back(); // the end record
+    overflow.push_back(
+        static_cast<std::uint8_t>(TraceEventKind::kPassStarted));
+    appendVarint(overflow, 1);
+    overflow.push_back(0); // the end record again
+    EXPECT_THROW(readTraceChunks(overflow), std::runtime_error);
 }
 
 TEST(BinaryTraceDeathTest, BackwardsTimePanics)

@@ -27,11 +27,6 @@ class EventQueuePolicyTest
     EventQueue queue_{GetParam()};
 };
 
-TEST_P(EventQueuePolicyTest, ReportsItsPolicy)
-{
-    EXPECT_EQ(queue_.policy(), GetParam());
-}
-
 TEST_P(EventQueuePolicyTest, ExecutesInTickPriorityIdOrder)
 {
     std::vector<int> order;
@@ -44,28 +39,6 @@ TEST_P(EventQueuePolicyTest, ExecutesInTickPriorityIdOrder)
     queue_.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
     EXPECT_EQ(queue_.numExecuted(), 6u);
-}
-
-TEST_P(EventQueuePolicyTest, DescheduleRemovesOnlyTheTarget)
-{
-    std::vector<int> order;
-    queue_.schedule(1, [&] { order.push_back(1); });
-    const auto id = queue_.schedule(2, [&] { order.push_back(2); });
-    queue_.schedule(3, [&] { order.push_back(3); });
-    EXPECT_TRUE(queue_.deschedule(id));
-    EXPECT_FALSE(queue_.deschedule(id));
-    EXPECT_EQ(queue_.numPending(), 2u);
-    queue_.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST_P(EventQueuePolicyTest, NextTickSkipsCancelledHead)
-{
-    const auto id = queue_.schedule(5, [] {});
-    queue_.schedule(9, [] {});
-    EXPECT_EQ(queue_.nextTick(), 5);
-    queue_.deschedule(id);
-    EXPECT_EQ(queue_.nextTick(), 9);
 }
 
 TEST_P(EventQueuePolicyTest, ScheduleInSaturatesAtMaxTick)
@@ -93,42 +66,23 @@ TEST_P(EventQueuePolicyTest, EventsAtMaxTickExecute)
     EXPECT_EQ(queue_.nextTick(), kMaxTick);
 }
 
-TEST_P(EventQueuePolicyTest, SaturatedSentinelCanBeDescheduled)
-{
-    // The "never, unless the horizon is infinite" idiom: park a
-    // sentinel at kMaxTick, then cancel it.
-    const auto id = queue_.scheduleIn(kMaxTick, [] {});
-    bool ran = false;
-    queue_.schedule(7, [&] { ran = true; });
-    EXPECT_EQ(queue_.run(1000), 1u);
-    EXPECT_TRUE(ran);
-    EXPECT_TRUE(queue_.deschedule(id));
-    EXPECT_TRUE(queue_.empty());
-}
-
 TEST_P(EventQueuePolicyTest, ChurnDoesNotGrowMemoryUnbounded)
 {
-    // Schedule/deschedule churn against far-future events: tombstones
-    // (heap) must compact and node slots (calendar) must recycle, so
-    // neither footprint tracks the total number of operations.
-    std::vector<EventQueue::EventId> parked;
+    // Schedule/run churn beside far-future events: node slots
+    // (calendar) and heap entries must be recycled, so neither
+    // footprint tracks the total number of operations.
     for (int i = 0; i < 32; ++i)
-        parked.push_back(
-            queue_.schedule(1'000'000 + i, [] {}, kPriStats));
-
+        queue_.schedule(1'000'000 + i, [] {}, kPriStats);
     for (int round = 0; round < 2000; ++round) {
-        const auto id = queue_.schedule(2'000'000 + round, [] {});
-        EXPECT_TRUE(queue_.deschedule(id));
-        EXPECT_LE(queue_.numTombstones(),
-                  queue_.numPending() / 2 + 1);
+        queue_.scheduleIn(1, [] {});
+        ASSERT_TRUE(queue_.runOne());
     }
     // 32 live events after 2000 churn rounds: capacity must reflect the
     // high-water mark (a few dozen slots), not the operation count.
     EXPECT_EQ(queue_.numPending(), 32u);
+    EXPECT_EQ(queue_.now(), 2000);
     EXPECT_LE(queue_.nodeCapacity(), 256u);
-
-    for (const auto id : parked)
-        EXPECT_TRUE(queue_.deschedule(id));
+    EXPECT_EQ(queue_.run(), 32u);
     EXPECT_TRUE(queue_.empty());
 }
 
@@ -201,8 +155,6 @@ using EventQueuePolicyDeathTest = EventQueuePolicyTest;
 TEST_P(EventQueuePolicyDeathTest, DeathOnContractViolations)
 {
     EXPECT_DEATH(queue_.scheduleIn(-1, [] {}), "negative delay");
-    EXPECT_DEATH(queue_.schedule(1, EventQueue::Callback{}),
-                 "null event");
     queue_.schedule(10, [] {});
     queue_.run();
     EXPECT_DEATH(queue_.schedule(5, [] {}), "scheduling into the past");
@@ -237,8 +189,8 @@ INSTANTIATE_TEST_SUITE_P(
     kPolicyName);
 
 /**
- * High-churn random schedule/cancel fuzz pushed through both policies
- * in lock-step, asserting identical execution order, now() trajectory,
+ * High-churn random schedule/run fuzz pushed through both policies in
+ * lock-step, asserting identical execution order, now() trajectory,
  * and numExecuted() — the queue-level half of the differential proof
  * (the full-scenario half lives in tests/experiment).
  */
@@ -254,7 +206,6 @@ TEST(EventQueueDifferentialTest, RandomChurnExecutesIdentically)
         // identically on both sides because the op sequence is.
         std::vector<std::pair<int, Tick>> log;
         std::vector<Tick> trajectory;
-        std::vector<EventQueue::EventId> live;
         std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
         const auto next = [&rng] {
             rng ^= rng << 13;
@@ -264,18 +215,13 @@ TEST(EventQueueDifferentialTest, RandomChurnExecutesIdentically)
         };
         for (int op = 0; op < kOps; ++op) {
             const std::uint64_t roll = next() % 100;
-            if (roll < 55 || live.empty()) {
+            if (roll < 55) {
                 const Tick delay = static_cast<Tick>(next() % 64);
                 const int pri = priorities[next() % 6];
-                live.push_back(q.scheduleIn(
+                q.scheduleIn(
                     delay,
                     [&log, &q, op] { log.emplace_back(op, q.now()); },
-                    pri));
-            } else if (roll < 75) {
-                const std::size_t victim = next() % live.size();
-                q.deschedule(live[victim]);
-                live.erase(live.begin() +
-                           static_cast<std::ptrdiff_t>(victim));
+                    pri);
             } else {
                 q.runOne();
                 trajectory.push_back(q.now());
@@ -306,7 +252,6 @@ struct SameTickDriver
     EventQueue q;
     bool slot;
     std::vector<std::pair<int, Tick>> log;
-    std::vector<EventQueue::EventId> live; // ordinary events only
     bool armed = false;
     int armedOp = 0;
     std::uint64_t armedRuns = 0;
@@ -359,21 +304,21 @@ struct SameTickDriver
     void
     event(int op, Tick delay, int priority)
     {
-        live.push_back(q.scheduleIn(
+        q.scheduleIn(
             delay,
             [this, op] {
                 log.emplace_back(op, q.now());
                 if (op % 4 == 0)
                     arm(op, kPriorities[(op / 4) % 6]);
             },
-            priority));
+            priority);
     }
 };
 
 /**
  * The same-tick slot is exactly the event it stands for: random
- * schedules at every priority, deschedules and slot arms (from the top
- * level, from events and from the slot itself) pushed through a queue
+ * schedules at every priority and slot arms (from the top level, from
+ * events and from the slot itself) pushed through a queue
  * that arms the slot and a reference of the same policy that schedules
  * an event at (now, priority) in its place. Execution order, the now()
  * trajectory and the event count (less the slot's runs) must match.
@@ -404,11 +349,6 @@ TEST_P(SameTickDifferentialTest, SlotRunsWhereItsEventWould)
                 d.event(op, delay, pri);
             } else if (roll < 47) {
                 d.arm(op, pri);
-            } else if (roll < 57 && !d.live.empty()) {
-                const std::size_t victim = next() % d.live.size();
-                d.q.deschedule(d.live[victim]);
-                d.live.erase(d.live.begin() +
-                             static_cast<std::ptrdiff_t>(victim));
             } else {
                 d.q.runOne();
                 trajectory.push_back(d.q.now());

@@ -1,12 +1,10 @@
 /**
  * @file
  * Randomized stress test: the event queue against a naive reference
- * model (sorted vector), with interleaved schedule / deschedule / run
- * operations.
+ * model (sorted vector), with interleaved schedule / run operations.
  */
 
 #include <algorithm>
-#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -22,25 +20,13 @@ namespace {
 /** Reference model: (tick, priority, id) triples, executed in order. */
 struct ReferenceModel
 {
-    // id -> (tick, priority); live entries only.
+    // (tick, priority, schedule sequence); live entries only.
     std::vector<std::tuple<Tick, int, std::uint64_t>> live;
 
     void
     schedule(Tick when, int priority, std::uint64_t id)
     {
         live.emplace_back(when, priority, id);
-    }
-
-    bool
-    deschedule(std::uint64_t id)
-    {
-        for (auto it = live.begin(); it != live.end(); ++it) {
-            if (std::get<2>(*it) == id) {
-                live.erase(it);
-                return true;
-            }
-        }
-        return false;
     }
 
     /** Pop the earliest (tick, priority, id) entry. */
@@ -66,7 +52,7 @@ TEST(EventQueueStressTest, MatchesReferenceModelUnderRandomOps)
         ReferenceModel reference;
         std::vector<std::uint64_t> actual;   // queue's execution order
         std::vector<std::uint64_t> expected; // reference's order
-        std::vector<std::uint64_t> live_ids;
+        std::uint64_t next_id = 0; // the queue's insertion sequence
 
         for (int step = 0; step < 400; ++step) {
             const auto op = rng.below(10);
@@ -75,27 +61,15 @@ TEST(EventQueueStressTest, MatchesReferenceModelUnderRandomOps)
                 const Tick when = queue.now() +
                                   static_cast<Tick>(rng.below(50));
                 const int priority = static_cast<int>(rng.below(4)) * 10;
-                // The callback must report the queue's own event id,
-                // which is only known after schedule() returns: route
-                // it through a shared slot.
-                auto my_id = std::make_shared<std::uint64_t>(0);
-                const auto id = queue.schedule(
+                const std::uint64_t id = next_id++;
+                queue.schedule(
                     when,
-                    [my_id, &actual, &expected, &reference] {
-                        actual.push_back(*my_id);
+                    [id, &actual, &expected, &reference] {
+                        actual.push_back(id);
                         expected.push_back(reference.popNext());
                     },
                     priority);
-                *my_id = id;
                 reference.schedule(when, priority, id);
-                live_ids.push_back(id);
-            } else if (op < 8 && !live_ids.empty()) {
-                // Deschedule a random (possibly stale) id.
-                const auto pick =
-                    live_ids[rng.below(live_ids.size())];
-                const bool q_ok = queue.deschedule(pick);
-                const bool r_ok = reference.deschedule(pick);
-                ASSERT_EQ(q_ok, r_ok) << "trial " << trial;
             } else {
                 // Run a few events.
                 for (int i = 0; i < 3; ++i) {
