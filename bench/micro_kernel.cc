@@ -333,9 +333,13 @@ BM_FullSimulationObserved(benchmark::State &state)
     // cost nothing measurable vs BM_FullSimulation), 1 = binary trace
     // capture, 2 = capture plus a flight recorder, 3 = the fairness
     // auditor alone (so its streaming bookkeeping can be priced
-    // against the untraced baseline).
+    // against the untraced baseline), 4 = capture plus the auditor,
+    // the sink pair an observed sweep attaches.
     ScenarioConfig config = saturatedScenario(10);
     switch (state.range(0)) {
+      case 4:
+        config.observe.captureTrace = true;
+        [[fallthrough]];
       case 3:
         config.observe.fairness = true;
         break;
@@ -358,10 +362,16 @@ BM_FullSimulationObserved(benchmark::State &state)
                              config.warmup));
     static const char *labels[] = {"untraced", "binary-trace",
                                    "trace+flight-recorder",
-                                   "fairness-auditor"};
+                                   "fairness-auditor",
+                                   "trace+fairness-auditor"};
     state.SetLabel(labels[state.range(0)]);
 }
-BENCHMARK(BM_FullSimulationObserved)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_FullSimulationObserved)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Arg(4);
 
 void
 BM_FullSimulationProfiled(benchmark::State &state)

@@ -234,6 +234,13 @@ done
 for bad in 1e-300 1e-12; do
     expect 2 "per-agent load must be >= 1e-06" "sim --load $bad" \
         "$sim" --batches 2 --batch-size 500 --warmup 100 --load "$bad"
+    # An open source's rate= answers to the same per-agent floor.
+    expect 2 "option 'rate' must be 0 or >= 1e-06 x 10 " \
+        "sim open:rate=$bad" "$sim" --batches 2 --batch-size 200 \
+        --warmup 10 --source "open:rate=$bad"
+    expect 2 "option 'rate' must be 0 or >= 1e-06 x 4 " \
+        "sweep open:rate=$bad" "$sweep" --protocols rr1 --loads 0.5 \
+        --agents 4 --source "open:rate=$bad"
 done
 # A scenario flag gets its file key's own check and names itself,
 # never a line of a file the user did not write.

@@ -9,7 +9,8 @@
 #     bench/tables at batch-size 200, or as written for a grid that
 #     sets batch-size itself (the working tree's grids on both builds);
 #   - busarb_sweep's stdout, CSV, metrics, trace and snapshots for a
-#     closed grid and an open mmpp grid, in-process and at --shards 2;
+#     closed grid and an open mmpp grid (with out-of-order granters),
+#     in-process and at --shards 2;
 #   - cross-build resume: each build --resumes the closed grid's
 #     --shards 2 directory the other build wrote (every cell is
 #     checkpointed, so it only merges), and its CSV, metrics, trace
@@ -105,8 +106,11 @@ capture() {
 
 CLOSED="--protocols rr1,fcfs1,aap1 --agents 8 --cv 0.5 --loads 0.5,2,7.5
         --batches 3 --batch-size 400"
+# aap1 and wrr grant out of arrival order, so the fairness auditor's
+# bypass and inversion counts take their out-of-order paths here.
 OPEN="--source open:dist=mmpp,burst=8,gap=32,ratio=10 --agents 16
-      --loads 0.5,0.9 --protocols rr1,fcfs1 --batches 3 --batch-size 400"
+      --loads 0.5,0.9 --batches 3 --batch-size 400
+      --protocols rr1,fcfs1,aap1,wrr:weights=4/4/4/4/1/1/1/1/1/1/1/1/1/1/1/1"
 OBSERVE="--fairness --health"
 SETTLE_PROTOCOLS="rr1 rr2 rr3 fcfs1 fcfs2 hybrid fcfs1:bits=2
                   fcfs2:bits=2,overflow=wrap hybrid:bits=2 fixed aap1 aap2

@@ -11,7 +11,9 @@
  * here — nothing else.
  */
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -21,6 +23,7 @@
 
 #include "experiment/workload_registry.hh"
 #include "obs/binary_trace.hh"
+#include "obs/export_format.hh"
 #include "sim/logging.hh"
 #include "workload/agent_traits.hh"
 #include "workload/mmpp_process.hh"
@@ -120,6 +123,31 @@ registerOpen(WorkloadRegistry &registry)
                     "(dist=mmpp)"),
         doubleParam("ratio", "10", 1.0, 1e6,
                     "ON/OFF arrival-rate ratio (dist=mmpp)"),
+    };
+    open.validateRun = [](const ParamValues &values,
+                          const ScenarioConfig &config) -> std::string {
+        // rate= replaces the load axis's per-agent loads, so it answers
+        // to their floor: the smallest agent share must reach it, or
+        // that agent's arrival gaps leave the tick clock.
+        const double rate = values.getDouble("rate");
+        if (rate == 0.0)
+            return "";
+        double least = std::numeric_limits<double>::infinity();
+        for (const auto &traits : config.agents)
+            least = std::min(least, offeredLoadOf(traits, config));
+        // The total load over the smallest agent's: exactly N for equal
+        // agents, so the bound prints as 1e-06 x N.
+        double shares = 0.0;
+        for (const auto &traits : config.agents)
+            shares += offeredLoadOf(traits, config) / least;
+        if (rate >= kMinPerAgentLoad * shares)
+            return "";
+        return "workload source 'open': option 'rate' must be 0 or >= " +
+               formatDouble(kMinPerAgentLoad) + " x " +
+               formatDouble(shares) +
+               " (the per-agent load floor times the total load over "
+               "the smallest agent's), got " +
+               formatDouble(rate);
     };
     open.build = [](const ParamValues &values) -> WorkloadSourceFactory {
         const std::string dist = values.getEnum("dist");

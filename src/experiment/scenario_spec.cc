@@ -27,15 +27,14 @@ namespace {
 /**
  * Bounds that keep every duration a scenario implies inside the tick
  * clock (2^63 ticks of 1e-6 units, about 9.2e12 units), where
- * unitsToTicks() is defined. A per-agent load of 1e-6 is a mean think
- * time of about 1e6 units; a cv of 100 puts the hyperexponential's slow
- * phase at about 1e4 times the mean, so even its longest draws (about
- * 37 slow-phase means) stay near 4e11 units; a pass takes at most 1000
- * units.
+ * unitsToTicks() is defined. A per-agent load of kMinPerAgentLoad
+ * (1e-6) is a mean think time of about 1e6 units; a cv of 100 puts the
+ * hyperexponential's slow phase at about 1e4 times the mean, so even
+ * its longest draws (about 37 slow-phase means) stay near 4e11 units; a
+ * pass takes at most 1000 units.
  */
 constexpr double kMaxCv = 100.0;
 constexpr double kMaxArbOverhead = 1000.0;
-constexpr double kMinPerAgentLoad = 1e-6;
 
 std::string
 trim(const std::string &s)

@@ -1,5 +1,6 @@
 #include "obs/binary_trace.hh"
 
+#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 
@@ -16,6 +17,34 @@ constexpr std::uint8_t kTagDefineCounter = 7;
 constexpr std::uint8_t kVersion = 1;
 /** A chunk opens with the magic "BATR" and the version byte. */
 constexpr std::uint8_t kChunkHeader[] = {'B', 'A', 'T', 'R', kVersion};
+
+/** An unsigned LEB128 varint of 64 bits takes at most 10 bytes. */
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/**
+ * The longest event record: its tag, four varints (a pass resolution's
+ * tick delta, duration, winner agent and seq) and a flag byte.
+ */
+constexpr std::size_t kMaxRecordBytes = 1 + 4 * kMaxVarintBytes + 1;
+
+/** The writer's room grows by at most this many bytes at a time. */
+constexpr std::size_t kMaxGrowStep = 4096;
+
+/**
+ * Store `value` at `p` as an unsigned LEB128 varint.
+ *
+ * @return One past the last byte stored (at most kMaxVarintBytes on).
+ */
+inline std::uint8_t *
+storeVarint(std::uint8_t *p, std::uint64_t value)
+{
+    while (value >= 0x80) {
+        *p++ = static_cast<std::uint8_t>(value) | 0x80;
+        value >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(value);
+    return p;
+}
 
 [[noreturn]] void
 malformed(const char *what)
@@ -38,11 +67,8 @@ readVarintOrThrow(const std::uint8_t **cursor, const std::uint8_t *end)
 void
 appendVarint(std::vector<std::uint8_t> &out, std::uint64_t value)
 {
-    while (value >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(value) | 0x80);
-        value >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(value));
+    std::uint8_t bytes[kMaxVarintBytes];
+    out.insert(out.end(), bytes, storeVarint(bytes, value));
 }
 
 bool
@@ -67,83 +93,99 @@ decodeVarint(const std::uint8_t **cursor, const std::uint8_t *end,
 
 BinaryTraceWriter::BinaryTraceWriter(int num_agents,
                                      const std::string &protocol)
-    : buffer_(std::begin(kChunkHeader), std::end(kChunkHeader))
 {
     BUSARB_ASSERT(num_agents >= 1, "trace writer needs agents");
-    appendVarint(buffer_, static_cast<std::uint64_t>(num_agents));
-    appendVarint(buffer_, protocol.size());
-    buffer_.insert(buffer_.end(), protocol.begin(), protocol.end());
+    std::uint8_t *p = room(sizeof(kChunkHeader) + 2 * kMaxVarintBytes +
+                           protocol.size());
+    p = std::copy(std::begin(kChunkHeader), std::end(kChunkHeader), p);
+    p = storeVarint(p, static_cast<std::uint64_t>(num_agents));
+    p = storeVarint(p, protocol.size());
+    commit(std::copy(protocol.begin(), protocol.end(), p));
 }
 
 void
+BinaryTraceWriter::grow(std::size_t bytes)
+{
+    // Zero-fill one step past the written bytes. The step follows the
+    // buffer's size up to kMaxGrowStep, so a short trace stays as small
+    // as a byte-at-a-time one, and the vector's own doubling keeps the
+    // copies amortized.
+    const std::size_t step = std::max(bytes, std::min(used_, kMaxGrowStep));
+    buffer_.resize(used_ + step);
+}
+
+std::uint8_t *
 BinaryTraceWriter::beginRecord(TraceEventKind kind, Tick now)
 {
     BUSARB_ASSERT(!finished_, "write into a finished trace");
     BUSARB_ASSERT(now >= lastTick_, "trace event goes backwards in time");
-    buffer_.push_back(static_cast<std::uint8_t>(kind));
-    appendVarint(buffer_, static_cast<std::uint64_t>(now - lastTick_));
+    std::uint8_t *p = room(kMaxRecordBytes);
+    *p++ = static_cast<std::uint8_t>(kind);
+    p = storeVarint(p, static_cast<std::uint64_t>(now - lastTick_));
     lastTick_ = now;
     ++events_;
+    return p;
 }
 
 void
 BinaryTraceWriter::onRequestPosted(const Request &req)
 {
-    beginRecord(TraceEventKind::kRequestPosted, req.issued);
-    appendVarint(buffer_, static_cast<std::uint64_t>(req.agent));
-    appendVarint(buffer_, req.seq);
-    buffer_.push_back(req.priority ? 1 : 0);
+    std::uint8_t *p = beginRecord(TraceEventKind::kRequestPosted,
+                                  req.issued);
+    p = storeVarint(p, static_cast<std::uint64_t>(req.agent));
+    p = storeVarint(p, req.seq);
+    *p++ = req.priority ? 1 : 0;
+    commit(p);
 }
 
 void
 BinaryTraceWriter::onPassStarted(Tick now)
 {
-    beginRecord(TraceEventKind::kPassStarted, now);
+    commit(beginRecord(TraceEventKind::kPassStarted, now));
 }
 
 void
 BinaryTraceWriter::onPassResolved(Tick now, Tick pass_start,
                                   const Request &winner, bool retry)
 {
-    beginRecord(TraceEventKind::kPassResolved, now);
-    appendVarint(buffer_, static_cast<std::uint64_t>(now - pass_start));
-    std::uint8_t flags = 0;
-    if (winner.valid())
-        flags = 1;
-    else if (retry)
-        flags = 2;
-    buffer_.push_back(flags);
+    std::uint8_t *p = beginRecord(TraceEventKind::kPassResolved, now);
+    p = storeVarint(p, static_cast<std::uint64_t>(now - pass_start));
     if (winner.valid()) {
-        appendVarint(buffer_, static_cast<std::uint64_t>(winner.agent));
-        appendVarint(buffer_, winner.seq);
+        *p++ = 1;
+        p = storeVarint(p, static_cast<std::uint64_t>(winner.agent));
+        p = storeVarint(p, winner.seq);
+    } else {
+        *p++ = retry ? 2 : 0;
     }
+    commit(p);
 }
 
 void
 BinaryTraceWriter::onTenureStarted(const Request &req, Tick now)
 {
-    beginRecord(TraceEventKind::kTenureStarted, now);
-    appendVarint(buffer_, static_cast<std::uint64_t>(req.agent));
-    appendVarint(buffer_, req.seq);
+    std::uint8_t *p = beginRecord(TraceEventKind::kTenureStarted, now);
+    p = storeVarint(p, static_cast<std::uint64_t>(req.agent));
+    commit(storeVarint(p, req.seq));
 }
 
 void
 BinaryTraceWriter::onTenureEnded(const Request &req, Tick now)
 {
-    beginRecord(TraceEventKind::kTenureEnded, now);
-    appendVarint(buffer_, static_cast<std::uint64_t>(req.agent));
-    appendVarint(buffer_, req.seq);
+    std::uint8_t *p = beginRecord(TraceEventKind::kTenureEnded, now);
+    p = storeVarint(p, static_cast<std::uint64_t>(req.agent));
+    commit(storeVarint(p, req.seq));
 }
 
 std::uint64_t
 BinaryTraceWriter::defineCounter(const std::string &name)
 {
     BUSARB_ASSERT(!finished_, "write into a finished trace");
-    buffer_.push_back(kTagDefineCounter);
     const std::uint64_t id = nextCounterId_++;
-    appendVarint(buffer_, id);
-    appendVarint(buffer_, name.size());
-    buffer_.insert(buffer_.end(), name.begin(), name.end());
+    std::uint8_t *p = room(1 + 2 * kMaxVarintBytes + name.size());
+    *p++ = kTagDefineCounter;
+    p = storeVarint(p, id);
+    p = storeVarint(p, name.size());
+    commit(std::copy(name.begin(), name.end(), p));
     return id;
 }
 
@@ -153,9 +195,9 @@ BinaryTraceWriter::counterUpdate(std::uint64_t id, Tick now,
 {
     BUSARB_ASSERT(id < nextCounterId_, "counter id ", id,
                   " was never defined");
-    beginRecord(TraceEventKind::kCounterUpdate, now);
-    appendVarint(buffer_, id);
-    appendVarint(buffer_, value);
+    std::uint8_t *p = beginRecord(TraceEventKind::kCounterUpdate, now);
+    p = storeVarint(p, id);
+    commit(storeVarint(p, value));
 }
 
 std::vector<std::uint8_t>
@@ -163,7 +205,10 @@ BinaryTraceWriter::finish()
 {
     BUSARB_ASSERT(!finished_, "finish called twice");
     finished_ = true;
-    buffer_.push_back(kTagEnd);
+    std::uint8_t *p = room(1);
+    *p++ = kTagEnd;
+    commit(p);
+    buffer_.resize(used_);
     return std::move(buffer_);
 }
 

@@ -23,11 +23,18 @@
  * event is appended to an in-memory buffer. Because each scenario owns
  * its writer, capture is JobPool-safe and the bytes are identical at
  * any --jobs count.
+ *
+ * Each record checks for room once, for the longest record, and then
+ * stores its fields through a byte cursor. The room grows in steps of
+ * at most the bytes written so far, capped at a few KB, so a short run
+ * allocates no more than a byte-at-a-time buffer would and a long one
+ * never touches memory more than one step past its written bytes.
  */
 
 #ifndef BUSARB_OBS_BINARY_TRACE_HH
 #define BUSARB_OBS_BINARY_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -94,14 +101,39 @@ class BinaryTraceWriter : public BusTracer
     std::vector<std::uint8_t> finish();
 
   private:
+    /** Bytes [0, used_) are the chunk so far; the rest is room. */
     std::vector<std::uint8_t> buffer_;
+    std::size_t used_ = 0;
     Tick lastTick_ = 0;
     std::uint64_t events_ = 0;
     std::uint64_t nextCounterId_ = 0;
     bool finished_ = false;
 
-    /** Append the tag byte and the tick delta for an event at `now`. */
-    void beginRecord(TraceEventKind kind, Tick now);
+    /** @return The write cursor, with room for `bytes` more bytes. */
+    std::uint8_t *
+    room(std::size_t bytes)
+    {
+        if (buffer_.size() - used_ < bytes)
+            grow(bytes);
+        return buffer_.data() + used_;
+    }
+
+    /** Extend the room past the written bytes to at least `bytes`. */
+    void grow(std::size_t bytes);
+
+    /** Make the bytes up to `end` (a cursor from room()) written. */
+    void
+    commit(const std::uint8_t *end)
+    {
+        used_ = static_cast<std::size_t>(end - buffer_.data());
+    }
+
+    /**
+     * Store the tag byte and the tick delta of an event at `now`.
+     *
+     * @return The cursor after them, with room for the longest record.
+     */
+    std::uint8_t *beginRecord(TraceEventKind kind, Tick now);
 };
 
 /** One decoded trace chunk (a full scenario run). */

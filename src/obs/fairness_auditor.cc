@@ -52,135 +52,121 @@ FairnessAuditor::FairnessAuditor(const FairnessAuditorConfig &config)
 void
 FairnessAuditor::onRequestPosted(const Request &req)
 {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kRequestPosted;
-    ev.tick = req.issued;
-    ev.agent = req.agent;
-    ev.seq = req.seq;
-    ev.priority = req.priority;
-    consume(ev);
+    handleRequestPosted(req.issued, req.agent, req.seq);
 }
 
 void
 FairnessAuditor::onPassResolved(Tick now, Tick pass_start,
-                                const Request &winner, bool retry)
+                                const Request &winner, bool)
 {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kPassResolved;
-    ev.tick = now;
-    ev.passStart = pass_start;
-    ev.retry = retry;
-    if (winner.valid()) {
-        ev.agent = winner.agent;
-        ev.seq = winner.seq;
-    }
-    consume(ev);
+    handleGrant(now, pass_start, winner.agent, winner.seq);
 }
 
 void
 FairnessAuditor::onTenureStarted(const Request &req, Tick now)
 {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kTenureStarted;
-    ev.tick = now;
-    ev.agent = req.agent;
-    ev.seq = req.seq;
-    consume(ev);
+    handleTenureStarted(now, req.seq);
 }
 
 void
 FairnessAuditor::onTenureEnded(const Request &req, Tick now)
 {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kTenureEnded;
-    ev.tick = now;
-    ev.agent = req.agent;
-    ev.seq = req.seq;
-    consume(ev);
+    handleTenureEnded(now, req.seq);
 }
 
 void
 FairnessAuditor::consume(const TraceEvent &event)
 {
-    BUSARB_ASSERT(!finished_, "event consumed after finish()");
-    emitSnapshotsThrough(event.tick);
-    lastTick_ = std::max(lastTick_, event.tick);
     switch (event.kind) {
       case TraceEventKind::kRequestPosted:
-        handleRequestPosted(event);
+        handleRequestPosted(event.tick, event.agent, event.seq);
         break;
       case TraceEventKind::kPassResolved:
-        handleGrant(event);
+        handleGrant(event.tick, event.passStart, event.agent, event.seq);
         break;
       case TraceEventKind::kTenureStarted:
-        handleTenureStarted(event);
+        handleTenureStarted(event.tick, event.seq);
         break;
       case TraceEventKind::kTenureEnded:
-        handleTenureEnded(event);
+        handleTenureEnded(event.tick, event.seq);
         break;
       case TraceEventKind::kPassStarted:
       case TraceEventKind::kCounterUpdate:
-        break; // carry no fairness information
+        advance(event.tick); // carry no fairness information
+        break;
     }
 }
 
 void
-FairnessAuditor::handleRequestPosted(const TraceEvent &ev)
+FairnessAuditor::advance(Tick tick)
 {
-    BUSARB_ASSERT(ev.agent >= 1 && ev.agent <= numAgents_,
-                  "request from unknown agent ", ev.agent);
-    pending_.push_back({ev.agent, ev.seq, ev.tick, 0});
+    BUSARB_ASSERT(!finished_, "event consumed after finish()");
+    if (snapshotEvery_ > 0 && nextSnapshot_ <= tick)
+        emitSnapshotsThrough(tick);
+    lastTick_ = std::max(lastTick_, tick);
 }
 
 void
-FairnessAuditor::handleGrant(const TraceEvent &ev)
+FairnessAuditor::handleRequestPosted(Tick now, AgentId agent,
+                                     std::uint64_t seq)
 {
-    if (ev.agent == kNoAgent)
+    advance(now);
+    BUSARB_ASSERT(agent >= 1 && agent <= numAgents_,
+                  "request from unknown agent ", agent);
+    pending_.push_back({agent, seq, now, 0});
+}
+
+void
+FairnessAuditor::handleGrant(Tick now, Tick pass_start, AgentId agent,
+                             std::uint64_t seq)
+{
+    advance(now);
+    if (agent == kNoAgent)
         return; // empty pass (fairness release / wrap) or retry
     ++grants_;
 
+    // One walk finds the winner, counts the older requests and charges
+    // the bypasses, without branching on any entry.
     auto winner = pending_.end();
+    std::uint64_t older = 0;
     for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (it->seq == ev.seq) {
-            winner = it;
-            continue;
-        }
+        const bool granted = it->seq == seq;
+        winner = granted ? it : winner;
+        older += it->seq < seq;
         // Every other agent's request that was already posted when this
         // pass froze its competitors has now been bypassed once. The
-        // strict `< passStart` keeps a request posted during the pass
+        // strict `< pass_start` keeps a request posted during the pass
         // from counting it: that pass could never have admitted it, so
         // charging it would inflate RR past its N-1 external bound.
-        if (it->agent != ev.agent && it->posted < ev.passStart)
-            ++it->bypasses;
+        it->bypasses += !granted & (it->agent != agent) &
+                        (it->posted < pass_start);
     }
     if (winner == pending_.end()) {
         // A grant for a request we never saw posted (trace cut mid-run):
         // keep accounting consistent without inventing a wait.
-        granted_.push_back({ev.agent, ev.seq, ev.tick, false});
+        granted_.push_back({agent, seq, now, false});
         return;
     }
 
-    AgentStats &stats = agentStats(ev.agent);
+    AgentStats &stats = agentStats(agent);
     stats.maxBypasses = std::max(stats.maxBypasses, winner->bypasses);
     maxBypasses_ = std::max(maxBypasses_, winner->bypasses);
     if (winner->bypasses > static_cast<std::uint64_t>(bound_))
         ++boundViolations_;
-    for (const PendingRequest &p : pending_) {
-        if (p.seq < winner->seq)
-            ++inversions_;
-    }
-    granted_.push_back({ev.agent, ev.seq, winner->posted, false});
+    inversions_ += older;
+    granted_.push_back({agent, seq, winner->posted, false});
     pending_.erase(winner);
 }
 
 void
-FairnessAuditor::handleTenureStarted(const TraceEvent &ev)
+FairnessAuditor::handleTenureStarted(Tick now, std::uint64_t seq)
 {
+    advance(now);
     for (GrantedRequest &g : granted_) {
-        if (g.seq != ev.seq)
+        if (g.seq != seq)
             continue;
         g.started = true;
-        const Tick starved = ev.tick - g.posted;
+        const Tick starved = now - g.posted;
         AgentStats &stats = agentStats(g.agent);
         stats.maxStarvation = std::max(stats.maxStarvation, starved);
         maxStarvation_ = std::max(maxStarvation_, starved);
@@ -189,12 +175,13 @@ FairnessAuditor::handleTenureStarted(const TraceEvent &ev)
 }
 
 void
-FairnessAuditor::handleTenureEnded(const TraceEvent &ev)
+FairnessAuditor::handleTenureEnded(Tick now, std::uint64_t seq)
 {
+    advance(now);
     for (auto it = granted_.begin(); it != granted_.end(); ++it) {
-        if (it->seq != ev.seq)
+        if (it->seq != seq)
             continue;
-        const double wait = toUnits(ev.tick - it->posted);
+        const double wait = toUnits(now - it->posted);
         AgentStats &stats = agentStats(it->agent);
         ++stats.completions;
         stats.waitSumUnits += wait;
@@ -202,7 +189,7 @@ FairnessAuditor::handleTenureEnded(const TraceEvent &ev)
         stats.maxWaitUnits = std::max(stats.maxWaitUnits, wait);
         ++completions_;
         waitSumUnits_ += wait;
-        windows_.record(ev.tick, it->agent - 1, wait);
+        windows_.record(now, it->agent - 1, wait);
         granted_.erase(it);
         return;
     }
@@ -403,22 +390,6 @@ FairnessAuditor::printSummary(std::ostream &os) const
            << formatDouble(mean) << "  " << stats.maxBypasses << "  "
            << formatDouble(toUnits(stats.maxStarvation)) << "\n";
     }
-}
-
-FairnessAuditor::AgentStats &
-FairnessAuditor::agentStats(AgentId agent)
-{
-    BUSARB_ASSERT(agent >= 1 && agent <= numAgents_,
-                  "agent out of range: ", agent);
-    return agents_[static_cast<std::size_t>(agent - 1)];
-}
-
-const FairnessAuditor::AgentStats &
-FairnessAuditor::agentStats(AgentId agent) const
-{
-    BUSARB_ASSERT(agent >= 1 && agent <= numAgents_,
-                  "agent out of range: ", agent);
-    return agents_[static_cast<std::size_t>(agent - 1)];
 }
 
 } // namespace busarb

@@ -88,6 +88,14 @@ struct ScenarioConfig
 };
 
 /**
+ * The smallest offered load one agent may carry. Its mean gap between
+ * requests is then about 1e6 transaction times, which keeps even the
+ * long draws of the burstiest arrival processes inside the tick clock
+ * (fitsTickClock, sim/types.hh), where unitsToTicks() is defined.
+ */
+constexpr double kMinPerAgentLoad = 1e-6;
+
+/**
  * Equal request rates (Tables 4.1 and 4.2).
  *
  * @param num_agents N.

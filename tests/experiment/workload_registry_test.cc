@@ -196,6 +196,32 @@ TEST(WorkloadRegistryTest, ValidateRunRejectsTooFewAgents)
     EXPECT_NE(error.find("agent"), std::string::npos) << error;
 }
 
+TEST(WorkloadRegistryTest, ValidateRunRejectsTinyOpenRates)
+{
+    // Each agent's share of rate= answers to the per-agent load floor;
+    // these rates used to run with arrival gaps past the tick clock.
+    for (const std::string rate : {"1e-300", "1e-12", "3.9e-06"}) {
+        ScenarioConfig config = tinyScenario();
+        config.workloadSpec = "open:rate=" + rate;
+        EXPECT_EQ(validateWorkloadRun(config),
+                  "workload source 'open': option 'rate' must be 0 or "
+                  ">= 1e-06 x 4 (the per-agent load floor times the "
+                  "total load over the smallest agent's), got " +
+                      rate)
+            << rate;
+    }
+    ScenarioConfig at_floor = tinyScenario();
+    at_floor.workloadSpec = "open:rate=4e-06";
+    EXPECT_EQ(validateWorkloadRun(at_floor), "");
+
+    // An unequal split puts the floor on the smallest share.
+    ScenarioConfig unequal = unequalLoadScenario(4, 0.25, 2.0);
+    unequal.workloadSpec = "open:rate=4e-06";
+    EXPECT_NE(validateWorkloadRun(unequal).find(">= 1e-06 x 5 "),
+              std::string::npos)
+        << validateWorkloadRun(unequal);
+}
+
 TEST(WorkloadRegistryTest, DescriptorLookupFollowsSpecKey)
 {
     const WorkloadDescriptor *open =

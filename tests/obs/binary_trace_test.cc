@@ -4,9 +4,12 @@
  * chunk concatenation, and malformed-input rejection.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -221,6 +224,303 @@ TEST(BinaryTrace, RejectsMalformedInput)
     appendVarint(overflow, 1);
     overflow.push_back(0); // the end record again
     EXPECT_THROW(readTraceChunks(overflow), std::runtime_error);
+}
+
+/**
+ * A byte-at-a-time writer: every field appended with push_back, the
+ * plainest statement of format v1. It is the reference the cursor
+ * writer must match byte for byte.
+ */
+class ReferenceTraceWriter
+{
+  public:
+    ReferenceTraceWriter(int num_agents, const std::string &protocol)
+        : buffer_{'B', 'A', 'T', 'R', 1}
+    {
+        varint(static_cast<std::uint64_t>(num_agents));
+        varint(protocol.size());
+        buffer_.insert(buffer_.end(), protocol.begin(), protocol.end());
+    }
+
+    void
+    onRequestPosted(const Request &req)
+    {
+        beginRecord(TraceEventKind::kRequestPosted, req.issued);
+        varint(static_cast<std::uint64_t>(req.agent));
+        varint(req.seq);
+        buffer_.push_back(req.priority ? 1 : 0);
+    }
+
+    void
+    onPassStarted(Tick now)
+    {
+        beginRecord(TraceEventKind::kPassStarted, now);
+    }
+
+    void
+    onPassResolved(Tick now, Tick pass_start, const Request &winner,
+                   bool retry)
+    {
+        beginRecord(TraceEventKind::kPassResolved, now);
+        varint(static_cast<std::uint64_t>(now - pass_start));
+        std::uint8_t flags = 0;
+        if (winner.valid())
+            flags = 1;
+        else if (retry)
+            flags = 2;
+        buffer_.push_back(flags);
+        if (winner.valid()) {
+            varint(static_cast<std::uint64_t>(winner.agent));
+            varint(winner.seq);
+        }
+    }
+
+    void
+    onTenureStarted(const Request &req, Tick now)
+    {
+        beginRecord(TraceEventKind::kTenureStarted, now);
+        varint(static_cast<std::uint64_t>(req.agent));
+        varint(req.seq);
+    }
+
+    void
+    onTenureEnded(const Request &req, Tick now)
+    {
+        beginRecord(TraceEventKind::kTenureEnded, now);
+        varint(static_cast<std::uint64_t>(req.agent));
+        varint(req.seq);
+    }
+
+    std::uint64_t
+    defineCounter(const std::string &name)
+    {
+        buffer_.push_back(7);
+        const std::uint64_t id = nextCounterId_++;
+        varint(id);
+        varint(name.size());
+        buffer_.insert(buffer_.end(), name.begin(), name.end());
+        return id;
+    }
+
+    void
+    counterUpdate(std::uint64_t id, Tick now, std::uint64_t value)
+    {
+        beginRecord(TraceEventKind::kCounterUpdate, now);
+        varint(id);
+        varint(value);
+    }
+
+    std::uint64_t events() const { return events_; }
+
+    std::vector<std::uint8_t>
+    finish()
+    {
+        buffer_.push_back(0);
+        return std::move(buffer_);
+    }
+
+  private:
+    std::vector<std::uint8_t> buffer_;
+    Tick lastTick_ = 0;
+    std::uint64_t events_ = 0;
+    std::uint64_t nextCounterId_ = 0;
+
+    void
+    varint(std::uint64_t value)
+    {
+        while (value >= 0x80) {
+            buffer_.push_back(static_cast<std::uint8_t>(value) | 0x80);
+            value >>= 7;
+        }
+        buffer_.push_back(static_cast<std::uint8_t>(value));
+    }
+
+    void
+    beginRecord(TraceEventKind kind, Tick now)
+    {
+        buffer_.push_back(static_cast<std::uint8_t>(kind));
+        varint(static_cast<std::uint64_t>(now - lastTick_));
+        lastTick_ = now;
+        ++events_;
+    }
+};
+
+/** Seeded draws whose LEB128 encodings take a chosen byte count. */
+class VarintDraws
+{
+  public:
+    explicit VarintDraws(std::uint64_t seed) : rng_(seed) {}
+
+    /** @return A value whose varint is `bytes` (1-10) bytes long. */
+    std::uint64_t
+    ofLength(int bytes)
+    {
+        const std::uint64_t low =
+            bytes == 1 ? 0 : std::uint64_t{1} << (7 * (bytes - 1));
+        const std::uint64_t high =
+            bytes >= 10 ? std::numeric_limits<std::uint64_t>::max()
+                        : (std::uint64_t{1} << (7 * bytes)) - 1;
+        return std::uniform_int_distribution<std::uint64_t>(low,
+                                                            high)(rng_);
+    }
+
+    /** @return A value of a uniformly drawn varint length 1-10. */
+    std::uint64_t any() { return ofLength(below(10) + 1); }
+
+    /** @return A uniform draw from [0, n). */
+    int
+    below(int n)
+    {
+        return std::uniform_int_distribution<int>(0, n - 1)(rng_);
+    }
+
+  private:
+    std::mt19937_64 rng_;
+};
+
+/** Feed one event stream to both writers. */
+struct WriterPair
+{
+    BinaryTraceWriter cursor;
+    ReferenceTraceWriter reference;
+    std::vector<std::uint64_t> counters;
+
+    WriterPair(int num_agents, const std::string &protocol)
+        : cursor(num_agents, protocol), reference(num_agents, protocol)
+    {
+    }
+
+    template <typename Fn>
+    void
+    both(Fn fn)
+    {
+        fn(cursor);
+        fn(reference);
+    }
+};
+
+Request
+drawnRequest(VarintDraws &draws, Tick issued)
+{
+    // Any int agent, negatives too: they encode as 10-byte varints.
+    const auto agent = static_cast<AgentId>(
+        static_cast<std::uint32_t>(draws.ofLength(draws.below(5) + 1)));
+    return makeRequest(agent, issued, draws.any(), draws.below(2) == 1);
+}
+
+/**
+ * One seeded stream of `records` events: every record kind, counter
+ * definitions interleaved with updates, and fields of every varint
+ * length. Tick deltas take every length a Tick can (1-9 bytes): the
+ * first 90% of records add up to 3-byte deltas with one jump of each
+ * length 4-8 on the way, then one 9-byte jump lands the clock within
+ * `records` ticks of kMaxTick, and the rest step by 0 or 1 to it.
+ */
+void
+feedRandomStream(WriterPair &pair, VarintDraws &draws, int records)
+{
+    Tick now = 0;
+    const int last_jump = records * 9 / 10;
+    const int stride = std::max(1, last_jump / 6);
+    for (int i = 0; i < records; ++i) {
+        Tick delta = 0;
+        if (i == last_jump) {
+            delta = kMaxTick - now - records;
+        } else if (i > last_jump) {
+            delta = draws.below(2);
+        } else if (i % stride == stride / 2 && i / stride < 5) {
+            delta = static_cast<Tick>(draws.ofLength(4 + i / stride));
+        } else {
+            delta = static_cast<Tick>(draws.ofLength(draws.below(3) + 1));
+        }
+        now += delta;
+        switch (draws.below(8)) {
+          case 0: {
+            const Request req = drawnRequest(draws, now);
+            pair.both([&](auto &w) { w.onRequestPosted(req); });
+            break;
+          }
+          case 1:
+            pair.both([&](auto &w) { w.onPassStarted(now); });
+            break;
+          case 2: {
+            // A duration of any length the clock allows, a winner or an
+            // empty pass (retry or not).
+            const Tick duration = static_cast<Tick>(
+                draws.ofLength(draws.below(9) + 1) %
+                static_cast<std::uint64_t>(now + 1));
+            const Request winner = draws.below(2) == 1
+                                       ? drawnRequest(draws, now)
+                                       : Request{};
+            const bool retry = draws.below(2) == 1;
+            pair.both([&](auto &w) {
+                w.onPassResolved(now, now - duration, winner, retry);
+            });
+            break;
+          }
+          case 3: {
+            const Request req = drawnRequest(draws, now);
+            pair.both([&](auto &w) { w.onTenureStarted(req, now); });
+            break;
+          }
+          case 4: {
+            const Request req = drawnRequest(draws, now);
+            pair.both([&](auto &w) { w.onTenureEnded(req, now); });
+            break;
+          }
+          case 5: {
+            // A definition carries no tick; it may name up to 300 bytes.
+            const std::string name(
+                static_cast<std::size_t>(draws.below(301)),
+                static_cast<char>('a' + draws.below(26)));
+            const std::uint64_t id = pair.cursor.defineCounter(name);
+            EXPECT_EQ(pair.reference.defineCounter(name), id);
+            pair.counters.push_back(id);
+            [[fallthrough]];
+          }
+          default: {
+            if (pair.counters.empty())
+                break;
+            const std::uint64_t id = pair.counters[static_cast<std::size_t>(
+                draws.below(static_cast<int>(pair.counters.size())))];
+            const std::uint64_t value = draws.any();
+            pair.both([&](auto &w) { w.counterUpdate(id, now, value); });
+            break;
+          }
+        }
+    }
+    if (records > 0) {
+        EXPECT_GE(now, kMaxTick - records);
+    }
+}
+
+TEST(BinaryTrace, CursorWriterMatchesReferenceBytes)
+{
+    VarintDraws draws(0x7ace5eed);
+    // Streams from empty to 300 000 records (about 3 MB), so the room
+    // grows through every step below its cap and many at the cap; the
+    // headers take agent counts and protocol names of every size.
+    for (const int records : {0, 1, 2, 50, 4000, 300000}) {
+        const int agents = static_cast<int>(
+            draws.ofLength(draws.below(5) + 1) & 0x7fffffff) | 1;
+        const std::string protocol(
+            static_cast<std::size_t>(draws.below(400)), 'p');
+        WriterPair pair(agents, protocol);
+        feedRandomStream(pair, draws, records);
+        EXPECT_EQ(pair.cursor.events(), pair.reference.events());
+        const std::vector<std::uint8_t> got = pair.cursor.finish();
+        const std::vector<std::uint8_t> want = pair.reference.finish();
+        ASSERT_EQ(got.size(), want.size()) << records << " records";
+        const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+        EXPECT_TRUE(diff.first == got.end())
+            << records << " records: first difference at byte "
+            << (diff.first - got.begin());
+        // The bytes decode as one chunk.
+        if (records > 0) {
+            const auto chunks = readTraceChunks(got);
+            ASSERT_EQ(chunks.size(), 1u);
+        }
+    }
 }
 
 TEST(BinaryTraceDeathTest, BackwardsTimePanics)

@@ -16,6 +16,7 @@
 
 #include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
+#include "obs/binary_trace.hh"
 #include "obs/fairness_auditor.hh"
 #include "workload/scenario.hh"
 
@@ -103,6 +104,21 @@ TEST(FairnessAuditor, RequestPostedDuringPassIsNotBypassed)
     a.finish(300);
     EXPECT_EQ(a.agentMaxBypasses(1), 0u);
     EXPECT_EQ(a.maxBypasses(), 0u);
+}
+
+TEST(FairnessAuditor, GrantsToTheSameAgentAreNotBypasses)
+{
+    // An agent with two outstanding requests: serving its newer one
+    // first is an inversion, but no other agent bypassed the older one.
+    FairnessAuditor a(smallConfig(2));
+    a.onRequestPosted(makeRequest(1, 0, 1));
+    a.onRequestPosted(makeRequest(1, 5, 2));
+    a.onPassResolved(100, 20, makeRequest(1, 5, 2), false);
+    a.onPassResolved(200, 120, makeRequest(1, 0, 1), false);
+    a.finish(300);
+    EXPECT_EQ(a.grants(), 2u);
+    EXPECT_EQ(a.agentMaxBypasses(1), 0u);
+    EXPECT_EQ(a.inversions(), 1u);
 }
 
 TEST(FairnessAuditor, CountsArrivalOrderInversions)
@@ -309,6 +325,80 @@ TEST(FairnessAuditorIntegration, SnapshotsIdenticalAcrossJobCounts)
         EXPECT_FALSE(serial[i].fairnessSnapshots.empty());
         EXPECT_EQ(serial[i].fairnessSnapshots,
                   parallel[i].fairnessSnapshots);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Live against replay on the full stack: the auditor that rode the bus
+// and a fresh one fed the run's decoded trace through consume() must
+// export the same bytes. Open MMPP traffic at load 0.9 keeps many
+// requests pending at a grant, and aap1 and wrr grant out of arrival
+// order, so grants erase from the middle of the pending list and count
+// inversions.
+
+/** @return The lines of `text` that start with `prefix`, in order. */
+std::string
+linesStartingWith(const std::string &text, const std::string &prefix)
+{
+    std::istringstream in(text);
+    std::string out;
+    for (std::string line; std::getline(in, line);) {
+        if (line.compare(0, prefix.size(), prefix) == 0)
+            out += line + "\n";
+    }
+    return out;
+}
+
+TEST(FairnessAuditorIntegration, TraceReplayMatchesTheLiveAudit)
+{
+    ScenarioConfig config = equalLoadScenario(16, 0.9);
+    config.workloadSpec = "open:dist=mmpp,burst=8,gap=32,ratio=10";
+    config.numBatches = 2;
+    config.batchSize = 2000;
+    config.warmup = 1000;
+    config.observe.captureTrace = true;
+    config.observe.fairness = true;
+    config.observe.snapshotEvery = 200.0;
+    for (const std::string proto :
+         {"rr1", "fcfs1", "aap1",
+          "wrr:weights=4/4/4/4/1/1/1/1/1/1/1/1/1/1/1/1"}) {
+        ScenarioResult live =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(proto));
+        const std::vector<TraceChunk> chunks =
+            readTraceChunks(live.binaryTrace);
+        ASSERT_EQ(chunks.size(), 1u) << proto;
+        const TraceChunk &chunk = chunks.front();
+        ASSERT_FALSE(chunk.events.empty()) << proto;
+
+        FairnessAuditor replay(FairnessAuditorConfig::from(
+            config.observe, chunk.numAgents, chunk.protocol));
+        for (const TraceEvent &ev : chunk.events)
+            replay.consume(ev);
+        // The run ends at its last batch boundary, whose counter
+        // updates are the trace's last records.
+        const Tick end =
+            unitsToTicks(live.metrics.gauge("sim.final_units").max());
+        EXPECT_EQ(chunk.events.back().tick, end) << proto;
+        replay.finish(end);
+
+        MetricsRegistry replayed;
+        replay.exportMetrics(replayed);
+        std::ostringstream live_csv;
+        std::ostringstream replay_csv;
+        live.metrics.writeCsv(live_csv);
+        replayed.writeCsv(replay_csv);
+        const std::string want =
+            linesStartingWith(live_csv.str(), "fairness.");
+        EXPECT_NE(want.find("fairness.inversions"), std::string::npos);
+        EXPECT_EQ(linesStartingWith(replay_csv.str(), "fairness."), want)
+            << proto;
+        EXPECT_FALSE(live.fairnessSnapshots.empty()) << proto;
+        EXPECT_EQ(replay.snapshots(), live.fairnessSnapshots) << proto;
+        if (proto == "aap1" || proto.rfind("wrr", 0) == 0) {
+            EXPECT_GT(live.metrics.counter("fairness.inversions").value(),
+                      0u)
+                << proto;
+        }
     }
 }
 
