@@ -10,6 +10,7 @@
 #include <ctime>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -232,6 +233,32 @@ threadCpuSeconds()
     return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
 }
 
+/**
+ * One back-to-back pair of runs in thread CPU time: `base` first on
+ * even pairs, `variant` first on odd ones, so host speed drift moves
+ * both halves alike and preemption is not charged.
+ *
+ * @return {base seconds, variant seconds}.
+ */
+std::pair<double, double>
+pairedCpuSeconds(std::size_t pair, const ScenarioConfig &base,
+                 const ScenarioConfig &variant,
+                 const ProtocolFactory &factory)
+{
+    const auto cpuSeconds = [&factory](const ScenarioConfig &config) {
+        const double start = threadCpuSeconds();
+        auto result = runScenario(config, factory);
+        benchmark::DoNotOptimize(result);
+        return threadCpuSeconds() - start;
+    };
+    if (pair % 2 == 1) {
+        const double variantSeconds = cpuSeconds(variant);
+        return {cpuSeconds(base), variantSeconds};
+    }
+    const double baseSeconds = cpuSeconds(base);
+    return {baseSeconds, cpuSeconds(variant)};
+}
+
 /** @return The median of `values` (reorders them). */
 double
 median(std::vector<double> &values)
@@ -282,7 +309,11 @@ BM_FullSimulationAgents20(benchmark::State &state)
     // policy also reports transactions per second: the events one
     // transaction costs is a property of the bus engine (three since
     // the pass start runs in the queue's same-tick slot), so only the
-    // transaction rate compares across such changes.
+    // transaction rate compares across such changes. The bus's pass
+    // and tenure ends run from the queue's timer slots under both
+    // policies, so each stores only the agents' arrivals and the ratio
+    // prices the two on those alone: about 1.31, where it read about
+    // 1.5 while the bus's ends went through the storage too.
     struct Kernel
     {
         ScenarioConfig config;
@@ -328,38 +359,44 @@ BENCHMARK(BM_FullSimulationAgents20)->Iterations(30);
 void
 BM_FullSimulationObserved(benchmark::State &state)
 {
-    // Same saturated run as BM_FullSimulation/rr1, with the obs layer
-    // at each level: 0 = no tracer (the null-sink default, which must
-    // cost nothing measurable vs BM_FullSimulation), 1 = binary trace
-    // capture, 2 = capture plus a flight recorder, 3 = the fairness
-    // auditor alone (so its streaming bookkeeping can be priced
-    // against the untraced baseline), 4 = capture plus the auditor,
-    // the sink pair an observed sweep attaches.
-    ScenarioConfig config = saturatedScenario(10);
+    // The obs layer's cost per transaction at each sink level, priced
+    // like BM_FullSimulationProfiled: the same saturated run as
+    // BM_FullSimulation/rr1, untraced and at the level, back to back in
+    // thread CPU time with alternating order; sink_ns_per_tx is the
+    // median per-pair difference over the run's transactions. Levels:
+    // 0 = no tracer (the null-sink default, paired with itself, so it
+    // reads the method's noise floor), 1 = binary trace capture, 2 =
+    // capture plus a flight recorder, 3 = the fairness auditor alone, 4
+    // = capture plus the auditor, the sink pair an observed sweep
+    // attaches.
+    const ScenarioConfig plain = saturatedScenario(10);
+    ScenarioConfig observed = plain;
     switch (state.range(0)) {
       case 4:
-        config.observe.captureTrace = true;
+        observed.observe.captureTrace = true;
         [[fallthrough]];
       case 3:
-        config.observe.fairness = true;
+        observed.observe.fairness = true;
         break;
       case 2:
-        config.observe.flightRecorder = 256;
+        observed.observe.flightRecorder = 256;
         [[fallthrough]];
       case 1:
-        config.observe.captureTrace = true;
+        observed.observe.captureTrace = true;
         break;
       default:
         break;
     }
+    const double transactions = static_cast<double>(
+        plain.numBatches * plain.batchSize + plain.warmup);
     const ProtocolFactory rr1 = ProtocolRegistry::builtin().fromSpec("rr1");
+    std::vector<double> nsPerTx;
     for (auto _ : state) {
-        auto result = runScenario(config, rr1);
-        benchmark::DoNotOptimize(result);
+        const auto [off, on] =
+            pairedCpuSeconds(nsPerTx.size(), plain, observed, rr1);
+        nsPerTx.push_back((on - off) * 1e9 / transactions);
     }
-    state.SetItemsProcessed(state.iterations() *
-                            (config.numBatches * config.batchSize +
-                             config.warmup));
+    state.counters["sink_ns_per_tx"] = median(nsPerTx);
     static const char *labels[] = {"untraced", "binary-trace",
                                    "trace+flight-recorder",
                                    "fairness-auditor",
@@ -371,36 +408,27 @@ BENCHMARK(BM_FullSimulationObserved)
     ->Arg(1)
     ->Arg(2)
     ->Arg(3)
-    ->Arg(4);
+    ->Arg(4)
+    ->Iterations(20);
 
 void
 BM_FullSimulationProfiled(benchmark::State &state)
 {
     // The self-profiler overhead guard (the "< 2% overhead" budget): the
     // same saturated rr1 run as BM_FullSimulation unprofiled and with the
-    // full per-phase timer + event-queue probe set (--profile), back to
-    // back in alternating order, priced in thread CPU time. Host speed
-    // drift moves both halves of a pair together and preemption is not
-    // charged, so the median per-pair overhead is steady on a shared
-    // machine. Compare against a -DBUSARB_PROFILING=OFF build to price
-    // the compiled-in-but-idle probes as well.
+    // full per-phase timer + event-queue probe set (--profile), as
+    // back-to-back pairs in thread CPU time (pairedCpuSeconds), so the
+    // median per-pair overhead is steady on a shared machine. Compare
+    // against a -DBUSARB_PROFILING=OFF build to price the
+    // compiled-in-but-idle probes as well.
     const ScenarioConfig plain = saturatedScenario(10);
     ScenarioConfig profiled = plain;
     profiled.profile = true;
     const ProtocolFactory rr1 = ProtocolRegistry::builtin().fromSpec("rr1");
-    const auto cpuSeconds = [&rr1](const ScenarioConfig &config) {
-        const double start = threadCpuSeconds();
-        auto result = runScenario(config, rr1);
-        benchmark::DoNotOptimize(result);
-        return threadCpuSeconds() - start;
-    };
     std::vector<double> overheadPct;
     for (auto _ : state) {
-        const bool profiledFirst = overheadPct.size() % 2 == 1;
-        const double first = cpuSeconds(profiledFirst ? profiled : plain);
-        const double second = cpuSeconds(profiledFirst ? plain : profiled);
-        const double off = profiledFirst ? second : first;
-        const double on = profiledFirst ? first : second;
+        const auto [off, on] =
+            pairedCpuSeconds(overheadPct.size(), plain, profiled, rr1);
         overheadPct.push_back((on - off) / off * 100.0);
     }
     state.counters["overhead_pct"] = median(overheadPct);

@@ -117,7 +117,7 @@ summary = {
                       "calendar_events_per_second", "heap_events_per_second",
                       "calendar_tx_per_second", "heap_tx_per_second",
                       "calendar_vs_heap", "callback_heap_allocs",
-                      "overhead_pct")
+                      "overhead_pct", "sink_ns_per_tx")
             if k in b
         }
         for name, b in sorted(medians.items())

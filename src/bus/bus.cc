@@ -95,8 +95,10 @@ Bus::startPassNow()
             }
         }
     }
-    queue_.scheduleIn(duration, [this] { passCompleted(); },
-                      kPriArbitration);
+    queue_.armTimer(
+        kPassEndTimer, duration,
+        [](void *bus) { static_cast<Bus *>(bus)->passCompleted(); }, this,
+        kPriArbitration);
 }
 
 void
@@ -146,8 +148,10 @@ Bus::startTenure(const Request &req)
     if (observer_ != nullptr)
         observer_->onServiceStart(req, queue_.now());
     busyTicks_ += serviceTicks_;
-    queue_.scheduleIn(serviceTicks_, [this] { transactionCompleted(); },
-                      kPriTransactionEnd);
+    queue_.armTimer(
+        kTenureEndTimer, serviceTicks_,
+        [](void *bus) { static_cast<Bus *>(bus)->transactionCompleted(); },
+        this, kPriTransactionEnd);
     // "Arbitration for the next master starts at the beginning of a bus
     // transaction whenever requests are waiting" (Section 4.1).
     maybeStartPass();

@@ -20,6 +20,7 @@
 #ifndef BUSARB_BUS_BUS_HH
 #define BUSARB_BUS_BUS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -97,7 +98,8 @@ class Bus
   public:
     /**
      * @param queue Event queue driving the simulation. The bus arms its
-     *        same-tick slot for pass starts, so a queue drives one bus.
+     *        same-tick slot for pass starts and its two timer slots for
+     *        pass and tenure ends, so a queue drives one bus.
      * @param protocol Arbitration protocol (reset() is called here).
      * @param num_agents Number of agents (identities 1..N).
      * @param params Timing parameters.
@@ -159,6 +161,12 @@ class Bus
     Tick exposedArbitrationTicks() const { return exposedArbTicks_; }
 
   private:
+    // The queue's timer slots the bus arms: one pass and one tenure are
+    // in flight at most, so each end has a slot of its own.
+    static constexpr std::size_t kPassEndTimer = 0;
+    static constexpr std::size_t kTenureEndTimer = 1;
+    static_assert(kTenureEndTimer < EventQueue::kTimerSlots);
+
     EventQueue &queue_;
     std::unique_ptr<ArbitrationProtocol> protocol_;
     BusObserver *observer_ = nullptr;

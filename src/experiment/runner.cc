@@ -265,11 +265,11 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
     BUSARB_ASSERT(config.batchSize >= 1, "batch size must be >= 1");
 
     // Seed the calendar geometry from the scenario's expected live depth:
-    // every agent keeps about one event in flight, plus a handful of bus
-    // bookkeeping events.
+    // every agent keeps about one event in flight. The bus's own events
+    // run from the queue's slots and never enter the calendar.
     EventQueue queue(config.eventQueuePolicy,
                      CalendarTuning::forExpectedDepth(
-                         static_cast<std::size_t>(config.numAgents) + 4));
+                         static_cast<std::size_t>(config.numAgents)));
     std::unique_ptr<ArbitrationProtocol> protocol = factory();
     BUSARB_ASSERT(protocol != nullptr, "protocol factory returned null");
     const std::string protocol_name = protocol->name();

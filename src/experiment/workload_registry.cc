@@ -25,14 +25,6 @@ validateRun(const WorkloadSpec &spec, const ScenarioConfig &config)
 
 } // namespace
 
-std::string
-workloadSpecOrExit(const std::string &program, const std::string &text)
-{
-    return WorkloadRegistry::builtin()
-        .parseSpecOrExit(program, text)
-        .format();
-}
-
 const WorkloadDescriptor *
 workloadDescriptorFor(const std::string &spec_text)
 {

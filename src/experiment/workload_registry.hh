@@ -101,16 +101,6 @@ struct WorkloadDescriptor : SpecDescriptor<WorkloadSourceFactory>
 };
 
 /**
- * Tool-facing spec parser: canonicalize `text` against the builtin
- * registry, or print `program: <error>` to stderr and exit 2 (the CLI
- * usage-error convention).
- *
- * @return The canonical spec text (format() of the parsed spec).
- */
-std::string workloadSpecOrExit(const std::string &program,
-                               const std::string &text);
-
-/**
  * @return The builtin descriptor a spec string's key selects, or
  *         nullptr when the key is unknown (spec need not fully parse).
  */
@@ -121,8 +111,9 @@ workloadDescriptorFor(const std::string &spec_text);
  * Build the workload source a scenario asks for — the runner's side of
  * the seam. Parses config.workloadSpec against the builtin registry,
  * runs pre-run validation, and invokes the factory; any failure is
- * fatal (tools should have validated with workloadSpecOrExit /
- * validateWorkloadRun first).
+ * fatal (tools have validated first: the spec text where the scenario
+ * parser sets the `source` key, and the run through
+ * validateWorkloadRun).
  */
 std::unique_ptr<WorkloadSource>
 buildWorkloadSource(const ScenarioConfig &config, EventQueue &queue,

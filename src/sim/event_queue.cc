@@ -277,19 +277,21 @@ EventQueue::heapPush()
     std::push_heap(heap_.begin(), heap_.end(), HeapEntry::later);
     ++liveCount_;
 #if BUSARB_PROFILING_ENABLED
-    recordDepth(liveCount_);
+    recordDepth(numPending());
 #endif
 }
 
 bool
 EventQueue::heapRunOne()
 {
-    if (sameTick_.fn != nullptr &&
-        (heap_.empty() ||
-         sameTickFirst(heap_.front().when, heap_.front().priority,
-                       heap_.front().id))) {
-        runSameTick();
-        return true;
+    if (armed_ != 0) {
+        const std::size_t slot = firstSlot();
+        if (heap_.empty() ||
+            slotFirst(slot, heap_.front().when, heap_.front().priority,
+                      heap_.front().id)) {
+            runSlot(slot);
+            return true;
+        }
     }
     if (heap_.empty())
         return false;

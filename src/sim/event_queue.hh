@@ -27,10 +27,11 @@
  * an event moves the callable out instead of copying a std::function
  * off the heap top.
  *
- * Beside its events the queue has one same-tick slot (armSameTick()): a
- * plain function armed at the current tick, which runs exactly where an
- * event scheduled now at the same priority would run, without a trip
- * through the storage.
+ * Beside its events the queue holds a few fixed slots, each a plain
+ * function armed at one tick: the same-tick slot (armSameTick()) at
+ * now(), and kTimerSlots timers (armTimer()) at a delay. An armed slot
+ * runs exactly where an event scheduled at its arming would run,
+ * without a trip through the storage.
  */
 
 #ifndef BUSARB_SIM_EVENT_QUEUE_HH
@@ -66,7 +67,8 @@ enum EventPriority : int {
     kPriRequestArrival = 20,
     // Pass starts run after every same-tick arrival so that requests
     // issued at the same instant all enter the arbitration that begins
-    // at that instant. The bus arms them in the same-tick slot.
+    // at that instant. The bus arms them in the same-tick slot, and
+    // its tenure and pass ends in the timer slots.
     kPriBeginPass = 30,
     kPriDefault = 50,
     kPriStats = 90,
@@ -114,8 +116,11 @@ struct CalendarTuning
 class EventQueue
 {
   public:
-    /** What the same-tick slot runs: a plain function and its context. */
-    using SameTickFn = void (*)(void *context);
+    /** What a slot runs: a plain function and its context. */
+    using SlotFn = void (*)(void *context);
+
+    /** Timer slots beside the same-tick slot (armTimer()). */
+    static constexpr std::size_t kTimerSlots = 2;
 
     EventQueue() : EventQueue(EventQueuePolicy::kCalendar) {}
 
@@ -174,53 +179,85 @@ class EventQueue
      * scheduled now at `priority` would run. The slot takes the next id
      * of the insertion sequence, so it ties with same-(tick, priority)
      * events as such an event would. It is counted neither in
-     * numExecuted() nor in the depth profile. The slot is free again
-     * once fn is called, so fn may re-arm it.
+     * numExecuted() nor in numPending() nor in the depth profile. The
+     * slot is free again once fn is called, so fn may re-arm it.
      *
      * @param fn Function to run; must not be null.
      * @param context Its argument.
      * @param priority Tie-break among same-tick entries (lower first).
      */
     void
-    armSameTick(SameTickFn fn, void *context, int priority)
+    armSameTick(SlotFn fn, void *context, int priority)
     {
         BUSARB_ASSERT(fn != nullptr, "null same-tick function");
-        BUSARB_ASSERT(sameTick_.fn == nullptr,
+        BUSARB_ASSERT(!isArmed(kSameTickSlot),
                       "same-tick slot armed twice");
-        sameTick_ = SameTick{fn, context, priority, nextId_++};
+        arm(kSameTickSlot, now_, fn, context, priority);
     }
 
-    /** @return true if no live events remain and the slot is not armed. */
+    /**
+     * Arm timer slot `timer`: fn(context) runs exactly where
+     * scheduleIn(delay, ..., priority) called now would run its event
+     * (the same tick, saturation and id). Unlike the same-tick slot, a
+     * timer counts as an event: in numPending() while armed, in the
+     * depth profile when armed, and in numExecuted() and run()'s count
+     * when it runs. It is free again once fn is called, so fn may
+     * re-arm it.
+     *
+     * @param timer Slot index, below kTimerSlots; must not be armed.
+     * @param delay Non-negative tick delay.
+     * @param fn Function to run; must not be null.
+     * @param context Its argument.
+     * @param priority Tie-break among same-tick entries (lower first).
+     */
+    void
+    armTimer(std::size_t timer, Tick delay, SlotFn fn, void *context,
+             int priority)
+    {
+        BUSARB_ASSERT(timer < kTimerSlots, "timer slot out of range: ",
+                      timer);
+        BUSARB_ASSERT(fn != nullptr, "null timer function");
+        BUSARB_ASSERT(!isArmed(kFirstTimerSlot + timer), "timer slot ",
+                      timer, " armed twice");
+        arm(kFirstTimerSlot + timer, saturatedTick(delay), fn, context,
+            priority);
+        ++armedTimers_;
+#if BUSARB_PROFILING_ENABLED
+        recordDepth(numPending());
+#endif
+    }
+
+    /** @return true if no live events remain and no slot is armed. */
     bool
     empty() const
     {
-        return liveCount_ == 0 && sameTick_.fn == nullptr;
+        return liveCount_ == 0 && armed_ == 0;
     }
 
     /** @return Current simulated time in ticks. */
     Tick now() const { return now_; }
 
-    /**
-     * @return Tick of the earliest live event, or now() while the
-     *         same-tick slot is armed; kMaxTick if empty.
-     */
+    /** @return Tick of the earliest entry; kMaxTick if empty. */
     Tick
     nextTick() const
     {
-        if (sameTick_.fn != nullptr)
-            return now_;
+        const Tick first = armed_ != 0 ? slots_[firstSlot()].when
+                                       : kMaxTick;
         if (policy_ == EventQueuePolicy::kCalendar) {
             const Node *min = minValid_ ? cachedMin_ : calFindMin();
-            return min == nullptr ? kMaxTick : min->when;
+            return min != nullptr && min->when < first ? min->when
+                                                       : first;
         }
-        return heap_.empty() ? kMaxTick : heap_.front().when;
+        return !heap_.empty() && heap_.front().when < first
+                   ? heap_.front().when
+                   : first;
     }
 
     /**
-     * Execute the single earliest live event, or the same-tick slot
-     * where it sorts first.
+     * Execute the single earliest entry: a live event, or an armed
+     * slot where it sorts first.
      *
-     * @retval true An event or the slot was executed.
+     * @retval true An event or a slot was executed.
      * @retval false The queue was empty.
      */
     bool
@@ -229,11 +266,13 @@ class EventQueue
         if (policy_ != EventQueuePolicy::kCalendar)
             return heapRunOne();
         Node *min = minValid_ ? cachedMin_ : calFindMin();
-        if (sameTick_.fn != nullptr &&
-            (min == nullptr ||
-             sameTickFirst(min->when, min->priority, min->id))) {
-            runSameTick();
-            return true;
+        if (armed_ != 0) {
+            const std::size_t slot = firstSlot();
+            if (min == nullptr ||
+                slotFirst(slot, min->when, min->priority, min->id)) {
+                runSlot(slot);
+                return true;
+            }
         }
         if (min == nullptr)
             return false;
@@ -245,27 +284,29 @@ class EventQueue
      * Run events until the queue drains or the next event is beyond
      * `until`.
      *
-     * Events scheduled exactly at `until` are executed, and so is the
+     * Entries due exactly at `until` are executed, and so is the
      * same-tick slot. Time is left at the tick of the last executed
-     * event (or unchanged if none ran).
+     * entry (or unchanged if none ran).
      *
      * @param until Inclusive horizon in ticks.
-     * @return Number of events executed by this call, the slot's runs
-     *         not counted (as in numExecuted()).
+     * @return Number of events executed by this call, timer runs
+     *         included and the same-tick slot's not (as in
+     *         numExecuted()).
      */
     std::size_t run(Tick until = kMaxTick);
 
     /**
-     * @return Total events executed over the queue's lifetime; runs of
-     *         the same-tick slot are not events and are not counted.
+     * @return Total events executed over the queue's lifetime, timer
+     *         runs included; runs of the same-tick slot are not events
+     *         and are not counted.
      */
     std::uint64_t numExecuted() const { return numExecuted_; }
 
     /**
-     * @return Number of live (scheduled, not yet run) events; an armed
-     *         same-tick slot is not counted.
+     * @return Number of live (scheduled, not yet run) events, armed
+     *         timers included; an armed same-tick slot is not counted.
      */
-    std::size_t numPending() const { return liveCount_; }
+    std::size_t numPending() const { return liveCount_ + armedTimers_; }
 
     /**
      * Allocated event-slot capacity: arena node slots (calendar) or
@@ -295,9 +336,10 @@ class EventQueue
     }
 
     /**
-     * Per-schedule depth histogram: bucket b counts schedule() calls
-     * made while the live depth (after insertion) was in
-     * [2^b, 2^(b+1)); depths beyond the last bucket clamp into it.
+     * Per-schedule depth histogram: bucket b counts schedule() and
+     * armTimer() calls made while the live depth (numPending() after
+     * insertion) was in [2^b, 2^(b+1)); depths beyond the last bucket
+     * clamp into it.
      * All zeros when the build is not profiled.
      *
      * @return Reference to the bucket array.
@@ -310,7 +352,7 @@ class EventQueue
 
   private:
     /** Insertion sequence: the last key of the (tick, priority, id)
-     *  order, shared by events and the same-tick slot. */
+     *  order, shared by events and slots. */
     using EventId = std::uint64_t;
 
     /** One live calendar event; recycled through the arena. */
@@ -392,14 +434,19 @@ class EventQueue
         }
     };
 
-    /** The armed same-tick slot; fn == nullptr when it is free. */
-    struct SameTick
+    /** One slot: what it runs and where it sorts, while armed. */
+    struct SlotRecord
     {
-        SameTickFn fn = nullptr;
+        SlotFn fn = nullptr;
         void *context = nullptr;
+        Tick when = 0;
         int priority = 0;
         EventId id = 0;
     };
+
+    /** slots_[0] is the same-tick slot; timer t is slots_[1 + t]. */
+    static constexpr std::size_t kSameTickSlot = 0;
+    static constexpr std::size_t kFirstTimerSlot = 1;
 
     /** Strict (tick, priority, id) order. */
     static bool
@@ -412,25 +459,68 @@ class EventQueue
         return ai < bi;
     }
 
-    /**
-     * Does the armed slot sort before the event (when, priority, id)?
-     * The slot sits at now(): it cannot outlive its tick, because it
-     * sorts before every event of a later one.
-     */
     bool
-    sameTickFirst(Tick when, int priority, EventId id) const
+    isArmed(std::size_t slot) const
     {
-        return earlier(now_, sameTick_.priority, sameTick_.id, when,
-                       priority, id);
+        return (armed_ & (1u << slot)) != 0;
     }
 
-    /** Free the slot, then run what it held (which may re-arm it). */
+    /** Fill free slot `slot` and mark it armed; it takes the next id. */
     void
-    runSameTick()
+    arm(std::size_t slot, Tick when, SlotFn fn, void *context,
+        int priority)
     {
-        const SameTick armed = sameTick_;
-        sameTick_.fn = nullptr;
-        armed.fn(armed.context);
+        slots_[slot] = SlotRecord{fn, context, when, priority, nextId_++};
+        armed_ |= 1u << slot;
+    }
+
+    /**
+     * The one routine that orders the slots: the index of the earliest
+     * armed slot by (tick, priority, id). At least one must be armed.
+     */
+    std::size_t
+    firstSlot() const
+    {
+        std::uint32_t rest = armed_;
+        std::size_t first = static_cast<std::size_t>(std::countr_zero(rest));
+        for (rest &= rest - 1; rest != 0; rest &= rest - 1) {
+            const std::size_t s =
+                static_cast<std::size_t>(std::countr_zero(rest));
+            if (slotFirst(s, slots_[first].when, slots_[first].priority,
+                          slots_[first].id))
+                first = s;
+        }
+        return first;
+    }
+
+    /** Does armed slot `slot` sort before the entry (when, priority, id)? */
+    bool
+    slotFirst(std::size_t slot, Tick when, int priority, EventId id) const
+    {
+        const SlotRecord &s = slots_[slot];
+        return earlier(s.when, s.priority, s.id, when, priority, id);
+    }
+
+    /**
+     * Free armed slot `slot`, move time to its tick, count a timer's run
+     * as an event, then run what it held (which may re-arm it).
+     */
+    void
+    runSlot(std::size_t slot)
+    {
+        // Field by field, not a copy of the record: a wide load of
+        // fields just stored one by one stalls on store forwarding.
+        const SlotFn fn = slots_[slot].fn;
+        void *const context = slots_[slot].context;
+        const Tick when = slots_[slot].when;
+        armed_ &= ~(1u << slot);
+        BUSARB_ASSERT(when >= now_, "event queue went backwards");
+        now_ = when;
+        if (slot != kSameTickSlot) {
+            --armedTimers_;
+            ++numExecuted_;
+        }
+        fn(context);
     }
 
     /** Clamp now() + delay to kMaxTick (see scheduleIn). */
@@ -462,7 +552,7 @@ class EventQueue
         if (++opsSinceRebuild_ >= nextGeometryCheck_)
             calCheckGeometry();
 #if BUSARB_PROFILING_ENABLED
-        recordDepth(liveCount_);
+        recordDepth(numPending());
 #endif
         return &node->cb;
     }
@@ -601,9 +691,13 @@ class EventQueue
 
     Tick now_ = 0;
     EventId nextId_ = 1;
+    // Events in the storage (calendar nodes or heap entries) only: the
+    // calendar's geometry counts its own nodes, not the slots.
     std::size_t liveCount_ = 0;
     std::uint64_t numExecuted_ = 0;
-    SameTick sameTick_;
+    std::array<SlotRecord, kFirstTimerSlot + kTimerSlots> slots_{};
+    std::uint32_t armed_ = 0;       // bit s set while slots_[s] is armed
+    std::size_t armedTimers_ = 0;   // armed timer slots (live events)
 
     // Profile probes: the array stays (zeroed) in unprofiled builds so
     // the accessor keeps one signature, but is only ever written under
@@ -612,7 +706,7 @@ class EventQueue
 #if BUSARB_PROFILING_ENABLED
     std::size_t maxDepth_ = 0;
 
-    /** Record one schedule() at live depth `depth` (>= 1). */
+    /** Record one schedule() or armTimer() at live depth `depth` (>= 1). */
     void
     recordDepth(std::size_t depth)
     {

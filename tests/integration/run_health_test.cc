@@ -108,7 +108,9 @@ TEST(RunHealthIntegrationTest, SaturatedTransactionIsThreeEvents)
 {
     // A transaction is three queue events: the request arrival, the
     // pass completion and the tenure end. The pass start runs in the
-    // queue's same-tick slot, which is not an event. Saturated rr1
+    // queue's same-tick slot, which is not an event; the pass
+    // completion and the tenure end run from its timer slots, which
+    // count as the events they stand for. Saturated rr1
     // never retries or idles a pass, so only the requests still in
     // flight when the run stops (at most one arrival per agent, plus
     // the pass completions of the tenure in progress and of a decided

@@ -3,9 +3,10 @@
  * Policy-seam tests for the event queue: both storage policies must
  * implement the identical (tick, priority, id) ordering contract, the
  * scheduleIn() saturation rule, bounded memory under churn, and the
- * same-tick slot's place in that order.
+ * slots' place in that order.
  */
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -375,6 +376,218 @@ TEST_P(SameTickDifferentialTest, SlotRunsWhereItsEventWould)
 
 INSTANTIATE_TEST_SUITE_P(
     BothPolicies, SameTickDifferentialTest,
+    ::testing::Values(EventQueuePolicy::kCalendar,
+                      EventQueuePolicy::kHeap),
+    kPolicyName);
+
+/**
+ * One side of the timer-slot differential: a queue that arms its timer
+ * slots (slots = true) or the reference that schedules each timer call
+ * as an event at (now + delay, priority) (slots = false). Both arm the
+ * same-tick slot alike, as the bus does for its pass starts.
+ */
+struct TimerSlotHarness
+{
+    /** What a timer slot's function gets: its harness and its index. */
+    struct Timer
+    {
+        TimerSlotHarness *owner;
+        std::size_t index;
+        bool armed = false;
+        int op = 0;
+    };
+
+    /** One step's view of the queue. */
+    struct Step
+    {
+        Tick now;
+        std::size_t pending;
+        std::uint64_t executed;
+        bool operator==(const Step &) const = default;
+    };
+
+    EventQueue q;
+    bool slots;
+    std::vector<std::pair<int, Tick>> log;
+    std::vector<Step> steps;
+    std::array<Timer, EventQueue::kTimerSlots> timers;
+    bool sameTickArmed = false;
+    int sameTickOp = 0;
+    std::uint64_t timerRuns = 0;
+    std::uint64_t sameTickRuns = 0;
+
+    static constexpr int kPriorities[] = {
+        kPriTransactionEnd, kPriArbitration, kPriRequestArrival,
+        kPriBeginPass,      kPriDefault,     kPriStats};
+
+    TimerSlotHarness(EventQueuePolicy policy, bool use_slots)
+        : q(policy), slots(use_slots)
+    {
+        for (std::size_t t = 0; t < timers.size(); ++t)
+            timers[t] = Timer{this, t};
+    }
+
+    /** Arm timer `t` for `op` at `delay`, unless it is armed. */
+    void
+    timer(std::size_t t, int op, Tick delay, int priority)
+    {
+        Timer &timer = timers[t];
+        if (timer.armed)
+            return;
+        timer.armed = true;
+        timer.op = op;
+        if (slots) {
+            q.armTimer(
+                t, delay,
+                [](void *self) {
+                    const auto *slot = static_cast<const Timer *>(self);
+                    slot->owner->fireTimer(slot->index);
+                },
+                &timer, priority);
+        } else {
+            q.scheduleIn(delay, [this, t] { fireTimer(t); }, priority);
+        }
+    }
+
+    /** A timer's call: logs itself; some re-arm their own timer (as a
+     *  tenure end starts the next tenure), arm the other one, arm the
+     *  same-tick slot or schedule an event. Each derived op fails the
+     *  test that made it, so no chain runs on without end. */
+    void
+    fireTimer(std::size_t t)
+    {
+        timers[t].armed = false;
+        ++timerRuns;
+        const int op = timers[t].op;
+        log.emplace_back(-1000000 * static_cast<int>(t + 1) - op, q.now());
+        if (op % 3 == 0)
+            timer(t, op + 300001, op % 4, kPriorities[op % 6]);
+        if (op % 5 == 0)
+            timer((t + 1) % timers.size(), op + 400001, (op / 5) % 4,
+                  kPriorities[(op / 5) % 6]);
+        if (op % 4 == 0)
+            sameTick(op + 500001, kPriorities[(op / 4) % 6]);
+        if (op % 7 == 0)
+            event(op + 600001, op % 4, kPriorities[(op / 7) % 6]);
+    }
+
+    /** Arm the same-tick slot for `op`, unless it is armed. */
+    void
+    sameTick(int op, int priority)
+    {
+        if (sameTickArmed)
+            return;
+        sameTickArmed = true;
+        sameTickOp = op;
+        q.armSameTick(
+            [](void *self) {
+                static_cast<TimerSlotHarness *>(self)->fireSameTick();
+            },
+            this, priority);
+    }
+
+    /** The same-tick call: some arm a timer, as a pass start arms its
+     *  pass end. */
+    void
+    fireSameTick()
+    {
+        sameTickArmed = false;
+        ++sameTickRuns;
+        const int op = sameTickOp;
+        log.emplace_back(-1 - op, q.now());
+        if (op % 2 == 0)
+            timer(0, op + 700001, op % 4, kPriorities[op % 6]);
+    }
+
+    /** An ordinary event; some arm a slot when they run. */
+    void
+    event(int op, Tick delay, int priority)
+    {
+        q.scheduleIn(
+            delay,
+            [this, op] {
+                log.emplace_back(op, q.now());
+                if (op % 4 == 0)
+                    sameTick(op + 800001, kPriorities[(op / 4) % 6]);
+                if (op % 6 == 1)
+                    timer(1, op + 900001, op % 4, kPriorities[op % 6]);
+            },
+            priority);
+    }
+
+    void
+    record()
+    {
+        steps.push_back(Step{q.now(), q.numPending(), q.numExecuted()});
+    }
+};
+
+/**
+ * A timer slot is exactly the event it stands for, in order and in
+ * every count: random schedules at every priority, same-tick arms and
+ * timer arms at delays 0-3 (from the top level, from events and from
+ * the slots themselves) pushed through a queue that arms its timer
+ * slots and a reference of the same policy that schedules each timer
+ * call as an event at (now + delay, priority). Execution order, and
+ * after each step now(), numPending() and numExecuted(), must match,
+ * and so must the depth profile.
+ */
+class TimerSlotDifferentialTest
+    : public ::testing::TestWithParam<EventQueuePolicy>
+{
+};
+
+TEST_P(TimerSlotDifferentialTest, TimerRunsAndCountsAsItsEvent)
+{
+    constexpr int kOps = 8000;
+    const auto drive = [](TimerSlotHarness &d) {
+        std::uint64_t rng = 0x853c49e6748fea9bULL;
+        const auto next = [&rng] {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            return rng;
+        };
+        for (int op = 0; op < kOps; ++op) {
+            const std::uint64_t roll = next() % 100;
+            // Short delays: most entries tie on a tick with others.
+            const Tick delay = static_cast<Tick>(next() % 4);
+            const int pri = TimerSlotHarness::kPriorities[next() % 6];
+            if (roll < 30) {
+                d.event(op, delay, pri);
+            } else if (roll < 38) {
+                d.sameTick(op, pri);
+            } else if (roll < 52) {
+                d.timer(next() % EventQueue::kTimerSlots, op, delay, pri);
+            } else {
+                d.q.runOne();
+            }
+            d.record();
+        }
+        d.q.run();
+        d.record();
+    };
+
+    TimerSlotHarness slots(GetParam(), true);
+    TimerSlotHarness reference(GetParam(), false);
+    drive(slots);
+    drive(reference);
+    EXPECT_EQ(slots.log, reference.log);
+    EXPECT_EQ(slots.steps, reference.steps);
+    EXPECT_EQ(slots.q.numExecuted(), reference.q.numExecuted());
+    EXPECT_EQ(slots.q.profileDepthHistogram(),
+              reference.q.profileDepthHistogram());
+    EXPECT_EQ(slots.q.profileMaxDepth(), reference.q.profileMaxDepth());
+    EXPECT_EQ(slots.timerRuns, reference.timerRuns);
+    EXPECT_EQ(slots.sameTickRuns, reference.sameTickRuns);
+    EXPECT_TRUE(slots.q.empty());
+    EXPECT_GT(slots.timerRuns, 400u);
+    EXPECT_GT(slots.sameTickRuns, 400u);
+    EXPECT_GT(slots.q.numExecuted(), 2000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothPolicies, TimerSlotDifferentialTest,
     ::testing::Values(EventQueuePolicy::kCalendar,
                       EventQueuePolicy::kHeap),
     kPolicyName);

@@ -116,6 +116,68 @@ TEST(EventQueueTest, TimeDoesNotAdvancePastLastEvent)
     EXPECT_EQ(q.now(), 42);
 }
 
+/** A timer-slot function: counts its runs and re-arms itself. */
+struct Ticker
+{
+    EventQueue *q;
+    std::vector<Tick> runs;
+    int rearms = 0;
+
+    static void
+    fire(void *self)
+    {
+        auto *ticker = static_cast<Ticker *>(self);
+        ticker->runs.push_back(ticker->q->now());
+        if (ticker->rearms-- > 0)
+            ticker->q->armTimer(0, 10, &Ticker::fire, ticker, kPriDefault);
+    }
+};
+
+TEST(EventQueueTest, TimerRearmsItselfFromItsOwnFunction)
+{
+    // The slot is free before its function runs, as the bus's tenure
+    // end starts the next tenure and arms the same timer again.
+    EventQueue q;
+    Ticker ticker{&q, {}, 3};
+    q.armTimer(0, 10, &Ticker::fire, &ticker, kPriDefault);
+    EXPECT_EQ(q.run(), 4u);
+    EXPECT_EQ(ticker.runs, (std::vector<Tick>{10, 20, 30, 40}));
+    EXPECT_EQ(q.numExecuted(), 4u);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, NextTickAndRunStopAtAnArmedTimer)
+{
+    EventQueue q;
+    Ticker ticker{&q, {}, 0};
+    q.schedule(5, [] {});
+    q.armTimer(1, 20, &Ticker::fire, &ticker, kPriTransactionEnd);
+    q.schedule(30, [] {});
+    EXPECT_EQ(q.nextTick(), 5);
+    EXPECT_EQ(q.run(19), 1u);
+    EXPECT_EQ(q.nextTick(), 20);
+    EXPECT_TRUE(ticker.runs.empty());
+    EXPECT_EQ(q.run(20), 1u); // inclusive horizon, the timer counted
+    EXPECT_EQ(ticker.runs, (std::vector<Tick>{20}));
+    EXPECT_EQ(q.now(), 20);
+    EXPECT_EQ(q.nextTick(), 30);
+}
+
+TEST(EventQueueTest, ArmedTimerIsAPendingEvent)
+{
+    EventQueue q;
+    Ticker ticker{&q, {}, 0};
+    q.armTimer(0, 3, &Ticker::fire, &ticker, kPriArbitration);
+    EXPECT_FALSE(q.empty());
+    EXPECT_EQ(q.numPending(), 1u);
+    EXPECT_EQ(q.nextTick(), 3);
+    EXPECT_TRUE(q.runOne());
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.numPending(), 0u);
+    EXPECT_EQ(q.numExecuted(), 1u);
+    EXPECT_FALSE(q.runOne());
+}
+
 TEST(EventQueueDeathTest, SchedulingIntoThePastPanics)
 {
     EventQueue q;
@@ -126,8 +188,8 @@ TEST(EventQueueDeathTest, SchedulingIntoThePastPanics)
 
 TEST(EventQueueDeathTest, NullCallbackPanics)
 {
-    // schedule() takes only callables; the one plain function pointer
-    // the queue accepts is the same-tick slot's.
+    // schedule() takes only callables; the plain function pointers the
+    // queue accepts are its slots'.
     EventQueue q;
     EXPECT_DEATH(q.armSameTick(nullptr, nullptr, kPriBeginPass),
                  "null same-tick function");
@@ -137,6 +199,31 @@ TEST(EventQueueDeathTest, NegativeDelayPanics)
 {
     EventQueue q;
     EXPECT_DEATH(q.scheduleIn(-1, [] {}), "negative delay");
+    Ticker ticker{&q, {}, 0};
+    EXPECT_DEATH(q.armTimer(0, -1, &Ticker::fire, &ticker, kPriDefault),
+                 "negative delay");
+}
+
+TEST(EventQueueDeathTest, ArmingAnArmedTimerPanics)
+{
+    EventQueue q;
+    Ticker ticker{&q, {}, 0};
+    q.armTimer(1, 4, &Ticker::fire, &ticker, kPriDefault);
+    // Each slot is armed on its own: timer 0 is still free.
+    q.armTimer(0, 4, &Ticker::fire, &ticker, kPriDefault);
+    EXPECT_DEATH(q.armTimer(1, 9, &Ticker::fire, &ticker, kPriDefault),
+                 "timer slot 1 armed twice");
+    EXPECT_DEATH(q.armTimer(0, 9, nullptr, &ticker, kPriDefault),
+                 "null timer function");
+}
+
+TEST(EventQueueDeathTest, OutOfRangeTimerPanics)
+{
+    EventQueue q;
+    Ticker ticker{&q, {}, 0};
+    EXPECT_DEATH(q.armTimer(EventQueue::kTimerSlots, 1, &Ticker::fire,
+                            &ticker, kPriDefault),
+                 "timer slot out of range");
 }
 
 } // namespace
